@@ -49,6 +49,7 @@ from .errors import (
     NotAState,
     NotDecomposable,
     OutOfSubalgebra,
+    PhasePrecisionError,
     SingularFrame,
     Unsupported,
     WeylError,

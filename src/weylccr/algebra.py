@@ -36,7 +36,7 @@ from .lattice import (
     vsub,
     zero_vector,
 )
-from .scalars import ExactScalar, PhaseAngle, TAU
+from .scalars import ExactScalar, PhaseAngle
 
 #: coefficients with modulus below this are dropped after arithmetic
 ZERO_THRESHOLD = 1e-14
@@ -244,7 +244,7 @@ class Element:
 def weyl_generator_parts(z: PhasePoint) -> tuple[PhaseAngle, Monomial]:
     """Exact phase and monomial of w_z = e^{-(i/2) alpha.beta} u_alpha v_beta."""
     half = ExactScalar.rational(1, 2)
-    phase = PhaseAngle(-(TAU * half * vdot(z.a, z.b)))
+    phase = PhaseAngle.from_turns(-(half * vdot(z.a, z.b)))
     return phase, Monomial(z.a, z.b)
 
 

@@ -51,3 +51,7 @@ class ExpressionError(WeylError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class PhasePrecisionError(WeylError):
+    """An exact angle is too large to reduce to turns within the precision bound."""

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import Monomial
 from .errors import DimensionMismatch, NotAState, OutOfSubalgebra, WindowTooSmall
 from .lattice import integer_vector, vdot, vector
-from .scalars import PhaseAngle, S_ZERO, TAU, scalar
+from .scalars import PhaseAngle, S_ZERO, scalar
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def op_S(b, window: FourierWindow) -> TruncatedOperator:
         dot = S_ZERO
         for ni, bi in zip(n, b):
             dot = dot + scalar(ni) * bi
-        diag[i] = PhaseAngle(-(TAU * dot)).to_complex()
+        diag[i] = PhaseAngle.from_turns(-dot).to_complex()
     return TruncatedOperator(window, np.diag(diag))
 
 
@@ -105,7 +105,7 @@ def rep_rho_kappa(kappa, m: Monomial, window: FourierWindow) -> TruncatedOperato
     dot = S_ZERO
     for k, bi in zip(kappa, m.b):
         dot = dot + scalar(k) * bi
-    phase = PhaseAngle(-(TAU * dot)).to_complex()
+    phase = PhaseAngle.from_turns(-dot).to_complex()
     f_mat = op_F(a_int, window).matrix
     s_mat = op_S(m.b, window).matrix
     return TruncatedOperator(window, phase * (f_mat @ s_mat))
@@ -160,7 +160,7 @@ def plane_wave_vector_state(p, m: Monomial, momentum_set) -> complex:
             u_mat[i, j] = 1.0
     v_mat = np.zeros((n, n), dtype=complex)
     for j, q in enumerate(points):
-        v_mat[j, j] = PhaseAngle(-(TAU * vdot(q, m.b))).to_complex()
+        v_mat[j, j] = PhaseAngle.from_turns(-vdot(q, m.b)).to_complex()
     k = index[p]
     return complex((u_mat @ v_mat)[k, k])
 
@@ -176,7 +176,7 @@ def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
     b = vector(b)
     f_mat = op_F(gp, window).matrix
     s_mat = op_S(b, window).matrix
-    phase = PhaseAngle(TAU * vdot(vector(gp), b)).to_complex()
+    phase = PhaseAngle.from_turns(vdot(vector(gp), b)).to_complex()
     lhs = f_mat @ s_mat
     rhs = phase * (s_mat @ f_mat)
     interior = [j for j, pt in enumerate(window.points)

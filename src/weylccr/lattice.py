@@ -25,6 +25,13 @@ Matrix = tuple  # tuple[tuple[ExactScalar, ...], ...]
 
 
 def vector(values: Sequence) -> Vector:
+    """``values`` as a tuple of ExactScalar; such a tuple is returned as is."""
+    if values.__class__ is tuple:
+        for v in values:
+            if v.__class__ is not ExactScalar:
+                break
+        else:
+            return values
     return tuple(scalar(v) for v in values)
 
 
@@ -200,7 +207,7 @@ def check_same_frame(f1: Frame, f2: Frame):
 
 def pairing(a: Vector, b: Vector) -> PhaseAngle:
     """Exact value of alpha . beta = tau * (a . b) as a phase angle."""
-    return PhaseAngle(TAU * vdot(vector(a), vector(b)))
+    return PhaseAngle.from_turns(vdot(vector(a), vector(b)))
 
 
 @dataclass(frozen=True)
@@ -229,7 +236,7 @@ def symplectic(z: PhasePoint, zp: PhasePoint) -> PhaseAngle:
     """The symplectic product (alpha . beta' - alpha' . beta) / 2, exact."""
     check_same_frame(z.frame, zp.frame)
     half = ExactScalar.rational(1, 2)
-    return PhaseAngle(TAU * half * (vdot(z.a, zp.b) - vdot(zp.a, z.b)))
+    return PhaseAngle.from_turns(half * (vdot(z.a, zp.b) - vdot(zp.a, z.b)))
 
 
 # -- unit-cell decompositions ------------------------------------------------

@@ -6,187 +6,386 @@ Because pi is transcendental, two such scalars are equal as real numbers if
 and only if their canonical forms coincide, so phase bookkeeping is exact:
 an angle represents a full turn exactly when it is an integer multiple of tau.
 
-Polynomials are stored densely as tuples of ``Fraction`` coefficients, lowest
-degree first, with no trailing zeros (the zero polynomial is the empty tuple).
-Degrees stay tiny in practice (products of pairings reach degree two or three)
-so the naive Euclidean algorithms below are more than fast enough.
+Representation.  As in FLINT's ``fmpq_poly``, a polynomial is a tuple of
+integer coefficients, lowest degree first and without trailing zeros (zero is
+the empty tuple), over one positive integer denominator that shares no factor
+with the coefficients.  A general value is such a polynomial divided by a
+denominator polynomial, stored as a primitive integer tuple with positive
+leading coefficient and no factor in common with the numerator; dividing it
+by its leading coefficient gives the monic denominator of the canonical form.
+The canonical form is unique, so equality and hashing compare fields.
+
+Almost every scalar met in practice has denominator 1, and most of those are
+integers or plain rationals.  Arithmetic on them runs on Python ints alone,
+with direct paths for degree 0 and 1: no polynomial gcd, no ``Fraction``.
+Only genuine rational functions, which arise from frames whose basis
+contains tau, go through integer polynomial products and a primitive
+pseudo-remainder gcd.
+
+Phase angles of the form tau * r with r rational, which covers every phase
+of a standard frame, are stored as a ``Fraction`` of turns in [0, 1), so
+adding, comparing and converting them is plain rational arithmetic.  Any
+other angle is reduced to turns with pi from an integer Machin series,
+computed to as many bits as the angle needs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
+
+from .errors import NotDecomposable, PhasePrecisionError
 
 TWO_PI = 2.0 * math.pi
 
-Poly = tuple  # tuple[Fraction, ...]
+_Q1 = (1,)  # the denominator polynomial of every polynomial value
+_DEN1 = (Fraction(1),)
 
 
-def _trim(coeffs) -> Poly:
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+# -- integer polynomials ---------------------------------------------------
 
 
-def _padd(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
+def _zadd(p: tuple, q: tuple) -> tuple:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
     for i, c in enumerate(q):
         out[i] += c
-    return _trim(out)
+    if len(p) == len(q):
+        while out and not out[-1]:
+            out.pop()
+    return tuple(out)
 
 
-def _pneg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def _pmul(p: Poly, q: Poly) -> Poly:
+def _zmul(p: tuple, q: tuple) -> tuple:
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    if len(q) == 1:
+        c = q[0]
+        return tuple(c * x for x in p)
+    if len(p) == 1:
+        c = p[0]
+        return tuple(c * x for x in q)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)
 
 
-def _pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
+def _zdivexact(p: tuple, q: tuple) -> tuple:
+    """p / q for a primitive q dividing p over Q; the quotient is integral."""
     rem = list(p)
-    qlen = len(q)
-    quo = [Fraction(0)] * max(len(p) - qlen + 1, 0)
+    n = len(q)
     lead = q[-1]
-    for k in range(len(rem) - qlen, -1, -1):
-        factor = rem[k + qlen - 1] / lead
-        quo[k] = factor
-        if factor:
-            for i in range(qlen):
-                rem[k + i] -= factor * q[i]
-    return _trim(quo), _trim(rem[: qlen - 1])
+    quo = [0] * (len(p) - n + 1)
+    for k in range(len(p) - n, -1, -1):
+        f = rem[k + n - 1] // lead
+        quo[k] = f
+        if f:
+            for i, c in enumerate(q):
+                rem[k + i] -= f * c
+    return tuple(quo)
 
 
-def _pgcd(p: Poly, q: Poly) -> Poly:
-    while q:
-        p, q = q, _pdivmod(p, q)[1]
+def _primitive(p: tuple) -> tuple:
+    """p divided by its content, leading coefficient made positive."""
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return p if g == 1 else tuple(x // g for x in p)
+
+
+def _prem(p: tuple, q: tuple) -> tuple:
+    """Pseudo-remainder of p by q, over the integers."""
+    rem = list(p)
+    n = len(q)
+    lead = q[-1]
+    while len(rem) >= n:
+        top = rem[-1]
+        shift = len(rem) - n
+        rem = [lead * x for x in rem]
+        for i, c in enumerate(q):
+            rem[shift + i] -= top * c
+        while rem and not rem[-1]:
+            rem.pop()
+    return tuple(rem)
+
+
+def _zgcd(p: tuple, q: tuple) -> tuple:
+    """Primitive greatest common divisor of two nonzero integer polynomials."""
+    p, q = _primitive(p), _primitive(q)
+    if len(p) < len(q):
+        p, q = q, p
+    while len(q) > 1:
+        r = _prem(p, q)
+        if not r:
+            return q
+        p, q = q, _primitive(r)
+    return _Q1
+
+
+def _integral(coeffs) -> tuple[tuple, int]:
+    """Integer coefficients and one positive denominator for a sequence of
+    rationals: ``coeffs == ints / den``.  Trailing zeros are dropped."""
+    fracs = [Fraction(c) for c in coeffs]
+    while fracs and not fracs[-1]:
+        fracs.pop()
+    den = math.lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
+def _poly_str(p) -> str:
     if not p:
-        return ()
-    return tuple(c / p[-1] for c in p)  # monic
-
-
-def _peval(p: Poly, x: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + float(c)
-    return acc
-
-
-@dataclass(frozen=True)
-class ExactScalar:
-    """Canonical-form element of Q(tau): ``num/den`` reduced, ``den`` monic."""
-
-    num: Poly
-    den: Poly = (Fraction(1),)
-
-    def __post_init__(self):
-        num = _trim(self.num)
-        den = _trim(self.den)
-        if not den:
-            raise ZeroDivisionError("zero denominator in ExactScalar")
-        if not num:
-            den = (Fraction(1),)
+        return "0"
+    parts = []
+    for k, c in enumerate(p):
+        if c == 0:
+            continue
+        if k == 0:
+            parts.append(str(c))
         else:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            base = "tau" if k == 1 else f"tau^{k}"
+            parts.append(base if c == 1 else f"{c}*{base}")
+    return " + ".join(parts) if parts else "0"
+
+
+# -- exact scalars ---------------------------------------------------------
+
+
+_new = object.__new__
+
+
+def _make(p: tuple, c: int = 1, q: tuple = _Q1) -> "ExactScalar":
+    """An ExactScalar from fields already in canonical form."""
+    x = _new(ExactScalar)
+    x._p = p
+    x._c = c
+    x._q = q
+    return x
+
+
+def _poly(p: tuple, c: int) -> "ExactScalar":
+    """The polynomial p / c, p trimmed and c > 0, reduced by content."""
+    if not p:
+        return S_ZERO
+    if c != 1:
+        g = gcd(c, *p)
+        if g != 1:
+            return _make(tuple(x // g for x in p), c // g)
+    return _make(p, c)
+
+
+def _rat(n: int, c: int) -> "ExactScalar":
+    """The rational n / c, c > 0."""
+    if not n:
+        return S_ZERO
+    if c != 1:
+        g = gcd(n, c)
+        if g != 1:
+            return _make((n // g,), c // g)
+    return _make((n,), c)
+
+
+def _canonical(N: tuple, D: tuple) -> "ExactScalar":
+    """The scalar N / D for trimmed integer polynomials N and D."""
+    if not D:
+        raise ZeroDivisionError("zero denominator in ExactScalar")
+    if not N:
+        return S_ZERO
+    if len(D) > 1:
+        g = _zgcd(N, D)
+        if len(g) > 1:
+            N, D = _zdivexact(N, g), _zdivexact(D, g)
+    q = _Q1 if len(D) == 1 else _primitive(D)
+    scale = D[-1]  # N / D == (N / scale) / (q / lead of q)
+    if scale < 0:
+        N, scale = tuple(-x for x in N), -scale
+    g = gcd(scale, *N)
+    if g != 1:
+        N, scale = tuple(x // g for x in N), scale // g
+    return _make(N, scale, q)
+
+
+def _fraction_pair(x: "ExactScalar") -> tuple[tuple, tuple]:
+    """Integer polynomials (N, D) with x == N / D."""
+    q = x._q
+    if q is _Q1:
+        return x._p, (x._c,)
+    lead = q[-1]
+    return tuple(lead * v for v in x._p), tuple(x._c * v for v in q)
+
+
+class ExactScalar:
+    """Canonical-form element of Q(tau): ``num/den`` reduced, ``den`` monic.
+
+    Build one from sequences of rational coefficients, lowest degree first:
+    ``ExactScalar(num, den)``; ``den`` defaults to 1 and need be neither
+    reduced nor monic.  ``num`` and ``den`` read back the canonical form as
+    tuples of ``Fraction``.
+    """
+
+    __slots__ = ("_p", "_c", "_q")
+
+    def __init__(self, num=(), den=_Q1):
+        n, a = _integral(num)
+        d, b = _integral(den)
+        if not d:
+            raise ZeroDivisionError("zero denominator in ExactScalar")
+        x = _canonical(tuple(b * v for v in n), tuple(a * v for v in d))
+        self._p, self._c, self._q = x._p, x._c, x._q
+
+    @property
+    def num(self) -> tuple:
+        c = self._c
+        return tuple(Fraction(v, c) for v in self._p)
+
+    @property
+    def den(self) -> tuple:
+        q = self._q
+        if q is _Q1:
+            return _DEN1
+        lead = q[-1]
+        return tuple(Fraction(v, lead) for v in q)
+
+    def __eq__(self, other):
+        if other.__class__ is not ExactScalar:
+            return NotImplemented
+        return self._p == other._p and self._c == other._c and self._q == other._q
+
+    def __hash__(self):
+        return hash((self._p, self._c, self._q))
+
+    def __reduce__(self):
+        return ExactScalar, (self.num, self.den)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rational(p, q=1) -> "ExactScalar":
-        return ExactScalar((Fraction(p, q),))
+        return _coerce_or_none(Fraction(p, q))
 
     @staticmethod
     def coerce(x) -> "ExactScalar":
-        if isinstance(x, ExactScalar):
-            return x
-        if isinstance(x, Rational):
-            return ExactScalar((Fraction(x),))
-        raise TypeError(f"cannot interpret {x!r} as an ExactScalar")
+        out = _coerce_or_none(x)
+        if out is None:
+            raise TypeError(f"cannot interpret {x!r} as an ExactScalar")
+        return out
 
     # -- predicates and conversions ------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._p
 
     def is_rational(self) -> bool:
         """True when the scalar is a plain rational number (tau-free)."""
-        return len(self.num) <= 1 and self.den == (Fraction(1),)
+        return len(self._p) <= 1 and self._q is _Q1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
-            from .errors import NotDecomposable
-
             raise NotDecomposable(f"{self} depends on tau")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self._p[0], self._c) if self._p else Fraction(0)
 
     def evaluate(self) -> float:
         """Numeric value with tau substituted by 2*pi."""
-        return _peval(self.num, TWO_PI) / _peval(self.den, TWO_PI)
+        c = self._c
+        num = 0.0
+        for v in reversed(self._p):
+            num = num * TWO_PI + v / c
+        q = self._q
+        lead = q[-1]
+        den = 0.0
+        for v in reversed(q):
+            den = den * TWO_PI + v / lead
+        return num / den
 
     # -- field arithmetic ----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce_or_none(other)
-        if other is None:
-            return NotImplemented
-        return ExactScalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        if other.__class__ is not ExactScalar:
+            other = _coerce_or_none(other)
+            if other is None:
+                return NotImplemented
+        p1, p2 = self._p, other._p
+        if not p2:
+            return self
+        if not p1:
+            return other
+        if self._q is _Q1 and other._q is _Q1:
+            c1, c2 = self._c, other._c
+            if len(p1) == 1 and len(p2) == 1:
+                if c1 == c2:
+                    return _rat(p1[0] + p2[0], c1)
+                return _rat(p1[0] * c2 + p2[0] * c1, c1 * c2)
+            if c1 == c2:
+                return _poly(_zadd(p1, p2), c1)
+            g = gcd(c1, c2)
+            m1, m2 = c2 // g, c1 // g
+            return _poly(_zadd(tuple(m1 * v for v in p1), tuple(m2 * v for v in p2)),
+                         c1 * m1)
+        q = self._q
+        if q == other._q:
+            c1, c2, lead = self._c, other._c, q[-1]
+            return _canonical(_zadd(_zmul(p1, (c2 * lead,)), _zmul(p2, (c1 * lead,))),
+                              _zmul(q, (c1 * c2,)))
+        n1, d1 = _fraction_pair(self)
+        n2, d2 = _fraction_pair(other)
+        return _canonical(_zadd(_zmul(n1, d2), _zmul(n2, d1)), _zmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(_pneg(self.num), self.den)
+        if not self._p:
+            return self
+        return _make(tuple(-v for v in self._p), self._c, self._q)
 
     def __sub__(self, other):
-        other = _coerce_or_none(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not ExactScalar:
+            other = _coerce_or_none(other)
+            if other is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce_or_none(other)
-        if other is None:
-            return NotImplemented
-        return ExactScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        if other.__class__ is not ExactScalar:
+            other = _coerce_or_none(other)
+            if other is None:
+                return NotImplemented
+        p1, p2 = self._p, other._p
+        if not p1 or not p2:
+            return S_ZERO
+        if self._q is _Q1 and other._q is _Q1:
+            c = self._c * other._c
+            if len(p1) == 1 and len(p2) == 1:
+                return _rat(p1[0] * p2[0], c)
+            return _poly(_zmul(p1, p2), c)
+        n1, d1 = _fraction_pair(self)
+        n2, d2 = _fraction_pair(other)
+        return _canonical(_zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce_or_none(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
+        if other.__class__ is not ExactScalar:
+            other = _coerce_or_none(other)
+            if other is None:
+                return NotImplemented
+        p2 = other._p
+        if not p2:
             raise ZeroDivisionError("division by zero ExactScalar")
-        return ExactScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        if len(p2) == 1 and other._q is _Q1:
+            n = p2[0]
+            return self * (_make((other._c,), n) if n > 0 else _make((-other._c,), -n))
+        n1, d1 = _fraction_pair(self)
+        n2, d2 = _fraction_pair(other)
+        return _canonical(_zmul(n1, d2), _zmul(d1, n2))
 
     def __rtruediv__(self, other):
         other = _coerce_or_none(other)
@@ -203,11 +402,11 @@ class ExactScalar:
         return out
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._p)
 
     def __str__(self):
         num = _poly_str(self.num)
-        if self.den == (Fraction(1),):
+        if self._q is _Q1:
             return num
         return f"({num})/({_poly_str(self.den)})"
 
@@ -215,42 +414,21 @@ class ExactScalar:
 
 
 def _coerce_or_none(x):
-    if isinstance(x, ExactScalar):
+    if x.__class__ is ExactScalar:
         return x
+    if x.__class__ is int:
+        return _make((x,)) if x else S_ZERO
+    if x.__class__ is Fraction:
+        return _make((x.numerator,), x.denominator) if x else S_ZERO
     if isinstance(x, Rational):
-        return ExactScalar((Fraction(x),))
+        f = Fraction(x)
+        return _rat(f.numerator, f.denominator)
     return None
 
 
-def _poly_str(p: Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for k, c in enumerate(p):
-        if c == 0:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            base = "tau" if k == 1 else f"tau^{k}"
-            parts.append(base if c == 1 else f"{c}*{base}")
-    return " + ".join(parts) if parts else "0"
-
-
-S_ZERO = ExactScalar(())
-S_ONE = ExactScalar((Fraction(1),))
-TAU = ExactScalar((Fraction(0), Fraction(1)))
-
-# pi to 49 decimal places; used to count whole turns inside large angles so
-# that the complex conversion never feeds a big argument to exp
-_PI_RATIONAL = Fraction(31415926535897932384626433832795028841971693993751, 10**49)
-
-
-def _horner_fraction(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+S_ZERO = _make(())
+S_ONE = _make((1,))
+TAU = _make((0, 1))
 
 
 def scalar(x) -> ExactScalar:
@@ -258,60 +436,225 @@ def scalar(x) -> ExactScalar:
     return ExactScalar.coerce(x)
 
 
-@dataclass(frozen=True)
+# -- phases ----------------------------------------------------------------
+
+
+#: largest working precision, in bits, used to reduce an angle to turns; an
+#: angle needing more (roughly, a tau-polynomial angle whose coefficients
+#: exceed 2**65000) raises PhasePrecisionError
+MAX_PHASE_BITS = 1 << 16
+
+#: bits of the turn fraction certified before it is rounded to a double
+_TURN_BITS = 72
+
+_pi_cache = [0, 3]  # [bits, P] with |P - pi * 2**bits| < 2
+
+
+def _arctan_inv(x: int, one: int) -> int:
+    """arctan(1/x) in fixed point with unit ``one``, one ulp of error per term."""
+    power = one // x
+    total = power
+    x2 = x * x
+    k = 3
+    while power:
+        power //= x2
+        term = power // k
+        total += -term if k & 2 else term
+        k += 2
+    return total
+
+
+def _tau_floor(bits: int) -> int:
+    """An integer T with T < tau * 2**bits < T + 10.
+
+    pi comes from Machin's formula 16 atan(1/5) - 4 atan(1/239) in integer
+    fixed point, 64 guard bits over the precision asked for.  Only the most
+    precise value computed so far is kept; lower precisions are shifts of it.
+    """
+    have_bits, have = _pi_cache
+    if bits > have_bits:
+        work = max(bits, 2 * have_bits, 256)
+        one = 1 << (work + 64)
+        have = (16 * _arctan_inv(5, one) - 4 * _arctan_inv(239, one)) >> 64
+        _pi_cache[:] = [work, have]
+        have_bits = work
+    return 2 * ((have - 2) >> (have_bits - bits))
+
+
+def _homogeneous(p: tuple, t: int, bits: int) -> int:
+    """2**(bits * deg p) * p(t / 2**bits), exactly."""
+    n = len(p) - 1
+    acc = 0
+    for i in range(n, -1, -1):
+        acc = acc * t + (p[i] << (bits * (n - i)))
+    return acc
+
+
+def _turns_at(x: ExactScalar, t: int, bits: int) -> tuple[int, int]:
+    """x / tau at tau = t / 2**bits, as (numerator, positive denominator)."""
+    p, q = x._p, x._q
+    num = _homogeneous(p, t, bits) * q[-1]
+    den = _homogeneous(q, t, bits) * x._c * t
+    shift = bits * (len(q) - len(p) + 1)
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _size_bits(x: ExactScalar) -> int:
+    """Rough log2 of how fast x / tau moves with tau."""
+    top = max(abs(v) for v in x._p).bit_length() + max(abs(v) for v in x._q).bit_length()
+    return max(top + 3 * (len(x._p) + len(x._q)) - x._c.bit_length(), 0)
+
+
+def _reduced_turns(x: ExactScalar) -> tuple[int, int]:
+    """(n, d) with n / d the angle x in turns mod 1, to 2**-_TURN_BITS.
+
+    tau is bracketed between two fixed-point values; the precision grows
+    until x / tau agrees at both ends to the certified bits.
+    """
+    bits = _size_bits(x) + _TURN_BITS + 16
+    while True:
+        if bits > MAX_PHASE_BITS:
+            raise PhasePrecisionError(
+                f"reducing an angle of size 2^{_size_bits(x)} to turns needs more "
+                f"than {MAX_PHASE_BITS} bits of pi")
+        t = _tau_floor(bits)
+        n1, d1 = _turns_at(x, t, bits)
+        n2, d2 = _turns_at(x, t + 10, bits)
+        spread = abs(n1 * d2 - n2 * d1)
+        scale = d1 * d2
+        if spread << _TURN_BITS <= scale:
+            return n1 % d1, d1
+        bits += spread.bit_length() - scale.bit_length() + _TURN_BITS + 16
+
+
+def unit_from_turns(n: int, d: int) -> complex:
+    """e^{2 pi i n/d}; exactly 1 for n = 0."""
+    return cmath.exp(2j * math.pi * (n / d)) if n else 1.0 + 0.0j
+
+
+def _tau_linear_reduced(x: ExactScalar) -> ExactScalar:
+    """x with the tau-linear coefficient of a polynomial moved into [0, 1)."""
+    p, c = x._p, x._c
+    if x._q is not _Q1 or len(p) < 2:
+        return x
+    lin = p[1] % c
+    if lin == p[1]:
+        return x
+    out = list(p)
+    out[1] = lin
+    while out and not out[-1]:
+        out.pop()
+    return _poly(tuple(out), c)
+
+
 class PhaseAngle:
-    """The radian angle of a unit complex number, stored exactly in Q(tau).
+    """The radian angle of a unit complex number, exact in Q(tau).
 
     Two angles describe the same unit complex number exactly when their
-    difference is an integer multiple of tau.  The canonical form reduces the
-    tau-linear coefficient of polynomial values into [0, 1); constant and
-    higher-degree parts are never reducible and are kept verbatim, as are
-    genuine rational-function values.
+    difference is an integer multiple of tau.  An angle tau * r, r rational,
+    is kept as the ``Fraction`` r mod 1 of turns.  Any other angle keeps its
+    value, with the tau-linear coefficient of a polynomial reduced into
+    [0, 1); constant and higher-degree parts are never reducible and are kept
+    verbatim, as are genuine rational-function values.  ``value`` gives the
+    angle as an ExactScalar in either case.
     """
 
-    value: ExactScalar
+    __slots__ = ("_turns", "_value")
 
-    def __post_init__(self):
-        v = self.value
-        if not isinstance(v, ExactScalar):
-            v = ExactScalar.coerce(v)
-        if v.den == (Fraction(1),) and len(v.num) >= 2:
-            c1 = v.num[1]
-            shift = math.floor(c1)
-            if shift:
-                num = list(v.num)
-                num[1] = c1 - shift
-                v = ExactScalar(tuple(num), v.den)
-        object.__setattr__(self, "value", v)
+    def __init__(self, value):
+        if value.__class__ is not ExactScalar:
+            value = ExactScalar.coerce(value)
+        p = value._p
+        if not p:
+            self._turns = Fraction(0)
+            self._value = S_ZERO
+        elif len(p) == 2 and not p[0] and value._q is _Q1:
+            c = value._c
+            self._turns = Fraction(p[1] % c, c)
+            self._value = None
+        else:
+            self._turns = None
+            self._value = _tau_linear_reduced(value)
+
+    @staticmethod
+    def _of_turns(turns: Fraction) -> "PhaseAngle":
+        """The angle of ``turns`` full turns, turns already in [0, 1)."""
+        out = _new(PhaseAngle)
+        out._turns = turns
+        out._value = None
+        return out
+
+    @property
+    def value(self) -> ExactScalar:
+        v = self._value
+        if v is None:
+            t = self._turns
+            v = self._value = _make((0, t.numerator), t.denominator) if t else S_ZERO
+        return v
 
     @staticmethod
     def zero() -> "PhaseAngle":
-        return PhaseAngle(S_ZERO)
+        return _ZERO_ANGLE
 
     @staticmethod
     def from_turns(r) -> "PhaseAngle":
-        """Angle of ``r`` full turns, r rational."""
-        return PhaseAngle(TAU * ExactScalar.coerce(r))
+        """Angle of ``r`` full turns, r rational (or any scalar of Q(tau))."""
+        r = ExactScalar.coerce(r)
+        if r.is_rational():
+            return PhaseAngle._of_turns(
+                Fraction(r._p[0] % r._c, r._c) if r._p else Fraction(0))
+        return PhaseAngle(TAU * r)
+
+    def __eq__(self, other):
+        if other.__class__ is not PhaseAngle:
+            return NotImplemented
+        t = self._turns
+        if t is not None:
+            return t == other._turns
+        return other._turns is None and self._value == other._value
+
+    def __hash__(self):
+        t = self._turns
+        return hash(t) if t is not None else hash(self._value)
+
+    def __reduce__(self):
+        return PhaseAngle, (self.value,)
 
     def __add__(self, other: "PhaseAngle") -> "PhaseAngle":
+        t1, t2 = self._turns, other._turns
+        if t1 is not None and t2 is not None:
+            if not t2:
+                return self
+            if not t1:
+                return other
+            t = t1 + t2
+            return PhaseAngle._of_turns(t - 1 if t >= 1 else t)
         return PhaseAngle(self.value + other.value)
 
     def __sub__(self, other: "PhaseAngle") -> "PhaseAngle":
-        return PhaseAngle(self.value - other.value)
+        return self + (-other)
 
     def __neg__(self) -> "PhaseAngle":
-        return PhaseAngle(-self.value)
+        t = self._turns
+        if t is not None:
+            return PhaseAngle._of_turns(1 - t) if t else self
+        return PhaseAngle(-self._value)
 
     def is_same_rotation(self, other: "PhaseAngle") -> bool:
         """Exact test that both angles give the same unit complex number."""
+        t1, t2 = self._turns, other._turns
+        if t1 is not None and t2 is not None:
+            return t1 == t2
         diff = self.value - other.value
-        if diff.is_zero():
-            return True
-        ratio = diff / TAU
-        return ratio.is_rational() and ratio.as_fraction().denominator == 1
+        p = diff._p
+        return not p or (diff._q is _Q1 and diff._c == 1 and len(p) == 2 and not p[0])
 
     def is_zero_rotation(self) -> bool:
-        return self.is_same_rotation(PhaseAngle.zero())
+        return self.is_same_rotation(_ZERO_ANGLE)
 
     def radians(self) -> float:
         return self.value.evaluate()
@@ -320,22 +663,18 @@ class PhaseAngle:
         """The unit complex number e^{i angle}.
 
         The angle is reduced by an exact whole number of turns first, so the
-        result keeps full double precision even for large tau-quadratic
-        angles, and exact full turns map to exactly 1.
+        result keeps full double precision at any size, and exact full turns
+        map to exactly 1.  Raises PhasePrecisionError past MAX_PHASE_BITS.
         """
-        v = self.value
-        if v.den == (Fraction(1),):
-            if not v.num:
-                return 1.0 + 0.0j
-            if len(v.num) <= 2 and v.num[0] == 0:
-                frac = v.num[1] % 1
-                return cmath.exp(2j * math.pi * float(frac)) if frac else 1.0 + 0.0j
-        x = 2 * _PI_RATIONAL
-        turns = _horner_fraction(v.num, x) / _horner_fraction(v.den, x) / x
-        frac = turns - math.floor(turns)
-        return cmath.exp(2j * math.pi * float(frac)) if frac else 1.0 + 0.0j
+        t = self._turns
+        if t is not None:
+            return unit_from_turns(t.numerator, t.denominator)
+        return unit_from_turns(*_reduced_turns(self._value))
 
     def __str__(self):
         return f"angle({self.value})"
 
     __repr__ = __str__
+
+
+_ZERO_ANGLE = PhaseAngle(S_ZERO)

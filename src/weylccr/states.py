@@ -38,7 +38,7 @@ from .lattice import (
     vdot,
     vector,
 )
-from .scalars import ExactScalar, PhaseAngle, S_ZERO, TAU, scalar
+from .scalars import ExactScalar, PhaseAngle, S_ZERO, scalar
 
 NORMALIZATION_TOL = 1e-12
 
@@ -166,7 +166,7 @@ def bloch_monomial_value(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> c
         nb = S_ZERO
         for ni, b in zip(n, m.b):
             nb = nb + scalar(ni) * b
-        angle = PhaseAngle(-(TAU * (kb + nb)))
+        angle = PhaseAngle.from_turns(-(kb + nb))
         total += gn.conjugate() * fn * angle.to_complex()
     return total
 
@@ -207,7 +207,7 @@ class Fock(StateModel):
 
     def monomial_value(self, frame, m):
         half = ExactScalar.rational(1, 2)
-        phase = PhaseAngle(TAU * half * vdot(m.a, m.b))
+        phase = PhaseAngle.from_turns(half * vdot(m.a, m.b))
         width = frame.momentum_norm_sq(m.a) + frame.position_norm_sq(m.b)
         return phase.to_complex() * math.exp(-width.evaluate() / 4.0)
 

@@ -71,6 +71,20 @@ class TestOperators:
             rhs = op_S([b1 + b2], w).matrix
             assert np.max(np.abs(lhs - rhs)) < 1e-14
 
+    def test_s_entries_are_exact_angle_conversions(self):
+        # each entry is bit-identical to the PhaseAngle conversion of
+        # -tau (n . b), for rational b and for b containing tau
+        w = FourierWindow((-3, -2), (3, 2))
+        rng = seeded("op-s-entries")
+        for b in ([rand_fraction(rng), rand_fraction(rng)],
+                  [Fraction(7, 12), -3],
+                  [TAU / 3 + Fraction(1, 5), 1 / (TAU + 1)]):
+            b = vector(b)
+            got = np.diag(op_S(b, w).matrix)
+            for i, n in enumerate(w.points):
+                dot = n[0] * b[0] + n[1] * b[1]
+                assert got[i] == PhaseAngle(-(TAU * dot)).to_complex()
+
     def test_s_unitary(self):
         w = FourierWindow((-3,), (3,))
         s = op_S([Fraction(2, 7)], w).matrix
