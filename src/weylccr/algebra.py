@@ -27,7 +27,6 @@ from .lattice import (
     integer_vector,
     is_zero_vector,
     mat_vec,
-    pairing,
     vadd,
     vdot,
     vector,
@@ -80,13 +79,13 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[PhaseAngle, Monomial]:
     u_{a1} v_{b1} u_{a2} v_{b2} = e^{-i alpha2 . beta1} u_{a1+a2} v_{b1+b2},
     returned as the exact angle together with the combined monomial.
     """
-    phase = -pairing(m2.a, m1.b)
+    phase = PhaseAngle.from_dot(m2.a, m1.b, -1)
     return phase, Monomial(vadd(m1.a, m2.a), vadd(m1.b, m2.b))
 
 
 def monomial_adjoint(m: Monomial) -> tuple[PhaseAngle, Monomial]:
     """Adjoint of a unit-coefficient monomial: (u_a v_b)* = e^{-i a.b} u_{-a} v_{-b}."""
-    phase = -pairing(m.a, m.b)
+    phase = PhaseAngle.from_dot(m.a, m.b, -1)
     return phase, Monomial(vneg(m.a), vneg(m.b))
 
 
@@ -308,9 +307,9 @@ def automorphism_action(spec: AutomorphismSpec, frame: Frame,
     coefficient must additionally be conjugated (time reversal only).
     """
     if isinstance(spec, SpaceTranslation):
-        return -pairing(m.a, spec.lam), m, False
+        return PhaseAngle.from_dot(m.a, spec.lam, -1), m, False
     if isinstance(spec, MomentumTranslation):
-        return pairing(spec.mu, m.b), m, False
+        return PhaseAngle.from_dot(spec.mu, m.b), m, False
     if isinstance(spec, FreeDynamics):
         t = spec.t
         norm_sq = frame.momentum_norm_sq(m.a)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .algebra import Monomial
 from .errors import DimensionMismatch, NotAState, OutOfSubalgebra, WindowTooSmall
-from .lattice import integer_vector, vdot, vector
-from .scalars import PhaseAngle, S_ZERO, scalar
+from .lattice import integer_vector, vector
+from .scalars import PhaseAngle
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,7 @@ def op_S(b, window: FourierWindow) -> TruncatedOperator:
         raise DimensionMismatch("coordinate dimension differs from window")
     diag = np.empty(len(window), dtype=complex)
     for i, n in enumerate(window.points):
-        dot = S_ZERO
-        for ni, bi in zip(n, b):
-            dot = dot + scalar(ni) * bi
-        diag[i] = PhaseAngle.from_turns(-dot).to_complex()
+        diag[i] = PhaseAngle.from_dot(vector(n), b, -1).to_complex()
     return TruncatedOperator(window, np.diag(diag))
 
 
@@ -101,14 +98,11 @@ def rep_rho_kappa(kappa, m: Monomial, window: FourierWindow) -> TruncatedOperato
     a_int = integer_vector(m.a)
     if a_int is None:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
-    kappa = tuple(Fraction(k) for k in kappa)
-    dot = S_ZERO
-    for k, bi in zip(kappa, m.b):
-        dot = dot + scalar(k) * bi
-    phase = PhaseAngle.from_turns(-dot).to_complex()
+    kappa = vector([Fraction(k) for k in kappa])
+    phase = PhaseAngle.from_dot(kappa, m.b, -1).to_complex()
     f_mat = op_F(a_int, window).matrix
-    s_mat = op_S(m.b, window).matrix
-    return TruncatedOperator(window, phase * (f_mat @ s_mat))
+    s_diag = op_S(m.b, window).matrix.diagonal()
+    return TruncatedOperator(window, phase * (f_mat * s_diag))
 
 
 def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> complex:
@@ -151,18 +145,11 @@ def plane_wave_vector_state(p, m: Monomial, momentum_set) -> complex:
     target = tuple(q + a for q, a in zip(p, m.a))
     if target not in index:
         raise WindowTooSmall("momentum set does not contain the shifted point")
-    n = len(points)
-    u_mat = np.zeros((n, n), dtype=complex)
-    for j, q in enumerate(points):
-        shifted = tuple(qc + ac for qc, ac in zip(q, m.a))
-        i = index.get(shifted)
-        if i is not None:
-            u_mat[i, j] = 1.0
-    v_mat = np.zeros((n, n), dtype=complex)
-    for j, q in enumerate(points):
-        v_mat[j, j] = PhaseAngle.from_turns(-vdot(q, m.b)).to_complex()
-    k = index[p]
-    return complex((u_mat @ v_mat)[k, k])
+    # u sends each basis vector to one other and v is diagonal, so the (p, p)
+    # entry of u v is v's entry at p when u fixes p, and zero otherwise
+    if index[target] != index[p]:
+        return 0j
+    return PhaseAngle.from_dot(p, m.b, -1).to_complex()
 
 
 def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
@@ -175,10 +162,10 @@ def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
     gp = tuple(int(c) for c in gp)
     b = vector(b)
     f_mat = op_F(gp, window).matrix
-    s_mat = op_S(b, window).matrix
-    phase = PhaseAngle.from_turns(vdot(vector(gp), b)).to_complex()
-    lhs = f_mat @ s_mat
-    rhs = phase * (s_mat @ f_mat)
+    s_diag = op_S(b, window).matrix.diagonal()
+    phase = PhaseAngle.from_dot(vector(gp), b).to_complex()
+    lhs = f_mat * s_diag
+    rhs = phase * (s_diag[:, None] * f_mat)
     interior = [j for j, pt in enumerate(window.points)
                 if window.contains(tuple(c + g for c, g in zip(pt, gp)))]
     if not interior:

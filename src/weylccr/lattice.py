@@ -207,7 +207,7 @@ def check_same_frame(f1: Frame, f2: Frame):
 
 def pairing(a: Vector, b: Vector) -> PhaseAngle:
     """Exact value of alpha . beta = tau * (a . b) as a phase angle."""
-    return PhaseAngle.from_turns(vdot(vector(a), vector(b)))
+    return PhaseAngle.from_dot(vector(a), vector(b))
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,15 @@ Only genuine rational functions, which arise from frames whose basis
 contains tau, go through integer polynomial products and a primitive
 pseudo-remainder gcd.
 
-Phase angles of the form tau * r with r rational, which covers every phase
-of a standard frame, are stored as a ``Fraction`` of turns in [0, 1), so
-adding, comparing and converting them is plain rational arithmetic.  Any
-other angle is reduced to turns with pi from an integer Machin series,
-computed to as many bits as the angle needs.
+Phase angles of the form tau * n / d, which covers every phase of a
+standard frame, are stored as a reduced integer pair of turns (n, d) with
+0 <= n < d, so adding, negating, comparing and converting them runs on ints
+alone.  ``PhaseAngle.from_dot`` builds the angle tau * (a . b) of a lattice
+pairing straight from the integer fields of the coordinates when they are
+all plain rationals; when any coordinate contains tau it falls back to the
+dot product summed in Q(tau).  Any angle that is not tau times a rational is
+reduced to turns with pi from an integer Machin series, computed to as many
+bits as the angle needs.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from fractions import Fraction
 from math import gcd
 from numbers import Rational
 
-from .errors import NotDecomposable, PhasePrecisionError
+from .errors import DimensionMismatch, NotDecomposable, PhasePrecisionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -551,49 +555,57 @@ def _tau_linear_reduced(x: ExactScalar) -> ExactScalar:
     return _poly(tuple(out), c)
 
 
+def _turn_angle(n: int, d: int) -> "PhaseAngle":
+    """The angle of n / d turns, 0 <= n < d and gcd(n, d) == 1."""
+    out = _new(PhaseAngle)
+    out._n = n
+    out._d = d
+    out._value = None
+    return out
+
+
+def _angle_of_turns(n: int, d: int) -> "PhaseAngle":
+    """The angle of n / d turns, 0 <= n < d, not necessarily reduced."""
+    if not n:
+        return _ZERO_ANGLE
+    g = gcd(n, d)
+    return _turn_angle(n // g, d // g) if g != 1 else _turn_angle(n, d)
+
+
 class PhaseAngle:
     """The radian angle of a unit complex number, exact in Q(tau).
 
     Two angles describe the same unit complex number exactly when their
-    difference is an integer multiple of tau.  An angle tau * r, r rational,
-    is kept as the ``Fraction`` r mod 1 of turns.  Any other angle keeps its
-    value, with the tau-linear coefficient of a polynomial reduced into
-    [0, 1); constant and higher-degree parts are never reducible and are kept
-    verbatim, as are genuine rational-function values.  ``value`` gives the
-    angle as an ExactScalar in either case.
+    difference is an integer multiple of tau.  An angle tau * n / d, n / d
+    rational, is kept as the reduced integer pair (n mod d, d) of turns, so
+    0 <= n < d; negation is (d - n, d), and sums, comparisons, hashing and
+    the complex value use ints alone.  Any other angle has d = 0 and keeps
+    its value, with the tau-linear coefficient of a polynomial reduced into
+    [0, 1); constant and higher-degree parts are never reducible and are
+    kept verbatim, as are genuine rational-function values.  ``value`` gives
+    the angle as an ExactScalar in either case.
     """
 
-    __slots__ = ("_turns", "_value")
+    __slots__ = ("_n", "_d", "_value")
 
     def __init__(self, value):
         if value.__class__ is not ExactScalar:
             value = ExactScalar.coerce(value)
         p = value._p
         if not p:
-            self._turns = Fraction(0)
-            self._value = S_ZERO
+            self._n, self._d, self._value = 0, 1, S_ZERO
         elif len(p) == 2 and not p[0] and value._q is _Q1:
             c = value._c
-            self._turns = Fraction(p[1] % c, c)
-            self._value = None
+            self._n, self._d, self._value = p[1] % c, c, None
         else:
-            self._turns = None
-            self._value = _tau_linear_reduced(value)
-
-    @staticmethod
-    def _of_turns(turns: Fraction) -> "PhaseAngle":
-        """The angle of ``turns`` full turns, turns already in [0, 1)."""
-        out = _new(PhaseAngle)
-        out._turns = turns
-        out._value = None
-        return out
+            self._n, self._d, self._value = 0, 0, _tau_linear_reduced(value)
 
     @property
     def value(self) -> ExactScalar:
         v = self._value
         if v is None:
-            t = self._turns
-            v = self._value = _make((0, t.numerator), t.denominator) if t else S_ZERO
+            n = self._n
+            v = self._value = _make((0, n), self._d) if n else S_ZERO
         return v
 
     @staticmethod
@@ -603,52 +615,95 @@ class PhaseAngle:
     @staticmethod
     def from_turns(r) -> "PhaseAngle":
         """Angle of ``r`` full turns, r rational (or any scalar of Q(tau))."""
-        r = ExactScalar.coerce(r)
-        if r.is_rational():
-            return PhaseAngle._of_turns(
-                Fraction(r._p[0] % r._c, r._c) if r._p else Fraction(0))
+        if r.__class__ is not ExactScalar:
+            r = ExactScalar.coerce(r)
+        p = r._p
+        if not p:
+            return _ZERO_ANGLE
+        if len(p) == 1 and r._q is _Q1:
+            c = r._c
+            return _turn_angle(p[0] % c, c) if c != 1 else _ZERO_ANGLE
         return PhaseAngle(TAU * r)
+
+    @staticmethod
+    def from_dot(a: tuple, b: tuple, sign: int = 1) -> "PhaseAngle":
+        """The angle tau * sign * (a . b), for tuples of ExactScalar and
+        sign +1 or -1: ``sign * (a . b)`` turns.
+
+        When every coordinate pair with a nonzero product is plain rational,
+        the turns are read off the integer fields in one pass; products of
+        integers are whole turns and are skipped.  Any coordinate with tau
+        falls back to ``from_turns`` of the dot product summed in Q(tau).
+        """
+        if len(a) != len(b):
+            raise DimensionMismatch(f"vector lengths {len(a)} and {len(b)} differ")
+        n, d = 0, 1
+        for x, y in zip(a, b):
+            px, py = x._p, y._p
+            if not px or not py:
+                continue
+            if len(px) > 1 or len(py) > 1 or x._q is not _Q1 or y._q is not _Q1:
+                total = S_ZERO
+                for u, w in zip(a, b):
+                    total = total + u * w
+                return PhaseAngle.from_turns(total if sign > 0 else -total)
+            c = x._c * y._c
+            if c == 1:
+                continue
+            if c == d:
+                n += px[0] * py[0]
+            else:
+                n = n * c + px[0] * py[0] * d
+                d *= c
+        if d == 1:
+            return _ZERO_ANGLE
+        return _angle_of_turns(n % d if sign > 0 else -n % d, d)
 
     def __eq__(self, other):
         if other.__class__ is not PhaseAngle:
             return NotImplemented
-        t = self._turns
-        if t is not None:
-            return t == other._turns
-        return other._turns is None and self._value == other._value
+        d = self._d
+        if d:
+            return d == other._d and self._n == other._n
+        return not other._d and self._value == other._value
 
     def __hash__(self):
-        t = self._turns
-        return hash(t) if t is not None else hash(self._value)
+        d = self._d
+        return hash((self._n, d)) if d else hash(self._value)
 
     def __reduce__(self):
         return PhaseAngle, (self.value,)
 
     def __add__(self, other: "PhaseAngle") -> "PhaseAngle":
-        t1, t2 = self._turns, other._turns
-        if t1 is not None and t2 is not None:
-            if not t2:
+        d1, d2 = self._d, other._d
+        if d1 and d2:
+            n1, n2 = self._n, other._n
+            if not n2:
                 return self
-            if not t1:
+            if not n1:
                 return other
-            t = t1 + t2
-            return PhaseAngle._of_turns(t - 1 if t >= 1 else t)
+            if d1 == d2:
+                n, d = n1 + n2, d1
+            else:
+                n, d = n1 * d2 + n2 * d1, d1 * d2
+            return _angle_of_turns(n - d if n >= d else n, d)
         return PhaseAngle(self.value + other.value)
 
     def __sub__(self, other: "PhaseAngle") -> "PhaseAngle":
         return self + (-other)
 
     def __neg__(self) -> "PhaseAngle":
-        t = self._turns
-        if t is not None:
-            return PhaseAngle._of_turns(1 - t) if t else self
+        d = self._d
+        if d:
+            n = self._n
+            return _turn_angle(d - n, d) if n else self
         return PhaseAngle(-self._value)
 
     def is_same_rotation(self, other: "PhaseAngle") -> bool:
         """Exact test that both angles give the same unit complex number."""
-        t1, t2 = self._turns, other._turns
-        if t1 is not None and t2 is not None:
-            return t1 == t2
+        d1, d2 = self._d, other._d
+        if d1 and d2:
+            return self._n == other._n and d1 == d2
         diff = self.value - other.value
         p = diff._p
         return not p or (diff._q is _Q1 and diff._c == 1 and len(p) == 2 and not p[0])
@@ -666,9 +721,9 @@ class PhaseAngle:
         result keeps full double precision at any size, and exact full turns
         map to exactly 1.  Raises PhasePrecisionError past MAX_PHASE_BITS.
         """
-        t = self._turns
-        if t is not None:
-            return unit_from_turns(t.numerator, t.denominator)
+        d = self._d
+        if d:
+            return unit_from_turns(self._n, d)
         return unit_from_turns(*_reduced_turns(self._value))
 
     def __str__(self):

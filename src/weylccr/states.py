@@ -38,7 +38,7 @@ from .lattice import (
     vdot,
     vector,
 )
-from .scalars import ExactScalar, PhaseAngle, S_ZERO, scalar
+from .scalars import ExactScalar, PhaseAngle
 
 NORMALIZATION_TOL = 1e-12
 
@@ -154,19 +154,14 @@ def bloch_monomial_value(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> c
     a_int = integer_vector(m.a)
     if a_int is None:
         return 0j
-    kb = S_ZERO
-    for k, b in zip(kappa, m.b):
-        kb = kb + scalar(k) * b
+    kappa = vector(kappa)
     total = 0j
     for n, fn in fhat.items():
         shifted = tuple(ni + ai for ni, ai in zip(n, a_int))
         gn = fhat.get(shifted)
         if gn is None:
             continue
-        nb = S_ZERO
-        for ni, b in zip(n, m.b):
-            nb = nb + scalar(ni) * b
-        angle = PhaseAngle.from_turns(-(kb + nb))
+        angle = PhaseAngle.from_dot(tuple(k + ni for k, ni in zip(kappa, n)), m.b, -1)
         total += gn.conjugate() * fn * angle.to_complex()
     return total
 

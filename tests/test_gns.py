@@ -165,6 +165,38 @@ class TestRho:
             rep_rho_kappa([Fraction(0)], mono([Fraction(1, 2)], [0]), w)
 
 
+class TestDiagonalScaling:
+    def test_scaled_shift_products_equal_dense_products(self):
+        # rep_rho_kappa and weyl_relation_residual scale the columns (or the
+        # rows) of F by the diagonal of S; the results must equal those of
+        # the dense products F S and S F entry for entry
+        rng = seeded("gns-diagonal")
+        for d in (1, 2):
+            w = FourierWindow((-6,) * d, (6,) * d)
+            with_tau = vector([TAU / 3 + Fraction(1, 5)] + [Fraction(2, 7)] * (d - 1))
+            for b in (rand_coords(rng, d), with_tau):
+                gp = tuple(rng.randint(-2, 2) for _ in range(d))
+                kappa = tuple(Fraction(rng.randint(0, 11), 12) for _ in range(d))
+                f = op_F(gp, w).matrix
+                s = op_S(b, w).matrix
+                assert np.array_equal(f * s.diagonal(), f @ s)
+                assert np.array_equal(s.diagonal()[:, None] * f, s @ f)
+                phase = PhaseAngle.from_dot(vector(kappa), b, -1).to_complex()
+                # numpy can round a complex scalar times a large temporary
+                # array differently in the last bit from the same product
+                # with a named array, so the reference keeps the library's
+                # form (scalar times a temporary) and stays out of the assert
+                want = phase * (f @ s)
+                got = rep_rho_kappa(kappa, Monomial(vector(gp), b), w).matrix
+                assert np.array_equal(got, want)
+                phase = PhaseAngle.from_dot(vector(gp), b).to_complex()
+                interior = [j for j, pt in enumerate(w.points)
+                            if w.contains(tuple(c + g for c, g in zip(pt, gp)))]
+                dense = np.abs(f @ s - phase * (s @ f))[:, interior]
+                want = float(np.max(dense)) if interior else 0.0
+                assert weyl_relation_residual(gp, b, w) == want
+
+
 class TestBlochReconstruction:
     def test_matches_closed_form(self):
         rng = seeded("gns-oracle")

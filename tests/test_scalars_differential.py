@@ -5,6 +5,8 @@ Field arithmetic and canonical forms are checked against sympy's
 evaluated with enough digits to resolve the fractional part of the turn count.
 """
 
+import cmath
+import math
 import pickle
 from fractions import Fraction
 
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, symbols
 
 from weylccr import Element, ExactScalar, Frame, Monomial, PhaseAngle, TAU
-from weylccr.errors import PhasePrecisionError, WeylError
+from weylccr.errors import DimensionMismatch, PhasePrecisionError, WeylError
+from weylccr.lattice import vdot
 from weylccr.scalars import MAX_PHASE_BITS
 
 K = QQ.frac_field(symbols("tau"))
@@ -133,6 +136,82 @@ def test_values_survive_pickling():
         assert back == v and hash(back) == hash(v)
     back = pickle.loads(pickle.dumps(r))
     assert back.is_rational() and back + 1 == r + 1
+
+
+# -- integer-turn angles and the pairing kernel ------------------------------
+
+
+def unit_of_turns(r: Fraction) -> complex:
+    """The complex value of an angle of r turns, r in [0, 1), as a
+    tau-rational angle has always been converted."""
+    return cmath.exp(2j * math.pi * (r.numerator / r.denominator)) if r else 1.0 + 0.0j
+
+
+big_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 7))
+plain_coords = st.one_of(st.just(0), st.integers(-50, 50), coeffs, big_rationals)
+tau_coords = st.one_of(
+    st.builds(lambda c, k: TAU * c + k, coeffs.filter(bool), coeffs),
+    operands().map(lambda xa: xa[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+           lambda d: st.tuples(*[st.tuples(plain_coords, plain_coords)] * d)),
+       st.sampled_from([1, -1]))
+def test_pairing_kernel_on_rational_coordinates(pairs, sign):
+    a = tuple(ExactScalar.coerce(x) for x, _ in pairs)
+    b = tuple(ExactScalar.coerce(y) for _, y in pairs)
+    got = PhaseAngle.from_dot(a, b, sign)
+    assert got == PhaseAngle.from_turns(sign * vdot(a, b))
+    turns = (sign * sum(Fraction(x) * Fraction(y) for x, y in pairs)) % 1
+    assert got.value == TAU * turns
+    assert got.to_complex() == unit_of_turns(turns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+           lambda d: st.tuples(*[st.tuples(st.one_of(plain_coords, tau_coords),
+                                           st.one_of(coeffs, tau_coords))] * d)),
+       st.sampled_from([1, -1]))
+def test_pairing_kernel_falls_back_on_tau_coordinates(pairs, sign):
+    a = tuple(ExactScalar.coerce(x) for x, _ in pairs)
+    b = tuple(ExactScalar.coerce(y) for _, y in pairs)
+    got = PhaseAngle.from_dot(a, b, sign)
+    want = PhaseAngle.from_turns(sign * vdot(a, b))
+    assert got == want
+    assert got.to_complex() == want.to_complex()
+
+
+def test_pairing_kernel_rejects_mismatched_dimensions():
+    with pytest.raises(DimensionMismatch):
+        PhaseAngle.from_dot((ExactScalar.coerce(1),), ())
+
+
+turn_values = st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=60),
+                        big_rationals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(turn_values, turn_values)
+def test_integer_turn_angles_match_fraction_reference(r, s):
+    a, b = PhaseAngle.from_turns(r), PhaseAngle.from_turns(s)
+    for angle, turns in ((a, r % 1), (b, s % 1), (a + b, (r + s) % 1),
+                         (a - b, (r - s) % 1), (-a, -r % 1)):
+        assert angle.value == TAU * turns
+        assert angle.to_complex() == unit_of_turns(turns)
+        assert angle == PhaseAngle(TAU * turns)
+        assert hash(angle) == hash(PhaseAngle(TAU * turns))
+    same = r % 1 == s % 1
+    assert (a == b) == same
+    assert a.is_same_rotation(b) == same
+    if same:
+        assert hash(a) == hash(b)
+    general = PhaseAngle(TAU * r + 1)
+    assert not a.is_same_rotation(general) and a != general
+    for angle in (a, -b, a + b, general):
+        back = pickle.loads(pickle.dumps(angle))
+        assert back == angle and hash(back) == hash(angle)
+        assert back.to_complex() == angle.to_complex()
 
 
 # -- phases of large angles -------------------------------------------------

@@ -1,5 +1,6 @@
-"""Behaviour gate at d = 2: ``weylccr verify --suite all --seed 0`` on the
-identity frame must reproduce the stored report.
+"""Behaviour gate: ``weylccr verify --suite all`` must reproduce the stored
+reports, at d = 1 on the default frame (seed 1) and at d = 2 on the identity
+frame (seed 0).
 
 Pass flags, check names and the worst probe and worst value of every exact
 check must be equal; other worst values may move by last-bit noise only.
@@ -11,20 +12,26 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from weylccr.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "verify_all_d2_seed0.json"
+DATA = Path(__file__).parent / "data"
 
 
-def test_verify_all_d2_matches_golden_report(tmp_path):
-    frame = tmp_path / "frame_d2.json"
-    frame.write_text(json.dumps({"d": 2, "E": [["1", "0"], ["0", "1"]]}))
+@pytest.mark.parametrize("d, seed", [(1, 1), (2, 0)], ids=["d1_seed1", "d2_seed0"])
+def test_verify_all_matches_golden_report(d, seed, tmp_path):
+    argv = ["verify", "--suite", "all", "--seed", str(seed), "--output", "json"]
+    if d != 1:
+        frame = tmp_path / f"frame_d{d}.json"
+        identity = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+        frame.write_text(json.dumps({"d": d, "E": identity}))
+        argv += ["--frame", str(frame)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(["verify", "--suite", "all", "--seed", "0", "--frame", str(frame),
-                     "--output", "json"])
+        code = main(argv)
     got = json.loads(buf.getvalue())
-    want = json.loads(GOLDEN.read_text())
+    want = json.loads((DATA / f"verify_all_d{d}_seed{seed}.json").read_text())
 
     assert code == (0 if want["pass"] else 1)
     assert got["pass"] == want["pass"]
