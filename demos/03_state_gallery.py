@@ -72,12 +72,12 @@ samples = [Element.u(F1, [Fraction(1, 2)]) * Element.v(F1, [Fraction(k, 3)])
            for k in range(1, 5)]
 samples += [Element.v(F1, [Fraction(2, 7)])]
 rep = invariance_check(pw, SpaceTranslation(vector([Fraction(5, 7)])), samples)
-print(f"plane wave under translations: max deviation {rep.max_deviation}")
+print(f"plane wave under translations: max deviation {rep.worst_value}")
 rep = invariance_check(pw, FreeDynamics(Fraction(3, 2)), samples)
-print(f"plane wave under free dynamics: max deviation {rep.max_deviation}")
+print(f"plane wave under free dynamics: max deviation {rep.worst_value}")
 probe = Element.from_monomial(FTAU, mono([1], [0]))
 rep = invariance_check(Fock(), FreeDynamics(Fraction(1)), [probe])
-print(f"Fock under free dynamics: deviation {rep.max_deviation:.6f} "
+print(f"Fock under free dynamics: deviation {rep.worst_value:.6f} "
       f"(= |e^-1/2 - e^-1/4| = {abs(math.exp(-0.5) - math.exp(-0.25)):.6f}, FAILS)")
 
 print()
@@ -85,9 +85,9 @@ print("== purity witnesses (multiplicativity on commuting probes) ==")
 lattice_probes = [mono([k], [j]) for k in (0, 1) for j in (-1, 0, 2)]
 rep = multiplicativity_check(Zak([Fraction(1, 3)], [Fraction(1, 4)]), F1,
                              lattice_probes)
-print(f"Zak state:     max gap {rep.max_deviation:.2e}  (pure)")
+print(f"Zak state:     max gap {rep.worst_value:.2e}  (pure)")
 rep = multiplicativity_check(Tracial(), F1, [mono([0], [1]), mono([0], [-1])])
-print(f"tracial state: max gap {rep.max_deviation}  on {rep.worst_probe}  (mixed)")
+print(f"tracial state: max gap {rep.worst_value}  on {rep.worst_probe}  (mixed)")
 
 print()
 print("== the 3-adic character is multiplicative but discontinuous ==")

@@ -46,6 +46,10 @@ class ContinuousCharacter:
     def __post_init__(self):
         object.__setattr__(self, "p", vector(self.p))
 
+    @property
+    def dim(self) -> int:
+        return len(self.p)
+
 
 @dataclass(frozen=True)
 class PadicCharacter:
@@ -63,6 +67,10 @@ class PadicCharacter:
             raise ValueError("p-adic character needs primes >= 2")
         object.__setattr__(self, "primes", primes)
 
+    @property
+    def dim(self) -> int:
+        return len(self.primes)
+
 
 @dataclass(frozen=True)
 class ProductCharacter:
@@ -72,6 +80,10 @@ class ProductCharacter:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+
+    @property
+    def dim(self) -> int:
+        return self.factors[0].dim
 
 
 BohrCharacter = Union[ContinuousCharacter, PadicCharacter, ProductCharacter]

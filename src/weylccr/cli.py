@@ -21,8 +21,7 @@ from .serialization import (
     state_from_json,
 )
 from .states import path_sample, weak_star_distance
-from .verify import RunConfig, SUITE_ORDER, run_suite
-from . import verify as _verify
+from .verify import SUITES, RunConfig, path_probes, run_suite
 
 
 def _load_json(path):
@@ -92,7 +91,8 @@ def cmd_path_demo(args) -> int:
     n = args.grid
     grid = [Fraction(k, n) for k in range(n + 1)]
     states = path_sample(args.kind, (start, end), grid)
-    probes = _verify_probe_set(frame, args.seed)
+    probes = path_probes(RunConfig(frame=frame, seed=args.seed).rng("cli.path_probes"),
+                         frame)
     distances = [weak_star_distance(s1, s2, probes)
                  for s1, s2 in zip(states, states[1:])]
     max_d = max(distances)
@@ -113,25 +113,6 @@ def cmd_path_demo(args) -> int:
         print(f"max {max_d:.6g}  mean {mean_d:.6g}  "
               f"endpoints {'exact' if endpoints_exact else 'NOT exact'}")
     return 0
-
-
-def _verify_probe_set(frame, seed):
-    """Ten fixed probes, deterministic for a given frame and seed."""
-    config = RunConfig(frame=frame, seed=seed)
-    rng = _verify._rng(config, "cli.path_probes")
-    from .algebra import Element, Monomial
-    from .lattice import vector
-
-    probes = []
-    seen = set()
-    while len(probes) < 10:
-        m = Monomial(vector([rng.randint(-1, 1) for _ in range(frame.d)]),
-                     vector([_verify._frac(rng, max_num=2, max_den=3)
-                             for _ in range(frame.d)]))
-        if m not in seen:
-            seen.add(m)
-            probes.append(Element.from_monomial(frame, m))
-    return probes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,
-                   choices=tuple(SUITE_ORDER) + ("all",))
+                   choices=tuple(SUITES) + ("all",))
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=16)

@@ -263,16 +263,20 @@ class GramReport:
 
 
 @dataclass(frozen=True)
-class DeviationReport:
-    max_deviation: float
-    worst_probe: str
+class CheckResult:
+    """Verdict of one check: the pass flag, the worst value and its probe."""
+
+    check: str
     passed: bool
+    worst_value: float
+    worst_probe: str
 
     def as_dict(self):
         return {
-            "max_deviation": self.max_deviation,
-            "worst_probe": self.worst_probe,
+            "check": self.check,
             "pass": self.passed,
+            "worst_value": self.worst_value,
+            "worst_probe": self.worst_probe,
         }
 
 
@@ -281,11 +285,24 @@ class TimeReversalVerdict:
     is_tri: bool
     certificate: str
 
-    def as_dict(self):
-        return {"is_tri": self.is_tri, "certificate": self.certificate}
-
 
 # -- checks --------------------------------------------------------------------
+
+
+def _worst(pairs, fmt=str):
+    """(value, fmt(probe)) for the largest value, the last of equal values
+    winning; (0.0, "") when no value reaches 0.  Only the winner is formatted."""
+    worst, probe = 0.0, None
+    for value, candidate in pairs:
+        if value >= worst:
+            worst, probe = value, candidate
+    return worst, ("" if probe is None else fmt(probe))
+
+
+def _bounded(check: str, pairs, bound: float, fmt=str) -> CheckResult:
+    """Passes when the worst of the (value, probe) pairs is at most ``bound``."""
+    worst, probe = _worst(pairs, fmt)
+    return CheckResult(check, worst <= bound, worst, probe)
 
 
 def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial],
@@ -309,7 +326,7 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial],
 
 
 def invariance_check(state: StateModel, specs, samples: Sequence[Element],
-                     tol: float = 1e-10) -> DeviationReport:
+                     tol: float = 1e-10) -> CheckResult:
     """Max over samples of |omega(phi(x)) - omega(x)| for the automorphism phi.
 
     ``specs`` may be a single automorphism or a sequence applied in order.
@@ -318,22 +335,18 @@ def invariance_check(state: StateModel, specs, samples: Sequence[Element],
         chain = tuple(specs)
     else:
         chain = (specs,)
-    worst = 0.0
-    worst_probe = ""
+    deviations = []
     for x in samples:
         y = x
         for spec in chain:
             y = apply_automorphism(spec, y)
-        dev = abs(state.evaluate(y) - state.evaluate(x))
-        if dev >= worst:
-            worst = dev
-            worst_probe = str(x)
-    return DeviationReport(worst, worst_probe, worst <= tol)
+        deviations.append((abs(state.evaluate(y) - state.evaluate(x)), x))
+    return _bounded("invariance", deviations, tol)
 
 
 def multiplicativity_check(state: StateModel, frame: Frame,
                            probes: Sequence[Monomial],
-                           tol: float = 1e-10) -> DeviationReport:
+                           tol: float = 1e-10) -> CheckResult:
     """Purity witness on a commuting probe set: omega(mn) = omega(m) omega(n)."""
     for i, mi in enumerate(probes):
         for mj in probes[i + 1:]:
@@ -341,20 +354,14 @@ def multiplicativity_check(state: StateModel, frame: Frame,
             ph_ji, m_ji = monomial_product(mj, mi)
             if m_ij != m_ji or not ph_ij.is_same_rotation(ph_ji):
                 raise InvalidProbeSet(f"probes {mi} and {mj} do not commute")
-    worst = 0.0
-    worst_probe = ""
     values = [state.monomial_value(frame, m) for m in probes]
+    gaps = []
     for i, mi in enumerate(probes):
-        for j, mj in enumerate(probes):
-            if j < i:
-                continue
+        for j, mj in enumerate(probes[i:], i):
             phase, mij = monomial_product(mi, mj)
             prod_val = phase.to_complex() * state.monomial_value(frame, mij)
-            gap = abs(prod_val - values[i] * values[j])
-            if gap >= worst:
-                worst = gap
-                worst_probe = f"{mi} | {mj}"
-    return DeviationReport(worst, worst_probe, worst <= tol)
+            gaps.append((abs(prod_val - values[i] * values[j]), (mi, mj)))
+    return _bounded("multiplicativity", gaps, tol, fmt=lambda p: f"{p[0]} | {p[1]}")
 
 
 def time_reversal_classify(state: StateModel) -> TimeReversalVerdict:
@@ -363,8 +370,7 @@ def time_reversal_classify(state: StateModel) -> TimeReversalVerdict:
         tri = is_zero_vector(state.p)
         return TimeReversalVerdict(tri, "p = 0" if tri else "p != 0")
     if isinstance(state, BohrState):
-        d = _character_dim(state.char)
-        tri = character_is_trivial(state.char, d)
+        tri = character_is_trivial(state.char, state.char.dim)
         return TimeReversalVerdict(
             tri, "trivial character" if tri else "nontrivial character")
     if isinstance(state, Zak):
@@ -399,21 +405,9 @@ def _classify_bloch(state: Bloch, tol: float = 1e-10) -> TimeReversalVerdict:
     return TimeReversalVerdict(True, "conj(fhat(-n)) is a unit multiple of fhat(n - 2 kappa)")
 
 
-def _character_dim(char) -> int:
-    from .characters import ContinuousCharacter, PadicCharacter, ProductCharacter
-
-    if isinstance(char, ContinuousCharacter):
-        return len(char.p)
-    if isinstance(char, PadicCharacter):
-        return len(char.primes)
-    if isinstance(char, ProductCharacter):
-        return _character_dim(char.factors[0])
-    raise TypeError(f"unknown character {char!r}")
-
-
 def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
                      probes: Sequence[Monomial],
-                     tol: float = 1e-12) -> DeviationReport:
+                     tol: float = 1e-12) -> CheckResult:
     """Shifting kappa by a dual-lattice vector equals shifting the Fourier data.
 
     Left side: the extended closed form at the unreduced label kappa + gamma'.
@@ -424,16 +418,12 @@ def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
     shifted_kappa = tuple(k + g for k, g in zip(kappa, gamma_prime))
     shifted_fhat = {tuple(n + g for n, g in zip(idx, gamma_prime)): val
                     for idx, val in fhat.items()}
-    worst = 0.0
-    worst_probe = ""
+    deviations = []
     for m in probes:
         lhs = bloch_monomial_value(shifted_kappa, dict(fhat), m)
         rhs = bloch_monomial_value(kappa, shifted_fhat, m)
-        dev = abs(lhs - rhs)
-        if dev >= worst:
-            worst = dev
-            worst_probe = str(m)
-    return DeviationReport(worst, worst_probe, worst <= tol)
+        deviations.append((abs(lhs - rhs), m))
+    return _bounded("covariance", deviations, tol)
 
 
 def weak_star_distance(s1: StateModel, s2: StateModel,

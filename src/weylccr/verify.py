@@ -1,8 +1,16 @@
 """Seeded verification suites driving every identity the library claims.
 
-Each suite returns a list of check results with a worst-case witness, so a
-failure is immediately actionable.  Random data is drawn from a generator
-seeded per check name, which makes reports reproducible byte for byte.
+Each suite returns a list of ``CheckResult`` (shared with the state checks in
+``states``) with a worst-case witness, so a failure is immediately
+actionable.  Random data is drawn from a generator seeded per check name
+(``RunConfig.rng``), which makes reports reproducible byte for byte.
+
+The ``rand_*`` functions and ``draw_distinct`` below are the project's only
+seeded generators; the tests import them from here.  ``path_probes`` is the
+probe set of the path checks and of ``weylccr path-demo``.  Results are built
+by ``_counted``, which passes when no probe failed, and by two helpers shared
+with the state checks: ``_worst`` reduces (value, probe) pairs to the worst
+one and ``_bounded`` passes when that value is within a bound.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -58,11 +66,14 @@ from .scalars import PhaseAngle, TAU
 from .states import (
     Bloch,
     BohrState,
+    CheckResult,
     Fock,
     Mixture,
     PlaneWave,
     Tracial,
     Zak,
+    _bounded,
+    _worst,
     bloch_monomial_value,
     covariance_check,
     gram_psd_check,
@@ -74,22 +85,6 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    passed: bool
-    worst_value: float
-    worst_probe: str
-
-    def as_dict(self):
-        return {
-            "check": self.check,
-            "pass": self.passed,
-            "worst_value": self.worst_value,
-            "worst_probe": self.worst_probe,
-        }
-
-
 @dataclass
 class RunConfig:
     frame: Frame
@@ -97,62 +92,79 @@ class RunConfig:
     seed: int = 0
     grid: int = 16
 
+    def rng(self, check: str) -> random.Random:
+        return random.Random(f"{self.seed}:{check}")
 
-def _rng(config: RunConfig, check: str) -> random.Random:
-    return random.Random(f"{config.seed}:{check}")
 
-
-def _frac(rng, max_num=12, max_den=12, nonzero=False) -> Fraction:
+def rand_fraction(rng, max_num=12, max_den=12, nonzero=False) -> Fraction:
     while True:
         f = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
         if f or not nonzero:
             return f
 
 
-def _coords(rng, d, **kw):
-    return vector([_frac(rng, **kw) for _ in range(d)])
+def rand_coords(rng, d, **kw):
+    return vector([rand_fraction(rng, **kw) for _ in range(d)])
 
 
-def _monomial(rng, d) -> Monomial:
-    return Monomial(_coords(rng, d), _coords(rng, d))
+def rand_monomial(rng, d) -> Monomial:
+    return Monomial(rand_coords(rng, d), rand_coords(rng, d))
 
 
-def _lattice_monomial(rng, d, span=3) -> Monomial:
+def rand_lattice_monomial(rng, d, span=3) -> Monomial:
     return Monomial(vector([rng.randint(-span, span) for _ in range(d)]),
                     vector([rng.randint(-span, span) for _ in range(d)]))
 
 
-def _complex(rng) -> complex:
+def rand_complex(rng) -> complex:
     return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
 
 
-def _element(rng, frame, max_terms=5) -> Element:
+def rand_element(rng, frame, max_terms=5) -> Element:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        terms[_monomial(rng, frame.d)] = _complex(rng)
+    for _ in range(rng.randint(1, max_terms)):  # each coefficient before its monomial
+        terms[rand_monomial(rng, frame.d)] = rand_complex(rng)
     return Element(frame, terms)
 
 
-def _kappa(rng, d):
+def rand_kappa(rng, d):
     return tuple(Fraction(rng.randint(0, 11), 12) for _ in range(d))
 
 
-def _fhat(rng, d, radius=2, npts=3) -> dict:
+def rand_normalized_fhat(rng, d, radius=2, npts=3) -> dict:
     pts = set()
     while len(pts) < npts:
         pts.add(tuple(rng.randint(-radius, radius) for _ in range(d)))
-    raw = {p: _complex(rng) for p in pts}
+    raw = {p: rand_complex(rng) for p in pts}
     norm = math.sqrt(sum(abs(v) ** 2 for v in raw.values()))
     return {p: v / norm for p, v in raw.items()}
 
 
-def _worst(pairs):
-    """(value, probe) with the largest value; (0.0, "") when empty."""
-    best = (0.0, "")
-    for value, probe in pairs:
-        if value >= best[0]:
-            best = (value, probe)
-    return best
+def _counted(check: str, failures: int, witness: str = "") -> CheckResult:
+    """Passes when nothing failed; the worst value is the failure count."""
+    return CheckResult(check, failures == 0, float(failures), witness)
+
+
+def draw_distinct(n, draw) -> list:
+    """The first n distinct values of ``draw()``, in the order drawn."""
+    seen = {}
+    while len(seen) < n:
+        seen.setdefault(draw(), None)
+    return list(seen)
+
+
+def path_probes(rng, frame: Frame, fixed=()) -> list:
+    """``fixed`` followed by distinct probes u(a)v(b), ten in all, with a in
+    {-1, 0, 1}^d and b of numerator at most 2 and denominator at most 3.
+
+    Small coordinates keep the per-step phase increments of the path families
+    well inside a half-turn, so halving the grid step halves the distances.
+    """
+    d = frame.d
+    drawn = draw_distinct(10 - len(fixed), lambda: Monomial(
+        vector([rng.randint(-1, 1) for _ in range(d)]),
+        rand_coords(rng, d, max_num=2, max_den=3)))
+    return list(fixed) + [Element.from_monomial(frame, m) for m in drawn]
 
 
 # ---------------------------------------------------------------- weyl suite
@@ -161,12 +173,12 @@ def _worst(pairs):
 def suite_weyl(config: RunConfig) -> list:
     checks = []
 
-    rng = _rng(config, "weyl.associativity")
+    rng = config.rng("weyl.associativity")
     failures = 0
     witness = ""
     for i in range(1000):
         d = 1 + i % 3
-        m1, m2, m3 = (_monomial(rng, d) for _ in range(3))
+        m1, m2, m3 = (rand_monomial(rng, d) for _ in range(3))
         ph12, m12 = monomial_product(m1, m2)
         ph_l, ml = monomial_product(m12, m3)
         ph23, m23 = monomial_product(m2, m3)
@@ -174,15 +186,14 @@ def suite_weyl(config: RunConfig) -> list:
         if ml != mr or not (ph12 + ph_l).is_same_rotation(ph23 + ph_r):
             failures += 1
             witness = witness or f"{m1} | {m2} | {m3}"
-    checks.append(CheckResult("weyl.associativity_1000_exact", failures == 0,
-                              float(failures), witness))
+    checks.append(_counted("weyl.associativity_1000_exact", failures, witness))
 
-    rng = _rng(config, "weyl.star_antihom")
+    rng = config.rng("weyl.star_antihom")
     failures = 0
     witness = ""
     for i in range(500):
         d = 1 + i % 3
-        m1, m2 = _monomial(rng, d), _monomial(rng, d)
+        m1, m2 = rand_monomial(rng, d), rand_monomial(rng, d)
         ph12, m12 = monomial_product(m1, m2)
         adj_ph, adj_m = monomial_adjoint(m12)
         lhs_angle = adj_ph - ph12           # conj(e^{i ph12}) carried along
@@ -193,28 +204,26 @@ def suite_weyl(config: RunConfig) -> list:
         if adj_m != mr or not lhs_angle.is_same_rotation(rhs_angle):
             failures += 1
             witness = witness or f"{m1} | {m2}"
-    checks.append(CheckResult("weyl.star_antihomomorphism_exact", failures == 0,
-                              float(failures), witness))
+    checks.append(_counted("weyl.star_antihomomorphism_exact", failures, witness))
 
-    rng = _rng(config, "weyl.star_elements")
+    rng = config.rng("weyl.star_elements")
     devs = []
     for _ in range(100):
-        x = _element(rng, config.frame)
-        y = _element(rng, config.frame)
+        x = rand_element(rng, config.frame)
+        y = rand_element(rng, config.frame)
         devs.append(((x * y).adjoint().max_coeff_diff(y.adjoint() * x.adjoint()),
                      f"{len(x)}x{len(y)} terms"))
         devs.append((x.adjoint().adjoint().max_coeff_diff(x), "involution"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("weyl.star_laws_coefficients", worst <= 1e-12, worst, probe))
+    checks.append(_bounded("weyl.star_laws_coefficients", devs, 1e-12))
 
-    rng = _rng(config, "weyl.symplectic")
+    rng = config.rng("weyl.symplectic")
     failures = 0
     witness = ""
     for i in range(500):
         d = 1 + i % 3
         frame = Frame.standard(d)
-        z = PhasePoint(frame, _coords(rng, d), _coords(rng, d))
-        zp = PhasePoint(frame, _coords(rng, d), _coords(rng, d))
+        z = PhasePoint(frame, rand_coords(rng, d), rand_coords(rng, d))
+        zp = PhasePoint(frame, rand_coords(rng, d), rand_coords(rng, d))
         ph_z, m_z = weyl_generator_parts(z)
         ph_zp, m_zp = weyl_generator_parts(zp)
         ph_prod, m_prod = monomial_product(m_z, m_zp)
@@ -224,29 +233,27 @@ def suite_weyl(config: RunConfig) -> list:
         if m_prod != m_sum or not lhs.is_same_rotation(rhs):
             failures += 1
             witness = witness or f"z={z.a},{z.b} z'={zp.a},{zp.b}"
-    checks.append(CheckResult("weyl.symplectic_presentation_500_exact",
-                              failures == 0, float(failures), witness))
+    checks.append(_counted("weyl.symplectic_presentation_500_exact", failures, witness))
 
-    rng = _rng(config, "weyl.generator_adjoint")
+    rng = config.rng("weyl.generator_adjoint")
     failures = 0
     for _ in range(100):
         frame = config.frame
-        z = PhasePoint(frame, _coords(rng, frame.d), _coords(rng, frame.d))
+        z = PhasePoint(frame, rand_coords(rng, frame.d), rand_coords(rng, frame.d))
         ph_z, m_z = weyl_generator_parts(z)
         adj_ph, adj_m = monomial_adjoint(m_z)
         ph_neg, m_neg = weyl_generator_parts(-z)
         if adj_m != m_neg or not (adj_ph - ph_z).is_same_rotation(ph_neg):
             failures += 1
-    checks.append(CheckResult("weyl.generator_adjoint_exact", failures == 0,
-                              float(failures), ""))
+    checks.append(_counted("weyl.generator_adjoint_exact", failures))
 
-    rng = _rng(config, "weyl.group_laws")
+    rng = config.rng("weyl.group_laws")
     frame = config.frame
     failures = 0
     for _ in range(200):
-        m = _monomial(rng, frame.d)
-        lam, mu = _coords(rng, frame.d), _coords(rng, frame.d)
-        t, s = _frac(rng), _frac(rng)
+        m = rand_monomial(rng, frame.d)
+        lam, mu = rand_coords(rng, frame.d), rand_coords(rng, frame.d)
+        t, s = rand_fraction(rng), rand_fraction(rng)
         for one, two, both in (
             (SpaceTranslation(lam), SpaceTranslation(mu),
              SpaceTranslation(vector([a + b for a, b in zip(lam, mu)]))),
@@ -259,79 +266,70 @@ def suite_weyl(config: RunConfig) -> list:
             ph, im, _ = automorphism_action(both, frame, m)
             if im != im2 or not (ph1 + ph2).is_same_rotation(ph):
                 failures += 1
-    checks.append(CheckResult("weyl.automorphism_group_laws_exact",
-                              failures == 0, float(failures), ""))
+    checks.append(_counted("weyl.automorphism_group_laws_exact", failures))
 
-    rng = _rng(config, "weyl.homomorphism")
+    rng = config.rng("weyl.homomorphism")
     devs = []
     one = Element.one(frame)
     for _ in range(50):
-        x, y = _element(rng, frame, 3), _element(rng, frame, 3)
-        for spec in (SpaceTranslation(_coords(rng, frame.d)),
-                     MomentumTranslation(_coords(rng, frame.d)),
-                     FreeDynamics(_frac(rng)),
+        x, y = rand_element(rng, frame, 3), rand_element(rng, frame, 3)
+        for spec in (SpaceTranslation(rand_coords(rng, frame.d)),
+                     MomentumTranslation(rand_coords(rng, frame.d)),
+                     FreeDynamics(rand_fraction(rng)),
                      TimeReversal()):
             lhs = apply_automorphism(spec, x * y)
             rhs = apply_automorphism(spec, x) * apply_automorphism(spec, y)
             devs.append((lhs.max_coeff_diff(rhs), type(spec).__name__))
             devs.append((apply_automorphism(spec, one).max_coeff_diff(one),
                          "unit " + type(spec).__name__))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("weyl.automorphisms_preserve_products",
-                              worst <= 1e-12, worst, probe))
+    checks.append(_bounded("weyl.automorphisms_preserve_products", devs, 1e-12))
 
-    rng = _rng(config, "weyl.time_reversal")
+    rng = config.rng("weyl.time_reversal")
     devs = []
     for _ in range(100):
-        x = _element(rng, frame, 4)
-        c = _complex(rng)
+        x = rand_element(rng, frame, 4)
+        c = rand_complex(rng)
         devs.append((apply_automorphism(TimeReversal(),
                                         apply_automorphism(TimeReversal(), x))
                      .max_coeff_diff(x), "c.c = id"))
         lhs = apply_automorphism(TimeReversal(), c * x)
         rhs = c.conjugate() * apply_automorphism(TimeReversal(), x)
         devs.append((lhs.max_coeff_diff(rhs), "antilinearity"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("weyl.time_reversal_involution", worst == 0.0,
-                              worst, probe))
+    checks.append(_bounded("weyl.time_reversal_involution", devs, 0.0))
 
-    rng = _rng(config, "weyl.trace_l2")
+    rng = config.rng("weyl.trace_l2")
     tracial = Tracial()
     devs = []
     for _ in range(200):
-        x = _element(rng, frame, 10)
+        x = rand_element(rng, frame, 10)
         lhs = tracial.evaluate(x.adjoint() * x)
         rhs = sum(abs(c) ** 2 for c in x.terms.values())
         devs.append((abs(lhs - rhs), f"{len(x)} terms"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("weyl.tracial_l2_identity", worst <= 1e-12, worst, probe))
+    checks.append(_bounded("weyl.tracial_l2_identity", devs, 1e-12))
 
-    rng = _rng(config, "weyl.norm_bound")
+    rng = config.rng("weyl.norm_bound")
     failures = 0
     for _ in range(100):
-        m1, m2 = _monomial(rng, frame.d), _monomial(rng, frame.d)
+        m1, m2 = rand_monomial(rng, frame.d), rand_monomial(rng, frame.d)
         if m1 == m2:
             continue
-        lam, lamp = _complex(rng), _complex(rng)
+        lam, lamp = rand_complex(rng), rand_complex(rng)
         x = Element(frame, {m1: lam}) - Element(frame, {m2: lamp})
         expected = lam.conjugate() * lam + lamp.conjugate() * lamp
         if tracial_inner_product(x, x) != expected:
             failures += 1
         if abs(tracial.evaluate(x.adjoint() * x) - expected) > 1e-12:
             failures += 1
-    checks.append(CheckResult("weyl.tracial_norm_lower_bound_exact",
-                              failures == 0, float(failures), ""))
+    checks.append(_counted("weyl.tracial_norm_lower_bound_exact", failures))
 
-    rng = _rng(config, "weyl.trace_pairing")
+    rng = config.rng("weyl.trace_pairing")
     devs = []
     for _ in range(50):
-        x = _element(rng, frame, 6)
-        m = rng.choice(list(x.terms)) if rng.random() < 0.8 else _monomial(rng, frame.d)
+        x = rand_element(rng, frame, 6)
+        m = rng.choice(list(x.terms)) if rng.random() < 0.8 else rand_monomial(rng, frame.d)
         paired = tracial.evaluate(Element.from_monomial(frame, m).adjoint() * x)
         devs.append((abs(paired - trace_coefficient(x, m)), str(m)))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("weyl.trace_coefficient_pairing", worst <= 1e-12,
-                              worst, probe))
+    checks.append(_bounded("weyl.trace_coefficient_pairing", devs, 1e-12))
     return checks
 
 
@@ -342,12 +340,12 @@ def suite_ergodic(config: RunConfig) -> list:
     checks = []
     frame = config.frame
 
-    rng = _rng(config, "ergodic.closed_forms")
+    rng = config.rng("ergodic.closed_forms")
     failures = 0
     witness = ""
     for _ in range(200):
-        m = rng.choice([_monomial(rng, frame.d), _lattice_monomial(rng, frame.d)])
-        x = Element.from_monomial(frame, m, _complex(rng))
+        m = rng.choice([rand_monomial(rng, frame.d), rand_lattice_monomial(rng, frame.d)])
+        x = Element.from_monomial(frame, m, rand_complex(rng))
         want_mean = x if is_zero_vector(m.a) else Element.zero(frame)
         want_gamma = x if in_dual_lattice(m.a) else Element.zero(frame)
         want_zak = (x if integer_vector(m.a) is not None
@@ -356,28 +354,26 @@ def suite_ergodic(config: RunConfig) -> list:
                 or ergodic_mean_zak(x) != want_zak):
             failures += 1
             witness = witness or str(m)
-    checks.append(CheckResult("ergodic.closed_form_projections_exact",
-                              failures == 0, float(failures), witness))
+    checks.append(_counted("ergodic.closed_form_projections_exact", failures, witness))
 
-    rng = _rng(config, "ergodic.projections")
+    rng = config.rng("ergodic.projections")
     failures = 0
     for _ in range(100):
-        x = _element(rng, frame, 6)
-        y = _element(rng, frame, 6)
-        c = _complex(rng)
+        x = rand_element(rng, frame, 6)
+        y = rand_element(rng, frame, 6)
+        c = rand_complex(rng)
         for mean in (ergodic_mean, ergodic_mean_lattice, ergodic_mean_zak):
             if mean(mean(x)) != mean(x):
                 failures += 1
             if mean(x + c * y).max_coeff_diff(mean(x) + c * mean(y)) > 1e-12:
                 failures += 1
-    checks.append(CheckResult("ergodic.means_idempotent_linear",
-                              failures == 0, float(failures), ""))
+    checks.append(_counted("ergodic.means_idempotent_linear", failures))
 
-    rng = _rng(config, "ergodic.invariance")
+    rng = config.rng("ergodic.invariance")
     failures = 0
     for _ in range(100):
-        x = _element(rng, frame, 6)
-        lam = _coords(rng, frame.d)
+        x = rand_element(rng, frame, 6)
+        lam = rand_coords(rng, frame.d)
         gamma = vector([rng.randint(-3, 3) for _ in range(frame.d)])
         gp = vector([rng.randint(-3, 3) for _ in range(frame.d)])
         if ergodic_mean(apply_automorphism(SpaceTranslation(lam), x)) != ergodic_mean(x):
@@ -389,8 +385,7 @@ def suite_ergodic(config: RunConfig) -> list:
                                    apply_automorphism(SpaceTranslation(gamma), x))
         if ergodic_mean_zak(moved).max_coeff_diff(ergodic_mean_zak(x)) > 1e-12:
             failures += 1
-    checks.append(CheckResult("ergodic.means_translation_invariant",
-                              failures == 0, float(failures), ""))
+    checks.append(_counted("ergodic.means_translation_invariant", failures))
 
     # box-average decay on a frame with unit ambient momenta
     frame_tau = Frame.from_basis([[TAU]])
@@ -442,10 +437,10 @@ def _family_zoo(rng, frame):
     """One instance per family, plus a three-component mixture."""
     d = frame.d
     zoo = [
-        ("plane_wave", PlaneWave(_coords(rng, d))),
+        ("plane_wave", PlaneWave(rand_coords(rng, d))),
         ("bohr_padic", BohrState(PadicCharacter((3,) * d))),
-        ("bloch", Bloch(_kappa(rng, d), _fhat(rng, d))),
-        ("zak", Zak(_kappa(rng, d), _kappa(rng, d))),
+        ("bloch", Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d))),
+        ("zak", Zak(rand_kappa(rng, d), rand_kappa(rng, d))),
         ("fock", Fock()),
         ("tracial", Tracial()),
     ]
@@ -458,24 +453,22 @@ def suite_states(config: RunConfig) -> list:
     frame = config.frame
     d = frame.d
 
-    rng = _rng(config, "states.unit")
+    rng = config.rng("states.unit")
     devs = []
     one = Element.one(frame)
     for name, s in _family_zoo(rng, frame):
         devs.append((abs(s.evaluate(one) - 1.0), name))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("states.unit_evaluates_to_one", worst <= 1e-12,
-                              worst, probe))
+    checks.append(_bounded("states.unit_evaluates_to_one", devs, 1e-12))
 
-    rng = _rng(config, "states.vanishing")
+    rng = config.rng("states.vanishing")
     failures = 0
     witness = ""
     for _ in range(200):
-        m = _monomial(rng, d)
-        pw = PlaneWave(_coords(rng, d))
+        m = rand_monomial(rng, d)
+        pw = PlaneWave(rand_coords(rng, d))
         bs = BohrState(PadicCharacter((3,) * d))
-        bl = Bloch(_kappa(rng, d), _fhat(rng, d))
-        zk = Zak(_kappa(rng, d), _kappa(rng, d))
+        bl = Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d))
+        zk = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
         if not is_zero_vector(m.a):
             if pw.monomial_value(frame, m) != 0 or bs.monomial_value(frame, m) != 0:
                 failures += 1
@@ -487,32 +480,29 @@ def suite_states(config: RunConfig) -> list:
                 and zk.monomial_value(frame, m) != 0):
             failures += 1
             witness = witness or str(m)
-    checks.append(CheckResult("states.vanishing_structure_exact",
-                              failures == 0, float(failures), witness))
+    checks.append(_counted("states.vanishing_structure_exact", failures, witness))
 
-    rng = _rng(config, "states.invariance")
-    samples = [_element(rng, frame, 5) for _ in range(100)]
-    pw = PlaneWave(_coords(rng, d))
+    rng = config.rng("states.invariance")
+    samples = [rand_element(rng, frame, 5) for _ in range(100)]
+    pw = PlaneWave(rand_coords(rng, d))
     bs = BohrState(PadicCharacter((3,) * d))
     worst = 0.0
     for s in (pw, bs):
-        for spec in (SpaceTranslation(_coords(rng, d)), FreeDynamics(_frac(rng))):
+        for spec in (SpaceTranslation(rand_coords(rng, d)), FreeDynamics(rand_fraction(rng))):
             rep = invariance_check(s, spec, samples, tol=0.0)
-            worst = max(worst, rep.max_deviation)
+            worst = max(worst, rep.worst_value)
     checks.append(CheckResult("states.translation_invariance_exact",
                               worst == 0.0, worst, "plane-wave and character states"))
 
     gamma = vector([rng.randint(-3, 3) for _ in range(d)])
     gp = vector([rng.randint(-3, 3) for _ in range(d)])
-    bl = Bloch(_kappa(rng, d), _fhat(rng, d))
+    bl = Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d))
     rep = invariance_check(bl, SpaceTranslation(gamma), samples, tol=1e-12)
-    checks.append(CheckResult("states.bloch_lattice_invariance",
-                              rep.passed, rep.max_deviation, rep.worst_probe))
-    zk = Zak(_kappa(rng, d), _kappa(rng, d))
+    checks.append(replace(rep, check="states.bloch_lattice_invariance"))
+    zk = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
     rep = invariance_check(zk, (SpaceTranslation(gamma), MomentumTranslation(gp)),
                            samples, tol=1e-12)
-    checks.append(CheckResult("states.zak_double_invariance",
-                              rep.passed, rep.max_deviation, rep.worst_probe))
+    checks.append(replace(rep, check="states.zak_double_invariance"))
 
     frame_tau = Frame.from_basis([[TAU]] if d == 1 else
                                  [[TAU if i == j else 0 for j in range(d)]
@@ -521,81 +511,67 @@ def suite_states(config: RunConfig) -> list:
                                   Monomial(vector([1] + [0] * (d - 1)),
                                            vector([0] * d)))
     rep = invariance_check(Fock(), FreeDynamics(Fraction(1)), [probe], tol=1e-10)
-    gap = abs(rep.max_deviation - abs(math.exp(-0.5) - math.exp(-0.25)))
+    gap = abs(rep.worst_value - abs(math.exp(-0.5) - math.exp(-0.25)))
     checks.append(CheckResult("states.fock_not_free_dynamics_invariant",
                               (not rep.passed) and gap <= 1e-6,
-                              rep.max_deviation, "u(1)v(0) over the 2*pi frame"))
+                              rep.worst_value, "u(1)v(0) over the 2*pi frame"))
 
-    rng = _rng(config, "states.positivity")
+    rng = config.rng("states.positivity")
     devs = []
     herm = []
     for name, s in _family_zoo(rng, frame):
-        probes = []
-        seen = set()
-        while len(probes) < 20:
-            m = (_lattice_monomial(rng, d) if rng.random() < 0.5
-                 else _monomial(rng, d))
-            if m not in seen:
-                seen.add(m)
-                probes.append(m)
+        probes = draw_distinct(20, lambda: (rand_lattice_monomial(rng, d)
+                                        if rng.random() < 0.5 else rand_monomial(rng, d)))
         rep = gram_psd_check(s, frame, probes, tol=config.tol)
         devs.append((-rep.min_eigenvalue, name))
         herm.append((rep.hermitian_residual, name))
     worst, probe = _worst(devs)
     checks.append(CheckResult("states.gram_psd_min_eigenvalue",
                               worst <= config.tol, -worst, probe))
-    worst, probe = _worst(herm)
-    checks.append(CheckResult("states.gram_hermitian_residual",
-                              worst <= 1e-12, worst, probe))
+    checks.append(_bounded("states.gram_hermitian_residual", herm, 1e-12))
 
-    rng = _rng(config, "states.positive_squares")
+    rng = config.rng("states.positive_squares")
     devs = []
     for name, s in _family_zoo(rng, frame):
         for _ in range(100):
-            x = _element(rng, frame, 4)
+            x = rand_element(rng, frame, 4)
             val = s.evaluate(x.adjoint() * x)
             devs.append((max(abs(val.imag), -min(val.real, 0.0)), name))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("states.squares_positive", worst <= config.tol,
-                              worst, probe))
+    checks.append(_bounded("states.squares_positive", devs, config.tol))
 
-    rng = _rng(config, "states.quasimomentum")
+    rng = config.rng("states.quasimomentum")
     devs = []
     for _ in range(20):
-        kappa = _kappa(rng, d)
-        s = Bloch(kappa, _fhat(rng, d))
+        kappa = rand_kappa(rng, d)
+        s = Bloch(kappa, rand_normalized_fhat(rng, d))
         gamma = [rng.randint(-3, 3) for _ in range(d)]
         c = PhaseAngle.from_turns(-sum((k * g for k, g in zip(kappa, gamma)),
                                        Fraction(0))).to_complex()
         x = Element.v(frame, gamma) - c * Element.one(frame)
         devs.append((abs(s.evaluate(x.adjoint() * x)), f"gamma={gamma}"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("states.bloch_quasimomentum_identity",
-                              worst <= 1e-12, worst, probe))
+    checks.append(_bounded("states.bloch_quasimomentum_identity", devs, 1e-12))
 
-    rng = _rng(config, "states.mixture")
+    rng = config.rng("states.mixture")
     failures = 0
-    parts = [PlaneWave(_coords(rng, d)), Zak(_kappa(rng, d), _kappa(rng, d)), Tracial()]
+    parts = [PlaneWave(rand_coords(rng, d)), Zak(rand_kappa(rng, d), rand_kappa(rng, d)), Tracial()]
     mix = Mixture([(0.5, parts[0]), (0.25, parts[1]), (0.25, parts[2])])
     for _ in range(50):
-        x = _element(rng, frame, 5)
+        x = rand_element(rng, frame, 5)
         want = (0.5 * parts[0].evaluate(x) + 0.25 * parts[1].evaluate(x)
                 + 0.25 * parts[2].evaluate(x))
         if mix.evaluate(x) != want:
             failures += 1
-    checks.append(CheckResult("states.mixture_affine_exact", failures == 0,
-                              float(failures), ""))
+    checks.append(_counted("states.mixture_affine_exact", failures))
 
-    rng = _rng(config, "states.padic")
+    rng = config.rng("states.padic")
     failures = 0
     for _ in range(500):
-        xq = _frac(rng)
-        yq = _frac(rng)
+        xq = rand_fraction(rng)
+        yq = rand_fraction(rng)
         total = padic_fraction(xq + yq, 3) - padic_fraction(xq, 3) - padic_fraction(yq, 3)
         if total.denominator != 1:
             failures += 1
-    checks.append(CheckResult("states.padic_character_multiplicative_exact",
-                              failures == 0, float(failures), ""))
+    checks.append(_counted("states.padic_character_multiplicative_exact", failures))
 
     char = PadicCharacter((3,) * d)
     s = BohrState(char)
@@ -611,9 +587,9 @@ def suite_states(config: RunConfig) -> list:
                               worst <= 1e-12 and gap <= 1e-12,
                               max(worst, gap), probe))
 
-    rng = _rng(config, "states.weak_star")
+    rng = config.rng("states.weak_star")
     devs = []
-    probes = [_element(rng, frame, 4) for _ in range(10)]
+    probes = [rand_element(rng, frame, 4) for _ in range(10)]
     zoo = [s for _, s in _family_zoo(rng, frame)]
     for s in zoo:
         devs.append((weak_star_distance(s, s, probes), "self distance"))
@@ -625,9 +601,7 @@ def suite_states(config: RunConfig) -> list:
         d23 = weak_star_distance(s2, s3, probes)
         devs.append((abs(d12 - d21), "symmetry"))
         devs.append((max(0.0, d13 - d12 - d23), "triangle"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("states.weak_star_pseudometric",
-                              worst <= 1e-12, worst, probe))
+    checks.append(_bounded("states.weak_star_pseudometric", devs, 1e-12))
     return checks
 
 
@@ -637,31 +611,28 @@ def suite_states(config: RunConfig) -> list:
 def suite_covariance(config: RunConfig) -> list:
     checks = []
     d = config.frame.d
-    rng = _rng(config, "covariance.random")
+    rng = config.rng("covariance.random")
     devs = []
     for _ in range(20):
-        kappa = _kappa(rng, d)
-        fhat = _fhat(rng, d, radius=1)
+        kappa = rand_kappa(rng, d)
+        fhat = rand_normalized_fhat(rng, d, radius=1)
         gp = [rng.randint(-2, 2) for _ in range(d)]
-        probes = [_monomial(rng, d) if rng.random() < 0.3
-                  else _lattice_monomial(rng, d) for _ in range(30)]
+        probes = [rand_monomial(rng, d) if rng.random() < 0.3
+                  else rand_lattice_monomial(rng, d) for _ in range(30)]
         rep = covariance_check(kappa, fhat, gp, probes, tol=1e-12)
-        devs.append((rep.max_deviation, f"gamma'={gp} {rep.worst_probe}"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("covariance.dual_lattice_shift", worst <= 1e-12,
-                              worst, probe))
+        devs.append((rep.worst_value, f"gamma'={gp} {rep.worst_probe}"))
+    checks.append(_bounded("covariance.dual_lattice_shift", devs, 1e-12))
 
-    rng = _rng(config, "covariance.zero_shift")
+    rng = config.rng("covariance.zero_shift")
     failures = 0
     for _ in range(10):
-        kappa = _kappa(rng, d)
-        fhat = _fhat(rng, d, radius=1)
-        probes = [_lattice_monomial(rng, d) for _ in range(10)]
+        kappa = rand_kappa(rng, d)
+        fhat = rand_normalized_fhat(rng, d, radius=1)
+        probes = [rand_lattice_monomial(rng, d) for _ in range(10)]
         rep = covariance_check(kappa, fhat, [0] * d, probes, tol=0.0)
-        if rep.max_deviation != 0.0:
+        if rep.worst_value != 0.0:
             failures += 1
-    checks.append(CheckResult("covariance.zero_shift_identity_exact",
-                              failures == 0, float(failures), ""))
+    checks.append(_counted("covariance.zero_shift_identity_exact", failures))
     return checks
 
 
@@ -670,7 +641,7 @@ def suite_covariance(config: RunConfig) -> list:
 
 def suite_tri(config: RunConfig) -> list:
     checks = []
-    rng = _rng(config, "tri.fixed_points")
+    rng = config.rng("tri.fixed_points")
     frame2 = Frame.standard(2)
     pts = enumerate_trs_fixed_points(frame2)
     ok = (len(pts) == 4 and len(set(pts)) == 4
@@ -683,7 +654,7 @@ def suite_tri(config: RunConfig) -> list:
     if not time_reversal_classify(PlaneWave(vector([0, 0]))).is_tri:
         failures += 1
     for _ in range(20):
-        p = _coords(rng, 2, nonzero=False)
+        p = rand_coords(rng, 2, nonzero=False)
         if all(c.is_zero() for c in p):
             p = vector([Fraction(1, 2), 0])
         scalekind = rng.random()
@@ -692,26 +663,24 @@ def suite_tri(config: RunConfig) -> list:
         if time_reversal_classify(PlaneWave(p)).is_tri:
             failures += 1
             witness = witness or f"p={p}"
-    checks.append(CheckResult("tri.plane_wave_iff_zero_momentum",
-                              failures == 0, float(failures), witness))
+    checks.append(_counted("tri.plane_wave_iff_zero_momentum", failures, witness))
 
     failures = 0
     for kappa in pts:
-        nu = _kappa(rng, 2)
+        nu = rand_kappa(rng, 2)
         if not time_reversal_classify(Zak(kappa, nu)).is_tri:
             failures += 1
     for _ in range(20):
-        kappa = _kappa(rng, 2)
+        kappa = rand_kappa(rng, 2)
         if all(k in (Fraction(0), Fraction(1, 2)) for k in kappa):
             kappa = (Fraction(1, 3), kappa[1])
-        if time_reversal_classify(Zak(kappa, _kappa(rng, 2))).is_tri:
+        if time_reversal_classify(Zak(kappa, rand_kappa(rng, 2))).is_tri:
             failures += 1
-    checks.append(CheckResult("tri.zak_iff_fixed_point", failures == 0,
-                              float(failures), ""))
+    checks.append(_counted("tri.zak_iff_fixed_point", failures))
 
     frame = config.frame
     d = frame.d
-    rng = _rng(config, "tri.bloch")
+    rng = config.rng("tri.bloch")
     states = []
     inv = 1.0 / math.sqrt(2.0)
     states.append(Bloch([0] * d, {(0,) * d: 1.0}))
@@ -720,13 +689,13 @@ def suite_tri(config: RunConfig) -> list:
     half = [Fraction(1, 2)] * d
     states.append(Bloch(half, {(-1,) * d: inv, (0,) * d: inv}))
     for _ in range(6):
-        states.append(Bloch(_kappa(rng, d), _fhat(rng, d)))
-        states.append(Bloch([0] * d, _fhat(rng, d)))
+        states.append(Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)))
+        states.append(Bloch([0] * d, rand_normalized_fhat(rng, d)))
     probes = []
     for _ in range(50):
         probes.append(Element.from_monomial(
             frame, Monomial(vector([rng.randint(-2, 2) for _ in range(d)]),
-                            _coords(rng, d)), _complex(rng)))
+                            rand_coords(rng, d)), rand_complex(rng)))
     mismatches = 0
     witness = ""
     worst_gap = 0.0
@@ -754,13 +723,13 @@ def suite_zak(config: RunConfig) -> list:
     frame = config.frame
     d = frame.d
 
-    rng = _rng(config, "zak.double_average")
+    rng = config.rng("zak.double_average")
     frame1 = Frame.standard(1)
     n = 8
     worst = 0.0
     witness = ""
     for _ in range(40):
-        m = rng.choice([_monomial(rng, 1), _lattice_monomial(rng, 1)])
+        m = rng.choice([rand_monomial(rng, 1), rand_lattice_monomial(rng, 1)])
         kept = not ergodic_mean_zak(Element.from_monomial(frame1, m)).is_zero()
         total = 0j
         for g in range(-n, n + 1):
@@ -780,49 +749,32 @@ def suite_zak(config: RunConfig) -> list:
     checks.append(CheckResult("zak.projection_matches_character_average",
                               worst == 0.0, worst, witness))
 
-    rng = _rng(config, "zak.multiplicativity")
-    zak = Zak(_kappa(rng, d), _kappa(rng, d))
-    probes = []
-    seen = set()
-    while len(probes) < 12:
-        m = _lattice_monomial(rng, d, span=2)
-        if m not in seen:
-            seen.add(m)
-            probes.append(m)
+    rng = config.rng("zak.multiplicativity")
+    zak = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
+    probes = draw_distinct(12, lambda: rand_lattice_monomial(rng, d, span=2))
     rep = multiplicativity_check(zak, frame, probes, tol=1e-12)
-    checks.append(CheckResult("zak.multiplicative_on_lattice_probes",
-                              rep.passed, rep.max_deviation, rep.worst_probe))
+    checks.append(replace(rep, check="zak.multiplicative_on_lattice_probes"))
 
-    pw = PlaneWave(_coords(rng, d))
-    vprobes = []
-    seen = set()
-    while len(vprobes) < 10:
-        m = Monomial(vector([0] * d), _coords(rng, d))
-        if m not in seen:
-            seen.add(m)
-            vprobes.append(m)
+    pw = PlaneWave(rand_coords(rng, d))
+    vprobes = draw_distinct(10, lambda: Monomial(vector([0] * d), rand_coords(rng, d)))
     rep = multiplicativity_check(pw, frame, vprobes, tol=1e-12)
-    checks.append(CheckResult("zak.plane_wave_multiplicative",
-                              rep.passed, rep.max_deviation, rep.worst_probe))
+    checks.append(replace(rep, check="zak.plane_wave_multiplicative"))
 
     e1 = [1] + [0] * (d - 1)
     tprobes = [Monomial(vector([0] * d), vector(e1)),
                Monomial(vector([0] * d), vector([-c for c in e1]))]
     rep = multiplicativity_check(Tracial(), frame, tprobes, tol=1e-12)
-    gap_exact = rep.max_deviation == 1.0
-    checks.append(CheckResult("zak.tracial_multiplicativity_gap_is_one",
-                              (not rep.passed) and gap_exact,
-                              rep.max_deviation, rep.worst_probe))
+    checks.append(replace(rep, check="zak.tracial_multiplicativity_gap_is_one",
+                          passed=(not rep.passed) and rep.worst_value == 1.0))
 
-    rng = _rng(config, "zak.purity_line")
+    rng = config.rng("zak.purity_line")
     zak0 = Zak([0] * d, [0] * d)
     failures = 0
     for _ in range(50):
-        m = _lattice_monomial(rng, d)
+        m = rand_lattice_monomial(rng, d)
         if zak0.monomial_value(frame, m) != 1.0 + 0j:
             failures += 1
-    checks.append(CheckResult("zak.zero_state_is_one_on_lattice",
-                              failures == 0, float(failures), ""))
+    checks.append(_counted("zak.zero_state_is_one_on_lattice", failures))
     return checks
 
 
@@ -832,29 +784,27 @@ def suite_zak(config: RunConfig) -> list:
 def suite_gns(config: RunConfig) -> list:
     checks = []
 
-    rng = _rng(config, "gns.oracle")
+    rng = config.rng("gns.oracle")
     devs = []
     for d in (1, 2):
         window = FourierWindow((-6,) * d, (6,) * d)
         for _ in range(25):
-            kappa = _kappa(rng, d)
-            fhat = _fhat(rng, d, radius=2)
+            kappa = rand_kappa(rng, d)
+            fhat = rand_normalized_fhat(rng, d, radius=2)
             for _ in range(2):
                 m = Monomial(vector([rng.randint(-3, 3) for _ in range(d)]),
-                             _coords(rng, d))
+                             rand_coords(rng, d))
                 lhs = bloch_vector_state(kappa, fhat, m, window)
                 rhs = bloch_monomial_value(kappa, fhat, m)
                 devs.append((abs(lhs - rhs), f"d={d} {m}"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("gns.bloch_reconstruction_oracle",
-                              worst <= config.tol, worst, probe))
+    checks.append(_bounded("gns.bloch_reconstruction_oracle", devs, config.tol))
 
-    rng = _rng(config, "gns.rho_scalar")
+    rng = config.rng("gns.rho_scalar")
     failures = 0
     witness = ""
     window = FourierWindow((-4,), (4,))
     for _ in range(20):
-        kappa = _kappa(rng, 1)
+        kappa = rand_kappa(rng, 1)
         gamma = rng.randint(-4, 4)
         m = Monomial(vector([0]), vector([gamma]))
         mat = rep_rho_kappa(kappa, m, window).matrix
@@ -864,24 +814,21 @@ def suite_gns(config: RunConfig) -> list:
             witness = witness or f"kappa={kappa} gamma={gamma}"
         if abs(phase - cmath.exp(-2j * math.pi * float(kappa[0] * gamma))) > 1e-12:
             failures += 1
-    checks.append(CheckResult("gns.rho_of_lattice_v_is_exact_scalar",
-                              failures == 0, float(failures), witness))
+    checks.append(_counted("gns.rho_of_lattice_v_is_exact_scalar", failures, witness))
 
-    rng = _rng(config, "gns.weyl_relation")
+    rng = config.rng("gns.weyl_relation")
     devs = []
     window = FourierWindow((-5,), (5,))
     for _ in range(20):
         gp = (rng.randint(-2, 2),)
-        b = [_frac(rng)]
+        b = [rand_fraction(rng)]
         devs.append((weyl_relation_residual(gp, b, window), f"gp={gp} b={b}"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("gns.weyl_relation_interior_residual",
-                              worst <= 1e-12, worst, probe))
+    checks.append(_bounded("gns.weyl_relation_interior_residual", devs, 1e-12))
 
-    rng = _rng(config, "gns.operators")
+    rng = config.rng("gns.operators")
     devs = []
     for _ in range(10):
-        b1, b2 = [_frac(rng)], [_frac(rng)]
+        b1, b2 = [rand_fraction(rng)], [rand_fraction(rng)]
         s1 = op_S(b1, window).matrix
         s2 = op_S(b2, window).matrix
         s12 = op_S([b1[0] + b2[0]], window).matrix
@@ -892,17 +839,15 @@ def suite_gns(config: RunConfig) -> list:
         f = op_F(gp, window).matrix
         proj = f.conj().T @ f
         devs.append((float(np.max(np.abs(proj @ proj - proj))), "F partial isometry"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("gns.truncated_operator_structure",
-                              worst <= 1e-12, worst, probe))
+    checks.append(_bounded("gns.truncated_operator_structure", devs, 1e-12))
 
-    rng = _rng(config, "gns.plane_wave")
+    rng = config.rng("gns.plane_wave")
     devs = []
     for _ in range(20):
         d = 1 + rng.randint(0, 1)
-        p = _coords(rng, d)
-        a = _coords(rng, d)
-        b = _coords(rng, d)
+        p = rand_coords(rng, d)
+        a = rand_coords(rng, d)
+        b = rand_coords(rng, d)
         m = Monomial(a, b) if rng.random() < 0.6 else Monomial(vector([0] * d), b)
         momentum_set = [p, vector([pi + ai for pi, ai in zip(p, a)]),
                         vector([pi + ai for pi, ai in zip(p, m.a)])]
@@ -911,9 +856,7 @@ def suite_gns(config: RunConfig) -> list:
         state = PlaneWave(Frame.standard(d).to_ambient_momentum(p))
         want = state.monomial_value(Frame.standard(d), m)
         devs.append((abs(val - want), f"d={d} {m}"))
-    worst, probe = _worst(devs)
-    checks.append(CheckResult("gns.plane_wave_vector_state_oracle",
-                              worst <= 1e-12, worst, probe))
+    checks.append(_bounded("gns.plane_wave_vector_state_oracle", devs, 1e-12))
     return checks
 
 
@@ -924,20 +867,11 @@ def suite_paths(config: RunConfig) -> list:
     checks = []
     frame = config.frame
     d = frame.d
-    rng = _rng(config, "paths.probes")
-    # small coordinates keep the per-step phase increments well inside a
-    # half-turn, so halving the grid step halves the distances cleanly; the
-    # fixed lattice monomials keep the Zak family visible on the probe set
-    probes = [Element.from_monomial(
+    rng = config.rng("paths.probes")
+    # the fixed lattice monomials keep the Zak family visible on the probe set
+    probes = path_probes(rng, frame, [Element.from_monomial(
         frame, Monomial(vector([a] + [0] * (d - 1)), vector([b] + [0] * (d - 1))))
-        for a, b in ((1, 0), (0, 1), (1, 1), (-1, 2))]
-    seen = set()
-    while len(probes) < 10:
-        m = Monomial(vector([rng.randint(-1, 1) for _ in range(d)]),
-                     vector([_frac(rng, max_num=2, max_den=3) for _ in range(d)]))
-        if m not in seen:
-            seen.add(m)
-            probes.append(Element.from_monomial(frame, m))
+        for a, b in ((1, 0), (0, 1), (1, 1), (-1, 2))])
 
     def grid(n):
         return [Fraction(k, n) for k in range(n + 1)]
@@ -947,13 +881,12 @@ def suite_paths(config: RunConfig) -> list:
                    for s1, s2 in zip(states, states[1:]))
 
     kinds = []
-    p0 = PlaneWave(vector([_frac(rng, max_num=2, max_den=3, nonzero=True)
-                           for _ in range(d)]))
+    p0 = PlaneWave(rand_coords(rng, d, max_num=2, max_den=3, nonzero=True))
     kinds.append(("plane_wave_line", (p0, PlaneWave(vector([0] * d)))))
-    kinds.append(("zak_line", (Zak(_kappa(rng, d), _kappa(rng, d)),
-                               Zak(_kappa(rng, d), _kappa(rng, d)))))
-    kinds.append(("bloch_slerp", (Bloch(_kappa(rng, d), _fhat(rng, d)),
-                                  Bloch(_kappa(rng, d), _fhat(rng, d)))))
+    kinds.append(("zak_line", (Zak(rand_kappa(rng, d), rand_kappa(rng, d)),
+                               Zak(rand_kappa(rng, d), rand_kappa(rng, d)))))
+    kinds.append(("bloch_slerp", (Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)),
+                                  Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)))))
 
     n = config.grid
     ratio_devs = []
@@ -965,11 +898,8 @@ def suite_paths(config: RunConfig) -> list:
             endpoint_fail += 1
         ratio = max_consecutive(fine) / max_consecutive(coarse)
         ratio_devs.append((abs(ratio - 0.5), kind))
-    checks.append(CheckResult("paths.endpoints_reproduced_exactly",
-                              endpoint_fail == 0, float(endpoint_fail), ""))
-    worst, probe = _worst(ratio_devs)
-    checks.append(CheckResult("paths.linear_refinement_rate",
-                              worst <= 0.1, worst, probe))
+    checks.append(_counted("paths.endpoints_reproduced_exactly", endpoint_fail))
+    checks.append(_bounded("paths.linear_refinement_rate", ratio_devs, 0.1))
 
     pw_path = path_sample("plane_wave_line",
                           (p0, PlaneWave(vector([0] * d))), grid(100))
@@ -992,15 +922,10 @@ SUITES = {
     "paths": suite_paths,
 }
 
-SUITE_ORDER = ("weyl", "ergodic", "states", "covariance", "tri", "zak", "gns", "paths")
 
 
 def run_suite(name: str, config: RunConfig) -> list:
+    """One suite by name, or every suite in ``SUITES`` order for "all"."""
     if name == "all":
-        out = []
-        for key in SUITE_ORDER:
-            out.extend(SUITES[key](config))
-        return out
-    if name not in SUITES:
-        raise KeyError(name)
+        return [result for suite in SUITES.values() for result in suite(config)]
     return SUITES[name](config)

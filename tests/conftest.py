@@ -1,15 +1,13 @@
-"""Shared helpers for the test suite."""
+"""Shared fixtures for the test suite; the seeded generators live in
+``weylccr.verify``."""
 
 from __future__ import annotations
 
-import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from weylccr import Element, Frame, Monomial
-from weylccr.lattice import vector
+from weylccr import Frame
 
 
 @pytest.fixture
@@ -20,45 +18,6 @@ def frame1():
 @pytest.fixture
 def frame2():
     return Frame.standard(2)
-
-
-def rand_fraction(rng, max_num=12, max_den=12, nonzero=False):
-    while True:
-        f = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-        if f or not nonzero:
-            return f
-
-
-def rand_coords(rng, d, **kw):
-    return vector([rand_fraction(rng, **kw) for _ in range(d)])
-
-
-def rand_monomial(rng, d):
-    return Monomial(rand_coords(rng, d), rand_coords(rng, d))
-
-
-def rand_lattice_monomial(rng, d, span=3):
-    return Monomial(vector([rng.randint(-span, span) for _ in range(d)]),
-                    vector([rng.randint(-span, span) for _ in range(d)]))
-
-
-def rand_complex(rng, mag=2.0):
-    return complex(rng.uniform(-mag, mag), rng.uniform(-mag, mag))
-
-
-def rand_element(rng, frame, max_terms=5):
-    terms = {rand_monomial(rng, frame.d): rand_complex(rng)
-             for _ in range(rng.randint(1, max_terms))}
-    return Element(frame, terms)
-
-
-def rand_normalized_fhat(rng, d, radius=2, npts=3):
-    pts = set()
-    while len(pts) < npts:
-        pts.add(tuple(rng.randint(-radius, radius) for _ in range(d)))
-    raw = {p: rand_complex(rng) for p in pts}
-    norm = math.sqrt(sum(abs(v) ** 2 for v in raw.values()))
-    return {p: v / norm for p, v in raw.items()}
 
 
 def seeded(name: str) -> random.Random:

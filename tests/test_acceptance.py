@@ -55,15 +55,16 @@ from weylccr import (
 )
 from weylccr.lattice import in_dual_lattice, integer_vector, is_zero_vector, vector
 from weylccr.states import bloch_monomial_value
-from conftest import (
+from weylccr.verify import (
+    draw_distinct,
     rand_complex,
     rand_coords,
     rand_element,
     rand_lattice_monomial,
     rand_monomial,
     rand_normalized_fhat,
-    seeded,
 )
+from conftest import seeded
 
 F1 = Frame.standard(1)
 F2 = Frame.standard(2)
@@ -206,7 +207,7 @@ def test_criterion_05_invariance():
                      FreeDynamics(Fraction(rng.randint(-12, 12),
                                            rng.randint(1, 12)))):
             rep = invariance_check(state, spec, samples, tol=0.0)
-            exact_worst = max(exact_worst, rep.max_deviation)
+            exact_worst = max(exact_worst, rep.worst_value)
 
     bloch = Bloch([Fraction(2, 7)], rand_normalized_fhat(rng, 1))
     rep_b = invariance_check(bloch, SpaceTranslation(vector([3])), samples,
@@ -218,14 +219,14 @@ def test_criterion_05_invariance():
 
     probe = Element.from_monomial(FTAU, mono([1], [0]))
     rep_f = invariance_check(Fock(), FreeDynamics(Fraction(1)), [probe], tol=1e-10)
-    fock_gap = abs(rep_f.max_deviation - abs(math.exp(-0.5) - math.exp(-0.25)))
+    fock_gap = abs(rep_f.worst_value - abs(math.exp(-0.5) - math.exp(-0.25)))
 
     ok = (exact_worst == 0.0 and rep_b.passed and rep_z.passed
           and not rep_f.passed and fock_gap <= 1e-6)
     report(5, "invariance: exact for plane-wave/character states, 1e-12 for "
               "Bloch and Zak, Fock breaks free dynamics by 0.1723",
            ok, f"exact worst {exact_worst:.3g}, Fock deviation "
-               f"{rep_f.max_deviation:.6f}")
+               f"{rep_f.worst_value:.6f}")
 
 
 def test_criterion_06_positivity():
@@ -243,13 +244,8 @@ def test_criterion_06_positivity():
     worst_eig = 0.0
     worst_herm = 0.0
     for state in families:
-        probes, seen = [], set()
-        while len(probes) < 20:
-            m = (rand_lattice_monomial(rng, 1) if rng.random() < 0.5
-                 else rand_monomial(rng, 1))
-            if m not in seen:
-                seen.add(m)
-                probes.append(m)
+        probes = draw_distinct(20, lambda: (rand_lattice_monomial(rng, 1)
+                                            if rng.random() < 0.5 else rand_monomial(rng, 1)))
         rep = gram_psd_check(state, F1, probes, tol=1e-10)
         worst_eig = min(worst_eig, rep.min_eigenvalue)
         worst_herm = max(worst_herm, rep.hermitian_residual)
@@ -296,7 +292,7 @@ def test_criterion_08_covariance():
         probes = [rand_monomial(rng, 1) if rng.random() < 0.3
                   else rand_lattice_monomial(rng, 1) for _ in range(30)]
         rep = covariance_check(kappa, fhat, gp, probes, tol=1e-12)
-        worst = max(worst, rep.max_deviation)
+        worst = max(worst, rep.worst_value)
     report(8, "covariance: kappa shift equals Fourier-data shift within 1e-12",
            worst <= 1e-12, f"worst {worst:.3g}")
 
@@ -351,12 +347,7 @@ def test_criterion_09_time_reversal():
 def test_criterion_10_purity_witnesses():
     rng = seeded("acceptance-10")
     zak = Zak([Fraction(1, 3)], [Fraction(2, 5)])
-    probes, seen = [], set()
-    while len(probes) < 10:
-        m = rand_lattice_monomial(rng, 1, span=2)
-        if m not in seen:
-            seen.add(m)
-            probes.append(m)
+    probes = draw_distinct(10, lambda: rand_lattice_monomial(rng, 1, span=2))
     rep_zak = multiplicativity_check(zak, F1, probes, tol=1e-12)
 
     pw = PlaneWave(rand_coords(rng, 1))
@@ -366,11 +357,11 @@ def test_criterion_10_purity_witnesses():
     rep_tr = multiplicativity_check(Tracial(), F1,
                                     [mono([0], [1]), mono([0], [-1])])
     ok = (rep_zak.passed and rep_pw.passed and not rep_tr.passed
-          and rep_tr.max_deviation == 1.0)
+          and rep_tr.worst_value == 1.0)
     report(10, "purity: Zak and plane-wave multiplicative within 1e-12, "
                "tracial fails with gap exactly 1",
-           ok, f"zak {rep_zak.max_deviation:.3g}, pw {rep_pw.max_deviation:.3g}, "
-               f"tracial gap {rep_tr.max_deviation}")
+           ok, f"zak {rep_zak.worst_value:.3g}, pw {rep_pw.worst_value:.3g}, "
+               f"tracial gap {rep_tr.worst_value}")
 
 
 def test_criterion_11_irregularity_witness():
@@ -402,13 +393,9 @@ def test_criterion_12_path_demos():
     rng = seeded("acceptance-12")
     probes = [Element.from_monomial(F1, mono([a], [b]))
               for a, b in ((1, 0), (0, 1), (1, 1), (-1, 2))]
-    seen = set()
-    while len(probes) < 10:
-        m = Monomial(vector([rng.randint(-1, 1)]),
-                     vector([Fraction(rng.randint(-2, 2), 3)]))
-        if m not in seen:
-            seen.add(m)
-            probes.append(Element.from_monomial(F1, m))
+    drawn = draw_distinct(6, lambda: Monomial(vector([rng.randint(-1, 1)]),
+                                              vector([Fraction(rng.randint(-2, 2), 3)])))
+    probes += [Element.from_monomial(F1, m) for m in drawn]
 
     def grid(n):
         return [Fraction(k, n) for k in range(n + 1)]

@@ -32,19 +32,23 @@ from weylccr import (
 )
 from weylccr.errors import FrameMismatch
 from weylccr.lattice import vector
-from conftest import (
+from weylccr.verify import (
     rand_complex,
     rand_coords,
     rand_element,
     rand_fraction,
     rand_monomial,
-    seeded,
 )
+from conftest import seeded
 
 F1 = Frame.standard(1)
 FTAU = Frame.from_basis([[TAU]])
 
-small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+# the fractions in [-12, 12] with denominator at most 12, drawn as n/q; this
+# covers the same values as st.fractions(-12, 12, max_denominator=12) at a
+# fraction of its generation cost
+small_fractions = st.integers(1, 12).flatmap(
+    lambda q: st.integers(-12 * q, 12 * q).map(lambda n: Fraction(n, q)))
 
 
 def monomials(d=1):

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from weylccr.cli import main
 from weylccr.serialization import dumps, frame_to_json
 from weylccr import Frame, TAU
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *args):
@@ -112,23 +115,44 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_path_demo(tmp_path, capsys):
+PATH_DEMO_ENDPOINTS = {
+    "plane_wave_line": lambda d: (
+        {"family": "plane_wave", "p": ["3/2", "-1/2"][:d]},
+        {"family": "plane_wave", "p": ["0"] * d}),
+    "zak_line": lambda d: (
+        {"family": "zak", "kappa": ["1/4", "0"][:d], "nu": ["0", "1/3"][:d]},
+        {"family": "zak", "kappa": ["1/2", "5/6"][:d], "nu": ["2/3", "0"][:d]}),
+    "bloch_slerp": lambda d: (
+        {"family": "bloch", "kappa": ["0"] * d,
+         "fhat": [{"idx": [0] * d, "re": 1.0}]},
+        {"family": "bloch", "kappa": ["1/2"] * d,
+         "fhat": [{"idx": [-1] * d, "re": 0.6},
+                  {"idx": [0] * d, "re": 0.0, "im": 0.8}]}),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+@pytest.mark.parametrize("kind", sorted(PATH_DEMO_ENDPOINTS))
+def test_path_demo(kind, d, tmp_path, capsys):
+    """The JSON report equals the stored one (seed 3), which pins the probe set."""
+    start, end = PATH_DEMO_ENDPOINTS[kind](d)
     endpoints = tmp_path / "endpoints.json"
-    endpoints.write_text(json.dumps({
-        "start": {"family": "plane_wave", "p": ["3/2"]},
-        "end": {"family": "plane_wave", "p": ["0"]},
-    }))
-    code, out, _ = run(capsys, "path-demo", "--kind", "plane_wave_line",
-                       "--endpoints", str(endpoints), "--grid", "8")
+    endpoints.write_text(json.dumps({"start": start, "end": end}))
+    args = ["path-demo", "--kind", kind, "--endpoints", str(endpoints),
+            "--grid", "8", "--seed", "3"]
+    if d != 1:
+        frame = tmp_path / "frame.json"
+        frame.write_text(dumps(frame_to_json(Frame.standard(d))))
+        args += ["--frame", str(frame)]
+    code, out, _ = run(capsys, *args)
     assert code == 0
     assert "endpoints exact" in out
 
-    code, out, _ = run(capsys, "path-demo", "--kind", "plane_wave_line",
-                       "--endpoints", str(endpoints), "--grid", "8",
-                       "--output", "json")
+    code, out, _ = run(capsys, *args, "--output", "json")
     report = json.loads(out)
     assert report["endpoints_exact"] is True
     assert len(report["distances"]) == 8
+    assert out == (DATA / "path_demo" / f"{kind}_d{d}_seed3.json").read_text()
 
 
 def test_path_demo_family_mismatch(tmp_path, capsys):

@@ -26,13 +26,13 @@ from weylccr.errors import (
 )
 from weylccr.lattice import vector
 from weylccr.states import bloch_monomial_value
-from conftest import (
+from weylccr.verify import (
     rand_coords,
     rand_fraction,
     rand_monomial,
     rand_normalized_fhat,
-    seeded,
 )
+from conftest import seeded
 
 F1 = Frame.standard(1)
 

@@ -31,7 +31,8 @@ from weylccr.lattice import (
     matrix,
     vector,
 )
-from conftest import rand_coords, rand_fraction, seeded
+from weylccr.verify import rand_coords, rand_fraction
+from conftest import seeded
 
 
 class TestDualFrame:

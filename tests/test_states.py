@@ -41,15 +41,16 @@ from weylccr.errors import (
 )
 from weylccr.lattice import vector
 from weylccr.states import bloch_monomial_value
-from conftest import (
+from weylccr.verify import (
+    draw_distinct,
     rand_complex,
     rand_coords,
     rand_element,
     rand_lattice_monomial,
     rand_monomial,
     rand_normalized_fhat,
-    seeded,
 )
+from conftest import seeded
 
 F1 = Frame.standard(1)
 FTAU = Frame.from_basis([[TAU]])
@@ -186,14 +187,8 @@ class TestGram:
                   Fock(), Tracial(),
                   Mixture([(0.4, Fock()), (0.3, Tracial()),
                            (0.3, PlaneWave(rand_coords(rng, 1)))])]
-        probes = []
-        seen = set()
-        while len(probes) < 20:
-            m = (rand_lattice_monomial(rng, 1) if rng.random() < 0.5
-                 else rand_monomial(rng, 1))
-            if m not in seen:
-                seen.add(m)
-                probes.append(m)
+        probes = draw_distinct(20, lambda: (rand_lattice_monomial(rng, 1)
+                                            if rng.random() < 0.5 else rand_monomial(rng, 1)))
         for s in states:
             rep = gram_psd_check(s, F1, probes, tol=1e-10)
             assert rep.passed, (s, rep)
@@ -212,7 +207,7 @@ class TestInvariance:
         for spec in (SpaceTranslation(rand_coords(rng, 1)),
                      FreeDynamics(Fraction(3, 2))):
             rep = invariance_check(s, spec, samples, tol=0.0)
-            assert rep.passed and rep.max_deviation == 0.0
+            assert rep.passed and rep.worst_value == 0.0
 
     def test_bohr_exact(self):
         rng = seeded("inv-bohr")
@@ -229,8 +224,14 @@ class TestInvariance:
         s = Bloch([Fraction(2, 7)], rand_normalized_fhat(rng, 1))
         rep = invariance_check(s, SpaceTranslation(vector([3])), samples, tol=1e-12)
         assert rep.passed
-        # non-lattice translations break invariance for some sample
-        probe = Element.from_monomial(F1, mono([1], [0]))
+        # non-lattice translations break invariance: omega(u(a)) sums
+        # conj(fhat(n + a)) fhat(n) over support pairs at distance a, and for
+        # three support points the largest a with 3 not dividing it is the
+        # distance of one pair only, so omega(u(a)) != 0 and a translation by
+        # 1/3 turns it by the phase of a/3 turns
+        support = [n for (n,), _ in s.fhat]
+        a = max(q - p for p in support for q in support if (q - p) % 3)
+        probe = Element.from_monomial(F1, mono([a], [0]))
         rep = invariance_check(s, SpaceTranslation(vector([Fraction(1, 3)])),
                                [probe], tol=1e-12)
         assert not rep.passed
@@ -249,20 +250,14 @@ class TestInvariance:
         rep = invariance_check(Fock(), FreeDynamics(Fraction(1)), [probe], tol=1e-10)
         assert not rep.passed
         want = abs(math.exp(-0.5) - math.exp(-0.25))
-        assert rep.max_deviation == pytest.approx(want, abs=1e-6)
+        assert rep.worst_value == pytest.approx(want, abs=1e-6)
 
 
 class TestMultiplicativity:
     def test_zak_exact(self):
         rng = seeded("mult-zak")
         s = Zak([Fraction(1, 3)], [Fraction(2, 5)])
-        probes = []
-        seen = set()
-        while len(probes) < 8:
-            m = rand_lattice_monomial(rng, 1, span=2)
-            if m not in seen:
-                seen.add(m)
-                probes.append(m)
+        probes = draw_distinct(8, lambda: rand_lattice_monomial(rng, 1, span=2))
         rep = multiplicativity_check(s, F1, probes, tol=1e-12)
         assert rep.passed
 
@@ -276,7 +271,7 @@ class TestMultiplicativity:
     def test_tracial_gap_exactly_one(self):
         rep = multiplicativity_check(Tracial(), F1, [mono([0], [1]), mono([0], [-1])])
         assert not rep.passed
-        assert rep.max_deviation == 1.0
+        assert rep.worst_value == 1.0
 
     def test_noncommuting_probes_rejected(self):
         with pytest.raises(InvalidProbeSet):
@@ -347,7 +342,7 @@ class TestCovariance:
         fhat = rand_normalized_fhat(rng, 1)
         probes = [rand_lattice_monomial(rng, 1) for _ in range(10)]
         rep = covariance_check([Fraction(1, 3)], fhat, [0], probes, tol=0.0)
-        assert rep.passed and rep.max_deviation == 0.0
+        assert rep.passed and rep.worst_value == 0.0
 
     def test_delta_case_by_hand(self):
         # fhat = delta_0, gamma' = 1: both sides give e^{-i(kappa+1) beta} on v_b
