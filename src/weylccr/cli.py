@@ -11,6 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .algebra import Element
 from .errors import WeylError
 from .expressions import parse_element
 from .lattice import Frame
@@ -91,8 +92,10 @@ def cmd_path_demo(args) -> int:
     n = args.grid
     grid = [Fraction(k, n) for k in range(n + 1)]
     states = path_sample(args.kind, (start, end), grid)
+    # the v(e_i) keep every plane wave visible on the probe set
+    axes = [Element.v(frame, [int(i == j) for j in range(frame.d)]) for i in range(frame.d)]
     probes = path_probes(RunConfig(frame=frame, seed=args.seed).rng("cli.path_probes"),
-                         frame)
+                         frame, axes)
     distances = [weak_star_distance(s1, s2, probes)
                  for s1, s2 in zip(states, states[1:])]
     max_d = max(distances)

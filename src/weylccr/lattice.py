@@ -74,12 +74,10 @@ def integer_vector(x: Vector):
     """The tuple of ints behind ``x``, or None if any entry is non-integral."""
     out = []
     for c in x:
-        if not c.is_rational():
+        if not (c.is_rational() and c._c == 1):
             return None
-        f = c.as_fraction()
-        if f.denominator != 1:
-            return None
-        out.append(int(f))
+        p = c._p
+        out.append(p[0] if p else 0)
     return tuple(out)
 
 

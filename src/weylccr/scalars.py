@@ -18,9 +18,15 @@ The canonical form is unique, so equality and hashing compare fields.
 Almost every scalar met in practice has denominator 1, and most of those are
 integers or plain rationals.  Arithmetic on them runs on Python ints alone,
 with direct paths for degree 0 and 1: no polynomial gcd, no ``Fraction``.
-Only genuine rational functions, which arise from frames whose basis
-contains tau, go through integer polynomial products and a primitive
-pseudo-remainder gcd.
+Genuine rational functions, which arise from frames whose basis contains
+tau, use that both operands are already reduced (Henrici's gcd-splitting,
+as in ``fractions.Fraction``): a product cancels only the numerator of each
+operand against the denominator of the other, and a sum takes a gcd with
+the gcd of the two denominators only.  A plain rational factor or a
+polynomial summand keeps the other operand's denominator and needs only an
+integer content gcd.  The primitive pseudo-remainder gcd of the whole
+numerator and denominator runs only when a scalar is built from arbitrary
+coefficients.
 
 Phase angles of the form tau * n / d, which covers every phase of a
 standard frame, are stored as a reduced integer pair of turns (n, d) with
@@ -195,6 +201,19 @@ def _rat(n: int, c: int) -> "ExactScalar":
     return _make((n,), c)
 
 
+def _reduced(N: tuple, scale: int, q: tuple) -> "ExactScalar":
+    """The scalar (N / scale) / (q / lead of q) for a nonzero integer
+    polynomial N with no factor in common with q, q primitive with positive
+    leading coefficient and scale a nonzero integer: only the content and the
+    sign are normalised."""
+    if scale < 0:
+        N, scale = tuple(-x for x in N), -scale
+    g = gcd(scale, *N)
+    if g != 1:
+        N, scale = tuple(x // g for x in N), scale // g
+    return _make(N, scale, _Q1 if len(q) == 1 else q)
+
+
 def _canonical(N: tuple, D: tuple) -> "ExactScalar":
     """The scalar N / D for trimmed integer polynomials N and D."""
     if not D:
@@ -205,23 +224,64 @@ def _canonical(N: tuple, D: tuple) -> "ExactScalar":
         g = _zgcd(N, D)
         if len(g) > 1:
             N, D = _zdivexact(N, g), _zdivexact(D, g)
-    q = _Q1 if len(D) == 1 else _primitive(D)
-    scale = D[-1]  # N / D == (N / scale) / (q / lead of q)
-    if scale < 0:
-        N, scale = tuple(-x for x in N), -scale
-    g = gcd(scale, *N)
-    if g != 1:
-        N, scale = tuple(x // g for x in N), scale // g
-    return _make(N, scale, q)
+    # N / D == (N / lead of D) / (q / lead of q)
+    return _reduced(N, D[-1], _Q1 if len(D) == 1 else _primitive(D))
 
 
-def _fraction_pair(x: "ExactScalar") -> tuple[tuple, tuple]:
-    """Integer polynomials (N, D) with x == N / D."""
-    q = x._q
-    if q is _Q1:
-        return x._p, (x._c,)
-    lead = q[-1]
-    return tuple(lead * v for v in x._p), tuple(x._c * v for v in q)
+def _cancel(p: tuple, q: tuple) -> tuple[tuple, tuple, int]:
+    """(p / g, q / g, lead of g) for g the primitive gcd of a nonzero p and a
+    primitive q with positive leading coefficient."""
+    if q is _Q1 or len(p) == 1:
+        return p, q, 1
+    g = _zgcd(p, q)
+    if g is _Q1:
+        return p, q, 1
+    return _zdivexact(p, g), _zdivexact(q, g), g[-1]
+
+
+def _fraction_mul(x: "ExactScalar", y: "ExactScalar") -> "ExactScalar":
+    """x * y for nonzero x and y.
+
+    Both operands are reduced, so only the cross pairs, the numerator of one
+    with the denominator of the other, can share a factor (Henrici).  A plain
+    rational factor needs no polynomial gcd at all.
+    """
+    p1, p2, q1, q2 = x._p, y._p, x._q, y._q
+    c = x._c * y._c
+    if q2 is _Q1 and len(p2) == 1:
+        return _reduced(_zmul(p1, p2), c, q1)
+    if q1 is _Q1 and len(p1) == 1:
+        return _reduced(_zmul(p2, p1), c, q2)
+    p1, q2, k1 = _cancel(p1, q2)
+    p2, q1, k2 = _cancel(p2, q1)
+    # x * y == (p1 * p2 * lead q1 * lead q2 / c) / (q1 * q2) before the
+    # cancellation, which divides lead q2 by k1 and lead q1 by k2
+    return _reduced(_zmul(_zmul(p1, p2), (k1 * k2,)), c, _zmul(q1, q2))
+
+
+def _fraction_add(x: "ExactScalar", y: "ExactScalar") -> "ExactScalar":
+    """x + y for nonzero x and y.
+
+    With g the gcd of the two denominators, the sum over the common
+    denominator can share a factor with g only (Henrici); a polynomial
+    summand keeps the other denominator and needs no polynomial gcd.
+    """
+    p1, p2, q1, q2 = x._p, y._p, x._q, y._q
+    c1, c2 = x._c, y._c
+    if q1 == q2:
+        g, r1, r2 = q1, _Q1, _Q1
+    elif q1 is _Q1 or q2 is _Q1:
+        g, r1, r2 = _Q1, q1, q2
+    else:
+        g = _zgcd(q1, q2)
+        r1, r2 = (q1, q2) if g is _Q1 else (_zdivexact(q1, g), _zdivexact(q2, g))
+    # x + y == t / (c1 * c2 * g * r1 * r2)
+    t = _zadd(_zmul(p1, _zmul(r2, (q1[-1] * c2,))), _zmul(p2, _zmul(r1, (q2[-1] * c1,))))
+    if not t:
+        return S_ZERO
+    t, g, _ = _cancel(t, g)
+    q = _zmul(_zmul(g, r1), r2)
+    return _reduced(t, c1 * c2 * q[-1], q)
 
 
 class ExactScalar:
@@ -331,14 +391,7 @@ class ExactScalar:
             m1, m2 = c2 // g, c1 // g
             return _poly(_zadd(tuple(m1 * v for v in p1), tuple(m2 * v for v in p2)),
                          c1 * m1)
-        q = self._q
-        if q == other._q:
-            c1, c2, lead = self._c, other._c, q[-1]
-            return _canonical(_zadd(_zmul(p1, (c2 * lead,)), _zmul(p2, (c1 * lead,))),
-                              _zmul(q, (c1 * c2,)))
-        n1, d1 = _fraction_pair(self)
-        n2, d2 = _fraction_pair(other)
-        return _canonical(_zadd(_zmul(n1, d2), _zmul(n2, d1)), _zmul(d1, d2))
+        return _fraction_add(self, other)
 
     __radd__ = __add__
 
@@ -370,9 +423,7 @@ class ExactScalar:
             if len(p1) == 1 and len(p2) == 1:
                 return _rat(p1[0] * p2[0], c)
             return _poly(_zmul(p1, p2), c)
-        n1, d1 = _fraction_pair(self)
-        n2, d2 = _fraction_pair(other)
-        return _canonical(_zmul(n1, n2), _zmul(d1, d2))
+        return _fraction_mul(self, other)
 
     __rmul__ = __mul__
 
@@ -387,9 +438,12 @@ class ExactScalar:
         if len(p2) == 1 and other._q is _Q1:
             n = p2[0]
             return self * (_make((other._c,), n) if n > 0 else _make((-other._c,), -n))
-        n1, d1 = _fraction_pair(self)
-        n2, d2 = _fraction_pair(other)
-        return _canonical(_zmul(n1, d2), _zmul(d1, n2))
+        if not self._p:
+            return S_ZERO
+        # 1 / other == (c q / (lead q * lead p)) / (primitive p / its lead)
+        q = other._q
+        return _fraction_mul(self, _reduced(_zmul(q, (other._c,)), q[-1] * p2[-1],
+                                            _primitive(p2)))
 
     def __rtruediv__(self, other):
         other = _coerce_or_none(other)

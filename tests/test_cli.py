@@ -152,6 +152,8 @@ def test_path_demo(kind, d, tmp_path, capsys):
     report = json.loads(out)
     assert report["endpoints_exact"] is True
     assert len(report["distances"]) == 8
+    if kind == "plane_wave_line":  # the probes v(e_i) see every plane wave
+        assert all(dist > 0 for dist in report["distances"])
     assert out == (DATA / "path_demo" / f"{kind}_d{d}_seed3.json").read_text()
 
 

@@ -24,6 +24,7 @@ from weylccr.errors import (
     SingularFrame,
 )
 from weylccr.lattice import (
+    integer_vector,
     mat_identity,
     mat_mul,
     mat_scale,
@@ -174,6 +175,24 @@ class TestCellDecomposition:
     def test_tau_dependent_coordinate_rejected(self):
         with pytest.raises(NotDecomposable):
             decompose_position((TAU,))
+
+
+class TestIntegerVector:
+    def test_ints_and_zeros(self):
+        assert integer_vector(vector([3, 0, -7, 10**40])) == (3, 0, -7, 10**40)
+        assert integer_vector(vector([Fraction(6, 3), 0])) == (2, 0)
+        assert integer_vector(()) == ()
+        assert all(type(v) is int for v in integer_vector(vector([0, -1])))
+
+    def test_non_integral_rationals(self):
+        assert integer_vector(vector([1, Fraction(1, 2)])) is None
+        assert integer_vector(vector([Fraction(-7, 3)])) is None
+
+    def test_tau_and_rational_function_entries(self):
+        assert integer_vector((TAU,)) is None
+        assert integer_vector(vector([1, TAU * 2 + 1])) is None
+        assert integer_vector(vector([(TAU + 1) / (TAU + 2), 0])) is None
+        assert integer_vector(vector([2 / (TAU + 1)])) is None
 
 
 class TestDualLattice:

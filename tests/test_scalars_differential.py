@@ -7,6 +7,7 @@ evaluated with enough digits to resolve the fractional part of the turn count.
 
 import cmath
 import math
+import operator
 import pickle
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from sympy import QQ, symbols
 from weylccr import Element, ExactScalar, Frame, Monomial, PhaseAngle, TAU
 from weylccr.errors import DimensionMismatch, PhasePrecisionError, WeylError
 from weylccr.lattice import vdot
-from weylccr.scalars import MAX_PHASE_BITS
+from weylccr.scalars import MAX_PHASE_BITS, _canonical, _zadd, _zmul
 
 K = QQ.frac_field(symbols("tau"))
 T = K.gens[0]
@@ -29,10 +30,8 @@ nonzero_polys = polys.filter(any)
 
 
 def poly_to_sympy(cs):
-    out = K(0)
-    for k, c in enumerate(cs):
-        out += K(QQ(c.numerator, c.denominator)) * T**k
-    return out
+    ring = K.field.ring
+    return K.field(ring.from_list([QQ(c.numerator, c.denominator) for c in reversed(cs)]))
 
 
 def sympy_canonical(x) -> tuple:
@@ -53,6 +52,13 @@ def pmul(p, q) -> list:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
+
+
+def padd(p, q) -> list:
+    """Sum of two coefficient lists, lowest degree first."""
+    if len(p) < len(q):
+        p, q = q, p
+    return [c + (q[i] if i < len(q) else 0) for i, c in enumerate(p)]
 
 
 def trimmed(p) -> list:
@@ -136,6 +142,113 @@ def test_values_survive_pickling():
         assert back == v and hash(back) == hash(v)
     back = pickle.loads(pickle.dumps(r))
     assert back.is_rational() and back + 1 == r + 1
+
+
+# -- gcd-splitting on operands with common factors ---------------------------
+
+
+small_ints = st.integers(-9, 9)
+nonzero_ints = st.integers(-9, 8).map(lambda n: n + (n >= 0))
+
+
+def poly_of_degree(k):
+    """Degree k exactly, coefficients over one denominator in 1..6."""
+    return st.tuples(st.integers(1, 6), *[small_ints] * k, nonzero_ints).map(
+        lambda t: [Fraction(n, t[0]) for n in t[1:]])
+
+
+factors = st.one_of(poly_of_degree(1), poly_of_degree(2))  # nonconstant
+cofactors = st.one_of(poly_of_degree(0), factors)  # any nonzero
+
+
+def product(*ps) -> list:
+    out = [Fraction(1)]
+    for p in ps:
+        out = pmul(out, p)
+    return out
+
+
+def twin(num, den):
+    """An ExactScalar num / den, not reduced on input, and its sympy twin."""
+    return ExactScalar(tuple(num), tuple(den)), poly_to_sympy(num) / poly_to_sympy(den)
+
+
+@st.composite
+def related_pairs(draw):
+    """Operands x = a1 s k / (h r b1) and y = a2 r k / (h s b2): the
+    denominators share the nonconstant factor h, each numerator shares a
+    factor with the other denominator, and the numerators share k.  In the
+    second form y = m / (r b1 e) - x, so that x + y cancels h."""
+    h, r, s, k, a1, b1 = (draw(f) for f in (factors,) + (cofactors,) * 5)
+    num1 = product(a1, s, k)
+    x = twin(num1, product(h, r, b1))
+    if draw(st.booleans()):
+        a2, b2 = draw(cofactors), draw(cofactors)
+        y = twin(product(a2, r, k), product(h, s, b2))
+    else:
+        m, e = draw(cofactors), draw(cofactors)
+        minus = [-c for c in product(num1, e)]
+        y = twin(trimmed(padd(product(m, h), minus)), product(h, r, b1, e))
+    return x, y
+
+
+def full_gcd_reference(op, x, y) -> ExactScalar:
+    """op(x, y) as N / D with the gcd of the whole of N and D taken."""
+    def pair(v):
+        lead = v._q[-1]
+        return tuple(lead * c for c in v._p), tuple(v._c * c for c in v._q)
+
+    (n1, d1), (n2, d2) = pair(x), pair(y)
+    if op is operator.mul:
+        return _canonical(_zmul(n1, n2), _zmul(d1, d2))
+    if op is operator.truediv:
+        return _canonical(_zmul(n1, d2), _zmul(d1, n2))
+    if op is operator.sub:
+        n2 = tuple(-c for c in n2)
+    return _canonical(_zadd(_zmul(n1, d2), _zmul(n2, d1)), _zmul(d1, d2))
+
+
+def check_field_operations(x, y, a, b):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and y.is_zero():
+            continue
+        got = op(x, y)
+        assert canonical(got) == sympy_canonical(op(a, b)), op.__name__
+        want = full_gcd_reference(op, x, y)
+        assert (got._p, got._c, got._q) == (want._p, want._c, want._q), op.__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(related_pairs())
+def test_gcd_splitting_on_shared_factors_matches_sympy(xy):
+    (x, a), (y, b) = xy
+    check_field_operations(x, y, a, b)
+    check_field_operations(y, x, b, a)
+    assert (x - x).is_zero() and (0 / x).is_zero()
+
+
+@st.composite
+def mixed_pairs(draw):
+    """A general operand x = a s / (h r) and a plain rational or polynomial
+    y, which may share the factor h or r with the denominator of x."""
+    h, r, s, a = draw(factors), draw(cofactors), draw(cofactors), draw(cofactors)
+    x = twin(product(a, s), product(h, r))
+    kind = draw(st.sampled_from(["rational", "shares h", "shares r", "other"]))
+    c = Fraction(draw(nonzero_ints), draw(st.integers(1, 6)))
+    if kind == "rational":
+        y = [c]
+    else:
+        y = product([c], {"shares h": h, "shares r": r}.get(kind) or draw(factors),
+                    draw(cofactors))
+    return x, twin(y, [1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_pairs())
+def test_rational_and_polynomial_operands_match_sympy(xy):
+    (x, a), (y, b) = xy
+    check_field_operations(x, y, a, b)
+    check_field_operations(y, x, b, a)
 
 
 # -- integer-turn angles and the pairing kernel ------------------------------
