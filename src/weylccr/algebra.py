@@ -5,15 +5,24 @@ an element is a finite complex combination of monomials over a fixed frame.
 Every phase produced by commutation or by an automorphism is computed exactly
 as a :class:`~weylccr.scalars.PhaseAngle` and turned into a complex number
 only when it is merged into a coefficient.
+
+A monomial whose 2d coordinates are all plain rationals also carries the
+canonical integer key (D, n), with D the lcm of the reduced denominators and
+a + b = n / D, so gcd(D, *n) == 1; the key is None exactly when a coordinate
+contains tau.  Products, adjoints, equality, hashing and the ergodic means
+work on keyed monomials with ints alone, and their results build coordinate
+scalars only when asked for them.  Monomials with tau coordinates go through
+the exact Q(tau) vector operations and ``PhaseAngle.from_dot``.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
+from operator import add, mul, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -35,35 +44,102 @@ from .lattice import (
     vsub,
     zero_vector,
 )
-from .scalars import ExactScalar, PhaseAngle
+from .scalars import _Q1, ExactScalar, PhaseAngle, _angle_of_turns, _rat
+
+_new = object.__new__
 
 #: coefficients with modulus below this are dropped after arithmetic
 ZERO_THRESHOLD = 1e-14
 
 
-@dataclass(frozen=True)
+def _rational_key(a: Vector, b: Vector):
+    """The canonical key (D, n) of the coordinates a + b, or None if one of
+    them contains tau: D is the lcm of the reduced denominators and n holds
+    the 2d integers with a + b = n / D, so gcd(D, *n) == 1."""
+    coords = a + b
+    D = 1
+    for x in coords:
+        if x._q is not _Q1 or len(x._p) > 1:
+            return None
+        c = x._c
+        if D % c:
+            D = lcm(D, c)
+    return D, tuple(x._p[0] * (D // x._c) if x._p else 0 for x in coords)
+
+
 class Monomial:
-    """Coordinate labels (a, b) of the monomial u_alpha v_beta."""
+    """Coordinate labels (a, b) of the monomial u_alpha v_beta.
 
-    a: Vector
-    b: Vector
+    An immutable value with its hash computed once.  When every coordinate is
+    a plain rational, the monomial also carries the canonical integer key
+    (D, n): D is the lcm of the reduced denominators of the 2d coordinates
+    and n holds the 2d integers with a + b = n / D, so gcd(D, *n) == 1.  The
+    key is None exactly when some coordinate contains tau.  Equality and
+    hashing read the key, so a monomial has one key and one hash whatever
+    built it, and a keyed monomial never equals one with a tau coordinate.
+    ``monomial_product`` and ``monomial_adjoint`` build keyed results from
+    the key alone; their coordinate tuples ``a`` and ``b`` are made on first
+    access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", vector(self.a))
-        object.__setattr__(self, "b", vector(self.b))
-        if len(self.a) != len(self.b):
+    __slots__ = ("_a", "_b", "_key", "_hash")
+
+    def __init__(self, a: Vector, b: Vector):
+        a, b = vector(a), vector(b)
+        if len(a) != len(b):
             raise DimensionMismatch("momentum and position parts differ in length")
+        key = _rational_key(a, b)
+        self._a = a
+        self._b = b
+        self._key = key
+        self._hash = hash((a, b) if key is None else key)
 
     @staticmethod
     def identity(d: int) -> "Monomial":
-        return Monomial(zero_vector(d), zero_vector(d))
+        return _keyed(1, (0,) * (2 * d))
+
+    @property
+    def a(self) -> Vector:
+        if self._a is None:
+            self._unpack()
+        return self._a
+
+    @property
+    def b(self) -> Vector:
+        if self._b is None:
+            self._unpack()
+        return self._b
+
+    def _unpack(self):
+        D, n = self._key
+        coords = tuple(_rat(x, D) for x in n)
+        d = len(n) >> 1
+        self._a, self._b = coords[:d], coords[d:]
 
     @property
     def d(self) -> int:
-        return len(self.a)
+        key = self._key
+        return len(self._a) if key is None else len(key[1]) >> 1
 
     def is_identity(self) -> bool:
-        return is_zero_vector(self.a) and is_zero_vector(self.b)
+        key = self._key
+        if key is None:
+            return is_zero_vector(self._a) and is_zero_vector(self._b)
+        return not any(key[1])
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        key = self._key
+        if key is not None:
+            return key == other._key
+        return other._key is None and self._a == other._a and self._b == other._b
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Monomial, (self.a, self.b)
 
     def __str__(self):
         a = ",".join(str(c) for c in self.a)
@@ -73,20 +149,62 @@ class Monomial:
     __repr__ = __str__
 
 
+def _keyed(D: int, n: tuple) -> Monomial:
+    """The monomial of the canonical key (D, n), built without ``__init__``."""
+    m = _new(Monomial)
+    m._a = m._b = None
+    m._key = key = (D, n)
+    m._hash = hash(key)
+    return m
+
+
 def monomial_product(m1: Monomial, m2: Monomial) -> tuple[PhaseAngle, Monomial]:
     """Normal-order the product of two monomials.
 
     u_{a1} v_{b1} u_{a2} v_{b2} = e^{-i alpha2 . beta1} u_{a1+a2} v_{b1+b2},
-    returned as the exact angle together with the combined monomial.
+    returned as the exact angle together with the combined monomial.  Keyed
+    operands (D1, n1) and (D2, n2) are combined on ints alone: the phase is
+    -(n2_a . n1_b) turns over D1 * D2, and the coordinates are summed over
+    lcm(D1, D2) and reduced by one gcd.
     """
-    phase = PhaseAngle.from_dot(m2.a, m1.b, -1)
-    return phase, Monomial(vadd(m1.a, m2.a), vadd(m1.b, m2.b))
+    k1, k2 = m1._key, m2._key
+    if k1 is None or k2 is None:
+        phase = PhaseAngle.from_dot(m2.a, m1.b, -1)
+        return phase, Monomial(vadd(m1.a, m2.a), vadd(m1.b, m2.b))
+    (D1, n1), (D2, n2) = k1, k2
+    if len(n1) != len(n2):
+        raise DimensionMismatch("monomial dimensions differ")
+    d = len(n1) >> 1
+    turns = D1 * D2
+    phase = _angle_of_turns(-sum(map(mul, n2[:d], n1[d:])) % turns, turns)
+    if D1 == D2:
+        D, n = D1, tuple(map(add, n1, n2))
+    else:
+        D = lcm(D1, D2)
+        f1, f2 = D // D1, D // D2
+        n = tuple(x * f1 + y * f2 for x, y in zip(n1, n2))
+    if D != 1:
+        g = gcd(D, *n)
+        if g != 1:
+            D, n = D // g, tuple(x // g for x in n)
+    return phase, _keyed(D, n)
 
 
 def monomial_adjoint(m: Monomial) -> tuple[PhaseAngle, Monomial]:
-    """Adjoint of a unit-coefficient monomial: (u_a v_b)* = e^{-i a.b} u_{-a} v_{-b}."""
-    phase = PhaseAngle.from_dot(m.a, m.b, -1)
-    return phase, Monomial(vneg(m.a), vneg(m.b))
+    """Adjoint of a unit-coefficient monomial: (u_a v_b)* = e^{-i a.b} u_{-a} v_{-b}.
+
+    A keyed monomial (D, n) gives -(n_a . n_b) turns over D^2 and the key
+    (D, -n), which is canonical as it stands.
+    """
+    key = m._key
+    if key is None:
+        phase = PhaseAngle.from_dot(m.a, m.b, -1)
+        return phase, Monomial(vneg(m.a), vneg(m.b))
+    D, n = key
+    d = len(n) >> 1
+    turns = D * D
+    phase = _angle_of_turns(-sum(map(mul, n[:d], n[d:])) % turns, turns)
+    return phase, _keyed(D, tuple(map(neg, n)))
 
 
 class Element:
@@ -340,22 +458,44 @@ def apply_automorphisms(specs: Iterable[AutomorphismSpec], x: Element) -> Elemen
 # -- ergodic means -------------------------------------------------------------
 
 
+def _a_is_zero(m: Monomial) -> bool:
+    key = m._key
+    if key is None:
+        return is_zero_vector(m.a)
+    n = key[1]
+    return not any(n[:len(n) >> 1])
+
+
+def _a_is_integral(m: Monomial) -> bool:
+    key = m._key
+    if key is None:
+        return in_dual_lattice(m.a)
+    D, n = key
+    return D == 1 or not any(x % D for x in n[:len(n) >> 1])
+
+
+def _is_integral(m: Monomial) -> bool:
+    key = m._key
+    if key is None:
+        return integer_vector(m.a) is not None and integer_vector(m.b) is not None
+    return key[0] == 1
+
+
 def ergodic_mean(x: Element) -> Element:
     """Projection onto the translation-invariant part: keep the a = 0 terms."""
-    kept = {m: c for m, c in x.terms.items() if is_zero_vector(m.a)}
+    kept = {m: c for m, c in x.terms.items() if _a_is_zero(m)}
     return Element(x.frame, kept, threshold=0.0)
 
 
 def ergodic_mean_lattice(x: Element) -> Element:
     """Projection onto the lattice-invariant part: keep terms with a integral."""
-    kept = {m: c for m, c in x.terms.items() if in_dual_lattice(m.a)}
+    kept = {m: c for m, c in x.terms.items() if _a_is_integral(m)}
     return Element(x.frame, kept, threshold=0.0)
 
 
 def ergodic_mean_zak(x: Element) -> Element:
     """Keep the terms with both a and b integral (invariant under both lattices)."""
-    kept = {m: c for m, c in x.terms.items()
-            if integer_vector(m.a) is not None and integer_vector(m.b) is not None}
+    kept = {m: c for m, c in x.terms.items() if _is_integral(m)}
     return Element(x.frame, kept, threshold=0.0)
 
 

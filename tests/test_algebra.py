@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from weylccr import (
     Monomial,
     MomentumTranslation,
     PhaseAngle,
+    ExactScalar,
     PhasePoint,
     SpaceTranslation,
     TAU,
@@ -21,6 +23,7 @@ from weylccr import (
     ergodic_mean,
     ergodic_mean_lattice,
     ergodic_mean_zak,
+    monomial_adjoint,
     monomial_product,
     numeric_box_average,
     scalar,
@@ -30,8 +33,15 @@ from weylccr import (
     weyl_generator,
     weyl_generator_parts,
 )
-from weylccr.errors import FrameMismatch
-from weylccr.lattice import vector
+from weylccr.errors import DimensionMismatch, FrameMismatch
+from weylccr.lattice import (
+    in_dual_lattice,
+    integer_vector,
+    is_zero_vector,
+    vadd,
+    vector,
+    vneg,
+)
 from weylccr.verify import (
     rand_complex,
     rand_coords,
@@ -89,6 +99,178 @@ class TestMonomialProduct:
         ph_r, mr = monomial_product(m1, m23)
         assert ml == mr
         assert (ph12 + ph_l).is_same_rotation(ph23 + ph_r)
+
+
+# -- keyed monomial kernels ---------------------------------------------------
+
+# zero, small rationals, and numerators up to 10^30 over denominators up to 10^6
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions,
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6)))
+
+
+def coords(d):
+    return st.one_of(st.just((Fraction(0),) * d), st.tuples(*[wide_rationals] * d))
+
+
+def coord_pairs(d):
+    return st.tuples(coords(d), coords(d))
+
+
+tau_coords = st.builds(lambda c, k: TAU * c + k, small_fractions.filter(bool), small_fractions)
+
+
+def expected_key(a, b) -> tuple:
+    """(D, n) with D the lcm of the reduced denominators, from Fractions."""
+    fs = [Fraction(x) for x in a + b]
+    D = math.lcm(*(f.denominator for f in fs))
+    return D, tuple(int(f * D) for f in fs)
+
+
+def bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+def assert_same_kernel_result(got, want_phase, want_a, want_b):
+    """``got`` = (phase, monomial) equals the ExactScalar reference."""
+    phase, m = got
+    assert (phase._n, phase._d) == (want_phase._n, want_phase._d)
+    assert phase == want_phase
+    assert bits(phase.to_complex()) == bits(want_phase.to_complex())
+    assert m.a == want_a and m.b == want_b
+    want = Monomial(want_a, want_b)
+    assert m == want and hash(m) == hash(want) and m._key == want._key
+
+
+def reference_product(m1, m2):
+    return (PhaseAngle.from_dot(m2.a, m1.b, -1),
+            vadd(m1.a, m2.a), vadd(m1.b, m2.b))
+
+
+def reference_adjoint(m):
+    return PhaseAngle.from_dot(m.a, m.b, -1), vneg(m.a), vneg(m.b)
+
+
+class TestKeyedMonomials:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(coord_pairs(d), coord_pairs(d))))
+    def test_kernels_match_exact_scalar_reference(self, pairs):
+        (a1, b1), (a2, b2) = pairs
+        m1, m2 = Monomial(a1, b1), Monomial(a2, b2)
+        assert m1._key == expected_key(a1, b1) and m2._key == expected_key(a2, b2)
+        assert_same_kernel_result(monomial_product(m1, m2), *reference_product(m1, m2))
+        assert_same_kernel_result(monomial_product(m2, m1), *reference_product(m2, m1))
+        assert_same_kernel_result(monomial_adjoint(m1), *reference_adjoint(m1))
+        _, m12 = monomial_product(m1, m2)
+        D, n = m12._key
+        assert math.gcd(D, *n) == 1
+        assert m12._key == expected_key(
+            [x + y for x, y in zip(a1, a2)], [x + y for x, y in zip(b1, b2)])
+        # keyed outputs as operands: their coordinates are made on demand
+        _, m1s = monomial_adjoint(m1)
+        assert_same_kernel_result(monomial_product(m12, m1s),
+                                  *reference_product(m12, m1s))
+        assert_same_kernel_result(monomial_adjoint(m12), *reference_adjoint(m12))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(coord_pairs(d), coord_pairs(d))),
+           st.integers(1, 6))
+    def test_one_key_and_one_hash_whatever_the_route(self, pairs, k):
+        (a, b), (c, e) = pairs
+        d = len(a)
+        m = Monomial(a, b)
+        one = Monomial.identity(d)
+        unreduced = Monomial(
+            tuple(ExactScalar((x.numerator * k,), (x.denominator * k,)) for x in a),
+            tuple(ExactScalar((x.numerator * k,), (x.denominator * k,)) for x in b))
+        # m as the product of (a - c, b - e) and (c, e): the sum may reduce
+        split = monomial_product(Monomial([x - y for x, y in zip(a, c)],
+                                          [x - y for x, y in zip(b, e)]),
+                                 Monomial(c, e))[1]
+        routes = [
+            unreduced,
+            Monomial(vector(a), vector(b)),
+            monomial_product(m, one)[1],
+            monomial_product(one, m)[1],
+            split,
+            monomial_adjoint(monomial_adjoint(m)[1])[1],
+            pickle.loads(pickle.dumps(m)),
+            pickle.loads(pickle.dumps(split)),
+        ]
+        for r in routes:
+            assert r == m and m == r
+            assert r._key == m._key == expected_key(a, b)
+            assert hash(r) == hash(m)
+            assert r.a == m.a and r.b == m.b and str(r) == str(m)
+        ints = tuple(x.numerator for x in a), tuple(x.numerator for x in b)
+        from_ints = Monomial(*ints)
+        from_fractions = Monomial(*(tuple(map(Fraction, v)) for v in ints))
+        integral = monomial_product(from_fractions, one)[1]
+        assert from_ints._key == from_fractions._key == integral._key == (1, ints[0] + ints[1])
+        assert hash(from_ints) == hash(from_fractions) == hash(integral)
+        assert from_ints == from_fractions == integral
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+               lambda d: st.tuples(coord_pairs(d), coord_pairs(d), st.integers(0, 2 * d - 1))),
+           tau_coords)
+    def test_tau_monomials_keep_the_exact_path(self, drawn, t):
+        (a1, b1), (a2, b2), i = drawn
+        d = len(a1)
+        coords1 = list(a1 + b1)
+        coords1[i] = t
+        mt = Monomial(coords1[:d], coords1[d:])
+        mk = Monomial(a2, b2)
+        assert mt._key is None and mk._key is not None
+        assert hash(mt) == hash((mt.a, mt.b))
+        assert mt != Monomial(a1, b1) and Monomial(a1, b1) != mt
+        assert len(Element(Frame.standard(d), {mt: 1.0, Monomial(a1, b1): 1.0})) == 2
+        for x, y in ((mt, mk), (mk, mt), (mt, mt)):
+            assert_same_kernel_result(monomial_product(x, y), *reference_product(x, y))
+        assert_same_kernel_result(monomial_adjoint(mt), *reference_adjoint(mt))
+        # a coordinate whose tau part cancels is a plain rational: keyed
+        cancelled = Monomial([(TAU + x) - TAU for x in a2], b2)
+        assert cancelled._key == mk._key and cancelled == mk
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(coord_pairs(2), coord_pairs(2)), min_size=1, max_size=4),
+           tau_coords)
+    def test_identity_and_ergodic_means_read_the_key(self, pairs, t):
+        frame = Frame.standard(2)
+        terms = {}
+        for (a1, b1), (a2, b2) in pairs:
+            for m in (monomial_product(Monomial(a1, b1), Monomial(a2, b2))[1],
+                      monomial_adjoint(Monomial(a1, b1))[1],
+                      Monomial(a1, (b1[0] + t, b1[1])), Monomial(a1, b1)):
+                terms[m] = 1.0
+        x = Element(frame, terms, threshold=0.0)
+        for m in x.terms:
+            assert m.is_identity() == (is_zero_vector(m.a) and is_zero_vector(m.b))
+        assert set(ergodic_mean(x).terms) == {m for m in terms if is_zero_vector(m.a)}
+        assert set(ergodic_mean_lattice(x).terms) == {
+            m for m in terms if in_dual_lattice(m.a)}
+        assert set(ergodic_mean_zak(x).terms) == {
+            m for m in terms
+            if integer_vector(m.a) is not None and integer_vector(m.b) is not None}
+
+    def test_monomials_are_immutable(self):
+        m = Monomial([Fraction(1, 2)], [3])
+        made = monomial_product(m, m)[1]
+        tau = Monomial([TAU], [0])
+        for x in (m, made, tau, Monomial.identity(2)):
+            for attr in ("a", "b", "d", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(x, attr, (1,))
+        assert made.a == (scalar(1),) and made.b == (scalar(6),)
+
+    def test_mismatched_lengths_raise(self):
+        with pytest.raises(DimensionMismatch):
+            Monomial([1], [1, 2])
+        m1, m2 = Monomial([1], [Fraction(1, 2)]), Monomial([1, 0], [0, 2])
+        for x, y in ((m1, m2), (m2, m1), (Monomial([TAU], [0]), m2)):
+            with pytest.raises(DimensionMismatch):
+                monomial_product(x, y)
 
 
 class TestElementArithmetic:

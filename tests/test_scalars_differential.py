@@ -24,9 +24,18 @@ from weylccr.scalars import MAX_PHASE_BITS, _canonical, _zadd, _zmul
 K = QQ.frac_field(symbols("tau"))
 T = K.gens[0]
 
-coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+# the fractions in [-20, 20] with denominator at most 9, drawn as n/q: the
+# values of st.fractions(-20, 20, max_denominator=9) at a fraction of its
+# generation cost
+coeffs = st.integers(1, 9).flatmap(
+    lambda q: st.integers(-20 * q, 20 * q).map(lambda n: Fraction(n, q)))
+nonzero_coeffs = st.integers(1, 9).flatmap(
+    lambda q: st.integers(-20 * q, 20 * q - 1).map(lambda n: Fraction(n + (n >= 0), q)))
 polys = st.lists(coeffs, min_size=0, max_size=4)
-nonzero_polys = polys.filter(any)
+# the nonzero lists of at most 4 coefficients, without rejection: a nonzero
+# coefficient put at any position of a list of at most 3
+nonzero_polys = st.tuples(st.lists(coeffs, max_size=3), nonzero_coeffs, st.integers(0, 3)).map(
+    lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
 
 
 def poly_to_sympy(cs):
@@ -263,7 +272,7 @@ def unit_of_turns(r: Fraction) -> complex:
 big_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 7))
 plain_coords = st.one_of(st.just(0), st.integers(-50, 50), coeffs, big_rationals)
 tau_coords = st.one_of(
-    st.builds(lambda c, k: TAU * c + k, coeffs.filter(bool), coeffs),
+    st.builds(lambda c, k: TAU * c + k, nonzero_coeffs, coeffs),
     operands().map(lambda xa: xa[0]))
 
 
