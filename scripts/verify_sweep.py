@@ -1,0 +1,74 @@
+"""Sweep ``weylccr verify --suite all`` over seeds and frames, in-process.
+
+    python3 scripts/verify_sweep.py
+
+Runs seeds 0-31 at d = 1 (default frame), seeds 0-15 at d = 2 (identity
+frame) and seeds 0-7 on each of two frames whose basis contains tau: E = tau
+(d = 1) and [[1 + tau, 1/3], [0, tau]] (d = 2).  Prints one row per run with
+its exit code and failing checks, then a summary per frame.  Exits 1 if any
+run exits 2 (an error rather than a failed check), else 0.  A full sweep
+takes a few minutes; it is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from weylccr.cli import main  # noqa: E402
+
+#: (name, frame JSON or None for the default d = 1 frame, seeds)
+SWEEP = (
+    ("d1", None, range(32)),
+    ("d2", {"d": 2, "E": [["1", "0"], ["0", "1"]]}, range(16)),
+    ("tau_d1", {"d": 1, "E": [[{"num": {"1": "1"}}]]}, range(8)),
+    ("skew_d2", {"d": 2, "E": [[{"num": {"0": "1", "1": "1"}}, "1/3"],
+                               ["0", {"num": {"1": "1"}}]]}, range(8)),
+)
+
+
+def run(seed: int, frame_path: str | None) -> tuple[int, list]:
+    """Exit code and failing check names of one verify-all run."""
+    argv = ["verify", "--suite", "all", "--seed", str(seed), "--output", "json"]
+    if frame_path:
+        argv += ["--frame", frame_path]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        return code, [err.getvalue().strip()]
+    return code, [c["check"] for c in json.loads(out.getvalue())["checks"] if not c["pass"]]
+
+
+def main_sweep() -> int:
+    errors = 0
+    summary = []
+    print(f"{'frame':8s} {'seed':>4s} {'exit':>4s}  failing checks")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, frame, seeds in SWEEP:
+            path = None
+            if frame is not None:
+                path = os.path.join(tmp, f"{name}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(frame, fh)
+            codes = []
+            for seed in seeds:
+                code, failing = run(seed, path)
+                codes.append(code)
+                errors += code == 2
+                print(f"{name:8s} {seed:4d} {code:4d}  {', '.join(failing)}", flush=True)
+            summary.append(f"{name}: {codes.count(0)} exit 0, {codes.count(1)} exit 1, "
+                           f"{codes.count(2)} exit 2 of {len(codes)}")
+    print("\n".join(summary))
+    return 1 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_sweep())

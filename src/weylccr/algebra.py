@@ -70,8 +70,10 @@ def _rational_key(a: Vector, b: Vector):
 class Monomial:
     """Coordinate labels (a, b) of the monomial u_alpha v_beta.
 
-    An immutable value with its hash computed once.  When every coordinate is
-    a plain rational, the monomial also carries the canonical integer key
+    An immutable value with its hash computed once: at construction when
+    every coordinate is a plain rational, on first use otherwise (most
+    monomials with tau coordinates are never hashed).  When every coordinate
+    is a plain rational, the monomial also carries the canonical integer key
     (D, n): D is the lcm of the reduced denominators of the 2d coordinates
     and n holds the 2d integers with a + b = n / D, so gcd(D, *n) == 1.  The
     key is None exactly when some coordinate contains tau.  Equality and
@@ -92,7 +94,7 @@ class Monomial:
         self._a = a
         self._b = b
         self._key = key
-        self._hash = hash((a, b) if key is None else key)
+        self._hash = None if key is None else hash(key)
 
     @staticmethod
     def identity(d: int) -> "Monomial":
@@ -136,7 +138,10 @@ class Monomial:
         return other._key is None and self._a == other._a and self._b == other._b
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self._a, self._b))
+        return h
 
     def __reduce__(self):
         return Monomial, (self.a, self.b)

@@ -147,16 +147,16 @@ def dual_frame(E: Matrix) -> Matrix:
 class Frame:
     """A lattice basis (columns of E) together with its 2*pi-dual (columns of F).
 
-    Derived data cached on construction: the position Gram matrix E^T E, the
-    momentum Gram matrix F^T F, and the change-of-coordinates matrix
-    ``shear = E^-1 F`` used by the free dynamics.
+    The one derived matrix cached on construction is the change of
+    coordinates ``shear = E^-1 F`` used by the free dynamics.  The Gaussian
+    widths ``position_norm_sq`` and ``momentum_norm_sq`` are the ambient sums
+    of squares |E b|^2 and |F a|^2, which equal b . (E^T E) b and
+    a . (F^T F) a with no Gram matrix kept.
     """
 
     d: int
     E: Matrix
     F: Matrix
-    pos_gram: Matrix
-    mom_gram: Matrix
     shear: Matrix
 
     @staticmethod
@@ -166,11 +166,8 @@ class Frame:
         if any(len(row) != d for row in E):
             raise DimensionMismatch("frame matrix must be square")
         F = dual_frame(E)
-        Et = mat_transpose(E)
-        pos_gram = mat_mul(Et, E)
-        mom_gram = mat_mul(mat_transpose(F), F)
         shear = mat_mul(mat_inverse(E), F)
-        return Frame(d=d, E=E, F=F, pos_gram=pos_gram, mom_gram=mom_gram, shear=shear)
+        return Frame(d=d, E=E, F=F, shear=shear)
 
     @staticmethod
     def standard(d: int) -> "Frame":
@@ -183,12 +180,14 @@ class Frame:
         return mat_vec(self.F, vector(a))
 
     def position_norm_sq(self, b: Vector) -> ExactScalar:
-        b = vector(b)
-        return vdot(b, mat_vec(self.pos_gram, b))
+        """|beta|^2 = |E b|^2, a sum of squares."""
+        beta = mat_vec(self.E, vector(b))
+        return vdot(beta, beta)
 
     def momentum_norm_sq(self, a: Vector) -> ExactScalar:
-        a = vector(a)
-        return vdot(a, mat_vec(self.mom_gram, a))
+        """|alpha|^2 = |F a|^2, a sum of squares."""
+        alpha = mat_vec(self.F, vector(a))
+        return vdot(alpha, alpha)
 
     def __str__(self):
         rows = "; ".join(", ".join(str(e) for e in row) for row in self.E)

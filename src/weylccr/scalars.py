@@ -22,11 +22,12 @@ Genuine rational functions, which arise from frames whose basis contains
 tau, use that both operands are already reduced (Henrici's gcd-splitting,
 as in ``fractions.Fraction``): a product cancels only the numerator of each
 operand against the denominator of the other, and a sum takes a gcd with
-the gcd of the two denominators only.  A plain rational factor or a
-polynomial summand keeps the other operand's denominator and needs only an
-integer content gcd.  The primitive pseudo-remainder gcd of the whole
-numerator and denominator runs only when a scalar is built from arbitrary
-coefficients.
+the gcd of the two denominators only.  A square, a plain rational factor
+and a polynomial summand need no polynomial gcd at all, only an integer
+content gcd or none.  Every polynomial gcd splits off the common power of
+tau before its pseudo-remainder sequence, so an operand c * tau^k costs no
+division.  The gcd of the whole numerator and denominator runs only when a
+scalar is built from arbitrary coefficients.
 
 Phase angles of the form tau * n / d, which covers every phase of a
 standard frame, are stored as a reduced integer pair of turns (n, d) with
@@ -35,8 +36,9 @@ alone.  ``PhaseAngle.from_dot`` builds the angle tau * (a . b) of a lattice
 pairing straight from the integer fields of the coordinates when they are
 all plain rationals; when any coordinate contains tau it falls back to the
 dot product summed in Q(tau).  Any angle that is not tau times a rational is
-reduced to turns with pi from an integer Machin series, computed to as many
-bits as the angle needs.
+reduced to turns with pi from an integer Machin series, at a working
+precision that depends only on the bits the angle needs, so the double it
+rounds to does not depend on which angles were converted before.
 """
 
 from __future__ import annotations
@@ -126,8 +128,30 @@ def _prem(p: tuple, q: tuple) -> tuple:
     return tuple(rem)
 
 
+def _tau_order(p: tuple) -> int:
+    """The power of tau dividing a nonzero polynomial: its count of leading
+    zero coefficients."""
+    k = 0
+    while not p[k]:
+        k += 1
+    return k
+
+
 def _zgcd(p: tuple, q: tuple) -> tuple:
-    """Primitive greatest common divisor of two nonzero integer polynomials."""
+    """Primitive greatest common divisor of two nonzero integer polynomials.
+
+    The common power tau^k is split off first: what remains of each operand
+    has a nonzero constant term, so its gcd is free of tau, and an operand
+    c * tau^j leaves a constant, whose gcd with anything is 1.
+    """
+    i, j = _tau_order(p), _tau_order(q)
+    g = _zgcd_prs(p[i:], q[j:]) if len(p) > i + 1 and len(q) > j + 1 else _Q1
+    k = min(i, j)
+    return (0,) * k + g if k else g
+
+
+def _zgcd_prs(p: tuple, q: tuple) -> tuple:
+    """Primitive gcd by the primitive pseudo-remainder sequence."""
     p, q = _primitive(p), _primitive(q)
     if len(p) < len(q):
         p, q = q, p
@@ -244,9 +268,13 @@ def _fraction_mul(x: "ExactScalar", y: "ExactScalar") -> "ExactScalar":
 
     Both operands are reduced, so only the cross pairs, the numerator of one
     with the denominator of the other, can share a factor (Henrici).  A plain
-    rational factor needs no polynomial gcd at all.
+    rational factor needs no polynomial gcd at all, and neither does a
+    square: p^2 and q^2 stay coprime, and by Gauss's lemma q^2 stays
+    primitive and the content of p^2 stays prime to c^2.
     """
     p1, p2, q1, q2 = x._p, y._p, x._q, y._q
+    if x is y:
+        return _make(_zmul(p1, p1), x._c * x._c, _zmul(q1, q1))
     c = x._c * y._c
     if q2 is _Q1 and len(p2) == 1:
         return _reduced(_zmul(p1, p2), c, q1)
@@ -263,15 +291,21 @@ def _fraction_add(x: "ExactScalar", y: "ExactScalar") -> "ExactScalar":
     """x + y for nonzero x and y.
 
     With g the gcd of the two denominators, the sum over the common
-    denominator can share a factor with g only (Henrici); a polynomial
-    summand keeps the other denominator and needs no polynomial gcd.
+    denominator can share a factor with g only (Henrici).  A polynomial
+    summand p1 / c1 keeps the other denominator q2 and needs no polynomial
+    gcd: p1 * q2 + p2 * lead q2 is prime to q2, as p2 is.
     """
+    if x._q is _Q1:
+        x, y = y, x
     p1, p2, q1, q2 = x._p, y._p, x._q, y._q
     c1, c2 = x._c, y._c
+    if q2 is _Q1:
+        # x + y == (p1 * lead q1 * c2 + p2 * q1 * c1) / (c1 * c2 * q1)
+        lead = q1[-1]
+        t = _zadd(_zmul(p1, (lead * c2,)), _zmul(p2, tuple(c1 * v for v in q1)))
+        return _reduced(t, c1 * c2 * lead, q1)
     if q1 == q2:
         g, r1, r2 = q1, _Q1, _Q1
-    elif q1 is _Q1 or q2 is _Q1:
-        g, r1, r2 = _Q1, q1, q2
     else:
         g = _zgcd(q1, q2)
         r1, r2 = (q1, q2) if g is _Q1 else (_zdivexact(q1, g), _zdivexact(q2, g))
@@ -505,7 +539,7 @@ MAX_PHASE_BITS = 1 << 16
 #: bits of the turn fraction certified before it is rounded to a double
 _TURN_BITS = 72
 
-_pi_cache = [0, 3]  # [bits, P] with |P - pi * 2**bits| < 2
+_pi_cache: dict = {}  # working bits -> P with |P - pi * 2**bits| < 2
 
 
 def _arctan_inv(x: int, one: int) -> int:
@@ -526,17 +560,16 @@ def _tau_floor(bits: int) -> int:
     """An integer T with T < tau * 2**bits < T + 10.
 
     pi comes from Machin's formula 16 atan(1/5) - 4 atan(1/239) in integer
-    fixed point, 64 guard bits over the precision asked for.  Only the most
-    precise value computed so far is kept; lower precisions are shifts of it.
+    fixed point, 64 guard bits over a working precision of max(256, the power
+    of two >= bits), and is cached once per working precision.  T therefore
+    depends on ``bits`` alone, not on which angles were converted before.
     """
-    have_bits, have = _pi_cache
-    if bits > have_bits:
-        work = max(bits, 2 * have_bits, 256)
+    work = max(256, 1 << (bits - 1).bit_length())
+    have = _pi_cache.get(work)
+    if have is None:
         one = 1 << (work + 64)
-        have = (16 * _arctan_inv(5, one) - 4 * _arctan_inv(239, one)) >> 64
-        _pi_cache[:] = [work, have]
-        have_bits = work
-    return 2 * ((have - 2) >> (have_bits - bits))
+        have = _pi_cache[work] = (16 * _arctan_inv(5, one) - 4 * _arctan_inv(239, one)) >> 64
+    return 2 * ((have - 2) >> (work - bits))
 
 
 def _homogeneous(p: tuple, t: int, bits: int) -> int:

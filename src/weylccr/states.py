@@ -95,10 +95,11 @@ class Bloch(StateModel):
     Determined by a quasi-momentum ``kappa`` (rational coordinates in [0,1))
     and the finitely supported Fourier data ``fhat`` of a unit vector on the
     torus; the rank-one projection of the abstract description is recovered as
-    the span of that vector.
+    the span of that vector.  The closed form's inputs, kappa as exact
+    scalars and fhat as a dict, are built once, at construction.
     """
 
-    __slots__ = ("kappa", "fhat")
+    __slots__ = ("kappa", "fhat", "_kappa_exact", "_fhat_dict")
 
     def __init__(self, kappa, fhat: Mapping[tuple, complex]):
         kappa = tuple(Fraction(k) for k in kappa)
@@ -116,8 +117,11 @@ class Bloch(StateModel):
                 norm_sq += abs(val) ** 2
         if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
             raise NotAState(f"fhat is not l2-normalized: |f|^2 = {norm_sq!r}")
+        fhat = tuple(sorted(items, key=lambda kv: kv[0]))
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "fhat", tuple(sorted(items, key=lambda kv: kv[0])))
+        object.__setattr__(self, "fhat", fhat)
+        object.__setattr__(self, "_kappa_exact", vector(kappa))
+        object.__setattr__(self, "_fhat_dict", dict(fhat))
 
     def __setattr__(self, *_):
         raise AttributeError("Bloch is immutable")
@@ -139,7 +143,7 @@ class Bloch(StateModel):
         return hash((self.kappa, self.fhat))
 
     def monomial_value(self, frame, m):
-        return bloch_monomial_value(self.kappa, self.fhat_map, m)
+        return bloch_monomial_value(self._kappa_exact, self._fhat_dict, m)
 
     def __repr__(self):
         return f"Bloch(kappa={self.kappa}, support={[i for i, _ in self.fhat]})"
@@ -196,13 +200,15 @@ class Zak(StateModel):
         return PhaseAngle.from_turns(turns).to_complex()
 
 
+_HALF = ExactScalar.rational(1, 2)
+
+
 @dataclass(frozen=True)
 class Fock(StateModel):
     """The regular Gaussian ground state."""
 
     def monomial_value(self, frame, m):
-        half = ExactScalar.rational(1, 2)
-        phase = PhaseAngle.from_turns(half * vdot(m.a, m.b))
+        phase = PhaseAngle.from_turns(_HALF * vdot(m.a, m.b))
         width = frame.momentum_norm_sq(m.a) + frame.position_norm_sq(m.b)
         return phase.to_complex() * math.exp(-width.evaluate() / 4.0)
 

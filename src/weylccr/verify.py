@@ -42,7 +42,7 @@ from .algebra import (
     tracial_inner_product,
     weyl_generator_parts,
 )
-from .characters import PadicCharacter, padic_fraction
+from .characters import ContinuousCharacter, PadicCharacter, padic_fraction
 from .gns import (
     FourierWindow,
     bloch_vector_state,
@@ -433,12 +433,28 @@ def suite_ergodic(config: RunConfig) -> list:
 # ---------------------------------------------------------------- state suite
 
 
+def _rational_frame(frame) -> bool:
+    """True when the basis is rational, so that rational coordinates have the
+    rational ambient positions the p-adic character needs."""
+    return all(e.is_rational() for row in frame.E for e in row)
+
+
+def _bohr(frame):
+    """The Bohr state of the state suite, with its zoo name: on a frame whose
+    basis contains tau a fixed continuous character stands in for the p-adic
+    one."""
+    d = frame.d
+    if _rational_frame(frame):
+        return "bohr_padic", BohrState(PadicCharacter((3,) * d))
+    return "bohr_continuous", BohrState(ContinuousCharacter((Fraction(1, 3),) * d))
+
+
 def _family_zoo(rng, frame):
     """One instance per family, plus a three-component mixture."""
     d = frame.d
     zoo = [
         ("plane_wave", PlaneWave(rand_coords(rng, d))),
-        ("bohr_padic", BohrState(PadicCharacter((3,) * d))),
+        _bohr(frame),
         ("bloch", Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d))),
         ("zak", Zak(rand_kappa(rng, d), rand_kappa(rng, d))),
         ("fock", Fock()),
@@ -463,10 +479,10 @@ def suite_states(config: RunConfig) -> list:
     rng = config.rng("states.vanishing")
     failures = 0
     witness = ""
+    _, bs = _bohr(frame)
     for _ in range(200):
         m = rand_monomial(rng, d)
         pw = PlaneWave(rand_coords(rng, d))
-        bs = BohrState(PadicCharacter((3,) * d))
         bl = Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d))
         zk = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
         if not is_zero_vector(m.a):
@@ -485,7 +501,7 @@ def suite_states(config: RunConfig) -> list:
     rng = config.rng("states.invariance")
     samples = [rand_element(rng, frame, 5) for _ in range(100)]
     pw = PlaneWave(rand_coords(rng, d))
-    bs = BohrState(PadicCharacter((3,) * d))
+    _, bs = _bohr(frame)
     worst = 0.0
     for s in (pw, bs):
         for spec in (SpaceTranslation(rand_coords(rng, d)), FreeDynamics(rand_fraction(rng))):
@@ -573,13 +589,13 @@ def suite_states(config: RunConfig) -> list:
             failures += 1
     checks.append(_counted("states.padic_character_multiplicative_exact", failures))
 
-    char = PadicCharacter((3,) * d)
-    s = BohrState(char)
+    s = BohrState(PadicCharacter((3,) * d))
     target = cmath.exp(2j * math.pi * Fraction(2, 3))
     devs = []
+    padic_frame = frame if _rational_frame(frame) else Frame.standard(d)
     for n in range(51):
         b = Fraction(-1, 3 * (3 * n + 2))
-        x = Element.v(frame, [b] + [0] * (d - 1))
+        x = Element.v(padic_frame, [b] + [0] * (d - 1))
         devs.append((abs(s.evaluate(x) - target), f"n={n}"))
     worst, probe = _worst(devs)
     gap = abs(abs(target - 1.0) - math.sqrt(3.0))

@@ -234,6 +234,33 @@ class TestKeyedMonomials:
         assert cancelled._key == mk._key and cancelled == mk
 
     @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(coord_pairs(d), st.integers(0, d - 1))),
+           tau_coords, st.integers(2, 6))
+    def test_tau_monomial_has_one_hash_whatever_the_route(self, drawn, t, k):
+        """A tau monomial is hashed on first use, to the same value from every
+        route that builds it."""
+        (a, b), i = drawn
+        d = len(a)
+        b = b[:i] + (t,) + b[i + 1:]
+        m = Monomial(a, b)
+        assert m._key is None and m._hash is None
+        unreduced_t = ExactScalar(tuple(c * k for c in t.num), (k,))
+        one = Monomial.identity(d)
+        routes = [
+            Monomial(vector(a), b[:i] + (unreduced_t,) + b[i + 1:]),
+            monomial_product(m, one)[1],
+            monomial_product(one, m)[1],
+            monomial_adjoint(monomial_adjoint(m)[1])[1],
+            pickle.loads(pickle.dumps(m)),
+        ]
+        h = hash(m)
+        assert h == hash((m.a, m.b)) == hash(m)
+        routes.append(pickle.loads(pickle.dumps(m)))  # pickled after hashing
+        for r in routes:
+            assert r == m and m == r
+            assert hash(r) == h
+
+    @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(coord_pairs(2), coord_pairs(2)), min_size=1, max_size=4),
            tau_coords)
     def test_identity_and_ergodic_means_read_the_key(self, pairs, t):

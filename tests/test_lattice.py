@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from weylccr import (
     Frame,
@@ -29,9 +30,12 @@ from weylccr.lattice import (
     mat_mul,
     mat_scale,
     mat_transpose,
+    mat_vec,
     matrix,
+    vdot,
     vector,
 )
+from weylccr.scalars import ExactScalar
 from weylccr.verify import rand_coords, rand_fraction
 from conftest import seeded
 
@@ -193,6 +197,59 @@ class TestIntegerVector:
         assert integer_vector(vector([1, TAU * 2 + 1])) is None
         assert integer_vector(vector([(TAU + 1) / (TAU + 2), 0])) is None
         assert integer_vector(vector([2 / (TAU + 1)])) is None
+
+
+small = st.integers(-4, 4)
+# c0 + c1 tau, tau with a nonzero coefficient, over a denominator in 1..3
+tau_linear = st.tuples(small, small.filter(bool), st.integers(1, 3)).map(
+    lambda t: ExactScalar((Fraction(t[0], t[2]), Fraction(t[1], t[2]))))
+frame_entries = st.one_of(small.map(scalar), tau_linear)
+# a rational, a polynomial or a rational function of tau
+qtau = st.one_of(
+    st.fractions(-6, 6, max_denominator=5).map(scalar),
+    tau_linear,
+    st.tuples(tau_linear, tau_linear).map(lambda t: t[0] / t[1]),
+    st.tuples(small, tau_linear).map(lambda t: t[0] / (t[1] * t[1])))
+
+
+@st.composite
+def tau_frames_and_vectors(draw):
+    """A frame with at least one tau entry (d = 1..3) and two Q(tau) vectors."""
+    d = draw(st.integers(1, 3))
+    rows = [list(draw(st.lists(frame_entries, min_size=d, max_size=d))) for _ in range(d)]
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    rows[i][j] = draw(tau_linear)
+    try:
+        frame = Frame.from_basis(rows)
+    except SingularFrame:
+        assume(False)
+    vec = st.lists(qtau, min_size=d, max_size=d).map(tuple)
+    return frame, draw(vec), draw(vec)
+
+
+def fields(x):
+    return x._p, x._c, x._q
+
+
+class TestFrameNorms:
+    @settings(max_examples=30, deadline=None)
+    @given(tau_frames_and_vectors())
+    def test_ambient_norms_equal_gram_forms(self, drawn):
+        """|E b|^2 and |F a|^2 are b . (E^T E) b and a . (F^T F) a, field for
+        field, on frames with tau entries and Q(tau) coordinates."""
+        frame, a, b = drawn
+        E, F = frame.E, frame.F
+        pos = vdot(b, mat_vec(mat_mul(mat_transpose(E), E), b))
+        mom = vdot(a, mat_vec(mat_mul(mat_transpose(F), F), a))
+        assert fields(frame.position_norm_sq(b)) == fields(pos)
+        assert fields(frame.momentum_norm_sq(a)) == fields(mom)
+
+    def test_norms_reject_mismatched_dimensions(self):
+        frame = Frame.from_basis([[TAU, 0], [1, TAU]])
+        with pytest.raises(DimensionMismatch):
+            frame.position_norm_sq(vector([1]))
+        with pytest.raises(DimensionMismatch):
+            frame.momentum_norm_sq(vector([1, 2, 3]))
 
 
 class TestDualLattice:

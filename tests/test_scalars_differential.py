@@ -19,7 +19,16 @@ from sympy import QQ, symbols
 from weylccr import Element, ExactScalar, Frame, Monomial, PhaseAngle, TAU
 from weylccr.errors import DimensionMismatch, PhasePrecisionError, WeylError
 from weylccr.lattice import vdot
-from weylccr.scalars import MAX_PHASE_BITS, _canonical, _zadd, _zmul
+from weylccr import scalars
+from weylccr.scalars import (
+    MAX_PHASE_BITS,
+    _canonical,
+    _tau_floor,
+    _zadd,
+    _zgcd,
+    _zgcd_prs,
+    _zmul,
+)
 
 K = QQ.frac_field(symbols("tau"))
 T = K.gens[0]
@@ -260,6 +269,71 @@ def test_rational_and_polynomial_operands_match_sympy(xy):
     check_field_operations(y, x, b, a)
 
 
+def tau_power(k) -> list:
+    return [Fraction(0)] * k + [Fraction(1)]
+
+
+@st.composite
+def tau_power_pairs(draw):
+    """x = tau^i a s / (tau^j h r) and a polynomial y = tau^l c b, with h
+    prime to tau: numerators and denominators share powers of tau, and y may
+    share the factor h or r with the denominator of x."""
+    i, j, l = (draw(st.integers(0, 3)) for _ in range(3))
+    h = draw(factors.filter(lambda p: p[0] != 0))
+    r, s, a, b = (draw(cofactors) for _ in range(4))
+    x = twin(product(tau_power(i), a, s), product(tau_power(j), h, r))
+    shared = draw(st.sampled_from([[Fraction(1)], h, r]))
+    y = twin(product(tau_power(l), [Fraction(draw(nonzero_ints), draw(st.integers(1, 6)))],
+                     shared, b), [1])
+    return x, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau_power_pairs())
+def test_squares_and_polynomial_sums_match_sympy(xy):
+    """x * x takes no gcd and x + y, y a polynomial, no polynomial gcd: both
+    match sympy and the full-gcd canonical form."""
+    (x, a), (y, b) = xy
+    check_field_operations(x, y, a, b)
+    check_field_operations(y, x, b, a)
+    for v, w in ((x, a), (y, b), (x + y, a + b), (x * y, a * b)):
+        sq = v * v
+        assert canonical(sq) == sympy_canonical(w * w)
+        want = full_gcd_reference(operator.mul, v, v)
+        assert (sq._p, sq._c, sq._q) == (want._p, want._c, want._q)
+
+
+def int_poly(draw, k) -> tuple:
+    """tau^k times an integer polynomial with a nonzero constant term."""
+    coeffs = [draw(nonzero_ints)] + draw(st.lists(st.integers(-6, 6), max_size=3))
+    while not coeffs[-1]:
+        coeffs.pop()
+    return (0,) * k + tuple(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gcd_splits_off_shared_tau_powers(data):
+    """_zgcd equals the primitive gcd of sympy and of the pseudo-remainder
+    sequence on the whole operands, with c * tau^k operands and common
+    factors; a scalar built from such operands is reduced as sympy reduces."""
+    draw = data.draw
+    common = int_poly(draw, draw(st.integers(0, 2)))
+    p = _zmul(int_poly(draw, draw(st.integers(0, 3))), common)
+    q = _zmul(int_poly(draw, draw(st.integers(0, 3))), common)
+    if draw(st.booleans()):  # an operand c * tau^k
+        q = (0,) * draw(st.integers(0, 4)) + (draw(nonzero_ints),)
+    g = _zgcd(p, q)
+    ring = K.field.ring
+    want = ring.from_list(list(reversed(p))).gcd(ring.from_list(list(reversed(q))))
+    want = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(want.to_dense())]
+    assert [Fraction(c, g[-1]) for c in g] == [c / want[-1] for c in want]
+    assert g == _zgcd_prs(p, q) and g == _zgcd(q, p)
+    assert math.gcd(*g) == 1 and g[-1] > 0
+    x = _canonical(p, q)
+    assert canonical(x) == sympy_canonical(poly_to_sympy(list(p)) / poly_to_sympy(list(q)))
+
+
 # -- integer-turn angles and the pairing kernel ------------------------------
 
 
@@ -370,6 +444,22 @@ def test_whole_turns_of_a_large_angle_are_exact():
     b = PhaseAngle(TAU * TAU * c + TAU * (Fraction(1, 3) + 10**40))
     assert a.is_same_rotation(b)
     assert a.to_complex() == b.to_complex()
+
+
+def test_tau_bracket_depends_on_bits_alone(monkeypatch):
+    """T < tau * 2**bits < T + 10, and T is the same with a fresh pi cache
+    and after a more precise request."""
+    monkeypatch.setattr(scalars, "_pi_cache", {})
+    bits = range(60, 3001)
+    fresh = [_tau_floor(n) for n in bits]
+    _tau_floor(9000)
+    assert [_tau_floor(n) for n in reversed(bits)] == fresh[::-1]
+    top = 3100
+    with mpmath.workprec(top + 64):
+        exact = int(mpmath.floor(2 * mpmath.pi * mpmath.mpf(2) ** top))
+    for n, t in zip(bits, fresh):
+        floor = exact >> (top - n)  # floor(tau * 2**n), tau being irrational
+        assert t <= floor < t + 10
 
 
 def test_angle_past_the_precision_bound_raises_typed_error():

@@ -111,6 +111,30 @@ class TestEvaluation:
         want = 0.5 + 0.5 * cmath.exp(-1j * math.pi)
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_bloch_inputs_built_once_give_the_same_values(self):
+        """The state's prebuilt kappa and fhat give the closed form bit for
+        bit, and the mapping handed out by fhat_map is a copy."""
+        rng = seeded("bloch-prebuilt")
+        for d, frame in ((1, FTAU), (2, Frame.from_basis([[TAU + 1, Fraction(1, 3)],
+                                                          [0, TAU]]))):
+            kappa = tuple(Fraction(rng.randint(0, 10), 11) for _ in range(d))
+            fhat = rand_normalized_fhat(rng, d)
+            bl = Bloch(kappa, fhat)
+            probes = [rand_monomial(rng, d) for _ in range(20)]
+            probes += [Monomial(vector([rng.randint(-2, 2) for _ in range(d)]),
+                                vector([TAU * Fraction(1, 7)] + [Fraction(1, 3)] * (d - 1)))
+                       for _ in range(10)]
+            before = [bl.monomial_value(frame, m) for m in probes]
+            for m, got in zip(probes, before):
+                want = bloch_monomial_value(bl.kappa, dict(bl.fhat), m)
+                assert (got.real, got.imag) == (want.real, want.imag)
+            handed_out = bl.fhat_map
+            for n in list(handed_out):
+                handed_out[n] = 0j
+            handed_out[(9,) * d] = 1.0
+            assert bl.fhat_map == dict(bl.fhat) != handed_out
+            assert [bl.monomial_value(frame, m) for m in probes] == before
+
     def test_zak_lattice_values(self):
         zk = Zak([Fraction(0)], [Fraction(0)])
         assert zk.monomial_value(F1, mono([1], [1])) == 1.0 + 0j
