@@ -17,10 +17,9 @@ the exact Q(tau) vector operations and ``PhaseAngle.from_dot``.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, pi, sin
 from numbers import Rational
 from operator import add, mul, neg
 from types import MappingProxyType
@@ -387,6 +386,9 @@ class SpaceTranslation:
     def __post_init__(self):
         object.__setattr__(self, "lam", vector(self.lam))
 
+    def act(self, frame: Frame, m: Monomial):
+        return PhaseAngle.from_dot(m.a, self.lam, -1), m, False
+
 
 @dataclass(frozen=True)
 class MomentumTranslation:
@@ -396,6 +398,9 @@ class MomentumTranslation:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", vector(self.mu))
+
+    def act(self, frame: Frame, m: Monomial):
+        return PhaseAngle.from_dot(self.mu, m.b), m, False
 
 
 @dataclass(frozen=True)
@@ -413,10 +418,20 @@ class FreeDynamics:
             raise TypeError("free-dynamics time must be rational")
         object.__setattr__(self, "t", Fraction(self.t))
 
+    def act(self, frame: Frame, m: Monomial):
+        t = self.t
+        norm_sq = frame.momentum_norm_sq(m.a)
+        phase = PhaseAngle(ExactScalar.rational(t.numerator, 2 * t.denominator) * norm_sq)
+        shift = vscale(t, mat_vec(frame.shear, m.a))
+        return phase, Monomial(m.a, vsub(m.b, shift)), False
+
 
 @dataclass(frozen=True)
 class TimeReversal:
     """The antilinear multiplicative involution u_alpha -> u_{-alpha}, v_beta -> v_beta."""
+
+    def act(self, frame: Frame, m: Monomial):
+        return PhaseAngle.zero(), Monomial(vneg(m.a), m.b), True
 
 
 AutomorphismSpec = Union[SpaceTranslation, MomentumTranslation, FreeDynamics, TimeReversal]
@@ -424,24 +439,12 @@ AutomorphismSpec = Union[SpaceTranslation, MomentumTranslation, FreeDynamics, Ti
 
 def automorphism_action(spec: AutomorphismSpec, frame: Frame,
                         m: Monomial) -> tuple[PhaseAngle, Monomial, bool]:
-    """Per-monomial action of an automorphism.
+    """Per-monomial action of an automorphism, ``spec.act(frame, m)``.
 
     Returns the exact phase picked up, the image monomial, and whether the
     coefficient must additionally be conjugated (time reversal only).
     """
-    if isinstance(spec, SpaceTranslation):
-        return PhaseAngle.from_dot(m.a, spec.lam, -1), m, False
-    if isinstance(spec, MomentumTranslation):
-        return PhaseAngle.from_dot(spec.mu, m.b), m, False
-    if isinstance(spec, FreeDynamics):
-        t = spec.t
-        norm_sq = frame.momentum_norm_sq(m.a)
-        phase = PhaseAngle(ExactScalar.rational(t.numerator, 2 * t.denominator) * norm_sq)
-        shift = vscale(t, mat_vec(frame.shear, m.a))
-        return phase, Monomial(m.a, vsub(m.b, shift)), False
-    if isinstance(spec, TimeReversal):
-        return PhaseAngle.zero(), Monomial(vneg(m.a), m.b), True
-    raise TypeError(f"unknown automorphism spec {spec!r}")
+    return spec.act(frame, m)
 
 
 def apply_automorphism(spec: AutomorphismSpec, x: Element) -> Element:
@@ -507,8 +510,8 @@ def ergodic_mean_zak(x: Element) -> Element:
 def numeric_box_average(x: Element, L: float, samples_per_dim: int) -> Element:
     """Midpoint-rule approximation of the translation average over [-L, L]^d.
 
-    Each coefficient is multiplied by the product quadrature of
-    e^{-i alpha . lambda}; terms with a = 0 are reproduced exactly.
+    Each coefficient is multiplied by the product over coordinates of the
+    midpoint mean of e^{-i alpha lambda}; terms with a = 0 are reproduced exactly.
     """
     if L <= 0:
         raise ValueError("box size must be positive")
@@ -516,20 +519,22 @@ def numeric_box_average(x: Element, L: float, samples_per_dim: int) -> Element:
         raise ValueError("need at least two samples per dimension")
     out: dict[Monomial, complex] = {}
     n = samples_per_dim
-    step = 2.0 * L / n
     for m, c in x.terms.items():
-        alpha = [comp.evaluate() for comp in x.frame.to_ambient_momentum(m.a)]
-        mult = 1.0 + 0.0j
-        for comp in alpha:
-            if comp == 0.0:
-                continue
-            acc = 0.0j
-            for k in range(n):
-                lam = -L + (k + 0.5) * step
-                acc += cmath.exp(-1j * comp * lam)
-            mult *= acc / n
+        mult = 1.0
+        for comp in x.frame.to_ambient_momentum(m.a):
+            mult *= _midpoint_mean(comp.evaluate() * L / n, n)
         out[m] = out.get(m, 0j) + c * mult
     return Element(x.frame, out)
+
+
+def _midpoint_mean(x: float, n: int) -> float:
+    """Mean of e^{-i alpha lambda} over the n midpoints of [-L, L], x = alpha L / n:
+    the real Dirichlet kernel sin(n x) / (n sin x).  For x = j pi + r it equals
+    s sin(n r) / (n sin r) with s = (-1)^(j (n - 1)), and s at r = 0 (the 0/0 case)."""
+    j = round(x / pi)
+    r = x - j * pi
+    sign = -1.0 if j * (n - 1) % 2 else 1.0
+    return sign if r == 0.0 else sign * sin(n * r) / (n * sin(r))
 
 
 def trace_coefficient(x: Element, m: Monomial) -> complex:

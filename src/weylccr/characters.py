@@ -3,17 +3,20 @@
 Two computable families are provided: continuous characters labelled by an
 ambient momentum vector, and discontinuous characters built from the p-adic
 fractional part of rational coordinates.  Finite pointwise products of these
-cover every character this package can evaluate exactly.
+cover every character this package can evaluate exactly.  Each character
+gives its exact phase at an ambient position (``angle``) and its total
+momentum (``momentum``), which is None when a p-adic factor is present.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Union
 
 from .errors import DimensionMismatch, NotDecomposable
-from .lattice import Vector, vdot, vector, zero_vector
+from .lattice import Vector, vadd, vdot, vector, zero_vector
 from .scalars import PhaseAngle
 
 
@@ -50,6 +53,14 @@ class ContinuousCharacter:
     def dim(self) -> int:
         return len(self.p)
 
+    def angle(self, beta: Vector) -> PhaseAngle:
+        if len(self.p) != len(beta):
+            raise DimensionMismatch("character momentum and position lengths differ")
+        return PhaseAngle(vdot(self.p, beta))
+
+    def momentum(self, d: int) -> Vector:
+        return self.p
+
 
 @dataclass(frozen=True)
 class PadicCharacter:
@@ -71,6 +82,19 @@ class PadicCharacter:
     def dim(self) -> int:
         return len(self.primes)
 
+    def angle(self, beta: Vector) -> PhaseAngle:
+        if len(self.primes) != len(beta):
+            raise DimensionMismatch("one prime per coordinate is required")
+        total = Fraction(0)
+        for comp, p in zip(beta, self.primes):
+            if not comp.is_rational():
+                raise NotDecomposable(f"coordinate {comp} is not a plain rational")
+            total += padic_fraction(comp.as_fraction(), p)
+        return PhaseAngle.from_turns(total)
+
+    def momentum(self, d: int) -> None:
+        return None
+
 
 @dataclass(frozen=True)
 class ProductCharacter:
@@ -85,6 +109,13 @@ class ProductCharacter:
     def dim(self) -> int:
         return self.factors[0].dim
 
+    def angle(self, beta: Vector) -> PhaseAngle:
+        return sum((character_eval(f, beta) for f in self.factors), PhaseAngle.zero())
+
+    def momentum(self, d: int) -> Vector | None:
+        momenta = [factor.momentum(d) for factor in self.factors]
+        return None if None in momenta else reduce(vadd, momenta, zero_vector(d))
+
 
 BohrCharacter = Union[ContinuousCharacter, PadicCharacter, ProductCharacter]
 
@@ -95,26 +126,7 @@ def character_eval(char: BohrCharacter, beta) -> PhaseAngle:
     The p-adic family needs plain rational coordinates and raises
     NotDecomposable on tau-dependent input.
     """
-    beta = vector(beta)
-    if isinstance(char, ContinuousCharacter):
-        if len(char.p) != len(beta):
-            raise DimensionMismatch("character momentum and position lengths differ")
-        return PhaseAngle(vdot(char.p, beta))
-    if isinstance(char, PadicCharacter):
-        if len(char.primes) != len(beta):
-            raise DimensionMismatch("one prime per coordinate is required")
-        total = Fraction(0)
-        for comp, p in zip(beta, char.primes):
-            if not comp.is_rational():
-                raise NotDecomposable(f"coordinate {comp} is not a plain rational")
-            total += padic_fraction(comp.as_fraction(), p)
-        return PhaseAngle.from_turns(total)
-    if isinstance(char, ProductCharacter):
-        angle = PhaseAngle.zero()
-        for factor in char.factors:
-            angle = angle + character_eval(factor, beta)
-        return angle
-    raise TypeError(f"unknown character {char!r}")
+    return char.angle(vector(beta))
 
 
 def character_value(char: BohrCharacter, beta) -> complex:
@@ -125,25 +137,9 @@ def character_is_trivial(char: BohrCharacter, d: int) -> bool:
     """Exact triviality test used by the time-reversal classifier.
 
     A finite product of the families above is the trivial character exactly
-    when it has no p-adic factor and the continuous momenta sum to zero: any
-    p-adic factor is nontrivial on denominators divisible by its prime, and no
-    continuous factor can cancel it at every such point.
+    when it has no p-adic factor (``momentum`` is not None) and its momentum is
+    zero: any p-adic factor is nontrivial on denominators divisible by its
+    prime, and no continuous factor can cancel it at every such point.
     """
-    total, padic_present = _collect(char, d)
-    return not padic_present and all(c.is_zero() for c in total)
-
-
-def _collect(char: BohrCharacter, d: int):
-    if isinstance(char, ContinuousCharacter):
-        return char.p, False
-    if isinstance(char, PadicCharacter):
-        return zero_vector(d), True
-    if isinstance(char, ProductCharacter):
-        total = zero_vector(d)
-        padic = False
-        for factor in char.factors:
-            p, has = _collect(factor, d)
-            total = tuple(a + b for a, b in zip(total, p))
-            padic = padic or has
-        return total, padic
-    raise TypeError(f"unknown character {char!r}")
+    p = char.momentum(d)
+    return p is not None and all(c.is_zero() for c in p)

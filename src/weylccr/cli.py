@@ -21,7 +21,7 @@ from .serialization import (
     frame_from_json,
     state_from_json,
 )
-from .states import path_sample, weak_star_distance
+from .states import PATH_KINDS, path_sample, weak_star_distance
 from .verify import SUITES, RunConfig, path_probes, run_suite
 
 
@@ -149,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("path-demo", help="sample a state path and report weak-* steps")
-    p.add_argument("--kind", required=True,
-                   choices=("plane_wave_line", "bloch_slerp", "zak_line"))
+    p.add_argument("--kind", required=True, choices=PATH_KINDS)
     p.add_argument("--endpoints", required=True,
                    help="JSON file with 'start' and 'end' states")
     p.add_argument("--grid", type=int, default=16)
@@ -165,10 +164,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WeylError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (WeylError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

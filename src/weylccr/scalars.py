@@ -795,9 +795,6 @@ class PhaseAngle:
         p = diff._p
         return not p or (diff._q is _Q1 and diff._c == 1 and len(p) == 2 and not p[0])
 
-    def is_zero_rotation(self) -> bool:
-        return self.is_same_rotation(_ZERO_ANGLE)
-
     def radians(self) -> float:
         return self.value.evaluate()
 

@@ -4,10 +4,12 @@ Rationals travel as "p/q" strings; an exact scalar maps tau-powers to such
 strings for the numerator and denominator; monomial coordinates are plain
 rational strings whenever possible and fall back to the scalar object form
 for tau-dependent values (these arise e.g. after the free dynamics).
+Every decoder raises a WeylError on malformed input.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -31,6 +33,19 @@ from .states import (
     Tracial,
     Zak,
 )
+
+
+def _decoder(decode):
+    """``decode``, with the errors Python raises on malformed input (a wrong
+    type, a missing key, a bad number) turned into a WeylError."""
+    @functools.wraps(decode)
+    def checked(*args, **kwargs):
+        try:
+            return decode(*args, **kwargs)
+        except (TypeError, ValueError, LookupError, ArithmeticError) as exc:
+            kind = decode.__name__.removesuffix("_from_json")
+            raise WeylError(f"malformed {kind} JSON: {exc!r}") from exc
+    return checked
 
 
 def fraction_to_str(f) -> str:
@@ -76,6 +91,7 @@ def frame_to_json(frame: Frame) -> dict:
     return {"d": frame.d, "E": [[scalar_to_json(e) for e in row] for row in frame.E]}
 
 
+@_decoder
 def frame_from_json(obj) -> Frame:
     rows = [[scalar_from_json(e) for e in row] for row in obj["E"]]
     frame = Frame.from_basis(rows)
@@ -100,6 +116,7 @@ def element_to_json(x: Element) -> dict:
     return {"frame": frame_to_json(x.frame), "terms": terms}
 
 
+@_decoder
 def element_from_json(obj, frame: Frame | None = None) -> Element:
     if frame is None:
         frame = frame_from_json(obj["frame"])
@@ -122,6 +139,7 @@ def character_to_json(char: BohrCharacter) -> dict:
     raise WeylError(f"cannot encode character {char!r}")
 
 
+@_decoder
 def character_from_json(obj) -> BohrCharacter:
     kind = obj["kind"]
     if kind == "continuous":
@@ -160,6 +178,7 @@ def state_to_json(state: StateModel) -> dict:
     raise WeylError(f"cannot encode state {state!r}")
 
 
+@_decoder
 def state_from_json(obj) -> StateModel:
     family = obj["family"]
     if family == "plane_wave":

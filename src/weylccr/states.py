@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import (
     Element,
     Monomial,
-    apply_automorphism,
+    apply_automorphisms,
     monomial_adjoint,
     monomial_product,
 )
@@ -43,11 +43,21 @@ from .scalars import ExactScalar, PhaseAngle
 NORMALIZATION_TOL = 1e-12
 
 
+@dataclass(frozen=True)
+class TimeReversalVerdict:
+    is_tri: bool
+    certificate: str
+
+
 class StateModel:
-    """Base class: a state evaluates elements linearly over their terms."""
+    """Base class: a state evaluates elements linearly over their terms; a
+    family with a closed-form time-reversal criterion overrides ``time_reversal``."""
 
     def monomial_value(self, frame: Frame, m: Monomial) -> complex:
         raise NotImplementedError
+
+    def time_reversal(self) -> TimeReversalVerdict:
+        raise Unsupported(f"no time-reversal criterion for {type(self).__name__}")
 
     def evaluate(self, x: Element) -> complex:
         total = 0j
@@ -75,6 +85,10 @@ class PlaneWave(StateModel):
         beta = frame.to_ambient_position(m.b)
         return PhaseAngle(-vdot(self.p, beta)).to_complex()
 
+    def time_reversal(self):
+        tri = is_zero_vector(self.p)
+        return TimeReversalVerdict(tri, "p = 0" if tri else "p != 0")
+
 
 @dataclass(frozen=True)
 class BohrState(StateModel):
@@ -88,26 +102,33 @@ class BohrState(StateModel):
         beta = frame.to_ambient_position(m.b)
         return (-character_eval(self.char, beta)).to_complex()
 
+    def time_reversal(self):
+        tri = character_is_trivial(self.char, self.char.dim)
+        return TimeReversalVerdict(tri, "trivial character" if tri else "nontrivial character")
 
+
+@dataclass(frozen=True)
 class Bloch(StateModel):
     """Pure lattice-invariant position-regular state.
 
     Determined by a quasi-momentum ``kappa`` (rational coordinates in [0,1))
     and the finitely supported Fourier data ``fhat`` of a unit vector on the
-    torus; the rank-one projection of the abstract description is recovered as
-    the span of that vector.  The closed form's inputs, kappa as exact
-    scalars and fhat as a dict, are built once, at construction.
+    torus, stored as the sorted (index, value) pairs of its support; the
+    rank-one projection of the abstract description is recovered as the span
+    of that vector.  The closed form's inputs, kappa as exact scalars and
+    fhat as a dict, are built once, at construction.
     """
 
-    __slots__ = ("kappa", "fhat", "_kappa_exact", "_fhat_dict")
+    kappa: tuple
+    fhat: tuple
 
-    def __init__(self, kappa, fhat: Mapping[tuple, complex]):
-        kappa = tuple(Fraction(k) for k in kappa)
+    def __post_init__(self):
+        kappa = tuple(Fraction(k) for k in self.kappa)
         if any(not (0 <= k < 1) for k in kappa):
             raise NotAState("quasi-momentum coordinates must lie in [0, 1)")
         items = []
         norm_sq = 0.0
-        for idx, val in fhat.items():
+        for idx, val in self.fhat.items():
             idx = tuple(int(i) for i in idx)
             if len(idx) != len(kappa):
                 raise NotAState("fhat index dimension differs from kappa")
@@ -115,16 +136,13 @@ class Bloch(StateModel):
             if val != 0:
                 items.append((idx, val))
                 norm_sq += abs(val) ** 2
-        if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise NotAState(f"fhat is not l2-normalized: |f|^2 = {norm_sq!r}")
         fhat = tuple(sorted(items, key=lambda kv: kv[0]))
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "fhat", fhat)
         object.__setattr__(self, "_kappa_exact", vector(kappa))
         object.__setattr__(self, "_fhat_dict", dict(fhat))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Bloch is immutable")
 
     @property
     def d(self):
@@ -134,16 +152,31 @@ class Bloch(StateModel):
     def fhat_map(self) -> dict:
         return dict(self.fhat)
 
-    def __eq__(self, other):
-        if not isinstance(other, Bloch):
-            return NotImplemented
-        return self.kappa == other.kappa and self.fhat == other.fhat
-
-    def __hash__(self):
-        return hash((self.kappa, self.fhat))
-
     def monomial_value(self, frame, m):
         return bloch_monomial_value(self._kappa_exact, self._fhat_dict, m)
+
+    def time_reversal(self, tol: float = 1e-10):
+        two_kappa = [2 * k for k in self.kappa]
+        if any(t.denominator != 1 for t in two_kappa):
+            return TimeReversalVerdict(False, "2*kappa is not a dual-lattice point")
+        shift = tuple(int(t) for t in two_kappa)
+        f = self._fhat_dict
+        support = set()
+        for n in f:
+            support.add(tuple(-c for c in n))                       # conj(f(-n))
+            support.add(tuple(c + s for c, s in zip(n, shift)))     # f(n - 2k) support
+        g1 = {n: f.get(tuple(-c for c in n), 0j).conjugate() for n in support}
+        g2 = {n: f.get(tuple(c - s for c, s in zip(n, shift)), 0j) for n in support}
+        inner = sum(g2[n].conjugate() * g1[n] for n in support)
+        if abs(abs(inner) - 1.0) > tol:
+            return TimeReversalVerdict(
+                False, "conjugated and shifted vectors are not parallel "
+                f"(|<.,.>| = {abs(inner):.3g})")
+        residual = max(abs(g1[n] - inner * g2[n]) for n in support)
+        if residual > tol:
+            return TimeReversalVerdict(False, f"parallelism residual {residual:.3g}")
+        return TimeReversalVerdict(
+            True, "conj(fhat(-n)) is a unit multiple of fhat(n - 2 kappa)")
 
     def __repr__(self):
         return f"Bloch(kappa={self.kappa}, support={[i for i, _ in self.fhat]})"
@@ -199,6 +232,11 @@ class Zak(StateModel):
         )
         return PhaseAngle.from_turns(turns).to_complex()
 
+    def time_reversal(self):
+        tri = all(k in (Fraction(0), Fraction(1, 2)) for k in self.kappa)
+        return TimeReversalVerdict(tri, "kappa is a reflection fixed point" if tri
+                                   else f"kappa = {self.kappa} is not fixed by reflection")
+
 
 _HALF = ExactScalar.rational(1, 2)
 
@@ -221,17 +259,18 @@ class Tracial(StateModel):
         return 1.0 + 0j if m.is_identity() else 0j
 
 
+@dataclass(frozen=True, eq=False)
 class Mixture(StateModel):
-    """Finite convex combination of states."""
+    """Finite convex combination of states, given as (weight, state) pairs."""
 
-    __slots__ = ("components",)
+    components: tuple
 
-    def __init__(self, components: Sequence[tuple]):
+    def __post_init__(self):
         comps = []
         total = 0.0
-        for w, s in components:
+        for w, s in self.components:
             w = float(w)
-            if w <= 0:
+            if not w > 0:  # NaN fails too
                 raise NotAState("mixture weights must be positive")
             if not isinstance(s, StateModel):
                 raise NotAState("mixture components must be states")
@@ -240,9 +279,6 @@ class Mixture(StateModel):
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotAState(f"mixture weights sum to {total!r}")
         object.__setattr__(self, "components", tuple(comps))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Mixture is immutable")
 
     def monomial_value(self, frame, m):
         return sum(w * s.monomial_value(frame, m) for w, s in self.components)
@@ -284,12 +320,6 @@ class CheckResult:
             "worst_value": self.worst_value,
             "worst_probe": self.worst_probe,
         }
-
-
-@dataclass(frozen=True)
-class TimeReversalVerdict:
-    is_tri: bool
-    certificate: str
 
 
 # -- checks --------------------------------------------------------------------
@@ -337,16 +367,9 @@ def invariance_check(state: StateModel, specs, samples: Sequence[Element],
 
     ``specs`` may be a single automorphism or a sequence applied in order.
     """
-    if isinstance(specs, (list, tuple)):
-        chain = tuple(specs)
-    else:
-        chain = (specs,)
-    deviations = []
-    for x in samples:
-        y = x
-        for spec in chain:
-            y = apply_automorphism(spec, y)
-        deviations.append((abs(state.evaluate(y) - state.evaluate(x)), x))
+    chain = tuple(specs) if isinstance(specs, (list, tuple)) else (specs,)
+    deviations = [(abs(state.evaluate(apply_automorphisms(chain, x)) - state.evaluate(x)), x)
+                  for x in samples]
     return _bounded("invariance", deviations, tol)
 
 
@@ -372,43 +395,7 @@ def multiplicativity_check(state: StateModel, frame: Frame,
 
 def time_reversal_classify(state: StateModel) -> TimeReversalVerdict:
     """Decide time-reversal invariance from the family's closed-form criterion."""
-    if isinstance(state, PlaneWave):
-        tri = is_zero_vector(state.p)
-        return TimeReversalVerdict(tri, "p = 0" if tri else "p != 0")
-    if isinstance(state, BohrState):
-        tri = character_is_trivial(state.char, state.char.dim)
-        return TimeReversalVerdict(
-            tri, "trivial character" if tri else "nontrivial character")
-    if isinstance(state, Zak):
-        tri = all(k in (Fraction(0), Fraction(1, 2)) for k in state.kappa)
-        return TimeReversalVerdict(
-            tri, "kappa is a reflection fixed point" if tri
-            else f"kappa = {state.kappa} is not fixed by reflection")
-    if isinstance(state, Bloch):
-        return _classify_bloch(state)
-    raise Unsupported(f"no time-reversal criterion for {type(state).__name__}")
-
-
-def _classify_bloch(state: Bloch, tol: float = 1e-10) -> TimeReversalVerdict:
-    two_kappa = [2 * k for k in state.kappa]
-    if any(t.denominator != 1 for t in two_kappa):
-        return TimeReversalVerdict(False, "2*kappa is not a dual-lattice point")
-    shift = tuple(int(t) for t in two_kappa)
-    f = state.fhat_map
-    support = set()
-    for n in f:
-        support.add(tuple(-c for c in n))                       # conj(f(-n))
-        support.add(tuple(c + s for c, s in zip(n, shift)))     # f(n - 2k) support
-    g1 = {n: f.get(tuple(-c for c in n), 0j).conjugate() for n in support}
-    g2 = {n: f.get(tuple(c - s for c, s in zip(n, shift)), 0j) for n in support}
-    inner = sum(g2[n].conjugate() * g1[n] for n in support)
-    if abs(abs(inner) - 1.0) > tol:
-        return TimeReversalVerdict(
-            False, f"conjugated and shifted vectors are not parallel (|<.,.>| = {abs(inner):.3g})")
-    residual = max(abs(g1[n] - inner * g2[n]) for n in support)
-    if residual > tol:
-        return TimeReversalVerdict(False, f"parallelism residual {residual:.3g}")
-    return TimeReversalVerdict(True, "conj(fhat(-n)) is a unit multiple of fhat(n - 2 kappa)")
+    return state.time_reversal()
 
 
 def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
@@ -443,81 +430,58 @@ def weak_star_distance(s1: StateModel, s2: StateModel,
 # -- path sampling ---------------------------------------------------------------
 
 
-PATH_KINDS = ("plane_wave_line", "bloch_slerp", "zak_line")
-
-
 def path_sample(kind: str, endpoints, grid) -> list:
     """Sample a continuous path between two states of the same family.
 
+    ``PATHS[kind]`` names the family and builds point(t) from the endpoints:
     plane_wave_line interpolates the momentum linearly; zak_line interpolates
     both torus labels; bloch_slerp moves kappa linearly and the Fourier vector
     along a normalized great circle.  Grid values 0 and 1 return the endpoint
     objects themselves.
     """
-    if kind not in PATH_KINDS:
+    if kind not in PATHS:
         raise ValueError(f"unknown path kind {kind!r}")
+    family, path = PATHS[kind]
     s0, s1 = endpoints
     ts = [Fraction(t) for t in grid]
     if any(not (0 <= t <= 1) for t in ts):
         raise ValueError("grid values must lie in [0, 1]")
-    if kind == "plane_wave_line":
-        if not (isinstance(s0, PlaneWave) and isinstance(s1, PlaneWave)):
-            raise FamilyMismatch("plane_wave_line needs PlaneWave endpoints")
-        return [_plane_wave_point(s0, s1, t) for t in ts]
-    if kind == "zak_line":
-        if not (isinstance(s0, Zak) and isinstance(s1, Zak)):
-            raise FamilyMismatch("zak_line needs Zak endpoints")
-        return [_zak_point(s0, s1, t) for t in ts]
-    if not (isinstance(s0, Bloch) and isinstance(s1, Bloch)):
-        raise FamilyMismatch("bloch_slerp needs Bloch endpoints")
-    return _bloch_slerp(s0, s1, ts)
+    if not (isinstance(s0, family) and isinstance(s1, family)):
+        raise FamilyMismatch(f"{kind} needs {family.__name__} endpoints")
+    point = path(s0, s1)
+    return [s0 if t == 0 else s1 if t == 1 else point(t) for t in ts]
 
 
-def _plane_wave_point(s0: PlaneWave, s1: PlaneWave, t: Fraction) -> PlaneWave:
-    if t == 0:
-        return s0
-    if t == 1:
-        return s1
-    p = tuple((1 - t) * p0 + t * p1 for p0, p1 in zip(s0.p, s1.p))
-    return PlaneWave(p)
+def _lerp(x0, x1, t: Fraction) -> tuple:
+    return tuple((1 - t) * a + t * b for a, b in zip(x0, x1))
 
 
-def _zak_point(s0: Zak, s1: Zak, t: Fraction) -> Zak:
-    if t == 0:
-        return s0
-    if t == 1:
-        return s1
-    kappa = tuple((1 - t) * k0 + t * k1 for k0, k1 in zip(s0.kappa, s1.kappa))
-    nu = tuple((1 - t) * n0 + t * n1 for n0, n1 in zip(s0.nu, s1.nu))
-    return Zak(kappa, nu)
-
-
-def _bloch_slerp(s0: Bloch, s1: Bloch, ts) -> list:
-    support = sorted(set(dict(s0.fhat)) | set(dict(s1.fhat)))
-    u = np.array([s0.fhat_map.get(n, 0j) for n in support])
-    w = np.array([s1.fhat_map.get(n, 0j) for n in support])
+def _bloch_slerp(s0: Bloch, s1: Bloch):
+    f0, f1 = s0.fhat_map, s1.fhat_map
+    support = sorted(set(f0) | set(f1))
+    u = np.array([f0.get(n, 0j) for n in support])
+    w = np.array([f1.get(n, 0j) for n in support])
     c = complex(np.vdot(u, w))
     if abs(c) > 0:
-        w_aligned = w * (c.conjugate() / abs(c))
-    else:
-        w_aligned = w
-    cos_theta = min(abs(c), 1.0)
-    theta = math.acos(cos_theta)
-    out = []
-    for t in ts:
-        if t == 0:
-            out.append(s0)
-            continue
-        if t == 1:
-            out.append(s1)
-            continue
-        kappa = tuple((1 - t) * k0 + t * k1 for k0, k1 in zip(s0.kappa, s1.kappa))
+        w = w * (c.conjugate() / abs(c))
+    theta = math.acos(min(abs(c), 1.0))
+
+    def point(t):
         tf = float(t)
         if theta < 1e-12:
             vec = u
         else:
-            vec = (math.sin((1 - tf) * theta) * u
-                   + math.sin(tf * theta) * w_aligned) / math.sin(theta)
-        fhat = {n: v for n, v in zip(support, vec) if v != 0}
-        out.append(Bloch(kappa, fhat))
-    return out
+            vec = (math.sin((1 - tf) * theta) * u + math.sin(tf * theta) * w) / math.sin(theta)
+        return Bloch(_lerp(s0.kappa, s1.kappa, t),
+                     {n: v for n, v in zip(support, vec) if v != 0})
+    return point
+
+
+#: path kind -> (family of both endpoints, endpoints -> point(t))
+PATHS = {
+    "plane_wave_line": (PlaneWave, lambda s0, s1: lambda t: PlaneWave(_lerp(s0.p, s1.p, t))),
+    "bloch_slerp": (Bloch, _bloch_slerp),
+    "zak_line": (Zak, lambda s0, s1: lambda t: Zak(_lerp(s0.kappa, s1.kappa, t),
+                                                   _lerp(s0.nu, s1.nu, t))),
+}
+PATH_KINDS = tuple(PATHS)

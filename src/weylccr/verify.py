@@ -140,9 +140,11 @@ def rand_normalized_fhat(rng, d, radius=2, npts=3) -> dict:
     return {p: v / norm for p, v in raw.items()}
 
 
-def _counted(check: str, failures: int, witness: str = "") -> CheckResult:
-    """Passes when nothing failed; the worst value is the failure count."""
-    return CheckResult(check, failures == 0, float(failures), witness)
+def _counted(check: str, failures: list) -> CheckResult:
+    """Passes when nothing failed.  ``failures`` holds one witness per failed
+    probe, "" where the check names none; the worst value is their count and
+    the worst probe the first witness that is not ""."""
+    return CheckResult(check, not failures, float(len(failures)), next(filter(None, failures), ""))
 
 
 def draw_distinct(n, draw) -> list:
@@ -174,8 +176,7 @@ def suite_weyl(config: RunConfig) -> list:
     checks = []
 
     rng = config.rng("weyl.associativity")
-    failures = 0
-    witness = ""
+    failures = []
     for i in range(1000):
         d = 1 + i % 3
         m1, m2, m3 = (rand_monomial(rng, d) for _ in range(3))
@@ -184,13 +185,11 @@ def suite_weyl(config: RunConfig) -> list:
         ph23, m23 = monomial_product(m2, m3)
         ph_r, mr = monomial_product(m1, m23)
         if ml != mr or not (ph12 + ph_l).is_same_rotation(ph23 + ph_r):
-            failures += 1
-            witness = witness or f"{m1} | {m2} | {m3}"
-    checks.append(_counted("weyl.associativity_1000_exact", failures, witness))
+            failures.append(f"{m1} | {m2} | {m3}")
+    checks.append(_counted("weyl.associativity_1000_exact", failures))
 
     rng = config.rng("weyl.star_antihom")
-    failures = 0
-    witness = ""
+    failures = []
     for i in range(500):
         d = 1 + i % 3
         m1, m2 = rand_monomial(rng, d), rand_monomial(rng, d)
@@ -202,9 +201,8 @@ def suite_weyl(config: RunConfig) -> list:
         pr, mr = monomial_product(s2, s1)
         rhs_angle = a2 + a1 + pr
         if adj_m != mr or not lhs_angle.is_same_rotation(rhs_angle):
-            failures += 1
-            witness = witness or f"{m1} | {m2}"
-    checks.append(_counted("weyl.star_antihomomorphism_exact", failures, witness))
+            failures.append(f"{m1} | {m2}")
+    checks.append(_counted("weyl.star_antihomomorphism_exact", failures))
 
     rng = config.rng("weyl.star_elements")
     devs = []
@@ -217,8 +215,7 @@ def suite_weyl(config: RunConfig) -> list:
     checks.append(_bounded("weyl.star_laws_coefficients", devs, 1e-12))
 
     rng = config.rng("weyl.symplectic")
-    failures = 0
-    witness = ""
+    failures = []
     for i in range(500):
         d = 1 + i % 3
         frame = Frame.standard(d)
@@ -231,12 +228,11 @@ def suite_weyl(config: RunConfig) -> list:
         ph_sum, m_sum = weyl_generator_parts(z + zp)
         rhs = symplectic(z, zp) + ph_sum
         if m_prod != m_sum or not lhs.is_same_rotation(rhs):
-            failures += 1
-            witness = witness or f"z={z.a},{z.b} z'={zp.a},{zp.b}"
-    checks.append(_counted("weyl.symplectic_presentation_500_exact", failures, witness))
+            failures.append(f"z={z.a},{z.b} z'={zp.a},{zp.b}")
+    checks.append(_counted("weyl.symplectic_presentation_500_exact", failures))
 
     rng = config.rng("weyl.generator_adjoint")
-    failures = 0
+    failures = []
     for _ in range(100):
         frame = config.frame
         z = PhasePoint(frame, rand_coords(rng, frame.d), rand_coords(rng, frame.d))
@@ -244,12 +240,12 @@ def suite_weyl(config: RunConfig) -> list:
         adj_ph, adj_m = monomial_adjoint(m_z)
         ph_neg, m_neg = weyl_generator_parts(-z)
         if adj_m != m_neg or not (adj_ph - ph_z).is_same_rotation(ph_neg):
-            failures += 1
+            failures.append("")
     checks.append(_counted("weyl.generator_adjoint_exact", failures))
 
     rng = config.rng("weyl.group_laws")
     frame = config.frame
-    failures = 0
+    failures = []
     for _ in range(200):
         m = rand_monomial(rng, frame.d)
         lam, mu = rand_coords(rng, frame.d), rand_coords(rng, frame.d)
@@ -265,7 +261,7 @@ def suite_weyl(config: RunConfig) -> list:
             ph2, im2, _ = automorphism_action(two, frame, im1)
             ph, im, _ = automorphism_action(both, frame, m)
             if im != im2 or not (ph1 + ph2).is_same_rotation(ph):
-                failures += 1
+                failures.append("")
     checks.append(_counted("weyl.automorphism_group_laws_exact", failures))
 
     rng = config.rng("weyl.homomorphism")
@@ -308,7 +304,7 @@ def suite_weyl(config: RunConfig) -> list:
     checks.append(_bounded("weyl.tracial_l2_identity", devs, 1e-12))
 
     rng = config.rng("weyl.norm_bound")
-    failures = 0
+    failures = []
     for _ in range(100):
         m1, m2 = rand_monomial(rng, frame.d), rand_monomial(rng, frame.d)
         if m1 == m2:
@@ -317,9 +313,9 @@ def suite_weyl(config: RunConfig) -> list:
         x = Element(frame, {m1: lam}) - Element(frame, {m2: lamp})
         expected = lam.conjugate() * lam + lamp.conjugate() * lamp
         if tracial_inner_product(x, x) != expected:
-            failures += 1
+            failures.append("")
         if abs(tracial.evaluate(x.adjoint() * x) - expected) > 1e-12:
-            failures += 1
+            failures.append("")
     checks.append(_counted("weyl.tracial_norm_lower_bound_exact", failures))
 
     rng = config.rng("weyl.trace_pairing")
@@ -341,8 +337,7 @@ def suite_ergodic(config: RunConfig) -> list:
     frame = config.frame
 
     rng = config.rng("ergodic.closed_forms")
-    failures = 0
-    witness = ""
+    failures = []
     for _ in range(200):
         m = rng.choice([rand_monomial(rng, frame.d), rand_lattice_monomial(rng, frame.d)])
         x = Element.from_monomial(frame, m, rand_complex(rng))
@@ -352,39 +347,38 @@ def suite_ergodic(config: RunConfig) -> list:
                     and integer_vector(m.b) is not None else Element.zero(frame))
         if (ergodic_mean(x) != want_mean or ergodic_mean_lattice(x) != want_gamma
                 or ergodic_mean_zak(x) != want_zak):
-            failures += 1
-            witness = witness or str(m)
-    checks.append(_counted("ergodic.closed_form_projections_exact", failures, witness))
+            failures.append(str(m))
+    checks.append(_counted("ergodic.closed_form_projections_exact", failures))
 
     rng = config.rng("ergodic.projections")
-    failures = 0
+    failures = []
     for _ in range(100):
         x = rand_element(rng, frame, 6)
         y = rand_element(rng, frame, 6)
         c = rand_complex(rng)
         for mean in (ergodic_mean, ergodic_mean_lattice, ergodic_mean_zak):
             if mean(mean(x)) != mean(x):
-                failures += 1
+                failures.append("")
             if mean(x + c * y).max_coeff_diff(mean(x) + c * mean(y)) > 1e-12:
-                failures += 1
+                failures.append("")
     checks.append(_counted("ergodic.means_idempotent_linear", failures))
 
     rng = config.rng("ergodic.invariance")
-    failures = 0
+    failures = []
     for _ in range(100):
         x = rand_element(rng, frame, 6)
         lam = rand_coords(rng, frame.d)
         gamma = vector([rng.randint(-3, 3) for _ in range(frame.d)])
         gp = vector([rng.randint(-3, 3) for _ in range(frame.d)])
         if ergodic_mean(apply_automorphism(SpaceTranslation(lam), x)) != ergodic_mean(x):
-            failures += 1
+            failures.append("")
         moved = apply_automorphism(SpaceTranslation(gamma), x)
         if ergodic_mean_lattice(moved).max_coeff_diff(ergodic_mean_lattice(x)) > 1e-12:
-            failures += 1
+            failures.append("")
         moved = apply_automorphism(MomentumTranslation(gp),
                                    apply_automorphism(SpaceTranslation(gamma), x))
         if ergodic_mean_zak(moved).max_coeff_diff(ergodic_mean_zak(x)) > 1e-12:
-            failures += 1
+            failures.append("")
     checks.append(_counted("ergodic.means_translation_invariant", failures))
 
     # box-average decay on a frame with unit ambient momenta
@@ -477,8 +471,7 @@ def suite_states(config: RunConfig) -> list:
     checks.append(_bounded("states.unit_evaluates_to_one", devs, 1e-12))
 
     rng = config.rng("states.vanishing")
-    failures = 0
-    witness = ""
+    failures = []
     _, bs = _bohr(frame)
     for _ in range(200):
         m = rand_monomial(rng, d)
@@ -487,16 +480,13 @@ def suite_states(config: RunConfig) -> list:
         zk = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
         if not is_zero_vector(m.a):
             if pw.monomial_value(frame, m) != 0 or bs.monomial_value(frame, m) != 0:
-                failures += 1
-                witness = witness or str(m)
+                failures.append(str(m))
         if integer_vector(m.a) is None and bl.monomial_value(frame, m) != 0:
-            failures += 1
-            witness = witness or str(m)
+            failures.append(str(m))
         if ((integer_vector(m.a) is None or integer_vector(m.b) is None)
                 and zk.monomial_value(frame, m) != 0):
-            failures += 1
-            witness = witness or str(m)
-    checks.append(_counted("states.vanishing_structure_exact", failures, witness))
+            failures.append(str(m))
+    checks.append(_counted("states.vanishing_structure_exact", failures))
 
     rng = config.rng("states.invariance")
     samples = [rand_element(rng, frame, 5) for _ in range(100)]
@@ -568,7 +558,7 @@ def suite_states(config: RunConfig) -> list:
     checks.append(_bounded("states.bloch_quasimomentum_identity", devs, 1e-12))
 
     rng = config.rng("states.mixture")
-    failures = 0
+    failures = []
     parts = [PlaneWave(rand_coords(rng, d)), Zak(rand_kappa(rng, d), rand_kappa(rng, d)), Tracial()]
     mix = Mixture([(0.5, parts[0]), (0.25, parts[1]), (0.25, parts[2])])
     for _ in range(50):
@@ -576,17 +566,17 @@ def suite_states(config: RunConfig) -> list:
         want = (0.5 * parts[0].evaluate(x) + 0.25 * parts[1].evaluate(x)
                 + 0.25 * parts[2].evaluate(x))
         if mix.evaluate(x) != want:
-            failures += 1
+            failures.append("")
     checks.append(_counted("states.mixture_affine_exact", failures))
 
     rng = config.rng("states.padic")
-    failures = 0
+    failures = []
     for _ in range(500):
         xq = rand_fraction(rng)
         yq = rand_fraction(rng)
         total = padic_fraction(xq + yq, 3) - padic_fraction(xq, 3) - padic_fraction(yq, 3)
         if total.denominator != 1:
-            failures += 1
+            failures.append("")
     checks.append(_counted("states.padic_character_multiplicative_exact", failures))
 
     s = BohrState(PadicCharacter((3,) * d))
@@ -640,14 +630,14 @@ def suite_covariance(config: RunConfig) -> list:
     checks.append(_bounded("covariance.dual_lattice_shift", devs, 1e-12))
 
     rng = config.rng("covariance.zero_shift")
-    failures = 0
+    failures = []
     for _ in range(10):
         kappa = rand_kappa(rng, d)
         fhat = rand_normalized_fhat(rng, d, radius=1)
         probes = [rand_lattice_monomial(rng, d) for _ in range(10)]
         rep = covariance_check(kappa, fhat, [0] * d, probes, tol=0.0)
         if rep.worst_value != 0.0:
-            failures += 1
+            failures.append("")
     checks.append(_counted("covariance.zero_shift_identity_exact", failures))
     return checks
 
@@ -665,10 +655,9 @@ def suite_tri(config: RunConfig) -> list:
     checks.append(CheckResult("tri.fixed_point_count_d2", ok,
                               float(abs(len(pts) - 4)), f"{pts}"))
 
-    failures = 0
-    witness = ""
+    failures = []
     if not time_reversal_classify(PlaneWave(vector([0, 0]))).is_tri:
-        failures += 1
+        failures.append("")
     for _ in range(20):
         p = rand_coords(rng, 2, nonzero=False)
         if all(c.is_zero() for c in p):
@@ -677,21 +666,20 @@ def suite_tri(config: RunConfig) -> list:
         if scalekind < 0.3:
             p = tuple(TAU * c for c in p)
         if time_reversal_classify(PlaneWave(p)).is_tri:
-            failures += 1
-            witness = witness or f"p={p}"
-    checks.append(_counted("tri.plane_wave_iff_zero_momentum", failures, witness))
+            failures.append(f"p={p}")
+    checks.append(_counted("tri.plane_wave_iff_zero_momentum", failures))
 
-    failures = 0
+    failures = []
     for kappa in pts:
         nu = rand_kappa(rng, 2)
         if not time_reversal_classify(Zak(kappa, nu)).is_tri:
-            failures += 1
+            failures.append("")
     for _ in range(20):
         kappa = rand_kappa(rng, 2)
         if all(k in (Fraction(0), Fraction(1, 2)) for k in kappa):
             kappa = (Fraction(1, 3), kappa[1])
         if time_reversal_classify(Zak(kappa, rand_kappa(rng, 2))).is_tri:
-            failures += 1
+            failures.append("")
     checks.append(_counted("tri.zak_iff_fixed_point", failures))
 
     frame = config.frame
@@ -712,8 +700,7 @@ def suite_tri(config: RunConfig) -> list:
         probes.append(Element.from_monomial(
             frame, Monomial(vector([rng.randint(-2, 2) for _ in range(d)]),
                             rand_coords(rng, d)), rand_complex(rng)))
-    mismatches = 0
-    witness = ""
+    mismatches = []
     worst_gap = 0.0
     for s in states:
         verdict = time_reversal_classify(s)
@@ -721,13 +708,11 @@ def suite_tri(config: RunConfig) -> list:
                       - s.evaluate(x).conjugate()) for x in probes)
         functional = dev <= config.tol
         if functional != verdict.is_tri:
-            mismatches += 1
-            witness = witness or f"{s!r}: verdict={verdict.is_tri} dev={dev:.3g}"
+            mismatches.append(f"{s!r}: verdict={verdict.is_tri} dev={dev:.3g}")
         if verdict.is_tri:
             worst_gap = max(worst_gap, dev)
-    checks.append(CheckResult("tri.bloch_criterion_matches_functional",
-                              mismatches == 0, float(mismatches) or worst_gap,
-                              witness))
+    rep = _counted("tri.bloch_criterion_matches_functional", mismatches)
+    checks.append(replace(rep, worst_value=rep.worst_value or worst_gap))
     return checks
 
 
@@ -785,11 +770,11 @@ def suite_zak(config: RunConfig) -> list:
 
     rng = config.rng("zak.purity_line")
     zak0 = Zak([0] * d, [0] * d)
-    failures = 0
+    failures = []
     for _ in range(50):
         m = rand_lattice_monomial(rng, d)
         if zak0.monomial_value(frame, m) != 1.0 + 0j:
-            failures += 1
+            failures.append("")
     checks.append(_counted("zak.zero_state_is_one_on_lattice", failures))
     return checks
 
@@ -816,8 +801,7 @@ def suite_gns(config: RunConfig) -> list:
     checks.append(_bounded("gns.bloch_reconstruction_oracle", devs, config.tol))
 
     rng = config.rng("gns.rho_scalar")
-    failures = 0
-    witness = ""
+    failures = []
     window = FourierWindow((-4,), (4,))
     for _ in range(20):
         kappa = rand_kappa(rng, 1)
@@ -826,11 +810,10 @@ def suite_gns(config: RunConfig) -> list:
         mat = rep_rho_kappa(kappa, m, window).matrix
         phase = PhaseAngle.from_turns(-kappa[0] * gamma).to_complex()
         if not np.array_equal(mat, phase * np.eye(len(window))):
-            failures += 1
-            witness = witness or f"kappa={kappa} gamma={gamma}"
+            failures.append(f"kappa={kappa} gamma={gamma}")
         if abs(phase - cmath.exp(-2j * math.pi * float(kappa[0] * gamma))) > 1e-12:
-            failures += 1
-    checks.append(_counted("gns.rho_of_lattice_v_is_exact_scalar", failures, witness))
+            failures.append("")
+    checks.append(_counted("gns.rho_of_lattice_v_is_exact_scalar", failures))
 
     rng = config.rng("gns.weyl_relation")
     devs = []
@@ -906,12 +889,12 @@ def suite_paths(config: RunConfig) -> list:
 
     n = config.grid
     ratio_devs = []
-    endpoint_fail = 0
+    endpoint_fail = []
     for kind, endpoints in kinds:
         coarse = path_sample(kind, endpoints, grid(n))
         fine = path_sample(kind, endpoints, grid(2 * n))
         if coarse[0] is not endpoints[0] or coarse[-1] is not endpoints[1]:
-            endpoint_fail += 1
+            endpoint_fail.append("")
         ratio = max_consecutive(fine) / max_consecutive(coarse)
         ratio_devs.append((abs(ratio - 0.5), kind))
     checks.append(_counted("paths.endpoints_reproduced_exactly", endpoint_fail))

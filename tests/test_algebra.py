@@ -536,6 +536,53 @@ class TestBoxAverage:
             want = abs(math.sin(L) / (n * math.sin(L / n)))
             assert got == pytest.approx(want, rel=1e-10)
 
+    @staticmethod
+    def _loop_average(x, L, n):
+        """The n-step midpoint loop the closed form replaced, as the reference."""
+        out = {}
+        step = 2.0 * L / n
+        for m, c in x.terms.items():
+            mult = 1.0 + 0.0j
+            for comp in (a.evaluate() for a in x.frame.to_ambient_momentum(m.a)):
+                if comp == 0.0:
+                    continue
+                acc = 0.0j
+                for k in range(n):
+                    acc += cmath.exp(-1j * comp * (-L + (k + 0.5) * step))
+                mult *= acc / n
+            out[m] = c * mult
+        return out
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("L, n", [(10.0, 80), (100.0, 800), (1000.0, 8000),
+                                      (10.0, 201), (100.0, 801)])
+    def test_closed_form_matches_midpoint_loop(self, alpha, L, n):
+        x = Element(FTAU, {Monomial(vector([alpha]), vector([0])): 1.0 - 0.5j,
+                           Monomial(vector([0]), vector([Fraction(1, 3)])): 2.0})
+        got = numeric_box_average(x, L, n)
+        for m, want in self._loop_average(x, L, n).items():
+            assert abs(got.coefficient(m) - want) <= 1e-12
+
+    @pytest.mark.parametrize("alpha, n, L", [
+        (1, 4, 4 * math.pi), (2, 4, 2 * math.pi), (1, 5, 5 * math.pi),
+        (1, 3, 6 * math.pi), (-1, 4, 8 * math.pi), (3, 7, 7 * math.pi / 3)])
+    def test_closed_form_where_the_quotient_is_zero_over_zero(self, alpha, n, L):
+        # alpha L / n is a multiple of pi: every sample is the same sign
+        m = Monomial(vector([alpha]), vector([0]))
+        x = Element(FTAU, {m: 1.0})
+        got = numeric_box_average(x, L, n).coefficient(m)
+        want = self._loop_average(x, L, n)[m]
+        assert abs(abs(got) - 1.0) <= 1e-12
+        assert abs(got - want) <= 1e-12
+
+    def test_closed_form_multiplies_over_coordinates(self):
+        frame = Frame.from_basis([[TAU, 0], [0, TAU]])
+        x = Element(frame, {Monomial(vector([1, 2]), vector([0, 0])): 1.0,
+                            Monomial(vector([0, -1]), vector([1, 0])): 1j})
+        got = numeric_box_average(x, 10.0, 80)
+        for m, want in self._loop_average(x, 10.0, 80).items():
+            assert abs(got.coefficient(m) - want) <= 1e-12
+
     def test_decay_rate(self):
         x = Element(FTAU, {Monomial(vector([1]), vector([0])): 1.0})
         mags = []

@@ -89,6 +89,38 @@ def test_eval_rejects_bad_state(tmp_path, capsys):
     assert "normalized" in err
 
 
+MALFORMED_INPUTS = {
+    "plane_wave_p_not_a_list": ("state", {"family": "plane_wave", "p": 5}),
+    "state_is_a_list": ("state", [1, 2]),
+    "bloch_idx_is_an_int": ("state", {"family": "bloch", "kappa": ["0"],
+                                      "fhat": [{"idx": 0, "re": 1.0}]}),
+    "mixture_component_is_a_list": ("state", {"family": "mixture",
+                                              "components": [[1.0, {"family": "fock"}]]}),
+    "frame_E_not_a_matrix": ("frame", {"d": 1, "E": 5}),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    (case, command) for case, (kind, _) in sorted(MALFORMED_INPUTS.items())
+    for command in (("eval", "simplify") if kind == "frame" else ("eval",))])
+def test_malformed_json_exits_2_with_one_error_line(case, command, tmp_path, capsys):
+    kind, obj = MALFORMED_INPUTS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    args = [command, "--elem", "u(1)"]
+    if command == "eval":
+        good = tmp_path / "fock.json"
+        good.write_text(json.dumps({"family": "fock"}))
+        args += ["--state", str(bad if kind == "state" else good)]
+    if kind == "frame":
+        args += ["--frame", str(bad)]
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed ")
+
+
 def test_verify_pass_and_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "covariance", "--seed", "5")
     assert code == 0

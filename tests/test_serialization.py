@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from weylccr import (
     Bloch,
     BohrState,
@@ -20,8 +23,10 @@ from weylccr import (
     apply_automorphism,
     scalar,
 )
+from weylccr.errors import NotAState, WeylError
 from weylccr.lattice import vector
 from weylccr.serialization import (
+    character_from_json,
     dumps,
     element_from_json,
     element_to_json,
@@ -118,3 +123,68 @@ def test_dumps_deterministic():
     a = dumps(state_to_json(s))
     b = dumps(state_to_json(state_from_json(json.loads(a))))
     assert a == b
+
+
+MALFORMED = [
+    (state_from_json, {"family": "plane_wave", "p": 5}),
+    (state_from_json, [1, 2]),
+    (state_from_json, {"family": "bloch", "kappa": ["0"], "fhat": [{"idx": 0, "re": 1.0}]}),
+    (state_from_json, {"family": "mixture", "components": [[1.0, {"family": "fock"}]]}),
+    (state_from_json, {"family": "zak", "kappa": ["1/0"], "nu": ["0"]}),
+    (state_from_json, {"family": "padic", "primes": [float("inf")]}),
+    (state_from_json, {"family": "bloch", "kappa": ["0"], "fhat": [{"idx": [0], "re": "1"}]}),
+    (state_from_json, {}),
+    (frame_from_json, {"d": 1, "E": 5}),
+    (frame_from_json, {"d": "x", "E": [["1"]]}),
+    (frame_from_json, "E"),
+    (character_from_json, {"kind": "continuous", "p": 5}),
+    (character_from_json, {"kind": "product", "factors": [3]}),
+    (character_from_json, None),
+    (element_from_json, [1, 2]),
+    (element_from_json, {"frame": frame_to_json(F1), "terms": [{"a": 5, "b": [], "re": 1}]}),
+    (element_from_json, {"frame": frame_to_json(F1), "terms": [{"a": ["x"], "b": ["0"],
+                                                                 "re": 1, "im": 0}]}),
+]
+
+
+@pytest.mark.parametrize("decode, obj", MALFORMED,
+                         ids=[f"{d.__name__}-{i}" for i, (d, _) in enumerate(MALFORMED)])
+def test_malformed_json_raises_weyl_error(decode, obj):
+    with pytest.raises(WeylError) as info:
+        decode(obj)
+    assert "\n" not in str(info.value)
+
+
+def test_nan_mixture_weight_is_not_a_state():
+    with pytest.raises(NotAState):
+        state_from_json({"family": "mixture",
+                         "components": [{"weight": "nan", "state": {"family": "fock"}}]})
+
+
+KEYS = ("family", "p", "char", "kind", "primes", "factors", "kappa", "fhat", "idx",
+        "re", "im", "nu", "components", "weight", "state", "num", "den", "0", "1")
+FAMILIES = ("plane_wave", "bohr", "padic", "bloch", "zak", "fock", "tracial", "mixture",
+            "continuous", "product", "bogus")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.sampled_from(("0", "1/2", "-1/3", "1/0", "x", "") + FAMILIES) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=10)
+malformed_states = st.recursive(
+    st.fixed_dictionaries({"family": st.sampled_from(FAMILIES)},
+                          optional={k: json_values for k in KEYS if k != "family"}),
+    lambda inner: st.fixed_dictionaries(
+        {"family": st.just("mixture"),
+         "components": st.lists(st.fixed_dictionaries(
+             {}, optional={"weight": json_values, "state": inner | json_values}), max_size=3)}),
+    max_leaves=4) | json_values
+
+
+@settings(deadline=None)
+@given(malformed_states)
+def test_state_from_json_raises_only_weyl_errors(obj):
+    try:
+        state_from_json(obj)
+    except WeylError:
+        pass

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from weylccr import (
     PadicCharacter,
     PhaseAngle,
     PlaneWave,
+    ProductCharacter,
     SpaceTranslation,
     TAU,
     TimeReversal,
@@ -40,7 +43,7 @@ from weylccr.errors import (
     Unsupported,
 )
 from weylccr.lattice import vector
-from weylccr.states import bloch_monomial_value
+from weylccr.states import PATH_KINDS, PATHS, bloch_monomial_value
 from weylccr.verify import (
     draw_distinct,
     rand_complex,
@@ -185,6 +188,63 @@ class TestValidation:
             Mixture([(0.5, Tracial()), (0.6, Fock())])
         with pytest.raises(NotAState):
             Mixture([(-0.5, Tracial()), (1.5, Fock())])
+
+    def test_nan_weights_and_fourier_data_are_rejected(self):
+        with pytest.raises(NotAState):
+            Mixture([(float("nan"), Fock())])
+        with pytest.raises(NotAState):
+            Mixture([(0.5, Fock()), (float("nan"), Tracial())])
+        with pytest.raises(NotAState):
+            Bloch([Fraction(0)], {(0,): complex("nan")})
+
+
+def _round_trips(value):
+    return (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value))
+
+
+class TestCopying:
+    STATES = [PlaneWave(vector([Fraction(1, 2), TAU])),
+              BohrState(ProductCharacter((PadicCharacter((3,)),
+                                          ContinuousCharacter((TAU * Fraction(1, 3),))))),
+              Bloch([Fraction(1, 3), 0], {(0, 0): 0.6, (1, -1): 0.8j}),
+              Zak([Fraction(1, 2)], [Fraction(1, 3)]),
+              Fock(), Tracial()]
+
+    @pytest.mark.parametrize("state", STATES, ids=lambda s: type(s).__name__)
+    def test_value_families_round_trip_equal_with_equal_hash(self, state):
+        for back in _round_trips(state):
+            assert type(back) is type(state)
+            assert back == state
+            assert hash(back) == hash(state)
+
+    def test_bloch_hash_is_that_of_its_labels(self):
+        s = Bloch([Fraction(1, 3)], {(2,): 0.8, (0,): -0.6})
+        assert s.fhat == (((0,), -0.6 + 0j), ((2,), 0.8 + 0j))
+        assert hash(s) == hash((s.kappa, s.fhat))
+        back = pickle.loads(pickle.dumps(s))
+        assert hash(back) == hash((s.kappa, s.fhat))
+        probe = Monomial(vector([2]), vector([Fraction(1, 5)]))
+        assert back.monomial_value(F1, probe) == s.monomial_value(F1, probe)
+        assert back.fhat_map == s.fhat_map and back.fhat_map is not back.fhat_map
+
+    def test_mixture_round_trips_with_identity_equality(self):
+        rng = seeded("mixture-copy")
+        mix = Mixture([(0.25, self.STATES[2]), (0.75, self.STATES[3])])
+        samples = [rand_element(rng, F1, 4) for _ in range(10)]
+        for back in _round_trips(mix):
+            assert type(back) is Mixture
+            assert back.components == mix.components
+            assert back != mix and hash(back) != hash(mix)
+            assert [back.evaluate(x) for x in samples] == [mix.evaluate(x) for x in samples]
+        assert mix == mix and Mixture(mix.components) != mix
+
+    @pytest.mark.parametrize("state", STATES[2:3] + [Mixture([(1.0, Fock())])],
+                             ids=lambda s: type(s).__name__)
+    def test_states_stay_immutable(self, state):
+        with pytest.raises(AttributeError):
+            state.kappa = (Fraction(0),)
+        with pytest.raises(AttributeError):
+            state.components = ()
 
 
 class TestGram:
@@ -481,6 +541,32 @@ class TestPaths:
         with pytest.raises(FamilyMismatch):
             path_sample("plane_wave_line", (PlaneWave(vector([0])), Fock()),
                         [Fraction(0)])
+
+    ENDPOINTS = {
+        "plane_wave_line": (PlaneWave(vector([Fraction(1, 2)])), PlaneWave(vector([TAU]))),
+        "bloch_slerp": (Bloch([0], {(0,): 1.0}), Bloch([Fraction(1, 2)], {(1,): 1j})),
+        "zak_line": (Zak([0], [Fraction(1, 3)]), Zak([Fraction(3, 4)], [0])),
+    }
+
+    def test_path_table_names_every_kind_once(self):
+        assert PATH_KINDS == tuple(PATHS) == ("plane_wave_line", "bloch_slerp", "zak_line")
+        assert set(self.ENDPOINTS) == set(PATHS)
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_every_kind_shares_the_grid_family_and_endpoint_rules(self, kind):
+        family, _ = PATHS[kind]
+        s0, s1 = self.ENDPOINTS[kind]
+        path = path_sample(kind, (s0, s1), [0, Fraction(1, 3), 1, 0])
+        assert path[0] is s0 and path[2] is s1 and path[3] is s0
+        assert type(path[1]) is family and path[1] != s0 and path[1] != s1
+        for other in PATH_KINDS:
+            if other != kind:
+                with pytest.raises(FamilyMismatch):
+                    path_sample(kind, (s0, self.ENDPOINTS[other][1]), [Fraction(1, 2)])
+        with pytest.raises(ValueError):
+            path_sample(kind, (s0, s1), [Fraction(3, 2)])
+        with pytest.raises(ValueError):
+            path_sample(kind + "_bogus", (s0, s1), [0])
 
 
 class TestBlochQuasimomentum:

@@ -68,3 +68,13 @@ def test_verify_states_matches_golden_report_on_tau_frames(frame, seed, golden, 
     code, got = _run(["verify", "--suite", "states", "--seed", str(seed), "--output", "json"],
                      frame, tmp_path)
     _assert_matches(code, got, golden)
+
+
+def test_counted_reports_the_count_and_the_first_witness():
+    from weylccr.verify import _counted
+
+    assert _counted("c", []).as_dict() == {
+        "check": "c", "pass": True, "worst_value": 0.0, "worst_probe": ""}
+    report = _counted("c", ["", "u(1)v(0)", "", "u(2)v(0)"])
+    assert (report.passed, report.worst_value, report.worst_probe) == (False, 4.0, "u(1)v(0)")
+    assert _counted("c", ["", ""]).worst_probe == ""
