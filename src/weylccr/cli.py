@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -18,22 +17,26 @@ from .lattice import Frame
 from .serialization import (
     dumps,
     element_to_json,
+    endpoints_from_json,
     frame_from_json,
+    load_json,
     state_from_json,
 )
 from .states import PATH_KINDS, path_sample, weak_star_distance
 from .verify import SUITES, RunConfig, path_probes, run_suite
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _frame_from_args(args) -> Frame:
     if getattr(args, "frame", None):
-        return frame_from_json(_load_json(args.frame))
+        return frame_from_json(load_json(args.frame))
     return Frame.standard(1)
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return n
 
 
 def _format_complex(z: complex) -> str:
@@ -52,7 +55,7 @@ def cmd_simplify(args) -> int:
 
 def cmd_eval(args) -> int:
     frame = _frame_from_args(args)
-    state = state_from_json(_load_json(args.state))
+    state = state_from_json(load_json(args.state))
     element = parse_element(args.elem, frame)
     value = state.evaluate(element)
     if args.output == "json":
@@ -86,9 +89,7 @@ def cmd_verify(args) -> int:
 
 def cmd_path_demo(args) -> int:
     frame = _frame_from_args(args)
-    spec = _load_json(args.endpoints)
-    start = state_from_json(spec["start"])
-    end = state_from_json(spec["end"])
+    start, end = endpoints_from_json(load_json(args.endpoints))
     n = args.grid
     grid = [Fraction(k, n) for k in range(n + 1)]
     states = path_sample(args.kind, (start, end), grid)
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(SUITES) + ("all",))
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--grid", type=_positive_int, default=16)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=PATH_KINDS)
     p.add_argument("--endpoints", required=True,
                    help="JSON file with 'start' and 'end' states")
-    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--grid", type=_positive_int, default=16)
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_path_demo)
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WeylError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (WeylError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

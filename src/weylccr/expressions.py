@@ -15,6 +15,7 @@ Example: ``u(1/2)*v(1/3) + 2i*v(1)``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import Element
@@ -22,11 +23,14 @@ from .errors import ExpressionError
 from .lattice import Frame
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([uvi])|([()*+,/-]))")
+#: the deepest parenthesis nesting accepted, u(...) and v(...) included; well
+#: inside the recursion limit, as each level costs the parser four frames
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
@@ -35,10 +39,17 @@ def _tokenize(text: str):
                 break
             raise ExpressionError(f"unexpected character {stripped[0]!r}", pos)
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            try:
+                value = int(m.group(1))
+            except ValueError:  # more digits than the interpreter converts
+                raise ExpressionError("integer has too many digits", m.start(1)) from None
+            tokens.append(("int", value, m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
         else:
+            depth += (m.group(3) == "(") - (m.group(3) == ")")
+            if depth > MAX_NESTING:
+                raise ExpressionError("parentheses nested too deeply", m.start(3))
             tokens.append(("sym", m.group(3), m.start(3)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
@@ -59,6 +70,15 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, values: str, kind: str = "sym"):
+        """Consume the next token if it is a ``kind`` token whose value is one of
+        the characters of ``values``, and return that value; otherwise None."""
+        tok_kind, val, _ = self.peek()
+        if tok_kind == kind and val in values:
+            self.next()
+            return val
+        return None
+
     def expect_sym(self, sym):
         kind, val, pos = self.next()
         if kind != "sym" or val != sym:
@@ -73,35 +93,27 @@ class _Parser:
 
     def expr(self) -> Element:
         value = self.term()
-        while True:
-            kind, sym, _ = self.peek()
-            if kind == "sym" and sym in "+-":
-                self.next()
-                rhs = self.term()
-                value = value + rhs if sym == "+" else value - rhs
-            else:
-                return value
+        while sym := self.accept("+-"):
+            rhs = self.term()
+            value = value + rhs if sym == "+" else value - rhs
+        return value
 
     def term(self) -> Element:
         value = self.signed()
-        while True:
-            kind, sym, _ = self.peek()
-            if kind == "sym" and sym == "*":
-                self.next()
-                value = value * self.signed()
-            else:
-                return value
+        while self.accept("*"):
+            value = value * self.signed()
+        return value
+
+    def sign(self) -> int:
+        """Consume a run of '+' and '-' signs: -1 if it holds an odd number of '-'."""
+        sign = 1
+        while sym := self.accept("+-"):
+            if sym == "-":
+                sign = -sign
+        return sign
 
     def signed(self) -> Element:
-        sign = 1
-        while True:
-            kind, sym, _ = self.peek()
-            if kind == "sym" and sym in "+-":
-                self.next()
-                if sym == "-":
-                    sign = -sign
-            else:
-                break
+        sign = self.sign()
         atom = self.atom()
         return atom if sign == 1 else -atom
 
@@ -109,32 +121,24 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "int":
             r = self.rational()
-            kind, name, _ = self.peek()
-            if kind == "name" and name == "i":
-                self.next()
+            if abs(r) > sys.float_info.max:
+                raise ExpressionError("coefficient is too large for a float", pos)
+            if self.accept("i", "name"):
                 return Element.one(self.frame) * complex(0, float(r))
             return Element.one(self.frame) * r
-        if kind == "name" and val == "i":
-            self.next()
+        if self.accept("i", "name"):
             return Element.one(self.frame) * 1j
-        if kind == "name" and val in ("u", "v"):
-            self.next()
+        if self.accept("uv", "name"):
             self.expect_sym("(")
             coords = [self.signed_rational()]
-            while True:
-                k, sym, _ = self.peek()
-                if k == "sym" and sym == ",":
-                    self.next()
-                    coords.append(self.signed_rational())
-                else:
-                    break
+            while self.accept(","):
+                coords.append(self.signed_rational())
             self.expect_sym(")")
             if len(coords) != self.frame.d:
                 raise ExpressionError(
                     f"{val}(...) takes {self.frame.d} coordinate(s), got {len(coords)}", pos)
             return Element.u(self.frame, coords) if val == "u" else Element.v(self.frame, coords)
-        if kind == "sym" and val == "(":
-            self.next()
+        if self.accept("("):
             inner = self.expr()
             self.expect_sym(")")
             return inner
@@ -144,29 +148,17 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "int":
             raise ExpressionError("expected an integer", pos)
-        num = val
-        kind, sym, _ = self.peek()
-        if kind == "sym" and sym == "/":
-            self.next()
-            kind, den, pos = self.next()
-            if kind != "int":
-                raise ExpressionError("expected a denominator", pos)
-            if den == 0:
-                raise ExpressionError("zero denominator", pos)
-            return Fraction(num, den)
-        return Fraction(num)
+        if not self.accept("/"):
+            return Fraction(val)
+        kind, den, pos = self.next()
+        if kind != "int":
+            raise ExpressionError("expected a denominator", pos)
+        if den == 0:
+            raise ExpressionError("zero denominator", pos)
+        return Fraction(val, den)
 
     def signed_rational(self) -> Fraction:
-        sign = 1
-        while True:
-            kind, sym, _ = self.peek()
-            if kind == "sym" and sym in "+-":
-                self.next()
-                if sym == "-":
-                    sign = -sign
-            else:
-                break
-        return sign * self.rational()
+        return self.sign() * self.rational()
 
 
 def parse_element(text: str, frame: Frame) -> Element:

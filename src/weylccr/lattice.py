@@ -163,8 +163,8 @@ class Frame:
     def from_basis(rows) -> "Frame":
         E = matrix(rows)
         d = len(E)
-        if any(len(row) != d for row in E):
-            raise DimensionMismatch("frame matrix must be square")
+        if d == 0 or any(len(row) != d for row in E):
+            raise DimensionMismatch("frame matrix must be square and non-empty")
         F = dual_frame(E)
         shear = mat_mul(mat_inverse(E), F)
         return Frame(d=d, E=E, F=F, shear=shear)

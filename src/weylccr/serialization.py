@@ -4,7 +4,10 @@ Rationals travel as "p/q" strings; an exact scalar maps tau-powers to such
 strings for the numerator and denominator; monomial coordinates are plain
 rational strings whenever possible and fall back to the scalar object form
 for tau-dependent values (these arise e.g. after the free dynamics).
-Every decoder raises a WeylError on malformed input.
+States and characters are tagged objects, one table row per family or kind
+holding its class, encoder and decoder.  This module is the one place that
+knows the input formats: ``load_json`` and every decoder raise a WeylError
+on malformed input.
 """
 
 from __future__ import annotations
@@ -34,23 +37,37 @@ from .states import (
     Zak,
 )
 
+#: the largest tau-power a decoded scalar may carry; (2*pi)^64 is about 1.6e51,
+#: so products of a few such scalars still evaluate within the float range
+MAX_JSON_DEGREE = 64
+
 
 def _decoder(decode):
     """``decode``, with the errors Python raises on malformed input (a wrong
-    type, a missing key, a bad number) turned into a WeylError."""
+    type, a missing key, a bad number, nesting too deep) turned into a WeylError."""
     @functools.wraps(decode)
     def checked(*args, **kwargs):
         try:
             return decode(*args, **kwargs)
-        except (TypeError, ValueError, LookupError, ArithmeticError) as exc:
+        except (TypeError, ValueError, LookupError, ArithmeticError, AttributeError,
+                RecursionError) as exc:
             kind = decode.__name__.removesuffix("_from_json")
             raise WeylError(f"malformed {kind} JSON: {exc!r}") from exc
     return checked
 
 
+def load_json(path):
+    """The JSON value in the file at ``path``; a WeylError naming the file if
+    the text is not UTF-8 JSON or nests past the interpreter's recursion limit."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise WeylError(f"malformed JSON in {path}: {exc}") from exc
+
+
 def fraction_to_str(f) -> str:
-    f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(f))
 
 
 def fraction_from_str(s) -> Fraction:
@@ -67,6 +84,7 @@ def scalar_to_json(x: ExactScalar):
     }
 
 
+@_decoder
 def scalar_from_json(obj) -> ExactScalar:
     if isinstance(obj, (int, str)):
         return ExactScalar((fraction_from_str(obj),))
@@ -78,13 +96,14 @@ def scalar_from_json(obj) -> ExactScalar:
 
 
 def _poly_from_map(m) -> tuple:
-    if not m:
-        return ()
-    deg = max(int(k) for k in m)
-    out = [Fraction(0)] * (deg + 1)
+    """Coefficients from a map whose keys are tau-powers in [0, MAX_JSON_DEGREE]."""
+    coeffs = {}
     for k, v in m.items():
-        out[int(k)] = fraction_from_str(v)
-    return tuple(out)
+        deg = int(k)
+        if str(deg) != str(k) or not 0 <= deg <= MAX_JSON_DEGREE:
+            raise WeylError(f"tau-power {k!r} is not an integer in [0, {MAX_JSON_DEGREE}]")
+        coeffs[deg] = fraction_from_str(v)
+    return tuple(coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=-1) + 1))
 
 
 def frame_to_json(frame: Frame) -> dict:
@@ -100,16 +119,12 @@ def frame_from_json(obj) -> Frame:
     return frame
 
 
-def _coord_to_json(c: ExactScalar):
-    return fraction_to_str(c.as_fraction()) if c.is_rational() else scalar_to_json(c)
-
-
 def element_to_json(x: Element) -> dict:
     terms = []
     for m, c in sorted(x.terms.items(), key=lambda kv: str(kv[0])):
         terms.append({
-            "a": [_coord_to_json(v) for v in m.a],
-            "b": [_coord_to_json(v) for v in m.b],
+            "a": [scalar_to_json(v) for v in m.a],
+            "b": [scalar_to_json(v) for v in m.b],
             "re": c.real,
             "im": c.imag,
         })
@@ -128,81 +143,74 @@ def element_from_json(obj, frame: Frame | None = None) -> Element:
     return Element(frame, terms)
 
 
+def _tagged(table, key, obj) -> dict:
+    """``obj`` encoded by the row of ``table`` for its exact class, tagged under ``key``."""
+    for tag, (cls, encode, _) in table.items():
+        if cls is type(obj) and encode:
+            return {key: tag, **encode(obj)}
+    raise WeylError(f"cannot encode {obj!r}")
+
+
+#: character kind -> (class, encoder of the fields besides the tag, decoder)
+_CHARACTERS = {
+    "continuous": (ContinuousCharacter, lambda c: {"p": [scalar_to_json(x) for x in c.p]},
+                   lambda o: ContinuousCharacter(vector([scalar_from_json(x) for x in o["p"]]))),
+    "padic": (PadicCharacter, lambda c: {"primes": list(c.primes)},
+              lambda o: PadicCharacter(tuple(o["primes"]))),
+    "product": (ProductCharacter, lambda c: {"factors": [character_to_json(f) for f in c.factors]},
+                lambda o: ProductCharacter(tuple(character_from_json(f) for f in o["factors"]))),
+}
+
+
 def character_to_json(char: BohrCharacter) -> dict:
-    if isinstance(char, ContinuousCharacter):
-        return {"kind": "continuous", "p": [scalar_to_json(c) for c in char.p]}
-    if isinstance(char, PadicCharacter):
-        return {"kind": "padic", "primes": list(char.primes)}
-    if isinstance(char, ProductCharacter):
-        return {"kind": "product",
-                "factors": [character_to_json(f) for f in char.factors]}
-    raise WeylError(f"cannot encode character {char!r}")
+    return _tagged(_CHARACTERS, "kind", char)
 
 
 @_decoder
 def character_from_json(obj) -> BohrCharacter:
-    kind = obj["kind"]
-    if kind == "continuous":
-        return ContinuousCharacter(vector([scalar_from_json(c) for c in obj["p"]]))
-    if kind == "padic":
-        return PadicCharacter(tuple(obj["primes"]))
-    if kind == "product":
-        return ProductCharacter(tuple(character_from_json(f) for f in obj["factors"]))
-    raise WeylError(f"unknown character kind {kind!r}")
+    return _CHARACTERS[obj["kind"]][2](obj)
+
+
+#: state family -> (class, encoder of the fields besides the tag, decoder); the
+#: "padic" row is a decode-only shorthand for the Bohr state of a p-adic character
+_STATES = {
+    "plane_wave": (PlaneWave, lambda s: {"p": [scalar_to_json(x) for x in s.p]},
+                   lambda o: PlaneWave(vector([scalar_from_json(x) for x in o["p"]]))),
+    "bohr": (BohrState, lambda s: {"char": character_to_json(s.char)},
+             lambda o: BohrState(character_from_json(o["char"]))),
+    "padic": (BohrState, None, lambda o: BohrState(_CHARACTERS["padic"][2](o))),
+    "bloch": (Bloch, lambda s: {"kappa": [fraction_to_str(k) for k in s.kappa],
+                                "fhat": [{"idx": list(idx), "re": val.real, "im": val.imag}
+                                         for idx, val in s.fhat]},
+              lambda o: Bloch([fraction_from_str(k) for k in o["kappa"]],
+                              {tuple(t["idx"]): complex(t["re"], t.get("im", 0.0))
+                               for t in o["fhat"]})),
+    "zak": (Zak, lambda s: {"kappa": [fraction_to_str(k) for k in s.kappa],
+                            "nu": [fraction_to_str(n) for n in s.nu]},
+            lambda o: Zak([fraction_from_str(k) for k in o["kappa"]],
+                          [fraction_from_str(n) for n in o["nu"]])),
+    "fock": (Fock, lambda s: {}, lambda o: Fock()),
+    "tracial": (Tracial, lambda s: {}, lambda o: Tracial()),
+    "mixture": (Mixture, lambda s: {"components": [{"weight": w, "state": state_to_json(c)}
+                                                   for w, c in s.components]},
+                lambda o: Mixture([(c["weight"], state_from_json(c["state"]))
+                                   for c in o["components"]])),
+}
 
 
 def state_to_json(state: StateModel) -> dict:
-    if isinstance(state, PlaneWave):
-        return {"family": "plane_wave", "p": [scalar_to_json(c) for c in state.p]}
-    if isinstance(state, BohrState):
-        return {"family": "bohr", "char": character_to_json(state.char)}
-    if isinstance(state, Bloch):
-        return {
-            "family": "bloch",
-            "kappa": [fraction_to_str(k) for k in state.kappa],
-            "fhat": [{"idx": list(idx), "re": val.real, "im": val.imag}
-                     for idx, val in state.fhat],
-        }
-    if isinstance(state, Zak):
-        return {"family": "zak",
-                "kappa": [fraction_to_str(k) for k in state.kappa],
-                "nu": [fraction_to_str(n) for n in state.nu]}
-    if isinstance(state, Fock):
-        return {"family": "fock"}
-    if isinstance(state, Tracial):
-        return {"family": "tracial"}
-    if isinstance(state, Mixture):
-        return {"family": "mixture",
-                "components": [{"weight": w, "state": state_to_json(s)}
-                               for w, s in state.components]}
-    raise WeylError(f"cannot encode state {state!r}")
+    return _tagged(_STATES, "family", state)
 
 
 @_decoder
 def state_from_json(obj) -> StateModel:
-    family = obj["family"]
-    if family == "plane_wave":
-        return PlaneWave(vector([scalar_from_json(c) for c in obj["p"]]))
-    if family == "bohr":
-        return BohrState(character_from_json(obj["char"]))
-    if family == "padic":
-        return BohrState(PadicCharacter(tuple(obj["primes"])))
-    if family == "bloch":
-        kappa = [fraction_from_str(k) for k in obj["kappa"]]
-        fhat = {tuple(t["idx"]): complex(t["re"], t.get("im", 0.0))
-                for t in obj["fhat"]}
-        return Bloch(kappa, fhat)
-    if family == "zak":
-        return Zak([fraction_from_str(k) for k in obj["kappa"]],
-                   [fraction_from_str(n) for n in obj["nu"]])
-    if family == "fock":
-        return Fock()
-    if family == "tracial":
-        return Tracial()
-    if family == "mixture":
-        return Mixture([(c["weight"], state_from_json(c["state"]))
-                        for c in obj["components"]])
-    raise WeylError(f"unknown state family {family!r}")
+    return _STATES[obj["family"]][2](obj)
+
+
+@_decoder
+def endpoints_from_json(obj) -> tuple:
+    """The (start, end) states of a path's endpoints object."""
+    return state_from_json(obj["start"]), state_from_json(obj["end"])
 
 
 def dumps(obj) -> str:

@@ -25,6 +25,7 @@ from .algebra import (
 )
 from .characters import BohrCharacter, character_eval, character_is_trivial
 from .errors import (
+    DimensionMismatch,
     FamilyMismatch,
     InvalidProbeSet,
     NotAState,
@@ -188,6 +189,8 @@ def bloch_monomial_value(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> c
     chi(a integral) * e^{-i kappa.beta} * sum_n conj(fhat(n+a)) fhat(n) e^{-i n.beta}
     with every oscillatory phase exact.
     """
+    if len(m.a) != len(kappa):
+        raise DimensionMismatch(f"a {len(kappa)}-d Bloch state on a {len(m.a)}-d monomial")
     a_int = integer_vector(m.a)
     if a_int is None:
         return 0j
@@ -222,6 +225,8 @@ class Zak(StateModel):
         object.__setattr__(self, "nu", nu)
 
     def monomial_value(self, frame, m):
+        if len(m.a) != len(self.kappa):
+            raise DimensionMismatch(f"a {len(self.kappa)}-d Zak state on a {len(m.a)}-d monomial")
         a_int = integer_vector(m.a)
         b_int = integer_vector(m.b)
         if a_int is None or b_int is None:

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylccr.cli import main
 from weylccr.serialization import dumps, frame_to_json
+from weylccr.states import PATH_KINDS
 from weylccr import Frame, TAU
+from conftest import malformed_endpoints, malformed_frames, malformed_states
 
 DATA = Path(__file__).parent / "data"
 
@@ -205,3 +211,98 @@ def test_identical_config_identical_reports(capsys):
     out1 = run(capsys, *args)[1]
     out2 = run(capsys, *args)[1]
     assert out1 == out2
+
+
+BAD_FILES = {
+    "not_utf8": b"\xff\xfe",
+    "not_json": b"{oops",
+    "nested_past_the_recursion_limit": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_unreadable_json_file_exits_2_naming_it(case, tmp_path, capsys):
+    bad = tmp_path / f"{case}.json"
+    bad.write_bytes(BAD_FILES[case])
+    code, out, err = run(capsys, "eval", "--state", str(bad), "--elem", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: malformed JSON in {bad}")
+
+
+@pytest.mark.parametrize("endpoints", [[1, 2], {"start": {"family": "fock"}}])
+def test_malformed_endpoints_exit_2_with_one_error_line(endpoints, tmp_path, capsys):
+    path = tmp_path / "endpoints.json"
+    path.write_text(json.dumps(endpoints))
+    code, out, err = run(capsys, "path-demo", "--kind", "zak_line", "--endpoints", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: malformed endpoints JSON")
+
+
+@pytest.mark.parametrize("suite", ["states", "covariance", "zak", "weyl"])
+def test_zero_dimensional_frame_exits_2(suite, tmp_path, capsys):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"d": 0, "E": []}))
+    code, out, err = run(capsys, "verify", "--suite", suite, "--frame", str(frame))
+    assert code == 2 and out == ""
+    assert "non-empty" in err
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "paths"],
+    ["path-demo", "--kind", "plane_wave_line", "--endpoints", "unread.json"]])
+def test_grid_must_be_positive(command, grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--grid", grid])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, extra", [
+    ("zak", {"kappa": ["1/3", "0"], "nu": ["0", "0"]}),
+    ("bloch", {"kappa": ["1/3", "0"], "fhat": [{"idx": [0, 0], "re": 1.0}]}),
+])
+def test_eval_of_a_state_of_another_dimension_exits_2(family, extra, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"family": family, **extra}))
+    code, out, err = run(capsys, "eval", "--state", str(state), "--elem", "v(1)")
+    assert code == 2 and out == ""
+    assert "2-d" in err
+
+
+@pytest.mark.parametrize("elem", ["(" * 3000 + "1" + ")" * 3000, "1" * 5000])
+def test_parser_limits_exit_2(elem, capsys):
+    code, out, err = run(capsys, "simplify", "--elem", elem)
+    assert code == 2 and out == ""
+    assert "position" in err
+
+
+def test_a_fault_inside_a_suite_is_not_reported_as_a_usage_error(monkeypatch):
+    def faulty(suite, config):
+        raise KeyError("a fault in the program")
+    monkeypatch.setattr("weylccr.cli.run_suite", faulty)
+    with pytest.raises(KeyError):
+        main(["verify", "--suite", "weyl"])
+
+
+#: command line up to the path of a JSON file, and the strategy for the file's value
+FILE_COMMANDS = st.one_of(
+    st.tuples(st.just(["eval", "--elem", "u(1)*v(1/2) + 2*v(1)", "--state"]), malformed_states),
+    st.tuples(st.sampled_from([["path-demo", "--grid", "2", "--kind", kind, "--endpoints"]
+                               for kind in PATH_KINDS]), malformed_endpoints),
+    st.tuples(st.sampled_from([["verify", "--suite", suite, "--frame"]
+                               for suite in ("ergodic", "covariance", "tri")]), malformed_frames))
+
+
+@settings(max_examples=60, deadline=None)
+@given(FILE_COMMANDS)
+def test_any_json_file_gives_exit_code_0_1_or_2(case):
+    args, obj = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(obj))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(args + [str(path)]) in (0, 1, 2)

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylccr import Element, Frame, Monomial, parse_element
 from weylccr.errors import ExpressionError
+from weylccr.expressions import MAX_NESTING
 from weylccr.lattice import vector
 
 F1 = Frame.standard(1)
@@ -77,3 +79,33 @@ def test_dimension_checked():
         parse_element("u(1,2)", F1)
     with pytest.raises(ExpressionError):
         parse_element("u(1)", F2)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(" * 3000 + "1" + ")" * 3000, MAX_NESTING),
+    ("u(1) + " + "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1), 7 + MAX_NESTING),
+    ("2*" + "1" * 5000, 2),
+    ("1" + "0" * 400 + "i*v(1)", 0),
+    ("v(1) - " + "7" * 400, 7),
+], ids=["deep-parentheses", "one-too-deep", "long-integer", "huge-coefficient", "huge-constant"])
+def test_input_limits_raise_expression_errors(text, position):
+    with pytest.raises(ExpressionError) as exc:
+        parse_element(text, F1)
+    assert exc.value.position == position
+
+
+def test_nesting_up_to_the_limit_parses():  # the parenthesis of u(...) counts too
+    text = "(" * (MAX_NESTING - 1) + "u(1/2)" + ")" * (MAX_NESTING - 1)
+    assert parse_element(text, F1) == Element.u(F1, [Fraction(1, 2)])
+
+
+ALPHABET = "uvi0123456789()*+,/- "
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(ALPHABET, max_size=24))
+def test_any_text_over_the_alphabet_parses_or_raises_expression_error(text):
+    try:
+        parse_element(text, F1)
+    except ExpressionError:
+        pass

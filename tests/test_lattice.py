@@ -84,6 +84,11 @@ class TestDualFrame:
         with pytest.raises(SingularFrame):
             dual_frame(matrix([[1, 1], [1, 1]]))
 
+    @pytest.mark.parametrize("rows", [[], [[1, 0]], [[1], [0, 1]]])
+    def test_empty_and_non_square_matrices_rejected(self, rows):
+        with pytest.raises(DimensionMismatch):
+            Frame.from_basis(rows)
+
 
 class TestPairing:
     def test_unit_pair_is_full_turn(self):

@@ -1,8 +1,9 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from weylccr import (
     Bloch,
@@ -26,10 +27,13 @@ from weylccr import (
 from weylccr.errors import NotAState, WeylError
 from weylccr.lattice import vector
 from weylccr.serialization import (
+    MAX_JSON_DEGREE,
     character_from_json,
+    character_to_json,
     dumps,
     element_from_json,
     element_to_json,
+    endpoints_from_json,
     frame_from_json,
     frame_to_json,
     scalar_from_json,
@@ -37,6 +41,7 @@ from weylccr.serialization import (
     state_from_json,
     state_to_json,
 )
+from conftest import malformed_states
 
 F1 = Frame.standard(1)
 
@@ -144,6 +149,16 @@ MALFORMED = [
     (element_from_json, {"frame": frame_to_json(F1), "terms": [{"a": 5, "b": [], "re": 1}]}),
     (element_from_json, {"frame": frame_to_json(F1), "terms": [{"a": ["x"], "b": ["0"],
                                                                  "re": 1, "im": 0}]}),
+    (scalar_from_json, {"num": {"-1": "1", "2": "5"}}),
+    (scalar_from_json, {"num": {"1": "1"}, "den": {"-1": "1", "1": "1"}}),
+    (scalar_from_json, {"num": {"1": "2", "01": "3"}}),
+    (scalar_from_json, {"num": ["1"]}),
+    (scalar_from_json, {"num": {str(MAX_JSON_DEGREE + 1): "1"}}),
+    (state_from_json, {"family": "plane_wave", "p": [{"num": ["1"]}]}),
+    (frame_from_json, {"d": 0, "E": []}),
+    (endpoints_from_json, [1, 2]),
+    (endpoints_from_json, {"start": {"family": "fock"}}),
+    (endpoints_from_json, {"start": {"family": "fock"}, "end": {"family": "bogus"}}),
 ]
 
 
@@ -155,30 +170,33 @@ def test_malformed_json_raises_weyl_error(decode, obj):
     assert "\n" not in str(info.value)
 
 
+def test_scalar_degree_is_bounded():
+    assert scalar_from_json({"num": {str(MAX_JSON_DEGREE): "1"}}) == TAU ** MAX_JSON_DEGREE
+    with pytest.raises(WeylError, match="tau-power"):
+        scalar_from_json({"num": {str(10**9): "1"}})
+
+
+def test_state_nested_past_the_recursion_limit_raises_weyl_error():
+    obj = {"family": "fock"}
+    for _ in range(sys.getrecursionlimit()):
+        obj = {"family": "mixture", "components": [{"weight": 1, "state": obj}]}
+    with pytest.raises(WeylError, match="RecursionError"):
+        state_from_json(obj)
+
+
+def test_encoding_goes_by_exact_class():
+    class Subclass(Fock):
+        pass
+    with pytest.raises(WeylError, match="cannot encode"):
+        state_to_json(Subclass())
+    with pytest.raises(WeylError, match="cannot encode"):
+        character_to_json(object())
+
+
 def test_nan_mixture_weight_is_not_a_state():
     with pytest.raises(NotAState):
         state_from_json({"family": "mixture",
                          "components": [{"weight": "nan", "state": {"family": "fock"}}]})
-
-
-KEYS = ("family", "p", "char", "kind", "primes", "factors", "kappa", "fhat", "idx",
-        "re", "im", "nu", "components", "weight", "state", "num", "den", "0", "1")
-FAMILIES = ("plane_wave", "bohr", "padic", "bloch", "zak", "fock", "tracial", "mixture",
-            "continuous", "product", "bogus")
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
-    | st.sampled_from(("0", "1/2", "-1/3", "1/0", "x", "") + FAMILIES) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
-        st.sampled_from(KEYS), inner, max_size=4),
-    max_leaves=10)
-malformed_states = st.recursive(
-    st.fixed_dictionaries({"family": st.sampled_from(FAMILIES)},
-                          optional={k: json_values for k in KEYS if k != "family"}),
-    lambda inner: st.fixed_dictionaries(
-        {"family": st.just("mixture"),
-         "components": st.lists(st.fixed_dictionaries(
-             {}, optional={"weight": json_values, "state": inner | json_values}), max_size=3)}),
-    max_leaves=4) | json_values
 
 
 @settings(deadline=None)

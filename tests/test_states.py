@@ -37,6 +37,7 @@ from weylccr import (
     weak_star_distance,
 )
 from weylccr.errors import (
+    DimensionMismatch,
     FamilyMismatch,
     InvalidProbeSet,
     NotAState,
@@ -197,6 +198,15 @@ class TestValidation:
         with pytest.raises(NotAState):
             Bloch([Fraction(0)], {(0,): complex("nan")})
 
+    @pytest.mark.parametrize("state", [
+        PlaneWave(vector([Fraction(1, 3), 0])),
+        Zak([Fraction(1, 3), 0], [0, 0]),
+        Bloch([Fraction(1, 3), 0], {(0, 0): 1.0}),
+    ], ids=lambda s: type(s).__name__)
+    def test_state_of_another_dimension_is_rejected(self, state):
+        with pytest.raises(DimensionMismatch):
+            state.evaluate(Element.v(F1, [1]))
+
 
 def _round_trips(value):
     return (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value))
@@ -229,8 +239,11 @@ class TestCopying:
 
     def test_mixture_round_trips_with_identity_equality(self):
         rng = seeded("mixture-copy")
-        mix = Mixture([(0.25, self.STATES[2]), (0.75, self.STATES[3])])
-        samples = [rand_element(rng, F1, 4) for _ in range(10)]
+        zak = Zak([Fraction(1, 2), 0], [Fraction(1, 3), 0])  # the dimension of the Bloch state
+        mix = Mixture([(0.25, self.STATES[2]), (0.75, zak)])
+        F2 = Frame.standard(2)
+        samples = [rand_element(rng, F2, 3) + Element(F2, {rand_lattice_monomial(rng, 2): 1.0})
+                   for _ in range(10)]
         for back in _round_trips(mix):
             assert type(back) is Mixture
             assert back.components == mix.components
