@@ -10,14 +10,19 @@ momentum (``momentum``), which is None when a p-adic factor is present.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Union
 
-from .errors import DimensionMismatch, NotDecomposable
+from .errors import DimensionMismatch, NotDecomposable, WeylError
 from .lattice import Vector, vadd, vdot, vector, zero_vector
 from .scalars import PhaseAngle
+
+#: the largest prime of a p-adic character, so that its primality test is at
+#: most 255 trial divisions
+MAX_PRIME = 2**16
 
 
 def padic_fraction(x, p: int) -> Fraction:
@@ -73,9 +78,11 @@ class PadicCharacter:
     primes: tuple
 
     def __post_init__(self):
-        primes = tuple(int(p) for p in self.primes)
-        if any(p < 2 for p in primes):
-            raise ValueError("p-adic character needs primes >= 2")
+        primes = tuple(self.primes)
+        for p in primes:
+            if not (isinstance(p, int) and 2 <= p <= MAX_PRIME
+                    and all(p % k for k in range(2, math.isqrt(p) + 1))):
+                raise WeylError(f"a p-adic character takes primes up to {MAX_PRIME}, not {p!r}")
         object.__setattr__(self, "primes", primes)
 
     @property

@@ -389,17 +389,34 @@ class ExactScalar:
         return Fraction(self._p[0], self._c) if self._p else Fraction(0)
 
     def evaluate(self) -> float:
-        """Numeric value with tau substituted by 2*pi."""
+        """Numeric value with tau substituted by 2*pi (the double ``TWO_PI``).
+
+        A value past the float range is returned as +inf or -inf, never as an
+        OverflowError or NaN: when the double sums leave the range, the value
+        is computed exactly at ``TWO_PI`` and rounded once.
+        """
         c = self._c
-        num = 0.0
-        for v in reversed(self._p):
-            num = num * TWO_PI + v / c
         q = self._q
         lead = q[-1]
-        den = 0.0
-        for v in reversed(q):
-            den = den * TWO_PI + v / lead
-        return num / den
+        try:
+            num = 0.0
+            for v in reversed(self._p):
+                num = num * TWO_PI + v / c
+            den = 0.0
+            for v in reversed(q):
+                den = den * TWO_PI + v / lead
+            value = num / den
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        tau = Fraction(TWO_PI)
+        exact = (sum(v * tau**k for k, v in enumerate(self._p))
+                 / (c * sum(v * tau**k for k, v in enumerate(q))))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
     # -- field arithmetic ----------------------------------------------
 

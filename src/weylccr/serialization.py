@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from fractions import Fraction
 
 from .algebra import Element, Monomial
@@ -40,6 +41,10 @@ from .states import (
 #: the largest tau-power a decoded scalar may carry; (2*pi)^64 is about 1.6e51,
 #: so products of a few such scalars still evaluate within the float range
 MAX_JSON_DEGREE = 64
+
+#: the largest decimal exponent of a decoded rational, well past the float range
+MAX_JSON_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
 
 
 def _decoder(decode):
@@ -71,7 +76,15 @@ def fraction_to_str(f) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
-    return Fraction(str(s))
+    """The rational written as "p/q" or as a decimal, whose exponent, if any,
+    is at most MAX_JSON_EXPONENT in size: "1e100000000" alone would build a
+    hundred-million-digit integer."""
+    s = str(s)
+    exponent = _EXPONENT.search(s)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(MAX_JSON_EXPONENT)) or int(digits or 0) > MAX_JSON_EXPONENT:
+        raise WeylError(f"the exponent of {s[:40]!r} is past {MAX_JSON_EXPONENT}")
+    return Fraction(s)
 
 
 def scalar_to_json(x: ExactScalar):

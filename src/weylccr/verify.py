@@ -1,16 +1,23 @@
-"""Seeded verification suites driving every identity the library claims.
+"""Seeded verification checks for every identity the library claims.
 
-Each suite returns a list of ``CheckResult`` (shared with the state checks in
-``states``) with a worst-case witness, so a failure is immediately
-actionable.  Random data is drawn from a generator seeded per check name
-(``RunConfig.rng``), which makes reports reproducible byte for byte.
+Every check is a row of one ordered table, ``CHECKS``, keyed by the name of
+the generator it draws its random data from (``RunConfig.rng``, seeded per
+name), which makes reports reproducible byte for byte and lets any row run
+alone: ``CHECKS["states.unit"](config)`` is that row's list of
+``CheckResult`` (shared with the state checks in ``states``), each with a
+worst-case witness, so a failure is immediately actionable.  The suite of a
+row is the prefix of its name; ``SUITES`` and ``run_suite`` are views of the
+table, and ``suite_weyl`` ... ``suite_paths`` are the ``SUITES`` values.
+
+A row is a generator registered by ``check``.  It yields its results, or one
+witness per failed probe, reduced by ``_counted`` (passes when no probe
+failed), or (value, probe) pairs, reduced by ``_bounded`` (shared with the
+state checks; passes when the worst value is within a bound).  Adding a
+check is adding a row.
 
 The ``rand_*`` functions and ``draw_distinct`` below are the project's only
 seeded generators; the tests import them from here.  ``path_probes`` is the
-probe set of the path checks and of ``weylccr path-demo``.  Results are built
-by ``_counted``, which passes when no probe failed, and by two helpers shared
-with the state checks: ``_worst`` reduces (value, probe) pairs to the worst
-one and ``_bounded`` passes when that value is within a bound.
+probe set of the path checks and of ``weylccr path-demo``.
 """
 
 from __future__ import annotations
@@ -169,30 +176,56 @@ def path_probes(rng, frame: Frame, fixed=()) -> list:
     return list(fixed) + [Element.from_monomial(frame, m) for m in drawn]
 
 
+CHECKS: dict = {}
+
+
+def check(name: str, counted: str = "", bounded: tuple = ()):
+    """Register the generator below as the row ``CHECKS[name]``, called as
+    ``row(config, config.rng(name), config.frame, config.frame.d)``.
+
+    The row yields its ``CheckResult``s.  Given ``counted``, it yields instead
+    one witness per failed probe, reported by ``_counted`` under that name;
+    given ``bounded`` = (name, bound), (value, probe) pairs, reported by
+    ``_bounded``, where a bound of None is the run's ``tol``.
+    """
+    if name in CHECKS:
+        raise ValueError(f"there is a row named {name} already")
+
+    def register(row):
+        def run(config: RunConfig) -> list:
+            results = row(config, config.rng(name), config.frame, config.frame.d)
+            if counted:
+                return [_counted(counted, list(results))]
+            if bounded:
+                report, bound = bounded
+                return [_bounded(report, results, config.tol if bound is None else bound)]
+            return list(results)
+        CHECKS[name] = run
+        return row
+    return register
+
+
 # ---------------------------------------------------------------- weyl suite
 
 
-def suite_weyl(config: RunConfig) -> list:
-    checks = []
-
-    rng = config.rng("weyl.associativity")
-    failures = []
+@check("weyl.associativity", counted="weyl.associativity_1000_exact")
+def _weyl_associativity(config, rng, frame, d):
     for i in range(1000):
-        d = 1 + i % 3
-        m1, m2, m3 = (rand_monomial(rng, d) for _ in range(3))
+        dim = 1 + i % 3
+        m1, m2, m3 = (rand_monomial(rng, dim) for _ in range(3))
         ph12, m12 = monomial_product(m1, m2)
         ph_l, ml = monomial_product(m12, m3)
         ph23, m23 = monomial_product(m2, m3)
         ph_r, mr = monomial_product(m1, m23)
         if ml != mr or not (ph12 + ph_l).is_same_rotation(ph23 + ph_r):
-            failures.append(f"{m1} | {m2} | {m3}")
-    checks.append(_counted("weyl.associativity_1000_exact", failures))
+            yield f"{m1} | {m2} | {m3}"
 
-    rng = config.rng("weyl.star_antihom")
-    failures = []
+
+@check("weyl.star_antihom", counted="weyl.star_antihomomorphism_exact")
+def _weyl_star_antihom(config, rng, frame, d):
     for i in range(500):
-        d = 1 + i % 3
-        m1, m2 = rand_monomial(rng, d), rand_monomial(rng, d)
+        dim = 1 + i % 3
+        m1, m2 = rand_monomial(rng, dim), rand_monomial(rng, dim)
         ph12, m12 = monomial_product(m1, m2)
         adj_ph, adj_m = monomial_adjoint(m12)
         lhs_angle = adj_ph - ph12           # conj(e^{i ph12}) carried along
@@ -201,26 +234,25 @@ def suite_weyl(config: RunConfig) -> list:
         pr, mr = monomial_product(s2, s1)
         rhs_angle = a2 + a1 + pr
         if adj_m != mr or not lhs_angle.is_same_rotation(rhs_angle):
-            failures.append(f"{m1} | {m2}")
-    checks.append(_counted("weyl.star_antihomomorphism_exact", failures))
+            yield f"{m1} | {m2}"
 
-    rng = config.rng("weyl.star_elements")
-    devs = []
+
+@check("weyl.star_elements", bounded=("weyl.star_laws_coefficients", 1e-12))
+def _weyl_star_elements(config, rng, frame, d):
     for _ in range(100):
-        x = rand_element(rng, config.frame)
-        y = rand_element(rng, config.frame)
-        devs.append(((x * y).adjoint().max_coeff_diff(y.adjoint() * x.adjoint()),
-                     f"{len(x)}x{len(y)} terms"))
-        devs.append((x.adjoint().adjoint().max_coeff_diff(x), "involution"))
-    checks.append(_bounded("weyl.star_laws_coefficients", devs, 1e-12))
+        x, y = rand_element(rng, frame), rand_element(rng, frame)
+        yield ((x * y).adjoint().max_coeff_diff(y.adjoint() * x.adjoint()),
+               f"{len(x)}x{len(y)} terms")
+        yield x.adjoint().adjoint().max_coeff_diff(x), "involution"
 
-    rng = config.rng("weyl.symplectic")
-    failures = []
+
+@check("weyl.symplectic", counted="weyl.symplectic_presentation_500_exact")
+def _weyl_symplectic(config, rng, frame, d):
     for i in range(500):
-        d = 1 + i % 3
-        frame = Frame.standard(d)
-        z = PhasePoint(frame, rand_coords(rng, d), rand_coords(rng, d))
-        zp = PhasePoint(frame, rand_coords(rng, d), rand_coords(rng, d))
+        dim = 1 + i % 3
+        standard = Frame.standard(dim)
+        z = PhasePoint(standard, rand_coords(rng, dim), rand_coords(rng, dim))
+        zp = PhasePoint(standard, rand_coords(rng, dim), rand_coords(rng, dim))
         ph_z, m_z = weyl_generator_parts(z)
         ph_zp, m_zp = weyl_generator_parts(zp)
         ph_prod, m_prod = monomial_product(m_z, m_zp)
@@ -228,27 +260,25 @@ def suite_weyl(config: RunConfig) -> list:
         ph_sum, m_sum = weyl_generator_parts(z + zp)
         rhs = symplectic(z, zp) + ph_sum
         if m_prod != m_sum or not lhs.is_same_rotation(rhs):
-            failures.append(f"z={z.a},{z.b} z'={zp.a},{zp.b}")
-    checks.append(_counted("weyl.symplectic_presentation_500_exact", failures))
+            yield f"z={z.a},{z.b} z'={zp.a},{zp.b}"
 
-    rng = config.rng("weyl.generator_adjoint")
-    failures = []
+
+@check("weyl.generator_adjoint", counted="weyl.generator_adjoint_exact")
+def _weyl_generator_adjoint(config, rng, frame, d):
     for _ in range(100):
-        frame = config.frame
-        z = PhasePoint(frame, rand_coords(rng, frame.d), rand_coords(rng, frame.d))
+        z = PhasePoint(frame, rand_coords(rng, d), rand_coords(rng, d))
         ph_z, m_z = weyl_generator_parts(z)
         adj_ph, adj_m = monomial_adjoint(m_z)
         ph_neg, m_neg = weyl_generator_parts(-z)
         if adj_m != m_neg or not (adj_ph - ph_z).is_same_rotation(ph_neg):
-            failures.append("")
-    checks.append(_counted("weyl.generator_adjoint_exact", failures))
+            yield ""
 
-    rng = config.rng("weyl.group_laws")
-    frame = config.frame
-    failures = []
+
+@check("weyl.group_laws", counted="weyl.automorphism_group_laws_exact")
+def _weyl_group_laws(config, rng, frame, d):
     for _ in range(200):
-        m = rand_monomial(rng, frame.d)
-        lam, mu = rand_coords(rng, frame.d), rand_coords(rng, frame.d)
+        m = rand_monomial(rng, d)
+        lam, mu = rand_coords(rng, d), rand_coords(rng, d)
         t, s = rand_fraction(rng), rand_fraction(rng)
         for one, two, both in (
             (SpaceTranslation(lam), SpaceTranslation(mu),
@@ -261,85 +291,77 @@ def suite_weyl(config: RunConfig) -> list:
             ph2, im2, _ = automorphism_action(two, frame, im1)
             ph, im, _ = automorphism_action(both, frame, m)
             if im != im2 or not (ph1 + ph2).is_same_rotation(ph):
-                failures.append("")
-    checks.append(_counted("weyl.automorphism_group_laws_exact", failures))
+                yield ""
 
-    rng = config.rng("weyl.homomorphism")
-    devs = []
+
+@check("weyl.homomorphism", bounded=("weyl.automorphisms_preserve_products", 1e-12))
+def _weyl_homomorphism(config, rng, frame, d):
     one = Element.one(frame)
     for _ in range(50):
         x, y = rand_element(rng, frame, 3), rand_element(rng, frame, 3)
-        for spec in (SpaceTranslation(rand_coords(rng, frame.d)),
-                     MomentumTranslation(rand_coords(rng, frame.d)),
+        for spec in (SpaceTranslation(rand_coords(rng, d)),
+                     MomentumTranslation(rand_coords(rng, d)),
                      FreeDynamics(rand_fraction(rng)),
                      TimeReversal()):
             lhs = apply_automorphism(spec, x * y)
             rhs = apply_automorphism(spec, x) * apply_automorphism(spec, y)
-            devs.append((lhs.max_coeff_diff(rhs), type(spec).__name__))
-            devs.append((apply_automorphism(spec, one).max_coeff_diff(one),
-                         "unit " + type(spec).__name__))
-    checks.append(_bounded("weyl.automorphisms_preserve_products", devs, 1e-12))
+            yield lhs.max_coeff_diff(rhs), type(spec).__name__
+            yield (apply_automorphism(spec, one).max_coeff_diff(one),
+                   "unit " + type(spec).__name__)
 
-    rng = config.rng("weyl.time_reversal")
-    devs = []
+
+@check("weyl.time_reversal", bounded=("weyl.time_reversal_involution", 0.0))
+def _weyl_time_reversal(config, rng, frame, d):
     for _ in range(100):
         x = rand_element(rng, frame, 4)
         c = rand_complex(rng)
-        devs.append((apply_automorphism(TimeReversal(),
-                                        apply_automorphism(TimeReversal(), x))
-                     .max_coeff_diff(x), "c.c = id"))
+        yield (apply_automorphism(TimeReversal(), apply_automorphism(TimeReversal(), x))
+               .max_coeff_diff(x), "c.c = id")
         lhs = apply_automorphism(TimeReversal(), c * x)
         rhs = c.conjugate() * apply_automorphism(TimeReversal(), x)
-        devs.append((lhs.max_coeff_diff(rhs), "antilinearity"))
-    checks.append(_bounded("weyl.time_reversal_involution", devs, 0.0))
+        yield lhs.max_coeff_diff(rhs), "antilinearity"
 
-    rng = config.rng("weyl.trace_l2")
-    tracial = Tracial()
-    devs = []
+
+@check("weyl.trace_l2", bounded=("weyl.tracial_l2_identity", 1e-12))
+def _weyl_trace_l2(config, rng, frame, d):
     for _ in range(200):
         x = rand_element(rng, frame, 10)
-        lhs = tracial.evaluate(x.adjoint() * x)
+        lhs = Tracial().evaluate(x.adjoint() * x)
         rhs = sum(abs(c) ** 2 for c in x.terms.values())
-        devs.append((abs(lhs - rhs), f"{len(x)} terms"))
-    checks.append(_bounded("weyl.tracial_l2_identity", devs, 1e-12))
+        yield abs(lhs - rhs), f"{len(x)} terms"
 
-    rng = config.rng("weyl.norm_bound")
-    failures = []
+
+@check("weyl.norm_bound", counted="weyl.tracial_norm_lower_bound_exact")
+def _weyl_norm_bound(config, rng, frame, d):
     for _ in range(100):
-        m1, m2 = rand_monomial(rng, frame.d), rand_monomial(rng, frame.d)
+        m1, m2 = rand_monomial(rng, d), rand_monomial(rng, d)
         if m1 == m2:
             continue
         lam, lamp = rand_complex(rng), rand_complex(rng)
         x = Element(frame, {m1: lam}) - Element(frame, {m2: lamp})
         expected = lam.conjugate() * lam + lamp.conjugate() * lamp
         if tracial_inner_product(x, x) != expected:
-            failures.append("")
-        if abs(tracial.evaluate(x.adjoint() * x) - expected) > 1e-12:
-            failures.append("")
-    checks.append(_counted("weyl.tracial_norm_lower_bound_exact", failures))
+            yield ""
+        if abs(Tracial().evaluate(x.adjoint() * x) - expected) > 1e-12:
+            yield ""
 
-    rng = config.rng("weyl.trace_pairing")
-    devs = []
+
+@check("weyl.trace_pairing", bounded=("weyl.trace_coefficient_pairing", 1e-12))
+def _weyl_trace_pairing(config, rng, frame, d):
     for _ in range(50):
         x = rand_element(rng, frame, 6)
-        m = rng.choice(list(x.terms)) if rng.random() < 0.8 else rand_monomial(rng, frame.d)
-        paired = tracial.evaluate(Element.from_monomial(frame, m).adjoint() * x)
-        devs.append((abs(paired - trace_coefficient(x, m)), str(m)))
-    checks.append(_bounded("weyl.trace_coefficient_pairing", devs, 1e-12))
-    return checks
+        m = rng.choice(list(x.terms)) if rng.random() < 0.8 else rand_monomial(rng, d)
+        paired = Tracial().evaluate(Element.from_monomial(frame, m).adjoint() * x)
+        yield abs(paired - trace_coefficient(x, m)), str(m)
 
 
 # -------------------------------------------------------------- ergodic suite
 
 
-def suite_ergodic(config: RunConfig) -> list:
-    checks = []
-    frame = config.frame
-
-    rng = config.rng("ergodic.closed_forms")
-    failures = []
+@check("ergodic.closed_forms", counted="ergodic.closed_form_projections_exact")
+def _ergodic_closed_forms(config, rng, frame, d):
     for _ in range(200):
-        m = rng.choice([rand_monomial(rng, frame.d), rand_lattice_monomial(rng, frame.d)])
+        m = rng.choice([rand_monomial(rng, d), rand_lattice_monomial(rng, d)])
         x = Element.from_monomial(frame, m, rand_complex(rng))
         want_mean = x if is_zero_vector(m.a) else Element.zero(frame)
         want_gamma = x if in_dual_lattice(m.a) else Element.zero(frame)
@@ -347,41 +369,42 @@ def suite_ergodic(config: RunConfig) -> list:
                     and integer_vector(m.b) is not None else Element.zero(frame))
         if (ergodic_mean(x) != want_mean or ergodic_mean_lattice(x) != want_gamma
                 or ergodic_mean_zak(x) != want_zak):
-            failures.append(str(m))
-    checks.append(_counted("ergodic.closed_form_projections_exact", failures))
+            yield str(m)
 
-    rng = config.rng("ergodic.projections")
-    failures = []
+
+@check("ergodic.projections", counted="ergodic.means_idempotent_linear")
+def _ergodic_projections(config, rng, frame, d):
     for _ in range(100):
-        x = rand_element(rng, frame, 6)
-        y = rand_element(rng, frame, 6)
+        x, y = rand_element(rng, frame, 6), rand_element(rng, frame, 6)
         c = rand_complex(rng)
         for mean in (ergodic_mean, ergodic_mean_lattice, ergodic_mean_zak):
             if mean(mean(x)) != mean(x):
-                failures.append("")
+                yield ""
             if mean(x + c * y).max_coeff_diff(mean(x) + c * mean(y)) > 1e-12:
-                failures.append("")
-    checks.append(_counted("ergodic.means_idempotent_linear", failures))
+                yield ""
 
-    rng = config.rng("ergodic.invariance")
-    failures = []
+
+@check("ergodic.invariance", counted="ergodic.means_translation_invariant")
+def _ergodic_invariance(config, rng, frame, d):
     for _ in range(100):
         x = rand_element(rng, frame, 6)
-        lam = rand_coords(rng, frame.d)
-        gamma = vector([rng.randint(-3, 3) for _ in range(frame.d)])
-        gp = vector([rng.randint(-3, 3) for _ in range(frame.d)])
+        lam = rand_coords(rng, d)
+        gamma = vector([rng.randint(-3, 3) for _ in range(d)])
+        gp = vector([rng.randint(-3, 3) for _ in range(d)])
         if ergodic_mean(apply_automorphism(SpaceTranslation(lam), x)) != ergodic_mean(x):
-            failures.append("")
+            yield ""
         moved = apply_automorphism(SpaceTranslation(gamma), x)
         if ergodic_mean_lattice(moved).max_coeff_diff(ergodic_mean_lattice(x)) > 1e-12:
-            failures.append("")
+            yield ""
         moved = apply_automorphism(MomentumTranslation(gp),
                                    apply_automorphism(SpaceTranslation(gamma), x))
         if ergodic_mean_zak(moved).max_coeff_diff(ergodic_mean_zak(x)) > 1e-12:
-            failures.append("")
-    checks.append(_counted("ergodic.means_translation_invariant", failures))
+            yield ""
 
-    # box-average decay on a frame with unit ambient momenta
+
+@check("ergodic.box_average")
+def _ergodic_box_average(config, rng, frame, d):
+    """Box-average decay on a frame with unit ambient momenta."""
     frame_tau = Frame.from_basis([[TAU]])
     x = Element(frame_tau, {
         Monomial(vector([0]), vector([Fraction(1, 3)])): 1.5 + 0.5j,
@@ -407,21 +430,19 @@ def suite_ergodic(config: RunConfig) -> list:
         xs = [math.log10(L) for L in sizes]
         ys = [math.log10(m) for m in ms]
         n = len(xs)
-        slope = ((n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys))
-                 / (n * sum(x * x for x in xs) - sum(xs) ** 2))
-        slopes[a] = slope
+        slopes[a] = ((n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys))
+                     / (n * sum(x * x for x in xs) - sum(xs) ** 2))
     slope_ok = all(-1.2 <= s <= -0.8 for s in slopes.values())
-    checks.append(CheckResult("ergodic.box_average_zero_mode_exact",
-                              exact_zero_dev == 0.0, exact_zero_dev, "a = 0 term"))
-    checks.append(CheckResult(
+    yield CheckResult("ergodic.box_average_zero_mode_exact",
+                      exact_zero_dev == 0.0, exact_zero_dev, "a = 0 term")
+    yield CheckResult(
         "ergodic.box_average_decay_bound", bound_ok,
         max(mag * L * a for a, ms in mags.items() for mag, L in zip(ms, sizes)),
-        "max of |coef| * L * alpha"))
-    checks.append(CheckResult(
+        "max of |coef| * L * alpha")
+    yield CheckResult(
         "ergodic.box_average_loglog_slope", slope_ok,
         max(abs(s + 1.0) for s in slopes.values()),
-        f"slopes {sorted(slopes.items())}"))
-    return checks
+        f"slopes {sorted(slopes.items())}")
 
 
 # ---------------------------------------------------------------- state suite
@@ -458,20 +479,15 @@ def _family_zoo(rng, frame):
     return zoo + [("mixture", mixture)]
 
 
-def suite_states(config: RunConfig) -> list:
-    checks = []
-    frame = config.frame
-    d = frame.d
-
-    rng = config.rng("states.unit")
-    devs = []
+@check("states.unit", bounded=("states.unit_evaluates_to_one", 1e-12))
+def _states_unit(config, rng, frame, d):
     one = Element.one(frame)
     for name, s in _family_zoo(rng, frame):
-        devs.append((abs(s.evaluate(one) - 1.0), name))
-    checks.append(_bounded("states.unit_evaluates_to_one", devs, 1e-12))
+        yield abs(s.evaluate(one) - 1.0), name
 
-    rng = config.rng("states.vanishing")
-    failures = []
+
+@check("states.vanishing", counted="states.vanishing_structure_exact")
+def _states_vanishing(config, rng, frame, d):
     _, bs = _bohr(frame)
     for _ in range(200):
         m = rand_monomial(rng, d)
@@ -480,15 +496,16 @@ def suite_states(config: RunConfig) -> list:
         zk = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
         if not is_zero_vector(m.a):
             if pw.monomial_value(frame, m) != 0 or bs.monomial_value(frame, m) != 0:
-                failures.append(str(m))
+                yield str(m)
         if integer_vector(m.a) is None and bl.monomial_value(frame, m) != 0:
-            failures.append(str(m))
+            yield str(m)
         if ((integer_vector(m.a) is None or integer_vector(m.b) is None)
                 and zk.monomial_value(frame, m) != 0):
-            failures.append(str(m))
-    checks.append(_counted("states.vanishing_structure_exact", failures))
+            yield str(m)
 
-    rng = config.rng("states.invariance")
+
+@check("states.invariance")
+def _states_invariance(config, rng, frame, d):
     samples = [rand_element(rng, frame, 5) for _ in range(100)]
     pw = PlaneWave(rand_coords(rng, d))
     _, bs = _bohr(frame)
@@ -497,19 +514,22 @@ def suite_states(config: RunConfig) -> list:
         for spec in (SpaceTranslation(rand_coords(rng, d)), FreeDynamics(rand_fraction(rng))):
             rep = invariance_check(s, spec, samples, tol=0.0)
             worst = max(worst, rep.worst_value)
-    checks.append(CheckResult("states.translation_invariance_exact",
-                              worst == 0.0, worst, "plane-wave and character states"))
+    yield CheckResult("states.translation_invariance_exact",
+                      worst == 0.0, worst, "plane-wave and character states")
 
     gamma = vector([rng.randint(-3, 3) for _ in range(d)])
     gp = vector([rng.randint(-3, 3) for _ in range(d)])
     bl = Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d))
     rep = invariance_check(bl, SpaceTranslation(gamma), samples, tol=1e-12)
-    checks.append(replace(rep, check="states.bloch_lattice_invariance"))
+    yield replace(rep, check="states.bloch_lattice_invariance")
     zk = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
     rep = invariance_check(zk, (SpaceTranslation(gamma), MomentumTranslation(gp)),
                            samples, tol=1e-12)
-    checks.append(replace(rep, check="states.zak_double_invariance"))
+    yield replace(rep, check="states.zak_double_invariance")
 
+
+@check("states.fock_dynamics")
+def _states_fock_dynamics(config, rng, frame, d):
     frame_tau = Frame.from_basis([[TAU]] if d == 1 else
                                  [[TAU if i == j else 0 for j in range(d)]
                                   for i in range(d)])
@@ -518,13 +538,14 @@ def suite_states(config: RunConfig) -> list:
                                            vector([0] * d)))
     rep = invariance_check(Fock(), FreeDynamics(Fraction(1)), [probe], tol=1e-10)
     gap = abs(rep.worst_value - abs(math.exp(-0.5) - math.exp(-0.25)))
-    checks.append(CheckResult("states.fock_not_free_dynamics_invariant",
-                              (not rep.passed) and gap <= 1e-6,
-                              rep.worst_value, "u(1)v(0) over the 2*pi frame"))
+    yield CheckResult("states.fock_not_free_dynamics_invariant",
+                      (not rep.passed) and gap <= 1e-6,
+                      rep.worst_value, "u(1)v(0) over the 2*pi frame")
 
-    rng = config.rng("states.positivity")
-    devs = []
-    herm = []
+
+@check("states.positivity")
+def _states_positivity(config, rng, frame, d):
+    devs, herm = [], []
     for name, s in _family_zoo(rng, frame):
         probes = draw_distinct(20, lambda: (rand_lattice_monomial(rng, d)
                                         if rng.random() < 0.5 else rand_monomial(rng, d)))
@@ -532,21 +553,21 @@ def suite_states(config: RunConfig) -> list:
         devs.append((-rep.min_eigenvalue, name))
         herm.append((rep.hermitian_residual, name))
     worst, probe = _worst(devs)
-    checks.append(CheckResult("states.gram_psd_min_eigenvalue",
-                              worst <= config.tol, -worst, probe))
-    checks.append(_bounded("states.gram_hermitian_residual", herm, 1e-12))
+    yield CheckResult("states.gram_psd_min_eigenvalue", worst <= config.tol, -worst, probe)
+    yield _bounded("states.gram_hermitian_residual", herm, 1e-12)
 
-    rng = config.rng("states.positive_squares")
-    devs = []
+
+@check("states.positive_squares", bounded=("states.squares_positive", None))
+def _states_positive_squares(config, rng, frame, d):
     for name, s in _family_zoo(rng, frame):
         for _ in range(100):
             x = rand_element(rng, frame, 4)
             val = s.evaluate(x.adjoint() * x)
-            devs.append((max(abs(val.imag), -min(val.real, 0.0)), name))
-    checks.append(_bounded("states.squares_positive", devs, config.tol))
+            yield max(abs(val.imag), -min(val.real, 0.0)), name
 
-    rng = config.rng("states.quasimomentum")
-    devs = []
+
+@check("states.quasimomentum", bounded=("states.bloch_quasimomentum_identity", 1e-12))
+def _states_quasimomentum(config, rng, frame, d):
     for _ in range(20):
         kappa = rand_kappa(rng, d)
         s = Bloch(kappa, rand_normalized_fhat(rng, d))
@@ -554,11 +575,11 @@ def suite_states(config: RunConfig) -> list:
         c = PhaseAngle.from_turns(-sum((k * g for k, g in zip(kappa, gamma)),
                                        Fraction(0))).to_complex()
         x = Element.v(frame, gamma) - c * Element.one(frame)
-        devs.append((abs(s.evaluate(x.adjoint() * x)), f"gamma={gamma}"))
-    checks.append(_bounded("states.bloch_quasimomentum_identity", devs, 1e-12))
+        yield abs(s.evaluate(x.adjoint() * x)), f"gamma={gamma}"
 
-    rng = config.rng("states.mixture")
-    failures = []
+
+@check("states.mixture", counted="states.mixture_affine_exact")
+def _states_mixture(config, rng, frame, d):
     parts = [PlaneWave(rand_coords(rng, d)), Zak(rand_kappa(rng, d), rand_kappa(rng, d)), Tracial()]
     mix = Mixture([(0.5, parts[0]), (0.25, parts[1]), (0.25, parts[2])])
     for _ in range(50):
@@ -566,59 +587,52 @@ def suite_states(config: RunConfig) -> list:
         want = (0.5 * parts[0].evaluate(x) + 0.25 * parts[1].evaluate(x)
                 + 0.25 * parts[2].evaluate(x))
         if mix.evaluate(x) != want:
-            failures.append("")
-    checks.append(_counted("states.mixture_affine_exact", failures))
+            yield ""
 
-    rng = config.rng("states.padic")
-    failures = []
+
+@check("states.padic", counted="states.padic_character_multiplicative_exact")
+def _states_padic(config, rng, frame, d):
     for _ in range(500):
-        xq = rand_fraction(rng)
-        yq = rand_fraction(rng)
+        xq, yq = rand_fraction(rng), rand_fraction(rng)
         total = padic_fraction(xq + yq, 3) - padic_fraction(xq, 3) - padic_fraction(yq, 3)
         if total.denominator != 1:
-            failures.append("")
-    checks.append(_counted("states.padic_character_multiplicative_exact", failures))
+            yield ""
 
+
+@check("states.padic_witness")
+def _states_padic_witness(config, rng, frame, d):
     s = BohrState(PadicCharacter((3,) * d))
     target = cmath.exp(2j * math.pi * Fraction(2, 3))
-    devs = []
     padic_frame = frame if _rational_frame(frame) else Frame.standard(d)
-    for n in range(51):
-        b = Fraction(-1, 3 * (3 * n + 2))
-        x = Element.v(padic_frame, [b] + [0] * (d - 1))
-        devs.append((abs(s.evaluate(x) - target), f"n={n}"))
-    worst, probe = _worst(devs)
+    worst, probe = _worst(
+        (abs(s.evaluate(Element.v(padic_frame, [Fraction(-1, 3 * (3 * n + 2))] + [0] * (d - 1)))
+             - target), f"n={n}") for n in range(51))
     gap = abs(abs(target - 1.0) - math.sqrt(3.0))
-    checks.append(CheckResult("states.padic_discontinuity_witness",
-                              worst <= 1e-12 and gap <= 1e-12,
-                              max(worst, gap), probe))
+    yield CheckResult("states.padic_discontinuity_witness",
+                      worst <= 1e-12 and gap <= 1e-12, max(worst, gap), probe)
 
-    rng = config.rng("states.weak_star")
-    devs = []
+
+@check("states.weak_star", bounded=("states.weak_star_pseudometric", 1e-12))
+def _states_weak_star(config, rng, frame, d):
     probes = [rand_element(rng, frame, 4) for _ in range(10)]
     zoo = [s for _, s in _family_zoo(rng, frame)]
     for s in zoo:
-        devs.append((weak_star_distance(s, s, probes), "self distance"))
+        yield weak_star_distance(s, s, probes), "self distance"
     for _ in range(20):
         s1, s2, s3 = rng.sample(zoo, 3)
         d12 = weak_star_distance(s1, s2, probes)
         d21 = weak_star_distance(s2, s1, probes)
         d13 = weak_star_distance(s1, s3, probes)
         d23 = weak_star_distance(s2, s3, probes)
-        devs.append((abs(d12 - d21), "symmetry"))
-        devs.append((max(0.0, d13 - d12 - d23), "triangle"))
-    checks.append(_bounded("states.weak_star_pseudometric", devs, 1e-12))
-    return checks
+        yield abs(d12 - d21), "symmetry"
+        yield max(0.0, d13 - d12 - d23), "triangle"
 
 
 # ----------------------------------------------------------- covariance suite
 
 
-def suite_covariance(config: RunConfig) -> list:
-    checks = []
-    d = config.frame.d
-    rng = config.rng("covariance.random")
-    devs = []
+@check("covariance.random", bounded=("covariance.dual_lattice_shift", 1e-12))
+def _covariance_random(config, rng, frame, d):
     for _ in range(20):
         kappa = rand_kappa(rng, d)
         fhat = rand_normalized_fhat(rng, d, radius=1)
@@ -626,34 +640,28 @@ def suite_covariance(config: RunConfig) -> list:
         probes = [rand_monomial(rng, d) if rng.random() < 0.3
                   else rand_lattice_monomial(rng, d) for _ in range(30)]
         rep = covariance_check(kappa, fhat, gp, probes, tol=1e-12)
-        devs.append((rep.worst_value, f"gamma'={gp} {rep.worst_probe}"))
-    checks.append(_bounded("covariance.dual_lattice_shift", devs, 1e-12))
+        yield rep.worst_value, f"gamma'={gp} {rep.worst_probe}"
 
-    rng = config.rng("covariance.zero_shift")
-    failures = []
+
+@check("covariance.zero_shift", counted="covariance.zero_shift_identity_exact")
+def _covariance_zero_shift(config, rng, frame, d):
     for _ in range(10):
         kappa = rand_kappa(rng, d)
         fhat = rand_normalized_fhat(rng, d, radius=1)
         probes = [rand_lattice_monomial(rng, d) for _ in range(10)]
-        rep = covariance_check(kappa, fhat, [0] * d, probes, tol=0.0)
-        if rep.worst_value != 0.0:
-            failures.append("")
-    checks.append(_counted("covariance.zero_shift_identity_exact", failures))
-    return checks
+        if covariance_check(kappa, fhat, [0] * d, probes, tol=0.0).worst_value != 0.0:
+            yield ""
 
 
 # ------------------------------------------------------------------ tri suite
 
 
-def suite_tri(config: RunConfig) -> list:
-    checks = []
-    rng = config.rng("tri.fixed_points")
-    frame2 = Frame.standard(2)
-    pts = enumerate_trs_fixed_points(frame2)
+@check("tri.fixed_points")
+def _tri_fixed_points(config, rng, frame, d):
+    pts = enumerate_trs_fixed_points(Frame.standard(2))
     ok = (len(pts) == 4 and len(set(pts)) == 4
           and all(all((-k) % 1 == k for k in kappa) for kappa in pts))
-    checks.append(CheckResult("tri.fixed_point_count_d2", ok,
-                              float(abs(len(pts) - 4)), f"{pts}"))
+    yield CheckResult("tri.fixed_point_count_d2", ok, float(abs(len(pts) - 4)), f"{pts}")
 
     failures = []
     if not time_reversal_classify(PlaneWave(vector([0, 0]))).is_tri:
@@ -662,12 +670,11 @@ def suite_tri(config: RunConfig) -> list:
         p = rand_coords(rng, 2, nonzero=False)
         if all(c.is_zero() for c in p):
             p = vector([Fraction(1, 2), 0])
-        scalekind = rng.random()
-        if scalekind < 0.3:
+        if rng.random() < 0.3:
             p = tuple(TAU * c for c in p)
         if time_reversal_classify(PlaneWave(p)).is_tri:
             failures.append(f"p={p}")
-    checks.append(_counted("tri.plane_wave_iff_zero_momentum", failures))
+    yield _counted("tri.plane_wave_iff_zero_momentum", failures)
 
     failures = []
     for kappa in pts:
@@ -680,26 +687,22 @@ def suite_tri(config: RunConfig) -> list:
             kappa = (Fraction(1, 3), kappa[1])
         if time_reversal_classify(Zak(kappa, rand_kappa(rng, 2))).is_tri:
             failures.append("")
-    checks.append(_counted("tri.zak_iff_fixed_point", failures))
+    yield _counted("tri.zak_iff_fixed_point", failures)
 
-    frame = config.frame
-    d = frame.d
-    rng = config.rng("tri.bloch")
-    states = []
+
+@check("tri.bloch")
+def _tri_bloch(config, rng, frame, d):
     inv = 1.0 / math.sqrt(2.0)
-    states.append(Bloch([0] * d, {(0,) * d: 1.0}))
-    states.append(Bloch([0] * d, {(-1,) * d: 0.6, (0,) * d: math.sqrt(0.28),
-                                  (1,) * d: 0.6}))
     half = [Fraction(1, 2)] * d
-    states.append(Bloch(half, {(-1,) * d: inv, (0,) * d: inv}))
+    states = [Bloch([0] * d, {(0,) * d: 1.0}),
+              Bloch([0] * d, {(-1,) * d: 0.6, (0,) * d: math.sqrt(0.28), (1,) * d: 0.6}),
+              Bloch(half, {(-1,) * d: inv, (0,) * d: inv})]
     for _ in range(6):
         states.append(Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)))
         states.append(Bloch([0] * d, rand_normalized_fhat(rng, d)))
-    probes = []
-    for _ in range(50):
-        probes.append(Element.from_monomial(
-            frame, Monomial(vector([rng.randint(-2, 2) for _ in range(d)]),
-                            rand_coords(rng, d)), rand_complex(rng)))
+    probes = [Element.from_monomial(frame, Monomial(vector([rng.randint(-2, 2) for _ in range(d)]),
+                                                    rand_coords(rng, d)), rand_complex(rng))
+              for _ in range(50)]
     mismatches = []
     worst_gap = 0.0
     for s in states:
@@ -712,19 +715,14 @@ def suite_tri(config: RunConfig) -> list:
         if verdict.is_tri:
             worst_gap = max(worst_gap, dev)
     rep = _counted("tri.bloch_criterion_matches_functional", mismatches)
-    checks.append(replace(rep, worst_value=rep.worst_value or worst_gap))
-    return checks
+    yield replace(rep, worst_value=rep.worst_value or worst_gap)
 
 
 # ------------------------------------------------------------------ zak suite
 
 
-def suite_zak(config: RunConfig) -> list:
-    checks = []
-    frame = config.frame
-    d = frame.d
-
-    rng = config.rng("zak.double_average")
+@check("zak.double_average")
+def _zak_double_average(config, rng, frame, d):
     frame1 = Frame.standard(1)
     n = 8
     worst = 0.0
@@ -747,61 +745,57 @@ def suite_zak(config: RunConfig) -> list:
         if not kept and avg > 0.5:
             worst = max(worst, avg)
             witness = witness or f"dropped {m} but average {avg:.3g}"
-    checks.append(CheckResult("zak.projection_matches_character_average",
-                              worst == 0.0, worst, witness))
+    yield CheckResult("zak.projection_matches_character_average", worst == 0.0, worst, witness)
 
-    rng = config.rng("zak.multiplicativity")
+
+@check("zak.multiplicativity")
+def _zak_multiplicativity(config, rng, frame, d):
     zak = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
     probes = draw_distinct(12, lambda: rand_lattice_monomial(rng, d, span=2))
     rep = multiplicativity_check(zak, frame, probes, tol=1e-12)
-    checks.append(replace(rep, check="zak.multiplicative_on_lattice_probes"))
+    yield replace(rep, check="zak.multiplicative_on_lattice_probes")
 
     pw = PlaneWave(rand_coords(rng, d))
     vprobes = draw_distinct(10, lambda: Monomial(vector([0] * d), rand_coords(rng, d)))
     rep = multiplicativity_check(pw, frame, vprobes, tol=1e-12)
-    checks.append(replace(rep, check="zak.plane_wave_multiplicative"))
+    yield replace(rep, check="zak.plane_wave_multiplicative")
 
     e1 = [1] + [0] * (d - 1)
     tprobes = [Monomial(vector([0] * d), vector(e1)),
                Monomial(vector([0] * d), vector([-c for c in e1]))]
     rep = multiplicativity_check(Tracial(), frame, tprobes, tol=1e-12)
-    checks.append(replace(rep, check="zak.tracial_multiplicativity_gap_is_one",
-                          passed=(not rep.passed) and rep.worst_value == 1.0))
+    yield replace(rep, check="zak.tracial_multiplicativity_gap_is_one",
+                  passed=(not rep.passed) and rep.worst_value == 1.0)
 
-    rng = config.rng("zak.purity_line")
+
+@check("zak.purity_line", counted="zak.zero_state_is_one_on_lattice")
+def _zak_purity_line(config, rng, frame, d):
     zak0 = Zak([0] * d, [0] * d)
-    failures = []
     for _ in range(50):
-        m = rand_lattice_monomial(rng, d)
-        if zak0.monomial_value(frame, m) != 1.0 + 0j:
-            failures.append("")
-    checks.append(_counted("zak.zero_state_is_one_on_lattice", failures))
-    return checks
+        if zak0.monomial_value(frame, rand_lattice_monomial(rng, d)) != 1.0 + 0j:
+            yield ""
 
 
 # ------------------------------------------------------------------ gns suite
 
 
-def suite_gns(config: RunConfig) -> list:
-    checks = []
-
-    rng = config.rng("gns.oracle")
-    devs = []
-    for d in (1, 2):
-        window = FourierWindow((-6,) * d, (6,) * d)
+@check("gns.oracle", bounded=("gns.bloch_reconstruction_oracle", None))
+def _gns_oracle(config, rng, frame, d):
+    for dim in (1, 2):
+        window = FourierWindow((-6,) * dim, (6,) * dim)
         for _ in range(25):
-            kappa = rand_kappa(rng, d)
-            fhat = rand_normalized_fhat(rng, d, radius=2)
+            kappa = rand_kappa(rng, dim)
+            fhat = rand_normalized_fhat(rng, dim, radius=2)
             for _ in range(2):
-                m = Monomial(vector([rng.randint(-3, 3) for _ in range(d)]),
-                             rand_coords(rng, d))
+                m = Monomial(vector([rng.randint(-3, 3) for _ in range(dim)]),
+                             rand_coords(rng, dim))
                 lhs = bloch_vector_state(kappa, fhat, m, window)
                 rhs = bloch_monomial_value(kappa, fhat, m)
-                devs.append((abs(lhs - rhs), f"d={d} {m}"))
-    checks.append(_bounded("gns.bloch_reconstruction_oracle", devs, config.tol))
+                yield abs(lhs - rhs), f"d={dim} {m}"
 
-    rng = config.rng("gns.rho_scalar")
-    failures = []
+
+@check("gns.rho_scalar", counted="gns.rho_of_lattice_v_is_exact_scalar")
+def _gns_rho_scalar(config, rng, frame, d):
     window = FourierWindow((-4,), (4,))
     for _ in range(20):
         kappa = rand_kappa(rng, 1)
@@ -810,63 +804,56 @@ def suite_gns(config: RunConfig) -> list:
         mat = rep_rho_kappa(kappa, m, window).matrix
         phase = PhaseAngle.from_turns(-kappa[0] * gamma).to_complex()
         if not np.array_equal(mat, phase * np.eye(len(window))):
-            failures.append(f"kappa={kappa} gamma={gamma}")
+            yield f"kappa={kappa} gamma={gamma}"
         if abs(phase - cmath.exp(-2j * math.pi * float(kappa[0] * gamma))) > 1e-12:
-            failures.append("")
-    checks.append(_counted("gns.rho_of_lattice_v_is_exact_scalar", failures))
+            yield ""
 
-    rng = config.rng("gns.weyl_relation")
-    devs = []
+
+@check("gns.weyl_relation", bounded=("gns.weyl_relation_interior_residual", 1e-12))
+def _gns_weyl_relation(config, rng, frame, d):
     window = FourierWindow((-5,), (5,))
     for _ in range(20):
         gp = (rng.randint(-2, 2),)
         b = [rand_fraction(rng)]
-        devs.append((weyl_relation_residual(gp, b, window), f"gp={gp} b={b}"))
-    checks.append(_bounded("gns.weyl_relation_interior_residual", devs, 1e-12))
+        yield weyl_relation_residual(gp, b, window), f"gp={gp} b={b}"
 
-    rng = config.rng("gns.operators")
-    devs = []
+
+@check("gns.operators", bounded=("gns.truncated_operator_structure", 1e-12))
+def _gns_operators(config, rng, frame, d):
+    window = FourierWindow((-5,), (5,))
     for _ in range(10):
         b1, b2 = [rand_fraction(rng)], [rand_fraction(rng)]
         s1 = op_S(b1, window).matrix
         s2 = op_S(b2, window).matrix
         s12 = op_S([b1[0] + b2[0]], window).matrix
-        devs.append((float(np.max(np.abs(s1 @ s2 - s12))), "S additivity"))
-        devs.append((float(np.max(np.abs(s1 @ s1.conj().T - np.eye(len(window))))),
-                     "S unitary"))
+        yield float(np.max(np.abs(s1 @ s2 - s12))), "S additivity"
+        yield float(np.max(np.abs(s1 @ s1.conj().T - np.eye(len(window))))), "S unitary"
         gp = (rng.randint(-2, 2),)
         f = op_F(gp, window).matrix
         proj = f.conj().T @ f
-        devs.append((float(np.max(np.abs(proj @ proj - proj))), "F partial isometry"))
-    checks.append(_bounded("gns.truncated_operator_structure", devs, 1e-12))
+        yield float(np.max(np.abs(proj @ proj - proj))), "F partial isometry"
 
-    rng = config.rng("gns.plane_wave")
-    devs = []
+
+@check("gns.plane_wave", bounded=("gns.plane_wave_vector_state_oracle", 1e-12))
+def _gns_plane_wave(config, rng, frame, d):
     for _ in range(20):
-        d = 1 + rng.randint(0, 1)
-        p = rand_coords(rng, d)
-        a = rand_coords(rng, d)
-        b = rand_coords(rng, d)
-        m = Monomial(a, b) if rng.random() < 0.6 else Monomial(vector([0] * d), b)
+        dim = 1 + rng.randint(0, 1)
+        p, a, b = (rand_coords(rng, dim) for _ in range(3))
+        m = Monomial(a, b) if rng.random() < 0.6 else Monomial(vector([0] * dim), b)
         momentum_set = [p, vector([pi + ai for pi, ai in zip(p, a)]),
                         vector([pi + ai for pi, ai in zip(p, m.a)])]
         momentum_set = list({tuple(q): q for q in momentum_set}.values())
         val = plane_wave_vector_state(p, m, momentum_set)
-        state = PlaneWave(Frame.standard(d).to_ambient_momentum(p))
-        want = state.monomial_value(Frame.standard(d), m)
-        devs.append((abs(val - want), f"d={d} {m}"))
-    checks.append(_bounded("gns.plane_wave_vector_state_oracle", devs, 1e-12))
-    return checks
+        state = PlaneWave(Frame.standard(dim).to_ambient_momentum(p))
+        want = state.monomial_value(Frame.standard(dim), m)
+        yield abs(val - want), f"d={dim} {m}"
 
 
 # ---------------------------------------------------------------- paths suite
 
 
-def suite_paths(config: RunConfig) -> list:
-    checks = []
-    frame = config.frame
-    d = frame.d
-    rng = config.rng("paths.probes")
+@check("paths.probes")
+def _paths_probes(config, rng, frame, d):
     # the fixed lattice monomials keep the Zak family visible on the probe set
     probes = path_probes(rng, frame, [Element.from_monomial(
         frame, Monomial(vector([a] + [0] * (d - 1)), vector([b] + [0] * (d - 1))))
@@ -879,13 +866,12 @@ def suite_paths(config: RunConfig) -> list:
         return max(weak_star_distance(s1, s2, probes)
                    for s1, s2 in zip(states, states[1:]))
 
-    kinds = []
     p0 = PlaneWave(rand_coords(rng, d, max_num=2, max_den=3, nonzero=True))
-    kinds.append(("plane_wave_line", (p0, PlaneWave(vector([0] * d)))))
-    kinds.append(("zak_line", (Zak(rand_kappa(rng, d), rand_kappa(rng, d)),
-                               Zak(rand_kappa(rng, d), rand_kappa(rng, d)))))
-    kinds.append(("bloch_slerp", (Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)),
-                                  Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)))))
+    kinds = [("plane_wave_line", (p0, PlaneWave(vector([0] * d)))),
+             ("zak_line", (Zak(rand_kappa(rng, d), rand_kappa(rng, d)),
+                           Zak(rand_kappa(rng, d), rand_kappa(rng, d)))),
+             ("bloch_slerp", (Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)),
+                              Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d))))]
 
     n = config.grid
     ratio_devs = []
@@ -897,30 +883,29 @@ def suite_paths(config: RunConfig) -> list:
             endpoint_fail.append("")
         ratio = max_consecutive(fine) / max_consecutive(coarse)
         ratio_devs.append((abs(ratio - 0.5), kind))
-    checks.append(_counted("paths.endpoints_reproduced_exactly", endpoint_fail))
-    checks.append(_bounded("paths.linear_refinement_rate", ratio_devs, 0.1))
+    yield _counted("paths.endpoints_reproduced_exactly", endpoint_fail)
+    yield _bounded("paths.linear_refinement_rate", ratio_devs, 0.1)
 
-    pw_path = path_sample("plane_wave_line",
-                          (p0, PlaneWave(vector([0] * d))), grid(100))
-    final = pw_path[-1]
-    checks.append(CheckResult("paths.plane_wave_terminates_at_zero_momentum",
-                              isinstance(final, PlaneWave)
-                              and all(c.is_zero() for c in final.p),
-                              0.0, "t = 1"))
-    return checks
+    final = path_sample("plane_wave_line", (p0, PlaneWave(vector([0] * d))), grid(100))[-1]
+    yield CheckResult("paths.plane_wave_terminates_at_zero_momentum",
+                      isinstance(final, PlaneWave) and all(c.is_zero() for c in final.p),
+                      0.0, "t = 1")
 
 
-SUITES = {
-    "weyl": suite_weyl,
-    "ergodic": suite_ergodic,
-    "states": suite_states,
-    "covariance": suite_covariance,
-    "tri": suite_tri,
-    "zak": suite_zak,
-    "gns": suite_gns,
-    "paths": suite_paths,
-}
+# ----------------------------------------------------------------- the suites
 
+
+def _suite(key: str):
+    """The suite ``key``: every row named ``key.*``, in table order."""
+    def suite(config: RunConfig) -> list:
+        return [result for name, run in CHECKS.items() if name.startswith(key + ".")
+                for result in run(config)]
+    return suite
+
+
+SUITES = {key: _suite(key) for key in dict.fromkeys(name.split(".")[0] for name in CHECKS)}
+(suite_weyl, suite_ergodic, suite_states, suite_covariance, suite_tri, suite_zak, suite_gns,
+ suite_paths) = SUITES.values()
 
 
 def run_suite(name: str, config: RunConfig) -> list:

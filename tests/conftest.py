@@ -38,7 +38,8 @@ STATES_D1 = ({"family": "plane_wave", "p": ["1/2"]},
              {"family": "fock"})
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
-    | st.sampled_from(("0", "1/2", "-1/3", "1/0", "x", "") + FAMILIES) | st.text(max_size=3),
+    | st.sampled_from(("0", "1/2", "-1/3", "1/0", "x", "", "1e1000000") + FAMILIES)
+    | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(KEYS), inner, max_size=4),
     max_leaves=10)

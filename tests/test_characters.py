@@ -14,8 +14,8 @@ from weylccr import (
     character_value,
     padic_fraction,
 )
-from weylccr.characters import character_is_trivial
-from weylccr.errors import NotDecomposable
+from weylccr.characters import MAX_PRIME, character_is_trivial
+from weylccr.errors import NotDecomposable, WeylError
 from weylccr.lattice import vector
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -51,6 +51,17 @@ class TestPadicFraction:
         while den % p == 0:
             den //= p
         assert den == 1
+
+
+class TestPadicPrimes:
+    def test_small_primes_are_kept(self):
+        assert PadicCharacter([2, 3, 65521]).primes == (2, 3, 65521)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, "3", True, 1, 0, -3, 4, 91, 10**30,
+                                   MAX_PRIME + 1])
+    def test_anything_else_raises_weyl_error(self, p):
+        with pytest.raises(WeylError, match="primes"):
+            PadicCharacter((3, p))
 
 
 class TestCharacterEval:

@@ -86,6 +86,22 @@ def test_eval_fock_with_frame_file(tmp_path, capsys):
     assert out.strip().startswith("0.778800783071405")
 
 
+@pytest.mark.parametrize("entry, elem", [(str(10**400), "v(1)"), ("1/" + str(10**400), "u(1)")],
+                         ids=["huge", "tiny"])
+def test_eval_on_a_frame_past_the_float_range(entry, elem, tmp_path, capsys):
+    state = tmp_path / "fock.json"
+    state.write_text(json.dumps({"family": "fock"}))
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"d": 1, "E": [[entry]]}))
+    code, out, err = run(capsys, "eval", "--state", str(state), "--elem", elem,
+                         "--frame", str(frame))
+    assert code in (0, 2)
+    if code == 0:
+        assert out.strip() == "0+0i"
+    else:
+        assert err.startswith("error: ")
+
+
 def test_eval_rejects_bad_state(tmp_path, capsys):
     state = tmp_path / "bad.json"
     state.write_text(json.dumps({"family": "bloch", "kappa": ["0"],

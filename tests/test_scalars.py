@@ -60,6 +60,16 @@ def test_evaluate_substitutes_two_pi():
     assert abs((1 / TAU).evaluate() - 1 / (2 * math.pi)) < 1e-17
 
 
+def test_evaluate_past_the_float_range_is_infinite_never_an_error():
+    big = scalar(10**400)
+    assert big.evaluate() == math.inf
+    assert (-big).evaluate() == -math.inf
+    assert (1 / big).evaluate() == 0.0
+    assert (big * TAU / (big + 1)).evaluate() == 2.0 * math.pi
+    # both double sums overflow, the value itself is finite
+    assert (big * TAU ** 3 / (big + TAU)).evaluate() == pytest.approx((2 * math.pi) ** 3)
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         ExactScalar((Fraction(1),), ())

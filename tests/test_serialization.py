@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from weylccr import (
     Bloch,
@@ -28,12 +28,15 @@ from weylccr.errors import NotAState, WeylError
 from weylccr.lattice import vector
 from weylccr.serialization import (
     MAX_JSON_DEGREE,
+    MAX_JSON_EXPONENT,
     character_from_json,
     character_to_json,
     dumps,
     element_from_json,
     element_to_json,
     endpoints_from_json,
+    fraction_from_str,
+    fraction_to_str,
     frame_from_json,
     frame_to_json,
     scalar_from_json,
@@ -159,6 +162,10 @@ MALFORMED = [
     (endpoints_from_json, [1, 2]),
     (endpoints_from_json, {"start": {"family": "fock"}}),
     (endpoints_from_json, {"start": {"family": "fock"}, "end": {"family": "bogus"}}),
+    (scalar_from_json, "1e1000000"),
+    (state_from_json, {"family": "padic", "primes": [2.5]}),
+    (state_from_json, {"family": "padic", "primes": [4]}),
+    (state_from_json, {"family": "padic", "primes": [10**30]}),
 ]
 
 
@@ -174,6 +181,20 @@ def test_scalar_degree_is_bounded():
     assert scalar_from_json({"num": {str(MAX_JSON_DEGREE): "1"}}) == TAU ** MAX_JSON_DEGREE
     with pytest.raises(WeylError, match="tau-power"):
         scalar_from_json({"num": {str(10**9): "1"}})
+
+
+def test_decimal_exponent_is_bounded():
+    assert fraction_from_str(f"1e-{MAX_JSON_EXPONENT}") == Fraction(1, 10**MAX_JSON_EXPONENT)
+    assert fraction_from_str("25e-1") == fraction_from_str(2.5) == Fraction(5, 2)
+    with pytest.raises(WeylError, match="exponent"):
+        fraction_from_str(f"1e{MAX_JSON_EXPONENT + 1}")
+    with pytest.raises(WeylError, match="exponent"):
+        fraction_from_str("1e0_000_100_000_000")
+
+
+@given(st.fractions())
+def test_every_written_fraction_decodes(f):
+    assert fraction_from_str(fraction_to_str(f)) == f
 
 
 def test_state_nested_past_the_recursion_limit_raises_weyl_error():

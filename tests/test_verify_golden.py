@@ -70,6 +70,32 @@ def test_verify_states_matches_golden_report_on_tau_frames(frame, seed, golden, 
     _assert_matches(code, got, golden)
 
 
+def test_each_states_row_runs_alone_in_any_order():
+    from weylccr.serialization import frame_from_json
+    from weylccr.verify import CHECKS, RunConfig
+
+    config = RunConfig(frame=frame_from_json(SKEW_D2), seed=0)
+    rows = [name for name in CHECKS if name.startswith("states.")]
+    ran = {name: [r.as_dict() for r in CHECKS[name](config)] for name in reversed(rows)}
+    checks = [result for name in rows for result in ran[name]]
+    ok = all(c["pass"] for c in checks)
+    _assert_matches(0 if ok else 1, {"pass": ok, "checks": checks},
+                    "verify_states_skew_d2_seed0.json")
+
+
+def test_the_suites_are_views_of_the_check_table():
+    from weylccr import verify
+
+    # every row belongs to a suite of the CLI, and the table is in report order
+    suites = ["weyl", "ergodic", "states", "covariance", "tri", "zak", "gns", "paths"]
+    assert list(verify.SUITES) == suites
+    prefixes = [name.split(".")[0] for name in verify.CHECKS]
+    assert prefixes == sorted(prefixes, key=suites.index)
+    assert all(verify.SUITES[key] is getattr(verify, f"suite_{key}") for key in verify.SUITES)
+    with pytest.raises(ValueError, match="weyl.associativity"):
+        verify.check("weyl.associativity")(lambda config, rng, frame, d: iter(()))
+
+
 def test_counted_reports_the_count_and_the_first_witness():
     from weylccr.verify import _counted
 
