@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import gcd
 from numbers import Rational
 
-from .errors import DimensionMismatch, NotDecomposable, PhasePrecisionError
+from .errors import DimensionMismatch, NotDecomposable, PhasePrecisionError, WeylError
 
 TWO_PI = 2.0 * math.pi
 
@@ -391,9 +391,8 @@ class ExactScalar:
     def evaluate(self) -> float:
         """Numeric value with tau substituted by 2*pi (the double ``TWO_PI``).
 
-        A value past the float range is returned as +inf or -inf, never as an
-        OverflowError or NaN: when the double sums leave the range, the value
-        is computed exactly at ``TWO_PI`` and rounded once.
+        Raises ``WeylError`` when a coefficient, the denominator or the value
+        leaves the float range, so the result is never infinite or NaN.
         """
         c = self._c
         q = self._q
@@ -406,17 +405,11 @@ class ExactScalar:
             for v in reversed(q):
                 den = den * TWO_PI + v / lead
             value = num / den
+            if math.isfinite(den) and math.isfinite(value):
+                return value
         except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return value
-        tau = Fraction(TWO_PI)
-        exact = (sum(v * tau**k for k, v in enumerate(self._p))
-                 / (c * sum(v * tau**k for k, v in enumerate(q))))
-        try:
-            return float(exact)
-        except OverflowError:
-            return math.inf if exact > 0 else -math.inf
+            pass
+        raise WeylError("a scalar leaves the float range at tau = 2*pi")
 
     # -- field arithmetic ----------------------------------------------
 

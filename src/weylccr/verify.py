@@ -240,7 +240,8 @@ def _weyl_star_antihom(config, rng, frame, d):
 @check("weyl.star_elements", bounded=("weyl.star_laws_coefficients", 1e-12))
 def _weyl_star_elements(config, rng, frame, d):
     for _ in range(100):
-        x, y = rand_element(rng, frame), rand_element(rng, frame)
+        x = rand_element(rng, frame)
+        y = rand_element(rng, frame)
         yield ((x * y).adjoint().max_coeff_diff(y.adjoint() * x.adjoint()),
                f"{len(x)}x{len(y)} terms")
         yield x.adjoint().adjoint().max_coeff_diff(x), "involution"
@@ -315,7 +316,8 @@ def _weyl_time_reversal(config, rng, frame, d):
     for _ in range(100):
         x = rand_element(rng, frame, 4)
         c = rand_complex(rng)
-        yield (apply_automorphism(TimeReversal(), apply_automorphism(TimeReversal(), x))
+        yield (apply_automorphism(TimeReversal(),
+                                  apply_automorphism(TimeReversal(), x))
                .max_coeff_diff(x), "c.c = id")
         lhs = apply_automorphism(TimeReversal(), c * x)
         rhs = c.conjugate() * apply_automorphism(TimeReversal(), x)
@@ -324,15 +326,17 @@ def _weyl_time_reversal(config, rng, frame, d):
 
 @check("weyl.trace_l2", bounded=("weyl.tracial_l2_identity", 1e-12))
 def _weyl_trace_l2(config, rng, frame, d):
+    tracial = Tracial()
     for _ in range(200):
         x = rand_element(rng, frame, 10)
-        lhs = Tracial().evaluate(x.adjoint() * x)
+        lhs = tracial.evaluate(x.adjoint() * x)
         rhs = sum(abs(c) ** 2 for c in x.terms.values())
         yield abs(lhs - rhs), f"{len(x)} terms"
 
 
 @check("weyl.norm_bound", counted="weyl.tracial_norm_lower_bound_exact")
 def _weyl_norm_bound(config, rng, frame, d):
+    tracial = Tracial()
     for _ in range(100):
         m1, m2 = rand_monomial(rng, d), rand_monomial(rng, d)
         if m1 == m2:
@@ -342,16 +346,17 @@ def _weyl_norm_bound(config, rng, frame, d):
         expected = lam.conjugate() * lam + lamp.conjugate() * lamp
         if tracial_inner_product(x, x) != expected:
             yield ""
-        if abs(Tracial().evaluate(x.adjoint() * x) - expected) > 1e-12:
+        if abs(tracial.evaluate(x.adjoint() * x) - expected) > 1e-12:
             yield ""
 
 
 @check("weyl.trace_pairing", bounded=("weyl.trace_coefficient_pairing", 1e-12))
 def _weyl_trace_pairing(config, rng, frame, d):
+    tracial = Tracial()
     for _ in range(50):
         x = rand_element(rng, frame, 6)
         m = rng.choice(list(x.terms)) if rng.random() < 0.8 else rand_monomial(rng, d)
-        paired = Tracial().evaluate(Element.from_monomial(frame, m).adjoint() * x)
+        paired = tracial.evaluate(Element.from_monomial(frame, m).adjoint() * x)
         yield abs(paired - trace_coefficient(x, m)), str(m)
 
 
@@ -375,7 +380,8 @@ def _ergodic_closed_forms(config, rng, frame, d):
 @check("ergodic.projections", counted="ergodic.means_idempotent_linear")
 def _ergodic_projections(config, rng, frame, d):
     for _ in range(100):
-        x, y = rand_element(rng, frame, 6), rand_element(rng, frame, 6)
+        x = rand_element(rng, frame, 6)
+        y = rand_element(rng, frame, 6)
         c = rand_complex(rng)
         for mean in (ergodic_mean, ergodic_mean_lattice, ergodic_mean_zak):
             if mean(mean(x)) != mean(x):
@@ -430,8 +436,9 @@ def _ergodic_box_average(config, rng, frame, d):
         xs = [math.log10(L) for L in sizes]
         ys = [math.log10(m) for m in ms]
         n = len(xs)
-        slopes[a] = ((n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys))
-                     / (n * sum(x * x for x in xs) - sum(xs) ** 2))
+        slope = ((n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys))
+                 / (n * sum(x * x for x in xs) - sum(xs) ** 2))
+        slopes[a] = slope
     slope_ok = all(-1.2 <= s <= -0.8 for s in slopes.values())
     yield CheckResult("ergodic.box_average_zero_mode_exact",
                       exact_zero_dev == 0.0, exact_zero_dev, "a = 0 term")
@@ -545,7 +552,8 @@ def _states_fock_dynamics(config, rng, frame, d):
 
 @check("states.positivity")
 def _states_positivity(config, rng, frame, d):
-    devs, herm = [], []
+    devs = []
+    herm = []
     for name, s in _family_zoo(rng, frame):
         probes = draw_distinct(20, lambda: (rand_lattice_monomial(rng, d)
                                         if rng.random() < 0.5 else rand_monomial(rng, d)))
@@ -553,7 +561,8 @@ def _states_positivity(config, rng, frame, d):
         devs.append((-rep.min_eigenvalue, name))
         herm.append((rep.hermitian_residual, name))
     worst, probe = _worst(devs)
-    yield CheckResult("states.gram_psd_min_eigenvalue", worst <= config.tol, -worst, probe)
+    yield CheckResult("states.gram_psd_min_eigenvalue",
+                      worst <= config.tol, -worst, probe)
     yield _bounded("states.gram_hermitian_residual", herm, 1e-12)
 
 
@@ -593,7 +602,8 @@ def _states_mixture(config, rng, frame, d):
 @check("states.padic", counted="states.padic_character_multiplicative_exact")
 def _states_padic(config, rng, frame, d):
     for _ in range(500):
-        xq, yq = rand_fraction(rng), rand_fraction(rng)
+        xq = rand_fraction(rng)
+        yq = rand_fraction(rng)
         total = padic_fraction(xq + yq, 3) - padic_fraction(xq, 3) - padic_fraction(yq, 3)
         if total.denominator != 1:
             yield ""
@@ -604,12 +614,16 @@ def _states_padic_witness(config, rng, frame, d):
     s = BohrState(PadicCharacter((3,) * d))
     target = cmath.exp(2j * math.pi * Fraction(2, 3))
     padic_frame = frame if _rational_frame(frame) else Frame.standard(d)
-    worst, probe = _worst(
-        (abs(s.evaluate(Element.v(padic_frame, [Fraction(-1, 3 * (3 * n + 2))] + [0] * (d - 1)))
-             - target), f"n={n}") for n in range(51))
+
+    def dev(n):
+        b = Fraction(-1, 3 * (3 * n + 2))
+        x = Element.v(padic_frame, [b] + [0] * (d - 1))
+        return abs(s.evaluate(x) - target), f"n={n}"
+    worst, probe = _worst(dev(n) for n in range(51))
     gap = abs(abs(target - 1.0) - math.sqrt(3.0))
     yield CheckResult("states.padic_discontinuity_witness",
-                      worst <= 1e-12 and gap <= 1e-12, max(worst, gap), probe)
+                      worst <= 1e-12 and gap <= 1e-12,
+                      max(worst, gap), probe)
 
 
 @check("states.weak_star", bounded=("states.weak_star_pseudometric", 1e-12))
@@ -649,7 +663,8 @@ def _covariance_zero_shift(config, rng, frame, d):
         kappa = rand_kappa(rng, d)
         fhat = rand_normalized_fhat(rng, d, radius=1)
         probes = [rand_lattice_monomial(rng, d) for _ in range(10)]
-        if covariance_check(kappa, fhat, [0] * d, probes, tol=0.0).worst_value != 0.0:
+        rep = covariance_check(kappa, fhat, [0] * d, probes, tol=0.0)
+        if rep.worst_value != 0.0:
             yield ""
 
 
@@ -658,10 +673,12 @@ def _covariance_zero_shift(config, rng, frame, d):
 
 @check("tri.fixed_points")
 def _tri_fixed_points(config, rng, frame, d):
-    pts = enumerate_trs_fixed_points(Frame.standard(2))
+    frame2 = Frame.standard(2)
+    pts = enumerate_trs_fixed_points(frame2)
     ok = (len(pts) == 4 and len(set(pts)) == 4
           and all(all((-k) % 1 == k for k in kappa) for kappa in pts))
-    yield CheckResult("tri.fixed_point_count_d2", ok, float(abs(len(pts) - 4)), f"{pts}")
+    yield CheckResult("tri.fixed_point_count_d2", ok,
+                      float(abs(len(pts) - 4)), f"{pts}")
 
     failures = []
     if not time_reversal_classify(PlaneWave(vector([0, 0]))).is_tri:
@@ -670,7 +687,8 @@ def _tri_fixed_points(config, rng, frame, d):
         p = rand_coords(rng, 2, nonzero=False)
         if all(c.is_zero() for c in p):
             p = vector([Fraction(1, 2), 0])
-        if rng.random() < 0.3:
+        scalekind = rng.random()
+        if scalekind < 0.3:
             p = tuple(TAU * c for c in p)
         if time_reversal_classify(PlaneWave(p)).is_tri:
             failures.append(f"p={p}")
@@ -692,17 +710,21 @@ def _tri_fixed_points(config, rng, frame, d):
 
 @check("tri.bloch")
 def _tri_bloch(config, rng, frame, d):
+    states = []
     inv = 1.0 / math.sqrt(2.0)
+    states.append(Bloch([0] * d, {(0,) * d: 1.0}))
+    states.append(Bloch([0] * d, {(-1,) * d: 0.6, (0,) * d: math.sqrt(0.28),
+                                  (1,) * d: 0.6}))
     half = [Fraction(1, 2)] * d
-    states = [Bloch([0] * d, {(0,) * d: 1.0}),
-              Bloch([0] * d, {(-1,) * d: 0.6, (0,) * d: math.sqrt(0.28), (1,) * d: 0.6}),
-              Bloch(half, {(-1,) * d: inv, (0,) * d: inv})]
+    states.append(Bloch(half, {(-1,) * d: inv, (0,) * d: inv}))
     for _ in range(6):
         states.append(Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)))
         states.append(Bloch([0] * d, rand_normalized_fhat(rng, d)))
-    probes = [Element.from_monomial(frame, Monomial(vector([rng.randint(-2, 2) for _ in range(d)]),
-                                                    rand_coords(rng, d)), rand_complex(rng))
-              for _ in range(50)]
+    probes = []
+    for _ in range(50):
+        probes.append(Element.from_monomial(
+            frame, Monomial(vector([rng.randint(-2, 2) for _ in range(d)]),
+                            rand_coords(rng, d)), rand_complex(rng)))
     mismatches = []
     worst_gap = 0.0
     for s in states:
@@ -745,7 +767,8 @@ def _zak_double_average(config, rng, frame, d):
         if not kept and avg > 0.5:
             worst = max(worst, avg)
             witness = witness or f"dropped {m} but average {avg:.3g}"
-    yield CheckResult("zak.projection_matches_character_average", worst == 0.0, worst, witness)
+    yield CheckResult("zak.projection_matches_character_average",
+                      worst == 0.0, worst, witness)
 
 
 @check("zak.multiplicativity")
@@ -772,7 +795,8 @@ def _zak_multiplicativity(config, rng, frame, d):
 def _zak_purity_line(config, rng, frame, d):
     zak0 = Zak([0] * d, [0] * d)
     for _ in range(50):
-        if zak0.monomial_value(frame, rand_lattice_monomial(rng, d)) != 1.0 + 0j:
+        m = rand_lattice_monomial(rng, d)
+        if zak0.monomial_value(frame, m) != 1.0 + 0j:
             yield ""
 
 
@@ -827,7 +851,8 @@ def _gns_operators(config, rng, frame, d):
         s2 = op_S(b2, window).matrix
         s12 = op_S([b1[0] + b2[0]], window).matrix
         yield float(np.max(np.abs(s1 @ s2 - s12))), "S additivity"
-        yield float(np.max(np.abs(s1 @ s1.conj().T - np.eye(len(window))))), "S unitary"
+        yield (float(np.max(np.abs(s1 @ s1.conj().T - np.eye(len(window))))),
+               "S unitary")
         gp = (rng.randint(-2, 2),)
         f = op_F(gp, window).matrix
         proj = f.conj().T @ f
@@ -838,7 +863,9 @@ def _gns_operators(config, rng, frame, d):
 def _gns_plane_wave(config, rng, frame, d):
     for _ in range(20):
         dim = 1 + rng.randint(0, 1)
-        p, a, b = (rand_coords(rng, dim) for _ in range(3))
+        p = rand_coords(rng, dim)
+        a = rand_coords(rng, dim)
+        b = rand_coords(rng, dim)
         m = Monomial(a, b) if rng.random() < 0.6 else Monomial(vector([0] * dim), b)
         momentum_set = [p, vector([pi + ai for pi, ai in zip(p, a)]),
                         vector([pi + ai for pi, ai in zip(p, m.a)])]
@@ -866,12 +893,13 @@ def _paths_probes(config, rng, frame, d):
         return max(weak_star_distance(s1, s2, probes)
                    for s1, s2 in zip(states, states[1:]))
 
+    kinds = []
     p0 = PlaneWave(rand_coords(rng, d, max_num=2, max_den=3, nonzero=True))
-    kinds = [("plane_wave_line", (p0, PlaneWave(vector([0] * d)))),
-             ("zak_line", (Zak(rand_kappa(rng, d), rand_kappa(rng, d)),
-                           Zak(rand_kappa(rng, d), rand_kappa(rng, d)))),
-             ("bloch_slerp", (Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)),
-                              Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d))))]
+    kinds.append(("plane_wave_line", (p0, PlaneWave(vector([0] * d)))))
+    kinds.append(("zak_line", (Zak(rand_kappa(rng, d), rand_kappa(rng, d)),
+                               Zak(rand_kappa(rng, d), rand_kappa(rng, d)))))
+    kinds.append(("bloch_slerp", (Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)),
+                                  Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)))))
 
     n = config.grid
     ratio_devs = []
@@ -886,13 +914,13 @@ def _paths_probes(config, rng, frame, d):
     yield _counted("paths.endpoints_reproduced_exactly", endpoint_fail)
     yield _bounded("paths.linear_refinement_rate", ratio_devs, 0.1)
 
-    final = path_sample("plane_wave_line", (p0, PlaneWave(vector([0] * d))), grid(100))[-1]
+    pw_path = path_sample("plane_wave_line",
+                          (p0, PlaneWave(vector([0] * d))), grid(100))
+    final = pw_path[-1]
     yield CheckResult("paths.plane_wave_terminates_at_zero_momentum",
-                      isinstance(final, PlaneWave) and all(c.is_zero() for c in final.p),
+                      isinstance(final, PlaneWave)
+                      and all(c.is_zero() for c in final.p),
                       0.0, "t = 1")
-
-
-# ----------------------------------------------------------------- the suites
 
 
 def _suite(key: str):

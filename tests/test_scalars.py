@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weylccr import ExactScalar, PhaseAngle, TAU, scalar
-from weylccr.errors import NotDecomposable
+from weylccr.errors import NotDecomposable, WeylError
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -60,14 +60,14 @@ def test_evaluate_substitutes_two_pi():
     assert abs((1 / TAU).evaluate() - 1 / (2 * math.pi)) < 1e-17
 
 
-def test_evaluate_past_the_float_range_is_infinite_never_an_error():
+def test_evaluate_past_the_float_range_raises_a_weyl_error():
     big = scalar(10**400)
-    assert big.evaluate() == math.inf
-    assert (-big).evaluate() == -math.inf
+    # the last one has a finite value, but its coefficients overflow a double
+    for x in (big, -big, big * TAU ** 3 / (big + 3 * TAU)):
+        with pytest.raises(WeylError, match="float range"):
+            x.evaluate()
     assert (1 / big).evaluate() == 0.0
     assert (big * TAU / (big + 1)).evaluate() == 2.0 * math.pi
-    # both double sums overflow, the value itself is finite
-    assert (big * TAU ** 3 / (big + TAU)).evaluate() == pytest.approx((2 * math.pi) ** 3)
 
 
 def test_zero_denominator_rejected():
