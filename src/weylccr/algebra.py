@@ -13,12 +13,25 @@ contains tau.  Products, adjoints, equality, hashing and the ergodic means
 work on keyed monomials with ints alone, and their results build coordinate
 scalars only when asked for them.  Monomials with tau coordinates go through
 the exact Q(tau) vector operations and ``PhaseAngle.from_dot``.
+
+When every term of its operands is keyed, ``Element`` arithmetic runs on the
+keys without building a monomial or an angle per term pair.  A product puts
+both operands over the common denominator L and adds, for each term pair in
+order, c1 * c2 * e^{2 pi i k / L^2} with k = -(n2_a . n1_b) mod L^2 into a
+dict keyed by the summed integer tuple; each distinct key is then reduced by
+one gcd and becomes one monomial, in first-occurrence order.  The adjoint
+runs the same loop over single terms, and ``tracial_inner_product`` looks
+each monomial of x up in y.  Results agree bit for bit with the pairwise
+composition of ``monomial_product`` and ``monomial_adjoint``: ``int / int``
+is correctly rounded, so reduced and unreduced turns give the same double,
+and every sum is taken in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, pi, sin
 from numbers import Rational
 from operator import add, mul, neg
@@ -43,9 +56,10 @@ from .lattice import (
     vsub,
     zero_vector,
 )
-from .scalars import _Q1, ExactScalar, PhaseAngle, _angle_of_turns, _rat
+from .scalars import _Q1, ExactScalar, PhaseAngle, _angle_of_turns, _rat, unit_from_turns
 
 _new = object.__new__
+_set = object.__setattr__
 
 #: coefficients with modulus below this are dropped after arithmetic
 ZERO_THRESHOLD = 1e-14
@@ -162,6 +176,15 @@ def _keyed(D: int, n: tuple) -> Monomial:
     return m
 
 
+def _reduced(D: int, n: tuple) -> Monomial:
+    """The monomial of the coordinates n / D, reduced to its key by one gcd."""
+    if D != 1:
+        g = gcd(D, *n)
+        if g != 1:
+            D, n = D // g, tuple([x // g for x in n])
+    return _keyed(D, n)
+
+
 def monomial_product(m1: Monomial, m2: Monomial) -> tuple[PhaseAngle, Monomial]:
     """Normal-order the product of two monomials.
 
@@ -187,11 +210,7 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[PhaseAngle, Monomial]:
         D = lcm(D1, D2)
         f1, f2 = D // D1, D // D2
         n = tuple(x * f1 + y * f2 for x, y in zip(n1, n2))
-    if D != 1:
-        g = gcd(D, *n)
-        if g != 1:
-            D, n = D // g, tuple(x // g for x in n)
-    return phase, _keyed(D, n)
+    return phase, _reduced(D, n)
 
 
 def monomial_adjoint(m: Monomial) -> tuple[PhaseAngle, Monomial]:
@@ -209,6 +228,57 @@ def monomial_adjoint(m: Monomial) -> tuple[PhaseAngle, Monomial]:
     turns = D * D
     phase = _angle_of_turns(-sum(map(mul, n[:d], n[d:])) % turns, turns)
     return phase, _keyed(D, tuple(map(neg, n)))
+
+
+#: the product kernel works over the lcm L of all key denominators of both
+#: operands; past this bound its big ints make it no faster than the pairwise
+#: loop (30-term products at d = 2 broke even near L = 2**100)
+_KERNEL_MAX_DENOMINATOR = 1 << 64
+
+
+def _common_denominator(t1, t2):
+    """The lcm L of the key denominators of the term maps t1 and t2, or None
+    when a monomial has tau or L passes ``_KERNEL_MAX_DENOMINATOR``."""
+    L = 1
+    for m in chain(t1, t2):
+        key = m._key
+        if key is None:
+            return None
+        if L % key[0]:
+            L = lcm(L, key[0])
+            if L > _KERNEL_MAX_DENOMINATOR:
+                return None
+    return L
+
+
+def _keyed_product(d: int, L: int, t1, t2) -> list:
+    """The terms of the product of the keyed term maps t1 and t2 in dimension
+    d, as (monomial, coefficient) pairs: every pair's phase and summed key on
+    ints over the common denominator L, each distinct sum reduced once."""
+    turns = L * L
+    right = [(n[:d], n, c) for n, c in _scaled(L, t2)]
+    out: dict[tuple, complex] = {}
+    get = out.get
+    for n1, c1 in _scaled(L, t1):
+        b1 = n1[d:]
+        for a2, n2, c2 in right:
+            n = tuple(map(add, n1, n2))
+            out[n] = get(n, 0j) + c1 * c2 * unit_from_turns(
+                -sum(map(mul, a2, b1)) % turns, turns)
+    return [(_reduced(L, n), c) for n, c in out.items()]
+
+
+def _scaled(L: int, terms) -> list:
+    """(n, c) for each term (D, n) -> c of ``terms``, n rescaled to the
+    denominator L."""
+    out = []
+    for m, c in terms.items():
+        D, n = m._key
+        if D != L:
+            f = L // D
+            n = tuple([x * f for x in n])
+        out.append((n, c))
+    return out
 
 
 class Element:
@@ -299,7 +369,7 @@ class Element:
         out = dict(self._terms)
         for m, c in other._terms.items():
             out[m] = out.get(m, 0j) + c
-        return Element(self.frame, out)
+        return _element_of(self.frame, out.items())
 
     __radd__ = __add__
 
@@ -319,15 +389,19 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             check_same_frame(self.frame, other.frame)
+            t1, t2 = self._terms, other._terms
+            L = _common_denominator(t1, t2)
+            if L is not None:
+                return _element_of(self.frame, _keyed_product(self.frame.d, L, t1, t2))
             out: dict[Monomial, complex] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
+            for m1, c1 in t1.items():
+                for m2, c2 in t2.items():
                     phase, m = monomial_product(m1, m2)
                     out[m] = out.get(m, 0j) + c1 * c2 * phase.to_complex()
-            return Element(self.frame, out)
+            return _element_of(self.frame, out.items())
         if isinstance(other, (int, float, complex, Fraction)):
-            return Element(self.frame,
-                           {m: c * complex(other) for m, c in self._terms.items()})
+            return _element_of(self.frame,
+                               ((m, c * complex(other)) for m, c in self._terms.items()))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -336,12 +410,27 @@ class Element:
         return NotImplemented
 
     def adjoint(self) -> "Element":
-        """The *-involution, with every reordering phase exact."""
-        out: dict[Monomial, complex] = {}
-        for m, c in self._terms.items():
-            phase, ms = monomial_adjoint(m)
-            out[ms] = out.get(ms, 0j) + c.conjugate() * phase.to_complex()
-        return Element(self.frame, out)
+        """The *-involution, with every reordering phase exact.
+
+        When every term is keyed, each term (D, n) gives -(n_a . n_b) turns
+        over D^2 and the key (D, -n) on ints alone.
+        """
+        terms = self._terms
+        keys = [m._key for m in terms]
+        if None in keys:
+            out: dict[Monomial, complex] = {}
+            for m, c in terms.items():
+                phase, ms = monomial_adjoint(m)
+                out[ms] = out.get(ms, 0j) + c.conjugate() * phase.to_complex()
+            return _element_of(self.frame, out.items())
+        d = self.frame.d
+        keyed: dict[tuple, complex] = {}
+        for (D, n), c in zip(keys, terms.values()):
+            turns = D * D
+            key = (D, tuple(map(neg, n)))
+            keyed[key] = keyed.get(key, 0j) + c.conjugate() * unit_from_turns(
+                -sum(map(mul, n[:d], n[d:])) % turns, turns)
+        return _element_of(self.frame, ((_keyed(*key), c) for key, c in keyed.items()))
 
     def _coerce(self, other):
         if isinstance(other, Element):
@@ -360,6 +449,15 @@ class Element:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _element_of(frame: Frame, items: Iterable[tuple[Monomial, complex]]) -> Element:
+    """The element of the (monomial, complex) pairs ``items``, which come
+    from valid elements of ``frame``: only ``ZERO_THRESHOLD`` is applied."""
+    x = _new(Element)
+    _set(x, "frame", frame)
+    _set(x, "_terms", {m: c for m, c in items if abs(c) > ZERO_THRESHOLD})
+    return x
 
 
 def weyl_generator_parts(z: PhasePoint) -> tuple[PhaseAngle, Monomial]:
@@ -454,7 +552,7 @@ def apply_automorphism(spec: AutomorphismSpec, x: Element) -> Element:
         if conj:
             c = c.conjugate()
         out[image] = out.get(image, 0j) + c * phase.to_complex()
-    return Element(x.frame, out)
+    return _element_of(x.frame, out.items())
 
 
 def apply_automorphisms(specs: Iterable[AutomorphismSpec], x: Element) -> Element:
@@ -549,17 +647,16 @@ def trace_coefficient(x: Element, m: Monomial) -> complex:
 def tracial_inner_product(x: Element, y: Element) -> complex:
     """t(x* y), the l2 pairing behind the expansion coefficients.
 
-    The adjoint phase and the reordering phase of each term pair are composed
-    exactly and converted to a complex number once, so for x = y the diagonal
-    phases cancel symbolically and the result is exactly the coefficient
-    l2-norm squared.
+    (u_a v_b)* u_a' v_b' is a multiple of the identity only when (a', b') =
+    (a, b), and then its phase -a.b + a.b is exactly 0, so each monomial of
+    x is looked up in y and contributes conj(c) c' times the unit phase; for
+    x = y the result is exactly the coefficient l2-norm squared.
     """
     check_same_frame(x.frame, y.frame)
+    terms = y._terms
     total = 0j
-    for m1, c1 in x.terms.items():
-        phase1, m1_star = monomial_adjoint(m1)
-        for m2, c2 in y.terms.items():
-            phase12, m12 = monomial_product(m1_star, m2)
-            if m12.is_identity():
-                total += c1.conjugate() * c2 * (phase1 + phase12).to_complex()
+    for m, c in x._terms.items():
+        c2 = terms.get(m)
+        if c2 is not None:
+            total += c.conjugate() * c2 * (1 + 0j)
     return total

@@ -392,7 +392,8 @@ class ExactScalar:
         """Numeric value with tau substituted by 2*pi (the double ``TWO_PI``).
 
         Raises ``WeylError`` when a coefficient, the denominator or the value
-        leaves the float range, so the result is never infinite or NaN.
+        leaves the float range, or when the denominator is 0.0 there (a root
+        at the double 2*pi), so the result is never infinite or NaN.
         """
         c = self._c
         q = self._q
@@ -404,6 +405,8 @@ class ExactScalar:
             den = 0.0
             for v in reversed(q):
                 den = den * TWO_PI + v / lead
+            if not den:
+                raise WeylError("a scalar's denominator is 0 at tau = 2*pi")
             value = num / den
             if math.isfinite(den) and math.isfinite(value):
                 return value

@@ -909,8 +909,9 @@ def _paths_probes(config, rng, frame, d):
         fine = path_sample(kind, endpoints, grid(2 * n))
         if coarse[0] is not endpoints[0] or coarse[-1] is not endpoints[1]:
             endpoint_fail.append("")
-        ratio = max_consecutive(fine) / max_consecutive(coarse)
-        ratio_devs.append((abs(ratio - 0.5), kind))
+        step = max_consecutive(coarse)
+        if step:  # a path between equal endpoints stands still: it has no rate
+            ratio_devs.append((abs(max_consecutive(fine) / step - 0.5), kind))
     yield _counted("paths.endpoints_reproduced_exactly", endpoint_fail)
     yield _bounded("paths.linear_refinement_rate", ratio_devs, 0.1)
 

@@ -2,11 +2,13 @@ import cmath
 import math
 import pickle
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylccr import (
+    ZERO_THRESHOLD,
     Element,
     Frame,
     FreeDynamics,
@@ -33,6 +35,7 @@ from weylccr import (
     weyl_generator,
     weyl_generator_parts,
 )
+from weylccr import algebra
 from weylccr.errors import DimensionMismatch, FrameMismatch
 from weylccr.lattice import (
     in_dual_lattice,
@@ -298,6 +301,128 @@ class TestKeyedMonomials:
         for x, y in ((m1, m2), (m2, m1), (Monomial([TAU], [0]), m2)):
             with pytest.raises(DimensionMismatch):
                 monomial_product(x, y)
+
+
+# -- Element kernels against the pairwise composition -------------------------
+
+
+def pairwise_product(x, y):
+    """x * y term pair by term pair through ``monomial_product``."""
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            phase, m = monomial_product(m1, m2)
+            out[m] = out.get(m, 0j) + c1 * c2 * phase.to_complex()
+    return {m: c for m, c in out.items() if abs(c) > ZERO_THRESHOLD}
+
+
+def pairwise_adjoint(x):
+    out = {}
+    for m, c in x.terms.items():
+        phase, ms = monomial_adjoint(m)
+        out[ms] = out.get(ms, 0j) + c.conjugate() * phase.to_complex()
+    return {m: c for m, c in out.items() if abs(c) > ZERO_THRESHOLD}
+
+
+def pairwise_tracial(x, y):
+    total = 0j
+    for m1, c1 in x.terms.items():
+        phase1, m1_star = monomial_adjoint(m1)
+        for m2, c2 in y.terms.items():
+            phase12, m12 = monomial_product(m1_star, m2)
+            if m12.is_identity():
+                total += c1.conjugate() * c2 * (phase1 + phase12).to_complex()
+    return total
+
+
+def assert_same_terms(got, want: dict):
+    """Same monomials in the same order, every coefficient bit for bit."""
+    assert [(m, m._key, m.a, m.b, bits(c)) for m, c in got.terms.items()] == [
+        (m, m._key, m.a, m.b, bits(c)) for m, c in want.items()]
+
+
+# few coordinates with mixed denominators, so that term pairs often meet the
+# same monomial, integral ones commute and equal and opposite terms cancel
+kernel_coords = st.sampled_from(
+    (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-1, 3),
+     Fraction(2, 3), Fraction(5, 4), Fraction(-7, 6), Fraction(10**20 + 1, 10**6)))
+kernel_coeffs = st.one_of(
+    st.sampled_from((1.0, -1.0, 0.5j, -2 + 0j, ZERO_THRESHOLD, -ZERO_THRESHOLD,
+                     complex(ZERO_THRESHOLD, 0.0), 1e-8, 3e14)),
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False))
+
+
+def kernel_elements(d, tau=False):
+    """Elements over the standard frame of dimension d, kept with threshold 0
+    so coefficients at ``ZERO_THRESHOLD`` reach the kernels; with ``tau`` one
+    term has a tau coordinate."""
+    monomial = st.tuples(st.tuples(*[kernel_coords] * d), st.tuples(*[kernel_coords] * d))
+    terms = st.lists(st.tuples(monomial, kernel_coeffs), max_size=6)
+    if tau:
+        terms = st.tuples(terms, tau_coords, st.sampled_from((1.0, -0.5j))).map(
+            lambda t: t[0] + [(((t[1],) + (Fraction(0),) * (d - 1), (Fraction(1),) * d),
+                               t[2])])
+    return terms.map(lambda ts: Element(
+        Frame.standard(d), {Monomial(a, b): c for (a, b), c in ts}, threshold=0.0))
+
+
+def kernel_pairs(tau=False):
+    return st.integers(1, 3).flatmap(lambda d: st.tuples(
+        kernel_elements(d, tau), kernel_elements(d), st.booleans()))
+
+
+class TestElementKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_pairs())
+    def test_keyed_kernels_match_the_pairwise_loop(self, drawn):
+        x, y, cancel = drawn
+        if cancel:  # (x + y)(x - y) = x^2 - y^2 + (yx - xy): commuting pairs cancel exactly
+            x, y = x + y, x - y
+        assert all(m._key is not None for m in list(x.terms) + list(y.terms))
+        for a, b in ((x, y), (y, x), (x, x)):
+            with patch.object(algebra, "monomial_product", wraps=monomial_product) as pairwise:
+                got = a * b
+            assert not pairwise.called
+            assert_same_terms(got, pairwise_product(a, b))
+            assert bits(tracial_inner_product(a, b)) == bits(pairwise_tracial(a, b))
+        for a in (x, y, x * y):
+            assert_same_terms(a.adjoint(), pairwise_adjoint(a))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_pairs(tau=True))
+    def test_an_operand_with_tau_takes_the_generic_path(self, drawn):
+        x, y, _ = drawn
+        assert any(m._key is None for m in x.terms)
+        for a, b in ((x, y), (y, x), (x, x)):
+            with patch.object(algebra, "monomial_product", wraps=monomial_product) as pairwise:
+                got = a * b
+            assert pairwise.call_count == len(a) * len(b)
+            assert_same_terms(got, pairwise_product(a, b))
+            assert bits(tracial_inner_product(a, b)) == bits(pairwise_tracial(a, b))
+        assert_same_terms(x.adjoint(), pairwise_adjoint(x))
+
+    def test_wide_denominators_take_the_pairwise_path(self):
+        """Past 2**64 the common denominator gives way to the pairwise loop."""
+        frame = Frame.standard(2)
+        primes = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
+        x = Element(frame, {Monomial([Fraction(1, p), 1], [Fraction(2, 3), 0]): 1 - 0.5j
+                            for p in primes[:3]})
+        y = Element(frame, {Monomial([0, Fraction(1, 2)], [Fraction(-1, p), 1]): 0.25j
+                            for p in primes[3:]})
+        assert algebra._common_denominator(x.terms, y.terms) is None
+        assert algebra._common_denominator(x.terms, x.terms) is not None
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert_same_terms(a * b, pairwise_product(a, b))
+
+    def test_exact_cancellation_and_the_threshold(self):
+        u = Element.u(F1, [1])
+        v = Element.v(F1, [2])
+        assert ((u + v) * (u - v)).terms.keys() == {
+            Monomial([2], [0]), Monomial([0], [4])}
+        tiny = Element(F1, {Monomial([Fraction(1, 2)], [0]): ZERO_THRESHOLD}, threshold=0.0)
+        assert (tiny * Element.one(F1)).is_zero()
+        assert tiny.adjoint().is_zero()
+        assert tracial_inner_product(tiny, tiny) == ZERO_THRESHOLD ** 2
 
 
 class TestElementArithmetic:

@@ -102,6 +102,19 @@ def test_eval_on_a_frame_past_the_float_range(entry, elem, tmp_path, capsys):
         assert err.startswith("error: ")
 
 
+def test_eval_on_a_frame_with_a_denominator_root_at_two_pi(tmp_path, capsys):
+    state = tmp_path / "fock.json"
+    state.write_text(json.dumps({"family": "fock"}))
+    frame = tmp_path / "frame.json"
+    # 1 / (q tau - p) with p / q the double 2*pi
+    frame.write_text(json.dumps({"d": 1, "E": [[{
+        "num": {"0": "1"}, "den": {"0": "-884279719003555", "1": "140737488355328"}}]]}))
+    code, out, err = run(capsys, "eval", "--state", str(state), "--elem", "v(1)",
+                         "--frame", str(frame))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_eval_rejects_bad_state(tmp_path, capsys):
     state = tmp_path / "bad.json"
     state.write_text(json.dumps({"family": "bloch", "kappa": ["0"],
@@ -161,6 +174,17 @@ def test_verify_json_deterministic(capsys):
     assert report["pass"] is True
     assert all(set(c) == {"check", "pass", "worst_value", "worst_probe"}
                for c in report["checks"])
+
+
+def test_verify_paths_with_a_zero_length_zak_line(capsys):
+    """At seed 203 both zak_line endpoints are drawn equal: that path stands
+    still, so it has no refinement rate and the other two paths are rated."""
+    code, out, err = run(capsys, "verify", "--suite", "paths", "--seed", "203",
+                         "--output", "json")
+    assert code == 0 and err == ""
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert len(checks) == 3 and all(c["pass"] for c in checks.values())
+    assert checks["paths.linear_refinement_rate"]["worst_probe"] != "zak_line"
 
 
 def test_verify_unknown_suite_usage_error(capsys):

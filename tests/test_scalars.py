@@ -70,6 +70,13 @@ def test_evaluate_past_the_float_range_raises_a_weyl_error():
     assert (big * TAU / (big + 1)).evaluate() == 2.0 * math.pi
 
 
+def test_evaluate_with_a_denominator_root_at_two_pi_raises_a_weyl_error():
+    # q * tau - p with p / q the double 2*pi
+    p, q = (2.0 * math.pi).as_integer_ratio()
+    with pytest.raises(WeylError, match="denominator is 0"):
+        (1 / (q * TAU - p)).evaluate()
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         ExactScalar((Fraction(1),), ())
