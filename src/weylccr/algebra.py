@@ -20,11 +20,12 @@ both operands over the common denominator L and adds, for each term pair in
 order, c1 * c2 * e^{2 pi i k / L^2} with k = -(n2_a . n1_b) mod L^2 into a
 dict keyed by the summed integer tuple; each distinct key is then reduced by
 one gcd and becomes one monomial, in first-occurrence order.  The adjoint
-runs the same loop over single terms, and ``tracial_inner_product`` looks
-each monomial of x up in y.  Results agree bit for bit with the pairwise
-composition of ``monomial_product`` and ``monomial_adjoint``: ``int / int``
-is correctly rounded, so reduced and unreduced turns give the same double,
-and every sum is taken in the same order.
+takes each keyed term's phase and key on ints alone, and
+``tracial_inner_product`` looks each monomial of x up in y.  Results agree
+bit for bit with the pairwise composition of ``monomial_product`` and
+``monomial_adjoint``: ``int / int`` is correctly rounded, so reduced and
+unreduced turns give the same double, and every sum is taken in the same
+order.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[PhaseAngle, Monomial]:
         raise DimensionMismatch("monomial dimensions differ")
     d = len(n1) >> 1
     turns = D1 * D2
-    phase = _angle_of_turns(-sum(map(mul, n2[:d], n1[d:])) % turns, turns)
+    phase = _angle_of_turns(_phase_turns(n2[:d], n1[d:], turns), turns)
     if D1 == D2:
         D, n = D1, tuple(map(add, n1, n2))
     else:
@@ -223,22 +224,30 @@ def monomial_adjoint(m: Monomial) -> tuple[PhaseAngle, Monomial]:
     if key is None:
         phase = PhaseAngle.from_dot(m.a, m.b, -1)
         return phase, Monomial(vneg(m.a), vneg(m.b))
+    k, turns, key = _keyed_adjoint(key)
+    return _angle_of_turns(k, turns), _keyed(*key)
+
+
+def _phase_turns(a, b, turns: int) -> int:
+    """-(a . b) mod turns: the phase e^{-i alpha . beta} of a reordering, as
+    a numerator over ``turns``, for alpha and beta with the integer numerators
+    a and b over two denominators whose product is ``turns``."""
+    return -sum(map(mul, a, b)) % turns
+
+
+def _keyed_adjoint(key: tuple) -> tuple[int, int, tuple]:
+    """(k, D^2, (D, -n)) for the key (D, n): the adjoint of its monomial is
+    e^{2 pi i k / D^2} times the monomial of the key (D, -n), which is
+    canonical as it stands."""
     D, n = key
     d = len(n) >> 1
     turns = D * D
-    phase = _angle_of_turns(-sum(map(mul, n[:d], n[d:])) % turns, turns)
-    return phase, _keyed(D, tuple(map(neg, n)))
-
-
-#: the product kernel works over the lcm L of all key denominators of both
-#: operands; past this bound its big ints make it no faster than the pairwise
-#: loop (30-term products at d = 2 broke even near L = 2**100)
-_KERNEL_MAX_DENOMINATOR = 1 << 64
+    return _phase_turns(n[:d], n[d:], turns), turns, (D, tuple(map(neg, n)))
 
 
 def _common_denominator(t1, t2):
     """The lcm L of the key denominators of the term maps t1 and t2, or None
-    when a monomial has tau or L passes ``_KERNEL_MAX_DENOMINATOR``."""
+    when a monomial has tau."""
     L = 1
     for m in chain(t1, t2):
         key = m._key
@@ -246,8 +255,6 @@ def _common_denominator(t1, t2):
             return None
         if L % key[0]:
             L = lcm(L, key[0])
-            if L > _KERNEL_MAX_DENOMINATOR:
-                return None
     return L
 
 
@@ -264,7 +271,7 @@ def _keyed_product(d: int, L: int, t1, t2) -> list:
         for a2, n2, c2 in right:
             n = tuple(map(add, n1, n2))
             out[n] = get(n, 0j) + c1 * c2 * unit_from_turns(
-                -sum(map(mul, a2, b1)) % turns, turns)
+                _phase_turns(a2, b1, turns), turns)
     return [(_reduced(L, n), c) for n, c in out.items()]
 
 
@@ -412,25 +419,20 @@ class Element:
     def adjoint(self) -> "Element":
         """The *-involution, with every reordering phase exact.
 
-        When every term is keyed, each term (D, n) gives -(n_a . n_b) turns
-        over D^2 and the key (D, -n) on ints alone.
+        A keyed term takes its phase and adjoint key from ``_keyed_adjoint``
+        on ints alone, without building an angle.
         """
-        terms = self._terms
-        keys = [m._key for m in terms]
-        if None in keys:
-            out: dict[Monomial, complex] = {}
-            for m, c in terms.items():
+        out: dict[Monomial, complex] = {}
+        for m, c in self._terms.items():
+            key = m._key
+            if key is None:
                 phase, ms = monomial_adjoint(m)
-                out[ms] = out.get(ms, 0j) + c.conjugate() * phase.to_complex()
-            return _element_of(self.frame, out.items())
-        d = self.frame.d
-        keyed: dict[tuple, complex] = {}
-        for (D, n), c in zip(keys, terms.values()):
-            turns = D * D
-            key = (D, tuple(map(neg, n)))
-            keyed[key] = keyed.get(key, 0j) + c.conjugate() * unit_from_turns(
-                -sum(map(mul, n[:d], n[d:])) % turns, turns)
-        return _element_of(self.frame, ((_keyed(*key), c) for key, c in keyed.items()))
+                z = phase.to_complex()
+            else:
+                k, turns, key = _keyed_adjoint(key)
+                ms, z = _keyed(*key), unit_from_turns(k, turns)
+            out[ms] = out.get(ms, 0j) + c.conjugate() * z
+        return _element_of(self.frame, out.items())
 
     def _coerce(self, other):
         if isinstance(other, Element):

@@ -401,19 +401,6 @@ class TestElementKernels:
             assert bits(tracial_inner_product(a, b)) == bits(pairwise_tracial(a, b))
         assert_same_terms(x.adjoint(), pairwise_adjoint(x))
 
-    def test_wide_denominators_take_the_pairwise_path(self):
-        """Past 2**64 the common denominator gives way to the pairwise loop."""
-        frame = Frame.standard(2)
-        primes = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
-        x = Element(frame, {Monomial([Fraction(1, p), 1], [Fraction(2, 3), 0]): 1 - 0.5j
-                            for p in primes[:3]})
-        y = Element(frame, {Monomial([0, Fraction(1, 2)], [Fraction(-1, p), 1]): 0.25j
-                            for p in primes[3:]})
-        assert algebra._common_denominator(x.terms, y.terms) is None
-        assert algebra._common_denominator(x.terms, x.terms) is not None
-        for a, b in ((x, y), (y, x), (x, x)):
-            assert_same_terms(a * b, pairwise_product(a, b))
-
     def test_exact_cancellation_and_the_threshold(self):
         u = Element.u(F1, [1])
         v = Element.v(F1, [2])
