@@ -39,6 +39,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0 <= tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite non-negative number")
+    return tol
+
+
 def _format_complex(z: complex) -> str:
     return f"{z.real:.15g}{z.imag:+.15g}i"
 
@@ -143,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,
                    choices=tuple(SUITES) + ("all",))
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=_positive_int, default=16)
     add_common(p)

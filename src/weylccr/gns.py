@@ -5,6 +5,9 @@ The Fourier basis of the torus diagonalizes the position shifts exactly, so a
 finite index box loses information only at the boundary of the momentum
 shifts; with enough margin the vector-state reconstruction agrees with the
 closed form up to floating arithmetic.
+
+numpy is imported by the functions that build arrays, so importing this
+module (and the package) does not load it.
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import Monomial
 from .errors import DimensionMismatch, NotAState, OutOfSubalgebra, WindowTooSmall
 from .lattice import integer_vector, vector
 from .scalars import PhaseAngle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,8 @@ class TruncatedOperator:
 
 def op_S(b, window: FourierWindow) -> TruncatedOperator:
     """Position shift, diagonal on the Fourier basis: entries e^{-i tau (n . b)}."""
+    import numpy as np
+
     b = vector(b)
     if len(b) != window.d:
         raise DimensionMismatch("coordinate dimension differs from window")
@@ -79,6 +86,8 @@ def op_S(b, window: FourierWindow) -> TruncatedOperator:
 def op_F(gp, window: FourierWindow) -> TruncatedOperator:
     """Index shift by a dual-lattice vector: e_n -> e_{n+gp}, truncated at the
     boundary (columns leaving the window are zeroed)."""
+    import numpy as np
+
     gp = tuple(int(c) for c in gp)
     if len(gp) != window.d:
         raise DimensionMismatch("shift dimension differs from window")
@@ -124,6 +133,8 @@ def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> compl
             if not (lo + abs(a) <= c <= hi - abs(a)):
                 raise WindowTooSmall(
                     f"support point {n} lacks margin {tuple(abs(x) for x in a_int)}")
+    import numpy as np
+
     vec = np.zeros(len(window), dtype=complex)
     for n, val in fhat.items():
         vec[window.index[n]] = val
@@ -159,6 +170,8 @@ def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
     the window; on the full window the boundary truncation makes the residual
     nonzero, which is reported by passing an empty interior mask upstream.
     """
+    import numpy as np
+
     gp = tuple(int(c) for c in gp)
     b = vector(b)
     f_mat = op_F(gp, window).matrix

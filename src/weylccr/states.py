@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .algebra import (
     Element,
     Monomial,
@@ -332,10 +330,12 @@ class CheckResult:
 
 def _worst(pairs, fmt=str):
     """(value, fmt(probe)) for the largest value, the last of equal values
-    winning; (0.0, "") when no value reaches 0.  Only the winner is formatted."""
+    winning; (0.0, "") when no value reaches 0.  NaN counts as larger than
+    any number, so a NaN deviation fails its bound and names its probe.  Only
+    the winner is formatted."""
     worst, probe = 0.0, None
     for value, candidate in pairs:
-        if value >= worst:
+        if value >= worst or value != value:
             worst, probe = value, candidate
     return worst, ("" if probe is None else fmt(probe))
 
@@ -353,6 +353,8 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial],
         raise InvalidProbeSet("need at least one probe")
     if len(set(probes)) != len(probes):
         raise InvalidProbeSet("probes must be distinct")
+    import numpy as np
+
     n = len(probes)
     H = np.zeros((n, n), dtype=complex)
     for i, mi in enumerate(probes):
@@ -462,6 +464,8 @@ def _lerp(x0, x1, t: Fraction) -> tuple:
 
 
 def _bloch_slerp(s0: Bloch, s1: Bloch):
+    import numpy as np
+
     f0, f1 = s0.fhat_map, s1.fhat_map
     support = sorted(set(f0) | set(f1))
     u = np.array([f0.get(n, 0j) for n in support])

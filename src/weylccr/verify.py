@@ -28,8 +28,6 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import (
     Element,
     FreeDynamics,
@@ -249,9 +247,10 @@ def _weyl_star_elements(config, rng, frame, d):
 
 @check("weyl.symplectic", counted="weyl.symplectic_presentation_500_exact")
 def _weyl_symplectic(config, rng, frame, d):
+    standards = [Frame.standard(dim) for dim in (1, 2, 3)]
     for i in range(500):
         dim = 1 + i % 3
-        standard = Frame.standard(dim)
+        standard = standards[dim - 1]
         z = PhasePoint(standard, rand_coords(rng, dim), rand_coords(rng, dim))
         zp = PhasePoint(standard, rand_coords(rng, dim), rand_coords(rng, dim))
         ph_z, m_z = weyl_generator_parts(z)
@@ -820,6 +819,8 @@ def _gns_oracle(config, rng, frame, d):
 
 @check("gns.rho_scalar", counted="gns.rho_of_lattice_v_is_exact_scalar")
 def _gns_rho_scalar(config, rng, frame, d):
+    import numpy as np
+
     window = FourierWindow((-4,), (4,))
     for _ in range(20):
         kappa = rand_kappa(rng, 1)
@@ -844,6 +845,8 @@ def _gns_weyl_relation(config, rng, frame, d):
 
 @check("gns.operators", bounded=("gns.truncated_operator_structure", 1e-12))
 def _gns_operators(config, rng, frame, d):
+    import numpy as np
+
     window = FourierWindow((-5,), (5,))
     for _ in range(10):
         b1, b2 = [rand_fraction(rng)], [rand_fraction(rng)]
@@ -861,6 +864,7 @@ def _gns_operators(config, rng, frame, d):
 
 @check("gns.plane_wave", bounded=("gns.plane_wave_vector_state_oracle", 1e-12))
 def _gns_plane_wave(config, rng, frame, d):
+    standards = [Frame.standard(dim) for dim in (1, 2)]
     for _ in range(20):
         dim = 1 + rng.randint(0, 1)
         p = rand_coords(rng, dim)
@@ -871,8 +875,9 @@ def _gns_plane_wave(config, rng, frame, d):
                         vector([pi + ai for pi, ai in zip(p, m.a)])]
         momentum_set = list({tuple(q): q for q in momentum_set}.values())
         val = plane_wave_vector_state(p, m, momentum_set)
-        state = PlaneWave(Frame.standard(dim).to_ambient_momentum(p))
-        want = state.monomial_value(Frame.standard(dim), m)
+        standard = standards[dim - 1]
+        state = PlaneWave(standard.to_ambient_momentum(p))
+        want = state.monomial_value(standard, m)
         yield abs(val - want), f"d={dim} {m}"
 
 

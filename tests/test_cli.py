@@ -300,6 +300,21 @@ def test_grid_must_be_positive(command, grid, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "tiny"])
+def test_tol_must_be_finite_and_non_negative(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "gns", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-10", "1e300"])
+def test_tol_accepts_finite_non_negative_values(tol, capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "gns", "--tol", tol, "--output", "json")
+    assert json.loads(out)["tol"] == float(tol)
+    assert code == (1 if tol == "0" else 0)
+
+
 @pytest.mark.parametrize("family, extra", [
     ("zak", {"kappa": ["1/3", "0"], "nu": ["0", "0"]}),
     ("bloch", {"kappa": ["1/3", "0"], "fhat": [{"idx": [0, 0], "re": 1.0}]}),

@@ -1,0 +1,64 @@
+"""The exact core runs without numpy: importing the package and the command
+line, simplifying and evaluating states load it nowhere; the first matrix
+(a Gram check) does.  Each test starts a fresh interpreter, because this one
+has numpy loaded already."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_symbolic_commands_do_not_load_numpy(tmp_path):
+    state = tmp_path / "fock.json"
+    state.write_text(json.dumps({"family": "fock"}))
+    script = textwrap.dedent(f"""
+        import contextlib, io, runpy, sys
+        import weylccr, weylccr.cli
+        assert "numpy" not in sys.modules, "import"
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert weylccr.cli.main(["simplify", "--elem", "v(1/2)*u(1/2)"]) == 0
+            assert weylccr.cli.main(["eval", "--state", {str(state)!r},
+                                     "--elem", "u(1)*v(1)"]) == 0
+            sys.argv = ["weylccr", "eval", "--state", {str(state)!r}, "--elem", "v(0)"]
+            try:
+                runpy.run_module("weylccr", run_name="__main__", alter_sys=True)
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+        assert "numpy" not in sys.modules, "commands"
+        lines = out.getvalue().splitlines()
+        assert "u(1/2)v(1/2)" in lines[0] and lines[2] == "1+0i", lines
+
+        from weylccr import Fock, Frame, Monomial, gram_psd_check
+        from weylccr.lattice import vector
+        probes = [Monomial(vector([a]), vector([b])) for a in (0, 1) for b in (0, 1)]
+        rep = gram_psd_check(Fock(), Frame.standard(1), probes)
+        assert "numpy" in sys.modules, "gram"
+        assert rep.passed and rep.min_eigenvalue > 0 and rep.hermitian_residual < 1e-15, rep
+        print("ok")
+    """)
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_module_entry_point_runs_the_command_line():
+    proc = run_python("-m", "weylccr", "simplify", "--elem", "v(1/2)*u(1/2)")
+    assert proc.returncode == 0, proc.stderr
+    assert "u(1/2)v(1/2)" in proc.stdout
+    proc = run_python("-m", "weylccr", "verify", "--suite", "gns", "--tol", "nan")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--tol" in proc.stderr

@@ -44,7 +44,7 @@ from weylccr.errors import (
     Unsupported,
 )
 from weylccr.lattice import vector
-from weylccr.states import PATH_KINDS, PATHS, bloch_monomial_value
+from weylccr.states import PATH_KINDS, PATHS, _bounded, bloch_monomial_value
 from weylccr.verify import (
     draw_distinct,
     rand_complex,
@@ -490,6 +490,34 @@ class TestWeakStar:
                 for s3 in states:
                     assert d12 <= (weak_star_distance(s1, s3, probes)
                                    + weak_star_distance(s3, s2, probes) + 1e-12)
+
+
+class TestBounded:
+    def test_worst_value_and_last_probe_win(self):
+        rep = _bounded("x", [(0.5, "a"), (1.0, "b"), (1.0, "c"), (0.0, "d")], 1.0)
+        assert rep.passed and rep.worst_value == 1.0 and rep.worst_probe == "c"
+
+    def test_nan_fails_and_names_its_probe(self):
+        rep = _bounded("x", [(float("nan"), "p")], 1e-12)
+        assert not rep.passed and math.isnan(rep.worst_value) and rep.worst_probe == "p"
+
+    @pytest.mark.parametrize("pairs", [
+        [(0.0, "a"), (float("nan"), "p"), (2.0, "b")],
+        [(2.0, "b"), (float("nan"), "p"), (0.0, "a")],
+        [(float("inf"), "b"), (float("nan"), "p")],
+    ])
+    def test_nan_outranks_every_number_in_a_mixed_list(self, pairs):
+        rep = _bounded("x", pairs, float("inf"))
+        assert not rep.passed and math.isnan(rep.worst_value) and rep.worst_probe == "p"
+
+    def test_nan_fails_a_check(self):
+        class Broken(Tracial):
+            def evaluate(self, x):
+                return complex("nan+0j")
+        samples = [Element.v(F1, [Fraction(1, 2)])]
+        rep = invariance_check(Broken(), SpaceTranslation(vector([1])), samples)
+        assert not rep.passed and math.isnan(rep.worst_value)
+        assert rep.worst_probe == str(samples[0])
 
 
 class TestPaths:
