@@ -120,6 +120,8 @@ def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> compl
     Requires the Fourier support of f to sit inside the window with margin at
     least |a_i| in every coordinate, so the index shift loses nothing.
     """
+    import numpy as np
+
     a_int = integer_vector(m.a)
     if a_int is None:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
@@ -133,8 +135,6 @@ def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> compl
             if not (lo + abs(a) <= c <= hi - abs(a)):
                 raise WindowTooSmall(
                     f"support point {n} lacks margin {tuple(abs(x) for x in a_int)}")
-    import numpy as np
-
     vec = np.zeros(len(window), dtype=complex)
     for n, val in fhat.items():
         vec[window.index[n]] = val

@@ -349,12 +349,12 @@ def _bounded(check: str, pairs, bound: float, fmt=str) -> CheckResult:
 def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial],
                    tol: float = 1e-10) -> GramReport:
     """Positivity witness: the Gram matrix H_ij = omega(m_i* m_j) must be PSD."""
+    import numpy as np
+
     if not probes:
         raise InvalidProbeSet("need at least one probe")
     if len(set(probes)) != len(probes):
         raise InvalidProbeSet("probes must be distinct")
-    import numpy as np
-
     n = len(probes)
     H = np.zeros((n, n), dtype=complex)
     for i, mi in enumerate(probes):
@@ -428,10 +428,12 @@ def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
 
 def weak_star_distance(s1: StateModel, s2: StateModel,
                        probes: Sequence[Element]) -> float:
-    """Max over the probe set of |omega1(x) - omega2(x)|."""
+    """Max over the probe set of |omega1(x) - omega2(x)|; NaN if any gap is
+    NaN, wherever it falls in the probe order."""
     if not probes:
         raise InvalidProbeSet("need at least one probe")
-    return max(abs(s1.evaluate(x) - s2.evaluate(x)) for x in probes)
+    gaps = [abs(s1.evaluate(x) - s2.evaluate(x)) for x in probes]
+    return math.nan if any(map(math.isnan, gaps)) else max(gaps)
 
 
 # -- path sampling ---------------------------------------------------------------

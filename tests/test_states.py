@@ -491,6 +491,15 @@ class TestWeakStar:
                     assert d12 <= (weak_star_distance(s1, s3, probes)
                                    + weak_star_distance(s3, s2, probes) + 1e-12)
 
+    @pytest.mark.parametrize("nan_at", [0, 1])
+    def test_nan_gap_is_kept_in_any_probe_order(self, nan_at):
+        probes = [Element.v(F1, [Fraction(1, 2)]), Element.v(F1, [Fraction(1, 3)])]
+
+        class Broken(Tracial):
+            def evaluate(self, x):
+                return complex("nan") if x == probes[nan_at] else super().evaluate(x)
+        assert math.isnan(weak_star_distance(Broken(), Tracial(), probes))
+
 
 class TestBounded:
     def test_worst_value_and_last_probe_win(self):
