@@ -14,12 +14,24 @@ work on keyed monomials with ints alone, and their results build coordinate
 scalars only when asked for them.  Monomials with tau coordinates go through
 the exact Q(tau) vector operations and ``PhaseAngle.from_dot``.
 
+The automorphisms act on keyed monomials on ints as well.  A translation
+keeps the key of its shift, and a keyed monomial (D, n) picks up -(n_a .
+n_lam) turns over D * D_lam (space) or +(n_mu . n_b) turns over D * D_mu
+(momentum).  Time reversal negates n_a in the key.  The free dynamics, on a
+frame whose shear is tau times a rational matrix G (every rational basis),
+builds its phase (t/2) tau^2 a . G a and its image b - t tau G a from ints
+as canonical scalars.  Shifts with tau, monomials with tau and the free
+dynamics on other frames keep the Q(tau) path; both paths give the same
+angle, the same image and the same complex value.
+
 When every term of its operands is keyed, ``Element`` arithmetic runs on the
 keys without building a monomial or an angle per term pair.  A product puts
 both operands over the common denominator L and adds, for each term pair in
 order, c1 * c2 * e^{2 pi i k / L^2} with k = -(n2_a . n1_b) mod L^2 into a
 dict keyed by the summed integer tuple; each distinct key is then reduced by
-one gcd and becomes one monomial, in first-occurrence order.  The adjoint
+one gcd and becomes one monomial, in first-occurrence order.  When one
+operand has a single term no two sums meet, and each pair is combined on its
+own two denominators as in ``monomial_product``, with no common L.  The adjoint
 takes each keyed term's phase and key on ints alone, and
 ``tracial_inner_product`` looks each monomial of x up in y.  Results agree
 bit for bit with the pairwise composition of ``monomial_product`` and
@@ -57,7 +69,16 @@ from .lattice import (
     vsub,
     zero_vector,
 )
-from .scalars import _Q1, ExactScalar, PhaseAngle, _angle_of_turns, _rat, unit_from_turns
+from .scalars import (
+    _Q1,
+    S_ZERO,
+    ExactScalar,
+    PhaseAngle,
+    _angle_of_turns,
+    _poly,
+    _rat,
+    unit_from_turns,
+)
 
 _new = object.__new__
 _set = object.__setattr__
@@ -199,19 +220,11 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[PhaseAngle, Monomial]:
     if k1 is None or k2 is None:
         phase = PhaseAngle.from_dot(m2.a, m1.b, -1)
         return phase, Monomial(vadd(m1.a, m2.a), vadd(m1.b, m2.b))
-    (D1, n1), (D2, n2) = k1, k2
-    if len(n1) != len(n2):
+    n1 = k1[1]
+    if len(n1) != len(k2[1]):
         raise DimensionMismatch("monomial dimensions differ")
-    d = len(n1) >> 1
-    turns = D1 * D2
-    phase = _angle_of_turns(_phase_turns(n2[:d], n1[d:], turns), turns)
-    if D1 == D2:
-        D, n = D1, tuple(map(add, n1, n2))
-    else:
-        D = lcm(D1, D2)
-        f1, f2 = D // D1, D // D2
-        n = tuple(x * f1 + y * f2 for x, y in zip(n1, n2))
-    return phase, _reduced(D, n)
+    k, turns, m = _keyed_pair(len(n1) >> 1, k1, k2)
+    return _angle_of_turns(k, turns), m
 
 
 def monomial_adjoint(m: Monomial) -> tuple[PhaseAngle, Monomial]:
@@ -233,6 +246,22 @@ def _phase_turns(a, b, turns: int) -> int:
     a numerator over ``turns``, for alpha and beta with the integer numerators
     a and b over two denominators whose product is ``turns``."""
     return -sum(map(mul, a, b)) % turns
+
+
+def _keyed_pair(d: int, k1: tuple, k2: tuple) -> tuple[int, int, Monomial]:
+    """(k, D1 * D2, m) for the keys (D1, n1) and (D2, n2) in dimension d:
+    the product of their monomials is e^{2 pi i k / (D1 D2)} m, with the
+    coordinates summed over lcm(D1, D2) and reduced by one gcd."""
+    (D1, n1), (D2, n2) = k1, k2
+    turns = D1 * D2
+    k = _phase_turns(n2[:d], n1[d:], turns)
+    if D1 == D2:
+        D, n = D1, tuple(map(add, n1, n2))
+    else:
+        D = lcm(D1, D2)
+        f1, f2 = D // D1, D // D2
+        n = tuple(x * f1 + y * f2 for x, y in zip(n1, n2))
+    return k, turns, _reduced(D, n)
 
 
 def _keyed_adjoint(key: tuple) -> tuple[int, int, tuple]:
@@ -258,10 +287,32 @@ def _common_denominator(t1, t2):
     return L
 
 
-def _keyed_product(d: int, L: int, t1, t2) -> list:
-    """The terms of the product of the keyed term maps t1 and t2 in dimension
-    d, as (monomial, coefficient) pairs: every pair's phase and summed key on
-    ints over the common denominator L, each distinct sum reduced once."""
+def _keyed_product(d: int, t1, t2) -> list | None:
+    """The terms of the product of the term maps t1 and t2 in dimension d, as
+    (monomial, coefficient) pairs, or None when a monomial has tau.
+
+    When one map has a single term, its sums with the other map's terms are
+    distinct, so each pair is combined on its own two denominators as in
+    ``monomial_product``; ``0j +`` keeps the signed zeros of an accumulated
+    sum.  Otherwise every pair's phase and summed key is taken on ints over
+    the common denominator L, and each distinct sum is reduced once.
+    """
+    if len(t1) == 1 or len(t2) == 1:
+        right = [(m._key, c) for m, c in t2.items()]
+        out = []
+        for m1, c1 in t1.items():
+            k1 = m1._key
+            if k1 is None:
+                return None
+            for k2, c2 in right:
+                if k2 is None:
+                    return None
+                k, turns, m = _keyed_pair(d, k1, k2)
+                out.append((m, 0j + c1 * c2 * unit_from_turns(k, turns)))
+        return out
+    L = _common_denominator(t1, t2)
+    if L is None:
+        return None
     turns = L * L
     right = [(n[:d], n, c) for n, c in _scaled(L, t2)]
     out: dict[tuple, complex] = {}
@@ -397,9 +448,9 @@ class Element:
         if isinstance(other, Element):
             check_same_frame(self.frame, other.frame)
             t1, t2 = self._terms, other._terms
-            L = _common_denominator(t1, t2)
-            if L is not None:
-                return _element_of(self.frame, _keyed_product(self.frame.d, L, t1, t2))
+            terms = _keyed_product(self.frame.d, t1, t2)
+            if terms is not None:
+                return _element_of(self.frame, terms)
             out: dict[Monomial, complex] = {}
             for m1, c1 in t1.items():
                 for m2, c2 in t2.items():
@@ -479,28 +530,51 @@ def weyl_generator(z: PhasePoint) -> Element:
 
 @dataclass(frozen=True)
 class SpaceTranslation:
-    """tau_lambda = v_lambda (.) v_lambda*; lam in position coordinates."""
+    """tau_lambda = v_lambda (.) v_lambda*; lam in position coordinates.
+
+    The canonical key of ``lam`` is kept, or None when a coordinate has tau;
+    a keyed monomial (D, n) then picks up -(n_a . n_lam) turns over D * D_lam
+    on ints alone.
+    """
 
     lam: Vector
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", vector(self.lam))
+        lam = vector(self.lam)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "_key", _rational_key(lam, ()))
 
     def act(self, frame: Frame, m: Monomial):
-        return PhaseAngle.from_dot(m.a, self.lam, -1), m, False
+        key, lam = m._key, self._key
+        if key is None or lam is None or len(key[1]) != 2 * len(lam[1]):
+            return PhaseAngle.from_dot(m.a, self.lam, -1), m, False
+        (D, n), (Dl, nl) = key, lam
+        turns = D * Dl
+        return _angle_of_turns(_phase_turns(n[:len(nl)], nl, turns), turns), m, False
 
 
 @dataclass(frozen=True)
 class MomentumTranslation:
-    """theta_mu = u_mu (.) u_mu*; mu in momentum coordinates."""
+    """theta_mu = u_mu (.) u_mu*; mu in momentum coordinates.
+
+    As for ``SpaceTranslation``, a keyed monomial (D, n) picks up
+    +(n_mu . n_b) turns over D * D_mu on ints alone when mu is rational.
+    """
 
     mu: Vector
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", vector(self.mu))
+        mu = vector(self.mu)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "_key", _rational_key(mu, ()))
 
     def act(self, frame: Frame, m: Monomial):
-        return PhaseAngle.from_dot(self.mu, m.b), m, False
+        key, mu = m._key, self._key
+        if key is None or mu is None or len(key[1]) != 2 * len(mu[1]):
+            return PhaseAngle.from_dot(self.mu, m.b), m, False
+        (D, n), (Dm, nm) = key, mu
+        turns = D * Dm
+        return _angle_of_turns(sum(map(mul, nm, n[len(nm):])) % turns, turns), m, False
 
 
 @dataclass(frozen=True)
@@ -508,7 +582,8 @@ class FreeDynamics:
     """Phi_t: u_alpha v_beta -> e^{i (t/2) |alpha|^2} u_alpha v_{beta - t alpha}.
 
     The time parameter is restricted to a plain rational so that the shifted
-    coordinates stay in Q(tau).
+    coordinates stay in Q(tau).  On a frame with ``shear_over_tau`` set, a
+    keyed monomial's phase and image are built from ints as canonical scalars.
     """
 
     t: Fraction
@@ -520,18 +595,46 @@ class FreeDynamics:
 
     def act(self, frame: Frame, m: Monomial):
         t = self.t
-        norm_sq = frame.momentum_norm_sq(m.a)
-        phase = PhaseAngle(ExactScalar.rational(t.numerator, 2 * t.denominator) * norm_sq)
-        shift = vscale(t, mat_vec(frame.shear, m.a))
-        return phase, Monomial(m.a, vsub(m.b, shift)), False
+        key, G = m._key, frame.shear_over_tau
+        if key is None or G is None or len(key[1]) != 2 * frame.d:
+            norm_sq = frame.momentum_norm_sq(m.a)
+            phase = PhaseAngle(ExactScalar.rational(t.numerator, 2 * t.denominator) * norm_sq)
+            shift = vscale(t, mat_vec(frame.shear, m.a))
+            return phase, Monomial(m.a, vsub(m.b, shift)), False
+        # shear = tau * rows / g and |F a|^2 = tau^2 a . G a: with a = n_a / D,
+        # G a = Ga / (g D), the phase is tau^2 * p * (n_a . Ga) / (2 q g D^2)
+        # and the image b - t tau G a has the coordinates
+        # (n_b * q g - tau * p * Ga) / (q g D), for t = p / q
+        D, n = key
+        g, rows = G
+        p, q = t.numerator, t.denominator
+        a, b = n[:frame.d], n[frame.d:]
+        Ga = [sum(map(mul, row, a)) for row in rows]
+        k = p * sum(map(mul, a, Ga))
+        phase = PhaseAngle(_poly((0, 0, k), 2 * q * g * D * D) if k else S_ZERO)
+        if not p or not any(Ga):
+            return phase, m, False
+        c, f = q * g * D, q * g
+        image = tuple(_poly((x * f, -p * y) if y else (x * f,) if x else (), c)
+                      for x, y in zip(b, Ga))
+        return phase, Monomial(m.a, image), False
 
 
 @dataclass(frozen=True)
 class TimeReversal:
-    """The antilinear multiplicative involution u_alpha -> u_{-alpha}, v_beta -> v_beta."""
+    """The antilinear multiplicative involution u_alpha -> u_{-alpha}, v_beta -> v_beta.
+
+    A keyed monomial (D, n) maps to the key (D, -n_a || n_b), canonical as
+    it stands.
+    """
 
     def act(self, frame: Frame, m: Monomial):
-        return PhaseAngle.zero(), Monomial(vneg(m.a), m.b), True
+        key = m._key
+        if key is None:
+            return PhaseAngle.zero(), Monomial(vneg(m.a), m.b), True
+        D, n = key
+        d = len(n) >> 1
+        return PhaseAngle.zero(), _keyed(D, tuple([-x for x in n[:d]]) + n[d:]), True
 
 
 AutomorphismSpec = Union[SpaceTranslation, MomentumTranslation, FreeDynamics, TimeReversal]

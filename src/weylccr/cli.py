@@ -2,6 +2,9 @@
 verification suites, emit text or machine-readable reports.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+
+``verify`` and ``path-demo`` import the check table (``weylccr.verify``)
+when they run, so ``simplify`` and ``eval`` never compile it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from .serialization import (
     load_json,
     state_from_json,
 )
-from .states import PATH_KINDS, path_sample, weak_star_distance
-from .verify import SUITES, RunConfig, path_probes, run_suite
+from .states import PATH_KINDS, _nan_max, path_sample, weak_star_distance
+
+#: the names of ``verify.SUITES``, in table order
+SUITE_NAMES = ("weyl", "ergodic", "states", "covariance", "tri", "zak", "gns", "paths")
 
 
 def _frame_from_args(args) -> Frame:
@@ -33,14 +38,20 @@ def _frame_from_args(args) -> Frame:
 
 
 def _positive_int(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
     if n < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
     return n
 
 
 def _tolerance(text: str) -> float:
-    tol = float(text)
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
     if not 0 <= tol < float("inf"):
         raise argparse.ArgumentTypeError(f"{text} is not a finite non-negative number")
     return tol
@@ -73,6 +84,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import RunConfig, run_suite
+
     frame = _frame_from_args(args)
     config = RunConfig(frame=frame, tol=args.tol, seed=args.seed, grid=args.grid)
     results = run_suite(args.suite, config)
@@ -95,6 +108,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_path_demo(args) -> int:
+    from .verify import RunConfig, path_probes
+
     frame = _frame_from_args(args)
     start, end = endpoints_from_json(load_json(args.endpoints))
     n = args.grid
@@ -106,7 +121,7 @@ def cmd_path_demo(args) -> int:
                          frame, axes)
     distances = [weak_star_distance(s1, s2, probes)
                  for s1, s2 in zip(states, states[1:])]
-    max_d = max(distances)
+    max_d = _nan_max(distances)
     mean_d = sum(distances) / len(distances)
     endpoints_exact = states[0] is start and states[-1] is end
     if args.output == "json":
@@ -149,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,
-                   choices=tuple(SUITES) + ("all",))
+                   choices=SUITE_NAMES + ("all",))
     p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=_positive_int, default=16)

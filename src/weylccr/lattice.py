@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, FrameMismatch, NotDecomposable, SingularFrame
-from .scalars import ExactScalar, PhaseAngle, S_ONE, S_ZERO, TAU, scalar
+from .scalars import _Q1, ExactScalar, PhaseAngle, S_ONE, S_ZERO, TAU, scalar
 
 Vector = tuple  # tuple[ExactScalar, ...]
 Matrix = tuple  # tuple[tuple[ExactScalar, ...], ...]
@@ -147,17 +147,24 @@ def dual_frame(E: Matrix) -> Matrix:
 class Frame:
     """A lattice basis (columns of E) together with its 2*pi-dual (columns of F).
 
-    The one derived matrix cached on construction is the change of
-    coordinates ``shear = E^-1 F`` used by the free dynamics.  The Gaussian
-    widths ``position_norm_sq`` and ``momentum_norm_sq`` are the ambient sums
-    of squares |E b|^2 and |F a|^2, which equal b . (E^T E) b and
-    a . (F^T F) a with no Gram matrix kept.
+    The derived matrix cached on construction is the change of coordinates
+    ``shear = E^-1 F`` used by the free dynamics.  As F^T = tau E^-1, the
+    dual Gram matrix is F^T F = tau * shear.  When shear = tau * G with G
+    rational, which holds for every rational basis (G = E^-1 E^-T), G is also
+    kept as ints in ``shear_over_tau`` = (g, rows), G = rows / g; it is None
+    otherwise.  The Gaussian widths ``position_norm_sq`` and
+    ``momentum_norm_sq`` are the ambient sums of squares |E b|^2 and
+    |F a|^2, computed from E and F.
     """
 
     d: int
     E: Matrix
     F: Matrix
     shear: Matrix
+    shear_over_tau: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shear_over_tau", _over_tau(self.shear))
 
     @staticmethod
     def from_basis(rows) -> "Frame":
@@ -192,6 +199,20 @@ class Frame:
     def __str__(self):
         rows = "; ".join(", ".join(str(e) for e in row) for row in self.E)
         return f"Frame(d={self.d}, E=[{rows}])"
+
+
+def _over_tau(m: Matrix):
+    """(g, rows) of ints with m = tau * rows / g, g the lcm of the entry
+    denominators, or None when an entry is not a rational multiple of tau."""
+    g = 1
+    for row in m:
+        for x in row:
+            p = x._p
+            if x._q is not _Q1 or (p and (len(p) != 2 or p[0])):
+                return None
+            if g % x._c:
+                g = math.lcm(g, x._c)
+    return g, tuple(tuple(x._p[1] * (g // x._c) if x._p else 0 for x in row) for row in m)
 
 
 def check_same_frame(f1: Frame, f2: Frame):

@@ -340,6 +340,13 @@ def _worst(pairs, fmt=str):
     return worst, ("" if probe is None else fmt(probe))
 
 
+def _nan_max(values) -> float:
+    """The largest of the non-negative ``values``, 0.0 for none, and NaN
+    when one of them is NaN, wherever it falls (``max`` keeps a NaN only in
+    first place)."""
+    return _worst((value, None) for value in values)[0]
+
+
 def _bounded(check: str, pairs, bound: float, fmt=str) -> CheckResult:
     """Passes when the worst of the (value, probe) pairs is at most ``bound``."""
     worst, probe = _worst(pairs, fmt)
@@ -432,8 +439,7 @@ def weak_star_distance(s1: StateModel, s2: StateModel,
     NaN, wherever it falls in the probe order."""
     if not probes:
         raise InvalidProbeSet("need at least one probe")
-    gaps = [abs(s1.evaluate(x) - s2.evaluate(x)) for x in probes]
-    return math.nan if any(map(math.isnan, gaps)) else max(gaps)
+    return _nan_max(abs(s1.evaluate(x) - s2.evaluate(x)) for x in probes)
 
 
 # -- path sampling ---------------------------------------------------------------

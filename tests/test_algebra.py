@@ -41,9 +41,12 @@ from weylccr.lattice import (
     in_dual_lattice,
     integer_vector,
     is_zero_vector,
+    mat_vec,
     vadd,
     vector,
     vneg,
+    vscale,
+    vsub,
 )
 from weylccr.verify import (
     rand_complex,
@@ -348,7 +351,7 @@ kernel_coords = st.sampled_from(
      Fraction(2, 3), Fraction(5, 4), Fraction(-7, 6), Fraction(10**20 + 1, 10**6)))
 kernel_coeffs = st.one_of(
     st.sampled_from((1.0, -1.0, 0.5j, -2 + 0j, ZERO_THRESHOLD, -ZERO_THRESHOLD,
-                     complex(ZERO_THRESHOLD, 0.0), 1e-8, 3e14)),
+                     complex(ZERO_THRESHOLD, 0.0), 1e-8, 3e14, complex(-1.0, -0.0))),
     st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False))
 
 
@@ -357,7 +360,9 @@ def kernel_elements(d, tau=False):
     so coefficients at ``ZERO_THRESHOLD`` reach the kernels; with ``tau`` one
     term has a tau coordinate."""
     monomial = st.tuples(st.tuples(*[kernel_coords] * d), st.tuples(*[kernel_coords] * d))
-    terms = st.lists(st.tuples(monomial, kernel_coeffs), max_size=6)
+    term = st.tuples(monomial, kernel_coeffs)
+    # one-term operands take their own branch of the keyed product
+    terms = st.one_of(st.lists(term, min_size=1, max_size=1), st.lists(term, max_size=6))
     if tau:
         terms = st.tuples(terms, tau_coords, st.sampled_from((1.0, -0.5j))).map(
             lambda t: t[0] + [(((t[1],) + (Fraction(0),) * (d - 1), (Fraction(1),) * d),
@@ -401,6 +406,21 @@ class TestElementKernels:
             assert bits(tracial_inner_product(a, b)) == bits(pairwise_tracial(a, b))
         assert_same_terms(x.adjoint(), pairwise_adjoint(x))
 
+    def test_one_term_operands_skip_the_common_denominator(self):
+        x = Element(Frame.standard(2), {Monomial([Fraction(1, 2), 0], [1, Fraction(2, 3)]): 1.0,
+                                        Monomial([1, 1], [0, Fraction(1, 5)]): -2j})
+        y = Element(Frame.standard(2), {Monomial([Fraction(1, 3), 2], [Fraction(1, 7), 0]): 0.5})
+        # -1 - 0j times 1 keeps a -0.0 imaginary part that a sum from 0j turns into 0.0
+        z = Element(Frame.standard(2), {Monomial([1, 0], [0, 2]): complex(-1.0, -0.0)})
+        for a, b in ((x, y), (y, x), (y, y), (x, z), (z, x), (z, z)):
+            with patch.object(algebra, "_common_denominator") as common:
+                got = a * b
+            assert not common.called
+            assert_same_terms(got, pairwise_product(a, b))
+        with patch.object(algebra, "_common_denominator", wraps=algebra._common_denominator) as common:
+            x * x
+        assert common.called
+
     def test_exact_cancellation_and_the_threshold(self):
         u = Element.u(F1, [1])
         v = Element.v(F1, [2])
@@ -410,6 +430,135 @@ class TestElementKernels:
         assert (tiny * Element.one(F1)).is_zero()
         assert tiny.adjoint().is_zero()
         assert tracial_inner_product(tiny, tiny) == ZERO_THRESHOLD ** 2
+
+
+# -- automorphisms on keys against the ExactScalar actions --------------------
+
+
+def reference_act(spec, frame, m):
+    """The action of ``spec`` on m through Q(tau) vectors and ``from_dot``,
+    the one path of every kind before keyed monomials had their own."""
+    if isinstance(spec, SpaceTranslation):
+        return PhaseAngle.from_dot(m.a, spec.lam, -1), m, False
+    if isinstance(spec, MomentumTranslation):
+        return PhaseAngle.from_dot(spec.mu, m.b), m, False
+    if isinstance(spec, TimeReversal):
+        return PhaseAngle.zero(), Monomial(vneg(m.a), m.b), True
+    t = spec.t
+    norm_sq = frame.momentum_norm_sq(m.a)
+    phase = PhaseAngle(ExactScalar.rational(t.numerator, 2 * t.denominator) * norm_sq)
+    shift = vscale(t, mat_vec(frame.shear, m.a))
+    return phase, Monomial(m.a, vsub(m.b, shift)), False
+
+
+def reference_apply(spec, x):
+    out = {}
+    for m, c in x.terms.items():
+        phase, image, conj = reference_act(spec, x.frame, m)
+        if conj:
+            c = c.conjugate()
+        out[image] = out.get(image, 0j) + c * phase.to_complex()
+    return {m: c for m, c in out.items() if abs(c) > ZERO_THRESHOLD}
+
+
+def fields(x: ExactScalar) -> tuple:
+    return x._p, x._c, x._q
+
+
+def assert_same_action(got, want):
+    """Same angle fields, value and complex bits, same image coordinates
+    field for field, same key, hash and conjugation flag."""
+    (phase, image, conj), (want_phase, want_image, want_conj) = got, want
+    assert (phase._n, phase._d) == (want_phase._n, want_phase._d)
+    assert fields(phase.value) == fields(want_phase.value)
+    assert bits(phase.to_complex()) == bits(want_phase.to_complex())
+    assert image == want_image and image._key == want_image._key
+    assert hash(image) == hash(want_image)
+    assert [fields(x) for x in image.a + image.b] == [
+        fields(x) for x in want_image.a + want_image.b]
+    assert conj == want_conj
+
+
+SKEW = Frame.from_basis([[2, Fraction(1, 3)], [0, Fraction(5, 7)]])
+TAU2 = Frame.from_basis([[1 + TAU, Fraction(1, 3)], [0, TAU]])
+#: frames by dimension: standard, rational non-identity, and with tau
+ACTION_FRAMES = {1: [F1, FTAU], 2: [Frame.standard(2), SKEW, TAU2], 3: [Frame.standard(3)]}
+
+
+def shifts(d):
+    """Translation vectors: rational, or with one coordinate containing tau."""
+    return st.one_of(coords(d), st.tuples(coords(d), tau_coords, st.integers(0, d - 1)).map(
+        lambda t: t[0][:t[2]] + (t[1],) + t[0][t[2] + 1:]))
+
+
+def action_cases(d):
+    """A frame of dimension d, a spec of each kind and 1 to 4 coordinate pairs."""
+    specs = st.tuples(shifts(d), shifts(d), wide_rationals).map(
+        lambda t: (SpaceTranslation(t[0]), MomentumTranslation(t[1]), FreeDynamics(t[2]),
+                   TimeReversal()))
+    return st.tuples(st.sampled_from(ACTION_FRAMES[d]), specs,
+                     st.lists(coord_pairs(d), min_size=1, max_size=4), st.booleans())
+
+
+class TestKeyedAutomorphisms:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 3).flatmap(action_cases))
+    def test_keyed_actions_match_the_exact_scalar_reference(self, drawn):
+        frame, specs, pairs, from_keys = drawn
+        ms = [Monomial(a, b) for a, b in pairs]
+        if from_keys:  # keyed outputs: their coordinates are made on demand
+            ms = [monomial_adjoint(monomial_adjoint(m)[1])[1] for m in ms]
+        x = Element(frame, {m: complex(1 + i, -i) for i, m in enumerate(ms)})
+        for spec in specs:
+            for m in ms:
+                assert_same_action(automorphism_action(spec, frame, m),
+                                   reference_act(spec, frame, m))
+            assert_same_terms(apply_automorphism(spec, x), reference_apply(spec, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(action_cases))
+    def test_only_keyed_inputs_skip_the_exact_scalar_path(self, drawn):
+        frame, specs, pairs, _ = drawn
+        m = Monomial(*pairs[0])
+        tau_m = Monomial((TAU,) + m.a[1:], m.b)
+        with patch.object(PhaseAngle, "from_dot", wraps=PhaseAngle.from_dot) as from_dot, \
+                patch.object(algebra, "mat_vec", wraps=mat_vec) as exact:
+            for spec in specs[:2]:
+                from_dot.reset_mock()
+                automorphism_action(spec, frame, m)
+                shift = spec.lam if isinstance(spec, SpaceTranslation) else spec.mu
+                assert from_dot.called == any(not c.is_rational() for c in shift)
+                from_dot.reset_mock()
+                assert_same_action(automorphism_action(spec, frame, tau_m),
+                                   reference_act(spec, frame, tau_m))
+                assert from_dot.called
+            automorphism_action(specs[2], frame, m)
+            assert exact.called == (frame.shear_over_tau is None)
+            exact.reset_mock()
+            assert_same_action(automorphism_action(specs[2], frame, tau_m),
+                               reference_act(specs[2], frame, tau_m))
+            assert exact.called
+            assert_same_action(automorphism_action(specs[3], frame, tau_m),
+                               reference_act(specs[3], frame, tau_m))
+
+    def test_the_dual_gram_matrix_is_cached_for_rational_bases(self):
+        assert F1.shear_over_tau == (1, ((1,),))
+        # E^-1 E^-T for E = [[2, 1/3], [0, 5/7]]
+        assert SKEW.shear_over_tau == (450, ((137, -147), (-147, 882)))
+        assert FTAU.shear_over_tau is None and TAU2.shear_over_tau is None
+        assert SKEW == Frame.from_basis([[2, Fraction(1, 3)], [0, Fraction(5, 7)]])
+        assert pickle.loads(pickle.dumps(SKEW)).shear_over_tau == SKEW.shear_over_tau
+
+    def test_keyed_free_dynamics_values(self):
+        # on E = I: Phi_{1/3}(u_{1/2} v_{1}) = e^{i tau^2 / 24} u_{1/2} v_{1 - tau / 6}
+        m = Monomial([Fraction(1, 2)], [1])
+        phase, image, _ = automorphism_action(FreeDynamics(Fraction(1, 3)), F1, m)
+        assert phase.value == TAU * TAU * Fraction(1, 24)
+        assert image.a == m.a and image.b == (1 - TAU * Fraction(1, 6),)
+        # t = 0 and a = 0 leave the monomial as it is, with no phase
+        for t, mono in ((0, m), (Fraction(2), Monomial([0], [Fraction(1, 3)]))):
+            phase, image, _ = automorphism_action(FreeDynamics(t), F1, mono)
+            assert phase.value.is_zero() and image is mono
 
 
 class TestElementArithmetic:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -308,6 +309,38 @@ def test_tol_must_be_finite_and_non_negative(tol, capsys):
     assert "argument --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    (["verify", "--suite", "gns"], "--grid", "abc", "abc is not a positive integer"),
+    (["path-demo", "--kind", "zak_line", "--endpoints", "unread.json"], "--grid", "1.5",
+     "1.5 is not a positive integer"),
+    (["verify", "--suite", "gns"], "--tol", "tiny", "tiny is not a finite non-negative number"),
+])
+def test_a_non_number_is_named_in_a_plain_message(command, flag, value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: {message}")
+    assert "invalid" not in err and "_positive_int" not in err and "_tolerance" not in err
+
+
+def test_suite_choices_are_the_check_table_suites():
+    from weylccr import cli, verify
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_path_demo_keeps_a_nan_step_in_second_place(monkeypatch, tmp_path, capsys):
+    steps = iter([0.0, float("nan")] + [0.0] * 6)
+    monkeypatch.setattr("weylccr.cli.weak_star_distance", lambda s1, s2, probes: next(steps))
+    start, end = PATH_DEMO_ENDPOINTS["zak_line"](1)
+    endpoints = tmp_path / "endpoints.json"
+    endpoints.write_text(json.dumps({"start": start, "end": end}))
+    code, out, _ = run(capsys, "path-demo", "--kind", "zak_line", "--endpoints",
+                       str(endpoints), "--grid", "8", "--output", "json")
+    assert code == 0
+    assert math.isnan(json.loads(out)["max"])
+
+
 @pytest.mark.parametrize("tol", ["0", "1e-10", "1e300"])
 def test_tol_accepts_finite_non_negative_values(tol, capsys):
     code, out, _ = run(capsys, "verify", "--suite", "gns", "--tol", tol, "--output", "json")
@@ -337,7 +370,7 @@ def test_parser_limits_exit_2(elem, capsys):
 def test_a_fault_inside_a_suite_is_not_reported_as_a_usage_error(monkeypatch):
     def faulty(suite, config):
         raise KeyError("a fault in the program")
-    monkeypatch.setattr("weylccr.cli.run_suite", faulty)
+    monkeypatch.setattr("weylccr.verify.run_suite", faulty)
     with pytest.raises(KeyError):
         main(["verify", "--suite", "weyl"])
 

@@ -1,6 +1,7 @@
 """The exact core runs without numpy: importing the package and the command
 line, simplifying and evaluating states load it nowhere; the first matrix
-(a Gram check) does.  Each test starts a fresh interpreter, because this one
+(a Gram check) does.  Nor do those commands load the check table
+(``weylccr.verify``).  Each test starts a fresh interpreter, because this one
 has numpy loaded already."""
 
 import json
@@ -39,6 +40,7 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
             except SystemExit as exc:
                 assert exc.code == 0, exc.code
         assert "numpy" not in sys.modules, "commands"
+        assert "weylccr.verify" not in sys.modules, "check table"
         lines = out.getvalue().splitlines()
         assert "u(1/2)v(1/2)" in lines[0] and lines[2] == "1+0i", lines
 

@@ -44,7 +44,7 @@ from weylccr.errors import (
     Unsupported,
 )
 from weylccr.lattice import vector
-from weylccr.states import PATH_KINDS, PATHS, _bounded, bloch_monomial_value
+from weylccr.states import PATH_KINDS, PATHS, _bounded, _nan_max, bloch_monomial_value
 from weylccr.verify import (
     draw_distinct,
     rand_complex,
@@ -518,6 +518,14 @@ class TestBounded:
     def test_nan_outranks_every_number_in_a_mixed_list(self, pairs):
         rep = _bounded("x", pairs, float("inf"))
         assert not rep.passed and math.isnan(rep.worst_value) and rep.worst_probe == "p"
+
+    @pytest.mark.parametrize("values", [
+        [0.0, float("nan")], [float("nan"), 0.0], [1.0, float("nan"), 2.0]])
+    def test_nan_max_keeps_a_nan_in_any_place(self, values):
+        assert math.isnan(_nan_max(values))
+
+    def test_nan_max_of_numbers(self):
+        assert _nan_max([0.5, 2.0, 1.0]) == 2.0 and _nan_max(iter([])) == 0.0
 
     def test_nan_fails_a_check(self):
         class Broken(Tracial):

@@ -104,3 +104,16 @@ def test_counted_reports_the_count_and_the_first_witness():
     report = _counted("c", ["", "u(1)v(0)", "", "u(2)v(0)"])
     assert (report.passed, report.worst_value, report.worst_probe) == (False, 4.0, "u(1)v(0)")
     assert _counted("c", ["", ""]).worst_probe == ""
+
+
+def test_a_nan_step_in_second_place_fails_the_refinement_row(monkeypatch):
+    from itertools import cycle
+
+    from weylccr import Frame, verify
+
+    steps = cycle([0.5, math.nan, 0.25])
+    monkeypatch.setattr(verify, "weak_star_distance", lambda s1, s2, probes: next(steps))
+    config = verify.RunConfig(frame=Frame.standard(1), grid=2)
+    rate = {r.check: r for r in verify.CHECKS["paths.probes"](config)}[
+        "paths.linear_refinement_rate"]
+    assert not rate.passed and math.isnan(rate.worst_value)
