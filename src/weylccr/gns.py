@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import Monomial
 from .errors import DimensionMismatch, NotAState, OutOfSubalgebra, WindowTooSmall
-from .lattice import integer_vector, vector
+from .lattice import integer_point, integer_vector, vector
 from .scalars import PhaseAngle
 
 if TYPE_CHECKING:
@@ -36,8 +36,8 @@ class FourierWindow:
     index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        lo = tuple(int(c) for c in self.lo)
-        hi = tuple(int(c) for c in self.hi)
+        lo = integer_point(self.lo, OutOfSubalgebra)
+        hi = integer_point(self.hi, OutOfSubalgebra)
         if len(lo) != len(hi):
             raise DimensionMismatch("window bounds differ in dimension")
         if any(l > h for l, h in zip(lo, hi)):
@@ -88,7 +88,7 @@ def op_F(gp, window: FourierWindow) -> TruncatedOperator:
     boundary (columns leaving the window are zeroed)."""
     import numpy as np
 
-    gp = tuple(int(c) for c in gp)
+    gp = integer_point(gp, OutOfSubalgebra)
     if len(gp) != window.d:
         raise DimensionMismatch("shift dimension differs from window")
     n = len(window)
@@ -129,6 +129,7 @@ def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> compl
     if abs(norm_sq - 1.0) > 1e-12:
         raise NotAState(f"fhat is not l2-normalized: |f|^2 = {norm_sq!r}")
     for n in fhat:
+        integer_point(n, NotAState)
         if len(n) != window.d:
             raise DimensionMismatch("fhat index dimension differs from window")
         for c, a, lo, hi in zip(n, a_int, window.lo, window.hi):
@@ -172,7 +173,7 @@ def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
     """
     import numpy as np
 
-    gp = tuple(int(c) for c in gp)
+    gp = integer_point(gp, OutOfSubalgebra)
     b = vector(b)
     f_mat = op_F(gp, window).matrix
     s_diag = op_S(b, window).matrix.diagonal()

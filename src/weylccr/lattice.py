@@ -81,6 +81,19 @@ def integer_vector(x: Vector):
     return tuple(out)
 
 
+def integer_point(coords, error: type) -> tuple:
+    """``coords``, a lattice index given as numbers, as a tuple of ints;
+    ``error`` when an entry does not equal its int (a fraction, NaN, inf or a
+    string), where ``int`` alone would truncate it or raise a bare exception."""
+    try:
+        ints = tuple(int(c) for c in coords)
+        if ints == tuple(coords):
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"lattice index {coords!r} has an entry that is not an integer")
+
+
 def _check_dims(x, y):
     if len(x) != len(y):
         raise DimensionMismatch(f"vector lengths {len(x)} and {len(y)} differ")

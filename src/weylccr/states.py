@@ -27,11 +27,13 @@ from .errors import (
     FamilyMismatch,
     InvalidProbeSet,
     NotAState,
+    OutOfSubalgebra,
     Unsupported,
 )
 from .lattice import (
     Frame,
     Vector,
+    integer_point,
     integer_vector,
     is_zero_vector,
     vdot,
@@ -128,7 +130,7 @@ class Bloch(StateModel):
         items = []
         norm_sq = 0.0
         for idx, val in self.fhat.items():
-            idx = tuple(int(i) for i in idx)
+            idx = integer_point(idx, NotAState)
             if len(idx) != len(kappa):
                 raise NotAState("fhat index dimension differs from kappa")
             val = complex(val)
@@ -421,7 +423,7 @@ def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
     Right side: kappa unchanged, fhat translated by gamma'.
     """
     kappa = tuple(Fraction(k) for k in kappa)
-    gamma_prime = tuple(int(g) for g in gamma_prime)
+    gamma_prime = integer_point(gamma_prime, OutOfSubalgebra)
     shifted_kappa = tuple(k + g for k, g in zip(kappa, gamma_prime))
     shifted_fhat = {tuple(n + g for n, g in zip(idx, gamma_prime)): val
                     for idx, val in fhat.items()}

@@ -572,7 +572,7 @@ def _states_positive_squares(config, rng, frame, d):
         for _ in range(100):
             x = rand_element(rng, frame, 4)
             val = s.evaluate(x.adjoint() * x)
-            yield max(abs(val.imag), -min(val.real, 0.0)), name
+            yield _nan_max((abs(val.imag), 0.0 - min(val.real, 0.0))), name
 
 
 @check("states.quasimomentum", bounded=("states.bloch_quasimomentum_identity", 1e-12))
@@ -639,7 +639,7 @@ def _states_weak_star(config, rng, frame, d):
         d13 = weak_star_distance(s1, s3, probes)
         d23 = weak_star_distance(s2, s3, probes)
         yield abs(d12 - d21), "symmetry"
-        yield max(0.0, d13 - d12 - d23), "triangle"
+        yield _nan_max((0.0, d13 - d12 - d23)), "triangle"
 
 
 # ----------------------------------------------------------- covariance suite

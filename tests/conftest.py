@@ -3,12 +3,15 @@
 
 from __future__ import annotations
 
-import random
+import contextlib
+import io
+import json
 
 import pytest
 from hypothesis import strategies as st
 
 from weylccr import Frame
+from weylccr.cli import main
 
 
 @pytest.fixture
@@ -21,8 +24,36 @@ def frame2():
     return Frame.standard(2)
 
 
-def seeded(name: str) -> random.Random:
-    return random.Random(name)
+def run_json(argv, frame, tmp_path) -> tuple:
+    """The exit code and the JSON output of ``weylccr`` with ``argv``, on
+    ``frame`` (frame JSON, written under ``tmp_path``) when it is not None."""
+    if frame is not None:
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame))
+        argv = argv + ["--frame", str(path)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, json.loads(buf.getvalue())
+
+
+#: (d, seed) of the pinned ``verify --suite all`` reports: the default frame
+#: at d = 1, the identity frame at d = 2
+VERIFY_ALL = ((1, 1), (2, 0))
+
+
+@pytest.fixture(scope="session")
+def verify_all(tmp_path_factory) -> dict:
+    """(d, seed) -> (exit code, report) of ``weylccr verify --suite all
+    --output json`` for each of ``VERIFY_ALL``, run once per session: the
+    golden comparison and the acceptance battery read the same reports."""
+    reports = {}
+    for d, seed in VERIFY_ALL:
+        identity = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+        reports[d, seed] = run_json(
+            ["verify", "--suite", "all", "--seed", str(seed), "--output", "json"],
+            None if d == 1 else {"d": d, "E": identity}, tmp_path_factory.mktemp("frame"))
+    return reports
 
 
 # JSON values built from the keys and tags of the file formats, mostly malformed,

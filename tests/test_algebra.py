@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+import random
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -29,11 +30,9 @@ from weylccr import (
     monomial_product,
     numeric_box_average,
     scalar,
-    symplectic,
     trace_coefficient,
     tracial_inner_product,
     weyl_generator,
-    weyl_generator_parts,
 )
 from weylccr import algebra
 from weylccr.errors import DimensionMismatch, FrameMismatch
@@ -49,13 +48,9 @@ from weylccr.lattice import (
     vsub,
 )
 from weylccr.verify import (
-    rand_complex,
     rand_coords,
     rand_element,
-    rand_fraction,
-    rand_monomial,
 )
-from conftest import seeded
 
 F1 = Frame.standard(1)
 FTAU = Frame.from_basis([[TAU]])
@@ -563,14 +558,14 @@ class TestKeyedAutomorphisms:
 
 class TestElementArithmetic:
     def test_unit_neutral(self):
-        rng = seeded("elem-unit")
+        rng = random.Random("elem-unit")
         for _ in range(20):
             x = rand_element(rng, F1)
             assert (Element.one(F1) * x) == x
             assert (x * Element.one(F1)) == x
 
     def test_zero_annihilates(self):
-        rng = seeded("elem-zero")
+        rng = random.Random("elem-zero")
         x = rand_element(rng, F1)
         assert (Element.zero(F1) * x).is_zero()
         assert (x * Element.zero(F1)).is_zero()
@@ -613,42 +608,14 @@ class TestAdjoint:
         assert set(got.terms) == {m}
         assert abs(got.coefficient(m) + 1j) < 1e-15
 
-    def test_involution(self):
-        rng = seeded("adjoint-invol")
-        for _ in range(100):
-            x = rand_element(rng, F1)
-            assert x.adjoint().adjoint().max_coeff_diff(x) < 1e-12
-
-    def test_anti_homomorphism(self):
-        rng = seeded("adjoint-anti")
-        for _ in range(50):
-            x, y = rand_element(rng, F1, 4), rand_element(rng, F1, 4)
-            assert (x * y).adjoint().max_coeff_diff(
-                y.adjoint() * x.adjoint()) < 1e-12
-
 
 class TestWeylGenerators:
     def test_zero_point_gives_unit(self):
         z = PhasePoint(F1, [0], [0])
         assert weyl_generator(z) == Element.one(F1)
 
-    def test_composition_law_exact(self):
-        rng = seeded("weyl-gen")
-        for _ in range(100):
-            d = rng.randint(1, 3)
-            f = Frame.standard(d)
-            z = PhasePoint(f, rand_coords(rng, d), rand_coords(rng, d))
-            zp = PhasePoint(f, rand_coords(rng, d), rand_coords(rng, d))
-            ph_z, m_z = weyl_generator_parts(z)
-            ph_zp, m_zp = weyl_generator_parts(zp)
-            ph_prod, m_prod = monomial_product(m_z, m_zp)
-            ph_sum, m_sum = weyl_generator_parts(z + zp)
-            assert m_prod == m_sum
-            assert (ph_z + ph_zp + ph_prod).is_same_rotation(
-                symplectic(z, zp) + ph_sum)
-
     def test_adjoint_is_negated_point(self):
-        rng = seeded("weyl-adj")
+        rng = random.Random("weyl-adj")
         for _ in range(50):
             z = PhasePoint(F1, rand_coords(rng, 1), rand_coords(rng, 1))
             assert weyl_generator(z).adjoint().max_coeff_diff(
@@ -657,7 +624,7 @@ class TestWeylGenerators:
 
 class TestAutomorphisms:
     def test_space_translation_fixes_v(self):
-        rng = seeded("auto-v")
+        rng = random.Random("auto-v")
         for _ in range(20):
             lam = rand_coords(rng, 1)
             x = Element.v(F1, rand_coords(rng, 1))
@@ -700,47 +667,6 @@ class TestAutomorphisms:
         got = apply_automorphism(TimeReversal(), x)
         assert abs(got.coefficient(Monomial(vector([-1]), vector([0]))) + 1j) == 0.0
 
-    def test_group_laws_exact(self):
-        rng = seeded("auto-groups")
-        for _ in range(100):
-            m = rand_monomial(rng, 1)
-            lam, mu = rand_coords(rng, 1), rand_coords(rng, 1)
-            t, s = rand_fraction(rng), rand_fraction(rng)
-            cases = [
-                (SpaceTranslation(lam), SpaceTranslation(mu),
-                 SpaceTranslation(vector([lam[0] + mu[0]]))),
-                (MomentumTranslation(lam), MomentumTranslation(mu),
-                 MomentumTranslation(vector([lam[0] + mu[0]]))),
-                (FreeDynamics(t), FreeDynamics(s), FreeDynamics(t + s)),
-            ]
-            for one, two, both in cases:
-                ph1, im1, _ = automorphism_action(one, F1, m)
-                ph2, im2, _ = automorphism_action(two, F1, im1)
-                ph, im, _ = automorphism_action(both, F1, m)
-                assert im == im2
-                assert (ph1 + ph2).is_same_rotation(ph)
-
-    def test_time_reversal_multiplicative_involution(self):
-        rng = seeded("auto-trs")
-        c = TimeReversal()
-        for _ in range(50):
-            x, y = rand_element(rng, F1, 4), rand_element(rng, F1, 4)
-            assert apply_automorphism(c, apply_automorphism(c, x)) == x
-            lhs = apply_automorphism(c, x * y)
-            rhs = apply_automorphism(c, x) * apply_automorphism(c, y)
-            assert lhs.max_coeff_diff(rhs) < 1e-12
-
-    def test_automorphisms_preserve_products(self):
-        rng = seeded("auto-products")
-        for _ in range(30):
-            x, y = rand_element(rng, F1, 3), rand_element(rng, F1, 3)
-            for spec in (SpaceTranslation(rand_coords(rng, 1)),
-                         MomentumTranslation(rand_coords(rng, 1)),
-                         FreeDynamics(rand_fraction(rng))):
-                lhs = apply_automorphism(spec, x * y)
-                rhs = apply_automorphism(spec, x) * apply_automorphism(spec, y)
-                assert lhs.max_coeff_diff(rhs) < 1e-12
-
 
 class TestErgodicMeans:
     def test_closed_forms(self):
@@ -766,19 +692,6 @@ class TestErgodicMeans:
         one = Element.one(F1)
         for mean in (ergodic_mean, ergodic_mean_lattice, ergodic_mean_zak):
             assert mean(one) == one
-
-    def test_idempotent_linear_invariant(self):
-        rng = seeded("means")
-        for _ in range(100):
-            x, y = rand_element(rng, F1, 6), rand_element(rng, F1, 6)
-            c = rand_complex(rng)
-            for mean in (ergodic_mean, ergodic_mean_lattice, ergodic_mean_zak):
-                assert mean(mean(x)) == mean(x)
-                assert mean(x + c * y).max_coeff_diff(
-                    mean(x) + c * mean(y)) < 1e-12
-            lam = rand_coords(rng, 1)
-            assert ergodic_mean(
-                apply_automorphism(SpaceTranslation(lam), x)) == ergodic_mean(x)
 
 
 class TestBoxAverage:
@@ -870,37 +783,10 @@ class TestTrace:
         assert trace_coefficient(Element.one(F1), Monomial.identity(1)) == 1.0
         assert trace_coefficient(x, Monomial.identity(1)) == 0j
 
-    def test_matches_adjoint_pairing(self):
-        # t((u_a v_b)* x) recovers the coefficient; DERIVED via full algebra
-        from weylccr import Tracial
-
-        rng = seeded("trace-pairing")
-        tr = Tracial()
-        for _ in range(50):
-            x = rand_element(rng, F1, 6)
-            m = rng.choice(list(x.terms))
-            probe = Element.from_monomial(F1, m).adjoint()
-            assert abs(tr.evaluate(probe * x) - trace_coefficient(x, m)) < 1e-12
-
     def test_l2_identity(self):
-        from weylccr import Tracial
-
-        rng = seeded("trace-l2")
-        tr = Tracial()
+        # exact on 10-term elements; t(x* x) to 1e-12 is the verify row weyl.trace_l2
+        rng = random.Random("trace-l2")
         for _ in range(100):
             x = rand_element(rng, F1, 10)
-            want = sum(abs(c) ** 2 for c in x.terms.values())
-            assert abs(tr.evaluate(x.adjoint() * x) - want) < 1e-12
             assert tracial_inner_product(x, x) == sum(
                 c.conjugate() * c for c in x.terms.values())
-
-    def test_norm_lower_bound_exact(self):
-        rng = seeded("trace-bound")
-        for _ in range(100):
-            m1, m2 = rand_monomial(rng, 1), rand_monomial(rng, 1)
-            if m1 == m2:
-                continue
-            lam, lamp = rand_complex(rng), rand_complex(rng)
-            x = Element(F1, {m1: lam, m2: -lamp}, threshold=0.0)
-            assert tracial_inner_product(x, x) == (
-                lam.conjugate() * lam + lamp.conjugate() * lamp)

@@ -125,6 +125,15 @@ def test_eval_rejects_bad_state(tmp_path, capsys):
     assert "normalized" in err
 
 
+def test_eval_rejects_a_fractional_fourier_index(tmp_path, capsys):
+    state = tmp_path / "bloch.json"
+    state.write_text(json.dumps({"family": "bloch", "kappa": ["0"], "fhat": [
+        {"idx": [0.5], "re": 0.6}, {"idx": [0.7], "re": 0.8}]}))
+    code, out, err = run(capsys, "eval", "--state", str(state), "--elem", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 MALFORMED_INPUTS = {
     "plane_wave_p_not_a_list": ("state", {"family": "plane_wave", "p": 5}),
     "state_is_a_list": ("state", [1, 2]),

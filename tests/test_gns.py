@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,6 @@ from weylccr.verify import (
     rand_monomial,
     rand_normalized_fhat,
 )
-from conftest import seeded
 
 F1 = Frame.standard(1)
 
@@ -51,6 +51,15 @@ class TestWindow:
         with pytest.raises(WindowTooSmall):
             FourierWindow((1,), (0,))
 
+    @pytest.mark.parametrize("call", [
+        lambda w: FourierWindow((-2.7,), (2.9,)),
+        lambda w: op_F((0.5,), w),
+        lambda w: weyl_relation_residual((0.5,), [Fraction(1, 3)], w),
+    ], ids=["FourierWindow", "op_F", "weyl_relation_residual"])
+    def test_a_fractional_bound_or_shift_is_out_of_the_subalgebra(self, call):
+        with pytest.raises(OutOfSubalgebra):
+            call(FourierWindow((-3,), (3,)))
+
 
 class TestOperators:
     def test_s_zero_is_identity(self):
@@ -64,7 +73,7 @@ class TestOperators:
 
     def test_s_additivity_exact_angles(self):
         w = FourierWindow((-3,), (3,))
-        rng = seeded("op-s")
+        rng = random.Random("op-s")
         for _ in range(20):
             b1, b2 = rand_fraction(rng), rand_fraction(rng)
             lhs = op_S([b1], w).matrix @ op_S([b2], w).matrix
@@ -75,7 +84,7 @@ class TestOperators:
         # each entry is bit-identical to the PhaseAngle conversion of
         # -tau (n . b), for rational b and for b containing tau
         w = FourierWindow((-3, -2), (3, 2))
-        rng = seeded("op-s-entries")
+        rng = random.Random("op-s-entries")
         for b in ([rand_fraction(rng), rand_fraction(rng)],
                   [Fraction(7, 12), -3],
                   [TAU / 3 + Fraction(1, 5), 1 / (TAU + 1)]):
@@ -138,7 +147,7 @@ class TestRho:
 
     def test_lattice_v_is_scalar_exactly(self):
         w = FourierWindow((-3,), (3,))
-        rng = seeded("rho-scalar")
+        rng = random.Random("rho-scalar")
         for _ in range(20):
             kappa = Fraction(rng.randint(0, 11), 12)
             gamma = rng.randint(-4, 4)
@@ -170,7 +179,7 @@ class TestDiagonalScaling:
         # rep_rho_kappa and weyl_relation_residual scale the columns (or the
         # rows) of F by the diagonal of S; the results must equal those of
         # the dense products F S and S F entry for entry
-        rng = seeded("gns-diagonal")
+        rng = random.Random("gns-diagonal")
         for d in (1, 2):
             w = FourierWindow((-6,) * d, (6,) * d)
             with_tau = vector([TAU / 3 + Fraction(1, 5)] + [Fraction(2, 7)] * (d - 1))
@@ -199,7 +208,7 @@ class TestDiagonalScaling:
 
 class TestBlochReconstruction:
     def test_matches_closed_form(self):
-        rng = seeded("gns-oracle")
+        rng = random.Random("gns-oracle")
         for d in (1, 2):
             window = FourierWindow((-6,) * d, (6,) * d)
             for _ in range(15):
@@ -225,14 +234,14 @@ class TestBlochReconstruction:
                 assert abs(got - want) < 1e-12
 
     def test_normalization_at_identity(self):
-        rng = seeded("gns-norm")
+        rng = random.Random("gns-norm")
         window = FourierWindow((-4,), (4,))
         fhat = rand_normalized_fhat(rng, 1)
         val = bloch_vector_state((Fraction(1, 5),), fhat, mono([0], [0]), window)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_window_stability(self):
-        rng = seeded("gns-stab")
+        rng = random.Random("gns-stab")
         fhat = rand_normalized_fhat(rng, 1, radius=1)
         m = mono([1], [Fraction(2, 5)])
         kappa = (Fraction(3, 7),)
@@ -250,6 +259,8 @@ class TestBlochReconstruction:
         window = FourierWindow((-3,), (3,))
         with pytest.raises(NotAState):
             bloch_vector_state((Fraction(0),), {(0,): 0.5}, mono([0], [0]), window)
+        with pytest.raises(NotAState):
+            bloch_vector_state((Fraction(0),), {(0.5,): 1.0}, mono([0], [0]), window)
 
 
 class TestPlaneWaveVectorState:
@@ -278,7 +289,7 @@ class TestPlaneWaveVectorState:
             plane_wave_vector_state(p, mono([0], [0]), [vector([0])])
 
     def test_matches_state_family(self):
-        rng = seeded("pwvs")
+        rng = random.Random("pwvs")
         for _ in range(20):
             d = rng.randint(1, 2)
             frame = Frame.standard(d)

@@ -2,6 +2,7 @@ import cmath
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,20 +14,16 @@ from weylccr import (
     Element,
     Fock,
     Frame,
-    FreeDynamics,
     Mixture,
     Monomial,
-    MomentumTranslation,
     PadicCharacter,
     PhaseAngle,
     PlaneWave,
     ProductCharacter,
     SpaceTranslation,
     TAU,
-    TimeReversal,
     Tracial,
     Zak,
-    apply_automorphism,
     covariance_check,
     evaluate,
     gram_psd_check,
@@ -41,12 +38,12 @@ from weylccr.errors import (
     FamilyMismatch,
     InvalidProbeSet,
     NotAState,
+    OutOfSubalgebra,
     Unsupported,
 )
 from weylccr.lattice import vector
 from weylccr.states import PATH_KINDS, PATHS, _bounded, _nan_max, bloch_monomial_value
 from weylccr.verify import (
-    draw_distinct,
     rand_complex,
     rand_coords,
     rand_element,
@@ -54,7 +51,6 @@ from weylccr.verify import (
     rand_monomial,
     rand_normalized_fhat,
 )
-from conftest import seeded
 
 F1 = Frame.standard(1)
 FTAU = Frame.from_basis([[TAU]])
@@ -89,7 +85,7 @@ class TestEvaluation:
         assert abs(got - cmath.exp(-0.5j)) < 1e-15
 
     def test_bohr_continuous_equals_plane_wave(self):
-        rng = seeded("bohr-pw")
+        rng = random.Random("bohr-pw")
         p = rand_coords(rng, 1)
         pw = PlaneWave(p)
         bs = BohrState(ContinuousCharacter(p))
@@ -101,7 +97,7 @@ class TestEvaluation:
         kappa = Fraction(1, 3)
         bl = Bloch([kappa], {(0,): 1.0})
         pw = PlaneWave((TAU * kappa,))  # ambient kappa for E = I
-        rng = seeded("bloch-delta")
+        rng = random.Random("bloch-delta")
         for _ in range(30):
             m = rand_monomial(rng, 1)
             assert abs(bl.monomial_value(F1, m) - pw.monomial_value(F1, m)) < 1e-15
@@ -118,7 +114,7 @@ class TestEvaluation:
     def test_bloch_inputs_built_once_give_the_same_values(self):
         """The state's prebuilt kappa and fhat give the closed form bit for
         bit, and the mapping handed out by fhat_map is a copy."""
-        rng = seeded("bloch-prebuilt")
+        rng = random.Random("bloch-prebuilt")
         for d, frame in ((1, FTAU), (2, Frame.from_basis([[TAU + 1, Fraction(1, 3)],
                                                           [0, TAU]]))):
             kappa = tuple(Fraction(rng.randint(0, 10), 11) for _ in range(d))
@@ -150,7 +146,7 @@ class TestEvaluation:
         assert abs(got - want) < 1e-15
 
     def test_unit_normalization_across_families(self):
-        rng = seeded("units")
+        rng = random.Random("units")
         one = Element.one(F1)
         states = [PlaneWave(rand_coords(rng, 1)),
                   BohrState(PadicCharacter((5,))),
@@ -162,7 +158,7 @@ class TestEvaluation:
             assert abs(evaluate(s, one) - 1.0) <= 1e-12
 
     def test_evaluation_linear(self):
-        rng = seeded("linear")
+        rng = random.Random("linear")
         s = Zak([Fraction(1, 5)], [Fraction(2, 5)])
         x, y = rand_element(rng, F1), rand_element(rng, F1)
         c = rand_complex(rng)
@@ -197,6 +193,11 @@ class TestValidation:
             Mixture([(0.5, Fock()), (float("nan"), Tracial())])
         with pytest.raises(NotAState):
             Bloch([Fraction(0)], {(0,): complex("nan")})
+
+    @pytest.mark.parametrize("index", [0.5, float("nan"), float("inf"), "0"])
+    def test_fourier_indices_are_integers(self, index):
+        with pytest.raises(NotAState):
+            Bloch([Fraction(0)], {(index,): 1.0})
 
     @pytest.mark.parametrize("state", [
         PlaneWave(vector([Fraction(1, 3), 0])),
@@ -238,7 +239,7 @@ class TestCopying:
         assert back.fhat_map == s.fhat_map and back.fhat_map is not back.fhat_map
 
     def test_mixture_round_trips_with_identity_equality(self):
-        rng = seeded("mixture-copy")
+        rng = random.Random("mixture-copy")
         zak = Zak([Fraction(1, 2), 0], [Fraction(1, 3), 0])  # the dimension of the Bloch state
         mix = Mixture([(0.25, self.STATES[2]), (0.75, zak)])
         F2 = Frame.standard(2)
@@ -274,58 +275,20 @@ class TestGram:
         rep = gram_psd_check(PlaneWave(vector([0])), F1, [mono([0], [0])])
         assert rep.min_eigenvalue == pytest.approx(1.0)
 
-    def test_all_families_positive(self):
-        rng = seeded("gram")
-        fhat = rand_normalized_fhat(rng, 1)
-        states = [PlaneWave(rand_coords(rng, 1)),
-                  BohrState(PadicCharacter((3,))),
-                  Bloch([Fraction(5, 12)], fhat),
-                  Zak([Fraction(1, 6)], [Fraction(5, 6)]),
-                  Fock(), Tracial(),
-                  Mixture([(0.4, Fock()), (0.3, Tracial()),
-                           (0.3, PlaneWave(rand_coords(rng, 1)))])]
-        probes = draw_distinct(20, lambda: (rand_lattice_monomial(rng, 1)
-                                            if rng.random() < 0.5 else rand_monomial(rng, 1)))
-        for s in states:
-            rep = gram_psd_check(s, F1, probes, tol=1e-10)
-            assert rep.passed, (s, rep)
-            assert rep.hermitian_residual <= 1e-12
-
     def test_duplicate_probes_rejected(self):
         with pytest.raises(InvalidProbeSet):
             gram_psd_check(Tracial(), F1, [mono([0], [0]), mono([0], [0])])
 
 
 class TestInvariance:
-    def test_plane_wave_exact(self):
-        rng = seeded("inv-pw")
-        samples = [rand_element(rng, F1, 5) for _ in range(100)]
-        s = PlaneWave(rand_coords(rng, 1))
-        for spec in (SpaceTranslation(rand_coords(rng, 1)),
-                     FreeDynamics(Fraction(3, 2))):
-            rep = invariance_check(s, spec, samples, tol=0.0)
-            assert rep.passed and rep.worst_value == 0.0
-
-    def test_bohr_exact(self):
-        rng = seeded("inv-bohr")
-        samples = [rand_element(rng, F1, 5) for _ in range(50)]
-        s = BohrState(PadicCharacter((3,)))
-        for spec in (SpaceTranslation(rand_coords(rng, 1)),
-                     FreeDynamics(rand_coords(rng, 1)[0].as_fraction())):
-            rep = invariance_check(s, spec, samples, tol=0.0)
-            assert rep.passed
-
     def test_bloch_under_lattice_translations(self):
-        rng = seeded("inv-bloch")
-        samples = [rand_element(rng, F1, 5) for _ in range(50)]
-        s = Bloch([Fraction(2, 7)], rand_normalized_fhat(rng, 1))
-        rep = invariance_check(s, SpaceTranslation(vector([3])), samples, tol=1e-12)
-        assert rep.passed
-        # non-lattice translations break invariance: omega(u(a)) sums
-        # conj(fhat(n + a)) fhat(n) over support pairs at distance a, and for
-        # three support points the largest a with 3 not dividing it is the
-        # distance of one pair only, so omega(u(a)) != 0 and a translation by
-        # 1/3 turns it by the phase of a/3 turns
+        # invariance under lattice translations is the verify row
+        # states.bloch_lattice_invariance; non-lattice translations break it:
+        # omega(u(a)) sums conj(fhat(n + a)) fhat(n) over support pairs at
+        # distance a, and for three support points the largest a with 3 not
+        # dividing it is the distance of one pair only, so omega(u(a)) != 0 and
+        # a translation by 1/3 turns it by the phase of a/3 turns
+        s = Bloch([Fraction(2, 7)], rand_normalized_fhat(random.Random("inv-bloch"), 1))
         support = [n for (n,), _ in s.fhat]
         a = max(q - p for p in support for q in support if (q - p) % 3)
         probe = Element.from_monomial(F1, mono([a], [0]))
@@ -333,43 +296,8 @@ class TestInvariance:
                                [probe], tol=1e-12)
         assert not rep.passed
 
-    def test_zak_under_composed_translations(self):
-        rng = seeded("inv-zak")
-        samples = [rand_element(rng, F1, 5) for _ in range(50)]
-        s = Zak([Fraction(1, 3)], [Fraction(1, 4)])
-        rep = invariance_check(
-            s, (SpaceTranslation(vector([2])), MomentumTranslation(vector([-1]))),
-            samples, tol=1e-12)
-        assert rep.passed
-
-    def test_fock_breaks_free_dynamics(self):
-        probe = Element.from_monomial(FTAU, mono([1], [0]))
-        rep = invariance_check(Fock(), FreeDynamics(Fraction(1)), [probe], tol=1e-10)
-        assert not rep.passed
-        want = abs(math.exp(-0.5) - math.exp(-0.25))
-        assert rep.worst_value == pytest.approx(want, abs=1e-6)
-
 
 class TestMultiplicativity:
-    def test_zak_exact(self):
-        rng = seeded("mult-zak")
-        s = Zak([Fraction(1, 3)], [Fraction(2, 5)])
-        probes = draw_distinct(8, lambda: rand_lattice_monomial(rng, 1, span=2))
-        rep = multiplicativity_check(s, F1, probes, tol=1e-12)
-        assert rep.passed
-
-    def test_plane_wave_on_positions(self):
-        rng = seeded("mult-pw")
-        s = PlaneWave(rand_coords(rng, 1))
-        probes = [mono([0], [Fraction(k, 3)]) for k in range(-3, 4)]
-        rep = multiplicativity_check(s, F1, probes, tol=1e-12)
-        assert rep.passed
-
-    def test_tracial_gap_exactly_one(self):
-        rep = multiplicativity_check(Tracial(), F1, [mono([0], [1]), mono([0], [-1])])
-        assert not rep.passed
-        assert rep.worst_value == 1.0
-
     def test_noncommuting_probes_rejected(self):
         with pytest.raises(InvalidProbeSet):
             multiplicativity_check(Tracial(), F1,
@@ -409,24 +337,6 @@ class TestTimeReversal:
         assert not time_reversal_classify(
             Bloch([Fraction(1, 2)], {(-1,): 0.6, (0,): 0.8j})).is_tri
 
-    def test_classifier_matches_functional_definition(self):
-        rng = seeded("tri-functional")
-        inv = 1.0 / math.sqrt(2.0)
-        states = [Bloch([Fraction(0)], {(0,): 1.0}),
-                  Bloch([Fraction(1, 2)], {(-1,): inv, (0,): inv}),
-                  Bloch([Fraction(1, 4)], {(0,): 1.0})]
-        for _ in range(5):
-            states.append(Bloch([Fraction(rng.randint(0, 11), 12)],
-                                rand_normalized_fhat(rng, 1)))
-        probes = [Element.from_monomial(
-            F1, Monomial(vector([rng.randint(-2, 2)]), rand_coords(rng, 1)),
-            rand_complex(rng)) for _ in range(50)]
-        c = TimeReversal()
-        for s in states:
-            dev = max(abs(evaluate(s, apply_automorphism(c, x))
-                          - evaluate(s, x).conjugate()) for x in probes)
-            assert (dev <= 1e-10) == time_reversal_classify(s).is_tri
-
     def test_unsupported_families(self):
         for s in (Fock(), Tracial(), Mixture([(1.0, Fock())])):
             with pytest.raises(Unsupported):
@@ -434,12 +344,9 @@ class TestTimeReversal:
 
 
 class TestCovariance:
-    def test_zero_shift_identity(self):
-        rng = seeded("cov-zero")
-        fhat = rand_normalized_fhat(rng, 1)
-        probes = [rand_lattice_monomial(rng, 1) for _ in range(10)]
-        rep = covariance_check([Fraction(1, 3)], fhat, [0], probes, tol=0.0)
-        assert rep.passed and rep.worst_value == 0.0
+    def test_a_fractional_shift_is_out_of_the_subalgebra(self):
+        with pytest.raises(OutOfSubalgebra):
+            covariance_check([Fraction(1, 3)], {(0,): 1.0}, [0.5], [mono([0], [1])])
 
     def test_delta_case_by_hand(self):
         # fhat = delta_0, gamma' = 1: both sides give e^{-i(kappa+1) beta} on v_b
@@ -453,21 +360,10 @@ class TestCovariance:
             rhs = bloch_monomial_value((kappa,), {(1,): 1.0}, m)
             assert abs(lhs - rhs) < 1e-15
 
-    def test_random_triples(self):
-        rng = seeded("cov-random")
-        for _ in range(20):
-            kappa = (Fraction(rng.randint(0, 11), 12),)
-            fhat = rand_normalized_fhat(rng, 1, radius=1)
-            gp = [rng.randint(-2, 2)]
-            probes = [rand_monomial(rng, 1) if rng.random() < 0.3
-                      else rand_lattice_monomial(rng, 1) for _ in range(30)]
-            rep = covariance_check(kappa, fhat, gp, probes, tol=1e-12)
-            assert rep.passed, rep
-
 
 class TestWeakStar:
     def test_self_distance_zero(self):
-        rng = seeded("ws-self")
+        rng = random.Random("ws-self")
         s = Fock()
         probes = [rand_element(rng, F1, 4) for _ in range(5)]
         assert weak_star_distance(s, s, probes) == 0.0
@@ -477,19 +373,6 @@ class TestWeakStar:
         s1 = PlaneWave((TAU * Fraction(1, 2),))
         s2 = PlaneWave(vector([0]))
         assert weak_star_distance(s1, s2, [Element.v(F1, [1])]) == pytest.approx(2.0)
-
-    def test_pseudometric_laws(self):
-        rng = seeded("ws-laws")
-        probes = [rand_element(rng, F1, 4) for _ in range(8)]
-        states = [Fock(), Tracial(), PlaneWave(rand_coords(rng, 1)),
-                  Zak([Fraction(1, 4)], [Fraction(1, 5)])]
-        for s1 in states:
-            for s2 in states:
-                d12 = weak_star_distance(s1, s2, probes)
-                assert d12 == pytest.approx(weak_star_distance(s2, s1, probes))
-                for s3 in states:
-                    assert d12 <= (weak_star_distance(s1, s3, probes)
-                                   + weak_star_distance(s3, s2, probes) + 1e-12)
 
     @pytest.mark.parametrize("nan_at", [0, 1])
     def test_nan_gap_is_kept_in_any_probe_order(self, nan_at):
@@ -560,7 +443,7 @@ class TestPaths:
         assert path[0].nu == (Fraction(3, 8),)
 
     def test_bloch_slerp_stays_normalized(self):
-        rng = seeded("slerp")
+        rng = random.Random("slerp")
         s0 = Bloch([Fraction(0)], rand_normalized_fhat(rng, 1))
         s1 = Bloch([Fraction(1, 2)], rand_normalized_fhat(rng, 1))
         path = path_sample("bloch_slerp", (s0, s1),
@@ -576,24 +459,6 @@ class TestPaths:
         path = path_sample("bloch_slerp", (s0, s1), [Fraction(1, 3)])
         probes = [Element.from_monomial(F1, mono([1], [Fraction(1, 5)]))]
         assert weak_star_distance(path[0], s0, probes) < 1e-12
-
-    def test_refinement_halves_distances(self):
-        rng = seeded("paths-rate")
-        probes = [Element.from_monomial(
-            F1, Monomial(vector([rng.randint(-1, 1)]),
-                         vector([Fraction(rng.randint(-2, 2), 3)])))
-            for _ in range(10)]
-        p = PlaneWave(vector([Fraction(3, 2)]))
-        q = PlaneWave(vector([0]))
-
-        def max_step(n):
-            path = path_sample("plane_wave_line", (p, q),
-                               [Fraction(k, n) for k in range(n + 1)])
-            return max(weak_star_distance(a, b, probes)
-                       for a, b in zip(path, path[1:]))
-
-        ratio = max_step(32) / max_step(16)
-        assert abs(ratio - 0.5) < 0.1
 
     def test_family_mismatch(self):
         with pytest.raises(FamilyMismatch):
@@ -625,15 +490,3 @@ class TestPaths:
             path_sample(kind, (s0, s1), [Fraction(3, 2)])
         with pytest.raises(ValueError):
             path_sample(kind + "_bogus", (s0, s1), [0])
-
-
-class TestBlochQuasimomentum:
-    def test_eigenvalue_identity(self):
-        rng = seeded("quasi")
-        for _ in range(10):
-            kappa = Fraction(rng.randint(0, 11), 12)
-            s = Bloch([kappa], rand_normalized_fhat(rng, 1))
-            gamma = rng.randint(-3, 3)
-            c = PhaseAngle(-TAU * kappa * gamma).to_complex()
-            x = Element.v(F1, [gamma]) - c * Element.one(F1)
-            assert abs(evaluate(s, x.adjoint() * x)) < 1e-12

@@ -9,32 +9,19 @@ Pass flags, check names and the worst probe and worst value of every exact
 check must be equal; other worst values may move by last-bit noise only.
 """
 
-import contextlib
-import io
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from weylccr.cli import main
+from conftest import VERIFY_ALL, run_json
 
 DATA = Path(__file__).parent / "data"
 
 
 TAU_D1 = {"d": 1, "E": [[{"num": {"1": "1"}}]]}
 SKEW_D2 = {"d": 2, "E": [[{"num": {"0": "1", "1": "1"}}, "1/3"], ["0", {"num": {"1": "1"}}]]}
-
-
-def _run(argv, frame, tmp_path) -> tuple:
-    if frame is not None:
-        path = tmp_path / "frame.json"
-        path.write_text(json.dumps(frame))
-        argv = argv + ["--frame", str(path)]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    return code, json.loads(buf.getvalue())
 
 
 def _assert_matches(code, got, golden):
@@ -52,11 +39,9 @@ def _assert_matches(code, got, golden):
                                 rel_tol=1e-9, abs_tol=1e-12), g["check"]
 
 
-@pytest.mark.parametrize("d, seed", [(1, 1), (2, 0)], ids=["d1_seed1", "d2_seed0"])
-def test_verify_all_matches_golden_report(d, seed, tmp_path):
-    identity = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
-    code, got = _run(["verify", "--suite", "all", "--seed", str(seed), "--output", "json"],
-                     None if d == 1 else {"d": d, "E": identity}, tmp_path)
+@pytest.mark.parametrize("d, seed", VERIFY_ALL, ids=["d1_seed1", "d2_seed0"])
+def test_verify_all_matches_golden_report(d, seed, verify_all):
+    code, got = verify_all[d, seed]
     _assert_matches(code, got, f"verify_all_d{d}_seed{seed}.json")
 
 
@@ -65,8 +50,8 @@ def test_verify_all_matches_golden_report(d, seed, tmp_path):
     (SKEW_D2, 0, "verify_states_skew_d2_seed0.json"),
 ], ids=["tau_d1_seed1", "skew_d2_seed0"])
 def test_verify_states_matches_golden_report_on_tau_frames(frame, seed, golden, tmp_path):
-    code, got = _run(["verify", "--suite", "states", "--seed", str(seed), "--output", "json"],
-                     frame, tmp_path)
+    code, got = run_json(["verify", "--suite", "states", "--seed", str(seed), "--output", "json"],
+                         frame, tmp_path)
     _assert_matches(code, got, golden)
 
 
@@ -117,3 +102,26 @@ def test_a_nan_step_in_second_place_fails_the_refinement_row(monkeypatch):
     rate = {r.check: r for r in verify.CHECKS["paths.probes"](config)}[
         "paths.linear_refinement_rate"]
     assert not rate.passed and math.isnan(rate.worst_value)
+
+
+def test_a_nan_real_part_in_second_place_fails_the_squares_row(monkeypatch):
+    from weylccr import Frame, Tracial, verify
+
+    class Broken(Tracial):
+        def evaluate(self, x):
+            return complex(math.nan, 0.0)
+    monkeypatch.setattr(verify, "_family_zoo", lambda rng, frame: [("broken", Broken())])
+    [squares] = verify.CHECKS["states.positive_squares"](verify.RunConfig(frame=Frame.standard(1)))
+    assert not squares.passed and math.isnan(squares.worst_value)
+
+
+def test_a_nan_triangle_gap_in_second_place_fails_the_weak_star_row(monkeypatch):
+    from itertools import chain, cycle
+
+    from weylccr import Frame, verify
+
+    # seven self distances, then d12, d21, d13, d23 per triple: d13 is NaN
+    distances = chain([0.0] * 7, cycle([0.0, 0.0, math.nan, 0.0]))
+    monkeypatch.setattr(verify, "weak_star_distance", lambda s1, s2, probes: next(distances))
+    [laws] = verify.CHECKS["states.weak_star"](verify.RunConfig(frame=Frame.standard(1)))
+    assert not laws.passed and math.isnan(laws.worst_value)
