@@ -32,14 +32,14 @@ def mono(a, b):
 
 print("== the truncated operators ==")
 w = FourierWindow((-1,), (1,))
-print(f"window {{-1..1}}: S(1/2) diagonal = {np.diag(op_S([Fraction(1, 2)], w).matrix).real}")
+print(f"window {{-1..1}}: S(1/2) diagonal = {np.diag(op_S([Fraction(1, 2)], w)).real}")
 w2 = FourierWindow((0,), (1,))
-print(f"window {{0..1}}: F(1) matrix =\n{op_F((1,), w2).matrix.real}")
+print(f"window {{0..1}}: F(1) matrix =\n{op_F((1,), w2).real}")
 
 w = FourierWindow((-5,), (5,))
 res = weyl_relation_residual((1,), [Fraction(1, 3)], w)
 print(f"commutation residual on the interior: {res:.2e}")
-comp = op_F((1,), w).matrix @ op_F((-1,), w).matrix
+comp = op_F((1,), w) @ op_F((-1,), w)
 print(f"but F(1) F(-1) loses the boundary vector: max |F1 F-1 - I| = "
       f"{np.max(np.abs(comp - np.eye(len(w)))):.0f}")
 
@@ -47,7 +47,7 @@ print()
 print("== rho with quasi-momentum kappa ==")
 kappa = Fraction(1, 3)
 m = mono([0], [2])
-mat = rep_rho_kappa([kappa], m, w).matrix
+mat = rep_rho_kappa([kappa], m, w)
 phase = PhaseAngle.from_turns(-kappa * 2).to_complex()
 print(f"rho(v_2) equals e^(-i kappa . 2) I exactly: "
       f"{np.array_equal(mat, phase * np.eye(len(w)))}")

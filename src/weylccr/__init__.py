@@ -58,7 +58,6 @@ from .errors import (
 from .expressions import parse_element
 from .gns import (
     FourierWindow,
-    TruncatedOperator,
     bloch_vector_state,
     op_F,
     op_S,

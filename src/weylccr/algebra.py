@@ -70,13 +70,13 @@ from .lattice import (
     zero_vector,
 )
 from .scalars import (
-    _Q1,
     S_ZERO,
     ExactScalar,
     PhaseAngle,
     _angle_of_turns,
     _poly,
     _rat,
+    rational_key,
     unit_from_turns,
 )
 
@@ -85,21 +85,6 @@ _set = object.__setattr__
 
 #: coefficients with modulus below this are dropped after arithmetic
 ZERO_THRESHOLD = 1e-14
-
-
-def _rational_key(a: Vector, b: Vector):
-    """The canonical key (D, n) of the coordinates a + b, or None if one of
-    them contains tau: D is the lcm of the reduced denominators and n holds
-    the 2d integers with a + b = n / D, so gcd(D, *n) == 1."""
-    coords = a + b
-    D = 1
-    for x in coords:
-        if x._q is not _Q1 or len(x._p) > 1:
-            return None
-        c = x._c
-        if D % c:
-            D = lcm(D, c)
-    return D, tuple(x._p[0] * (D // x._c) if x._p else 0 for x in coords)
 
 
 class Monomial:
@@ -125,7 +110,7 @@ class Monomial:
         a, b = vector(a), vector(b)
         if len(a) != len(b):
             raise DimensionMismatch("momentum and position parts differ in length")
-        key = _rational_key(a, b)
+        key = rational_key(a + b)
         self._a = a
         self._b = b
         self._key = key
@@ -542,7 +527,7 @@ class SpaceTranslation:
     def __post_init__(self):
         lam = vector(self.lam)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "_key", _rational_key(lam, ()))
+        object.__setattr__(self, "_key", rational_key(lam))
 
     def act(self, frame: Frame, m: Monomial):
         key, lam = m._key, self._key
@@ -566,7 +551,7 @@ class MomentumTranslation:
     def __post_init__(self):
         mu = vector(self.mu)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "_key", _rational_key(mu, ()))
+        object.__setattr__(self, "_key", rational_key(mu))
 
     def act(self, frame: Frame, m: Monomial):
         key, mu = m._key, self._key

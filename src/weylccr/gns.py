@@ -59,18 +59,7 @@ class FourierWindow:
         return all(l <= c <= h for c, l, h in zip(pt, self.lo, self.hi))
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    window: FourierWindow
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.window)
-        if self.matrix.shape != (n, n):
-            raise DimensionMismatch("matrix shape does not match window size")
-
-
-def op_S(b, window: FourierWindow) -> TruncatedOperator:
+def op_S(b, window: FourierWindow) -> np.ndarray:
     """Position shift, diagonal on the Fourier basis: entries e^{-i tau (n . b)}."""
     import numpy as np
 
@@ -80,10 +69,10 @@ def op_S(b, window: FourierWindow) -> TruncatedOperator:
     diag = np.empty(len(window), dtype=complex)
     for i, n in enumerate(window.points):
         diag[i] = PhaseAngle.from_dot(vector(n), b, -1).to_complex()
-    return TruncatedOperator(window, np.diag(diag))
+    return np.diag(diag)
 
 
-def op_F(gp, window: FourierWindow) -> TruncatedOperator:
+def op_F(gp, window: FourierWindow) -> np.ndarray:
     """Index shift by a dual-lattice vector: e_n -> e_{n+gp}, truncated at the
     boundary (columns leaving the window are zeroed)."""
     import numpy as np
@@ -98,10 +87,10 @@ def op_F(gp, window: FourierWindow) -> TruncatedOperator:
         i = window.index.get(target)
         if i is not None:
             mat[i, j] = 1.0
-    return TruncatedOperator(window, mat)
+    return mat
 
 
-def rep_rho_kappa(kappa, m: Monomial, window: FourierWindow) -> TruncatedOperator:
+def rep_rho_kappa(kappa, m: Monomial, window: FourierWindow) -> np.ndarray:
     """Matrix image of u_a v_b under the quasi-momentum-kappa representation:
     e^{-i kappa . beta} F_a S_b, the scalar phase exact."""
     a_int = integer_vector(m.a)
@@ -109,9 +98,7 @@ def rep_rho_kappa(kappa, m: Monomial, window: FourierWindow) -> TruncatedOperato
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
     kappa = vector([Fraction(k) for k in kappa])
     phase = PhaseAngle.from_dot(kappa, m.b, -1).to_complex()
-    f_mat = op_F(a_int, window).matrix
-    s_diag = op_S(m.b, window).matrix.diagonal()
-    return TruncatedOperator(window, phase * (f_mat * s_diag))
+    return phase * (op_F(a_int, window) * op_S(m.b, window).diagonal())
 
 
 def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> complex:
@@ -139,8 +126,7 @@ def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> compl
     vec = np.zeros(len(window), dtype=complex)
     for n, val in fhat.items():
         vec[window.index[n]] = val
-    mat = rep_rho_kappa(kappa, m, window).matrix
-    return complex(np.vdot(vec, mat @ vec))
+    return complex(np.vdot(vec, rep_rho_kappa(kappa, m, window) @ vec))
 
 
 def plane_wave_vector_state(p, m: Monomial, momentum_set) -> complex:
@@ -175,8 +161,8 @@ def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
 
     gp = integer_point(gp, OutOfSubalgebra)
     b = vector(b)
-    f_mat = op_F(gp, window).matrix
-    s_diag = op_S(b, window).matrix.diagonal()
+    f_mat = op_F(gp, window)
+    s_diag = op_S(b, window).diagonal()
     phase = PhaseAngle.from_dot(vector(gp), b).to_complex()
     lhs = f_mat * s_diag
     rhs = phase * (s_diag[:, None] * f_mat)

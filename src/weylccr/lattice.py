@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, FrameMismatch, NotDecomposable, SingularFrame
-from .scalars import _Q1, ExactScalar, PhaseAngle, S_ONE, S_ZERO, TAU, scalar
+from .scalars import (ExactScalar, PhaseAngle, S_ONE, S_ZERO, TAU, integer_vector,
+                      rational_key, scalar)
 
 Vector = tuple  # tuple[ExactScalar, ...]
 Matrix = tuple  # tuple[tuple[ExactScalar, ...], ...]
@@ -68,17 +69,6 @@ def zero_vector(d: int) -> Vector:
 
 def is_zero_vector(x: Vector) -> bool:
     return all(c.is_zero() for c in x)
-
-
-def integer_vector(x: Vector):
-    """The tuple of ints behind ``x``, or None if any entry is non-integral."""
-    out = []
-    for c in x:
-        if not (c.is_rational() and c._c == 1):
-            return None
-        p = c._p
-        out.append(p[0] if p else 0)
-    return tuple(out)
 
 
 def integer_point(coords, error: type) -> tuple:
@@ -177,7 +167,11 @@ class Frame:
     shear_over_tau: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shear_over_tau", _over_tau(self.shear))
+        d = self.d
+        key = rational_key(tuple(x / TAU for row in self.shear for x in row))
+        if key is not None:
+            key = key[0], tuple(key[1][i:i + d] for i in range(0, d * d, d))
+        object.__setattr__(self, "shear_over_tau", key)
 
     @staticmethod
     def from_basis(rows) -> "Frame":
@@ -212,20 +206,6 @@ class Frame:
     def __str__(self):
         rows = "; ".join(", ".join(str(e) for e in row) for row in self.E)
         return f"Frame(d={self.d}, E=[{rows}])"
-
-
-def _over_tau(m: Matrix):
-    """(g, rows) of ints with m = tau * rows / g, g the lcm of the entry
-    denominators, or None when an entry is not a rational multiple of tau."""
-    g = 1
-    for row in m:
-        for x in row:
-            p = x._p
-            if x._q is not _Q1 or (p and (len(p) != 2 or p[0])):
-                return None
-            if g % x._c:
-                g = math.lcm(g, x._c)
-    return g, tuple(tuple(x._p[1] * (g // x._c) if x._p else 0 for x in row) for row in m)
 
 
 def check_same_frame(f1: Frame, f2: Frame):

@@ -13,7 +13,9 @@ with the coefficients.  A general value is such a polynomial divided by a
 denominator polynomial, stored as a primitive integer tuple with positive
 leading coefficient and no factor in common with the numerator; dividing it
 by its leading coefficient gives the monic denominator of the canonical form.
-The canonical form is unique, so equality and hashing compare fields.
+The canonical form is unique, so equality and hashing compare fields.  No
+other module reads them: ``rational_key`` and ``integer_vector`` are their
+integer views.
 
 Almost every scalar met in practice has denominator 1, and most of those are
 integers or plain rationals.  Arithmetic on them runs on Python ints alone,
@@ -539,6 +541,34 @@ TAU = _make((0, 1))
 def scalar(x) -> ExactScalar:
     """Coerce an int, Fraction or ExactScalar to an ExactScalar."""
     return ExactScalar.coerce(x)
+
+
+# -- integer views ---------------------------------------------------------
+
+
+def rational_key(xs: tuple):
+    """The canonical key (D, n) of a tuple of scalars, or None if one of them
+    contains tau: D is the lcm of the reduced denominators and n holds the
+    ints with xs = n / D, so gcd(D, *n) == 1."""
+    D = 1
+    for x in xs:
+        if x._q is not _Q1 or len(x._p) > 1:
+            return None
+        c = x._c
+        if D % c:
+            D = math.lcm(D, c)
+    return D, tuple(x._p[0] * (D // x._c) if x._p else 0 for x in xs)
+
+
+def integer_vector(x: tuple):
+    """The tuple of ints behind ``x``, or None if any entry is non-integral."""
+    out = []
+    for c in x:
+        if not (c.is_rational() and c._c == 1):
+            return None
+        p = c._p
+        out.append(p[0] if p else 0)
+    return tuple(out)
 
 
 # -- phases ----------------------------------------------------------------

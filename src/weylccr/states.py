@@ -21,7 +21,7 @@ from .algebra import (
     monomial_adjoint,
     monomial_product,
 )
-from .characters import BohrCharacter, character_eval, character_is_trivial
+from .characters import BohrCharacter, ContinuousCharacter, character_eval, character_is_trivial
 from .errors import (
     DimensionMismatch,
     FamilyMismatch,
@@ -42,6 +42,8 @@ from .lattice import (
 from .scalars import ExactScalar, PhaseAngle
 
 NORMALIZATION_TOL = 1e-12
+#: tolerance of the Bloch time-reversal criterion's parallelism test
+TRI_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,26 +74,6 @@ def evaluate(state: StateModel, x: Element) -> complex:
 
 
 @dataclass(frozen=True)
-class PlaneWave(StateModel):
-    """Pure translation-invariant state with momentum p (ambient coordinates)."""
-
-    p: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", vector(self.p))
-
-    def monomial_value(self, frame, m):
-        if not is_zero_vector(m.a):
-            return 0j
-        beta = frame.to_ambient_position(m.b)
-        return PhaseAngle(-vdot(self.p, beta)).to_complex()
-
-    def time_reversal(self):
-        tri = is_zero_vector(self.p)
-        return TimeReversalVerdict(tri, "p = 0" if tri else "p != 0")
-
-
-@dataclass(frozen=True)
 class BohrState(StateModel):
     """Pure translation-invariant state attached to a character of R^d."""
 
@@ -106,6 +88,24 @@ class BohrState(StateModel):
     def time_reversal(self):
         tri = character_is_trivial(self.char, self.char.dim)
         return TimeReversalVerdict(tri, "trivial character" if tri else "nontrivial character")
+
+
+@dataclass(frozen=True)
+class PlaneWave(StateModel):
+    """Pure translation-invariant state with momentum p (ambient coordinates):
+    the Bohr state of the continuous character e^{i p . beta}."""
+
+    p: Vector
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", vector(self.p))
+        object.__setattr__(self, "char", ContinuousCharacter(self.p))
+
+    monomial_value = BohrState.monomial_value
+
+    def time_reversal(self):
+        tri = is_zero_vector(self.p)
+        return TimeReversalVerdict(tri, "p = 0" if tri else "p != 0")
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,7 @@ class Bloch(StateModel):
         items = []
         norm_sq = 0.0
         for idx, val in self.fhat.items():
-            idx = integer_point(idx, NotAState)
-            if len(idx) != len(kappa):
-                raise NotAState("fhat index dimension differs from kappa")
+            idx = _fourier_index(idx, len(kappa))
             val = complex(val)
             if val != 0:
                 items.append((idx, val))
@@ -154,9 +152,9 @@ class Bloch(StateModel):
         return dict(self.fhat)
 
     def monomial_value(self, frame, m):
-        return bloch_monomial_value(self._kappa_exact, self._fhat_dict, m)
+        return _bloch_closed_form(self._kappa_exact, self._fhat_dict, m)
 
-    def time_reversal(self, tol: float = 1e-10):
+    def time_reversal(self):
         two_kappa = [2 * k for k in self.kappa]
         if any(t.denominator != 1 for t in two_kappa):
             return TimeReversalVerdict(False, "2*kappa is not a dual-lattice point")
@@ -169,12 +167,12 @@ class Bloch(StateModel):
         g1 = {n: f.get(tuple(-c for c in n), 0j).conjugate() for n in support}
         g2 = {n: f.get(tuple(c - s for c, s in zip(n, shift)), 0j) for n in support}
         inner = sum(g2[n].conjugate() * g1[n] for n in support)
-        if abs(abs(inner) - 1.0) > tol:
+        if abs(abs(inner) - 1.0) > TRI_TOL:
             return TimeReversalVerdict(
                 False, "conjugated and shifted vectors are not parallel "
                 f"(|<.,.>| = {abs(inner):.3g})")
         residual = max(abs(g1[n] - inner * g2[n]) for n in support)
-        if residual > tol:
+        if residual > TRI_TOL:
             return TimeReversalVerdict(False, f"parallelism residual {residual:.3g}")
         return TimeReversalVerdict(
             True, "conj(fhat(-n)) is a unit multiple of fhat(n - 2 kappa)")
@@ -183,12 +181,28 @@ class Bloch(StateModel):
         return f"Bloch(kappa={self.kappa}, support={[i for i, _ in self.fhat]})"
 
 
+def _fourier_index(idx, d: int) -> tuple:
+    """A Fourier index of raw data as a tuple of d ints, or NotAState."""
+    idx = integer_point(idx, NotAState)
+    if len(idx) != d:
+        raise NotAState(f"fhat index {idx} is not {d}-dimensional")
+    return idx
+
+
 def bloch_monomial_value(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> complex:
     """Fourier closed form, valid for any rational kappa (not range-reduced).
 
     chi(a integral) * e^{-i kappa.beta} * sum_n conj(fhat(n+a)) fhat(n) e^{-i n.beta}
-    with every oscillatory phase exact.
+    with every oscillatory phase exact.  Raises NotAState on an index of
+    ``fhat`` that is not a tuple of len(kappa) integers.
     """
+    for idx in fhat:
+        _fourier_index(idx, len(kappa))
+    return _bloch_closed_form(kappa, fhat, m)
+
+
+def _bloch_closed_form(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> complex:
+    """``bloch_monomial_value`` on Fourier data whose indices are checked."""
     if len(m.a) != len(kappa):
         raise DimensionMismatch(f"a {len(kappa)}-d Bloch state on a {len(m.a)}-d monomial")
     a_int = integer_vector(m.a)
@@ -223,19 +237,16 @@ class Zak(StateModel):
             raise NotAState("Zak labels must lie in [0, 1)")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "_labels", vector(kappa + nu))
 
     def monomial_value(self, frame, m):
-        if len(m.a) != len(self.kappa):
-            raise DimensionMismatch(f"a {len(self.kappa)}-d Zak state on a {len(m.a)}-d monomial")
-        a_int = integer_vector(m.a)
-        b_int = integer_vector(m.b)
-        if a_int is None or b_int is None:
+        a, b = m.a, m.b
+        if len(a) != len(self.kappa):
+            raise DimensionMismatch(f"a {len(self.kappa)}-d Zak state on a {len(a)}-d monomial")
+        if integer_vector(a) is None or integer_vector(b) is None:
             return 0j
-        turns = -(
-            sum((k * b for k, b in zip(self.kappa, b_int)), Fraction(0))
-            + sum((a * n for a, n in zip(a_int, self.nu)), Fraction(0))
-        )
-        return PhaseAngle.from_turns(turns).to_complex()
+        # -(kappa . b + a . nu) turns
+        return PhaseAngle.from_dot(self._labels, b + a, -1).to_complex()
 
     def time_reversal(self):
         tri = all(k in (Fraction(0), Fraction(1, 2)) for k in self.kappa)
@@ -424,13 +435,14 @@ def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
     """
     kappa = tuple(Fraction(k) for k in kappa)
     gamma_prime = integer_point(gamma_prime, OutOfSubalgebra)
+    fhat = {_fourier_index(idx, len(kappa)): val for idx, val in fhat.items()}
     shifted_kappa = tuple(k + g for k, g in zip(kappa, gamma_prime))
     shifted_fhat = {tuple(n + g for n, g in zip(idx, gamma_prime)): val
                     for idx, val in fhat.items()}
     deviations = []
     for m in probes:
-        lhs = bloch_monomial_value(shifted_kappa, dict(fhat), m)
-        rhs = bloch_monomial_value(kappa, shifted_fhat, m)
+        lhs = _bloch_closed_form(shifted_kappa, fhat, m)
+        rhs = _bloch_closed_form(kappa, shifted_fhat, m)
         deviations.append((abs(lhs - rhs), m))
     return _bounded("covariance", deviations, tol)
 

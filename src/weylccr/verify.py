@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import sub
 
 from .algebra import (
     Element,
@@ -725,12 +726,22 @@ def _tri_bloch(config, rng, frame, d):
         probes.append(Element.from_monomial(
             frame, Monomial(vector([rng.randint(-2, 2) for _ in range(d)]),
                             rand_coords(rng, d)), rand_complex(rng)))
+    # omega(u_a v_b) vanishes unless a is a difference of two support points,
+    # which may lie outside [-2, 2]^d: each state also gets one probe per
+    # difference, drawn from a generator of its own so the probes above keep
+    # their draws
+    diff_rng = config.rng("tri.bloch.differences")
     mismatches = []
     tri_devs = []
     for s in states:
         verdict = time_reversal_classify(s)
+        support = [n for n, _ in s.fhat]
+        own = [Element.from_monomial(frame, Monomial(vector(a), rand_coords(diff_rng, d)),
+                                     rand_complex(diff_rng))
+               for a in sorted({tuple(map(sub, n, k)) for n in support for k in support
+                                if n != k})]
         dev = _nan_max(abs(s.evaluate(apply_automorphism(TimeReversal(), x))
-                           - s.evaluate(x).conjugate()) for x in probes)
+                           - s.evaluate(x).conjugate()) for x in probes + own)
         functional = dev <= config.tol
         if functional != verdict.is_tri:
             mismatches.append(f"{s!r}: verdict={verdict.is_tri} dev={dev:.3g}")
@@ -827,7 +838,7 @@ def _gns_rho_scalar(config, rng, frame, d):
         kappa = rand_kappa(rng, 1)
         gamma = rng.randint(-4, 4)
         m = Monomial(vector([0]), vector([gamma]))
-        mat = rep_rho_kappa(kappa, m, window).matrix
+        mat = rep_rho_kappa(kappa, m, window)
         phase = PhaseAngle.from_turns(-kappa[0] * gamma).to_complex()
         if not np.array_equal(mat, phase * np.eye(len(window))):
             yield f"kappa={kappa} gamma={gamma}"
@@ -851,14 +862,14 @@ def _gns_operators(config, rng, frame, d):
     window = FourierWindow((-5,), (5,))
     for _ in range(10):
         b1, b2 = [rand_fraction(rng)], [rand_fraction(rng)]
-        s1 = op_S(b1, window).matrix
-        s2 = op_S(b2, window).matrix
-        s12 = op_S([b1[0] + b2[0]], window).matrix
+        s1 = op_S(b1, window)
+        s2 = op_S(b2, window)
+        s12 = op_S([b1[0] + b2[0]], window)
         yield float(np.max(np.abs(s1 @ s2 - s12))), "S additivity"
         yield (float(np.max(np.abs(s1 @ s1.conj().T - np.eye(len(window))))),
                "S unitary")
         gp = (rng.randint(-2, 2),)
-        f = op_F(gp, window).matrix
+        f = op_F(gp, window)
         proj = f.conj().T @ f
         yield float(np.max(np.abs(proj @ proj - proj))), "F partial isometry"
 

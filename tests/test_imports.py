@@ -2,8 +2,10 @@
 line, simplifying and evaluating states load it nowhere; the first matrix
 (a Gram check) does.  Nor do those commands load the check table
 (``weylccr.verify``).  Each test starts a fresh interpreter, because this one
-has numpy loaded already."""
+has numpy loaded already.  And the integer layout of ``ExactScalar`` is read
+by ``scalars`` alone."""
 
+import ast
 import json
 import os
 import subprocess
@@ -64,3 +66,19 @@ def test_module_entry_point_runs_the_command_line():
     proc = run_python("-m", "weylccr", "verify", "--suite", "gns", "--tol", "nan")
     assert proc.returncode == 2 and proc.stdout == ""
     assert "--tol" in proc.stderr
+
+
+def test_only_scalars_reads_the_fields_of_an_exact_scalar():
+    """No other module reads ``_p``, ``_c`` or ``_q`` or imports ``_Q1``; they
+    use the integer views ``scalars`` exports (``rational_key``,
+    ``integer_vector``, ``PhaseAngle.from_dot``)."""
+    found = []
+    for path in sorted((SRC / "weylccr").glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_p", "_c", "_q"):
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "_Q1" for a in node.names):
+                found.append(f"{path.name}:{node.lineno} imports _Q1")
+    assert found == []

@@ -348,6 +348,17 @@ class TestCovariance:
         with pytest.raises(OutOfSubalgebra):
             covariance_check([Fraction(1, 3)], {(0,): 1.0}, [0.5], [mono([0], [1])])
 
+    @pytest.mark.parametrize("fhat", [{(0.5,): 0.6, (1.5,): 0.8}, {(0, 0): 1.0}],
+                             ids=["fractional", "wrong_dimension"])
+    def test_raw_fourier_indices_are_checked(self, fhat):
+        probes = [mono([1], [Fraction(1, 2)])]
+        with pytest.raises(NotAState):
+            covariance_check([0], fhat, [1], probes)
+        with pytest.raises(NotAState):
+            covariance_check([0], fhat, [1], [])
+        with pytest.raises(NotAState):
+            bloch_monomial_value((0,), fhat, probes[0])
+
     def test_delta_case_by_hand(self):
         # fhat = delta_0, gamma' = 1: both sides give e^{-i(kappa+1) beta} on v_b
         kappa = Fraction(1, 3)

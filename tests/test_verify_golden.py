@@ -3,7 +3,9 @@
 ``--suite all`` is pinned at d = 1 on the default frame (seed 1) and at
 d = 2 on the identity frame (seed 0); ``--suite states`` is pinned on two
 frames whose basis contains tau, E = tau (d = 1, seed 1) and
-[[1 + tau, 1/3], [0, tau]] (d = 2, seed 0).
+[[1 + tau, 1/3], [0, tau]] (d = 2, seed 0); ``--suite tri`` is pinned at
+d = 2 on the identity frame (seed 2), a seed whose random Bloch states have
+support differences outside the drawn probes' momentum box.
 
 Pass flags, check names and the worst probe and worst value of every exact
 check must be equal; other worst values may move by last-bit noise only.
@@ -20,6 +22,7 @@ from conftest import VERIFY_ALL, run_json
 DATA = Path(__file__).parent / "data"
 
 
+D2 = {"d": 2, "E": [["1", "0"], ["0", "1"]]}
 TAU_D1 = {"d": 1, "E": [[{"num": {"1": "1"}}]]}
 SKEW_D2 = {"d": 2, "E": [[{"num": {"0": "1", "1": "1"}}, "1/3"], ["0", {"num": {"1": "1"}}]]}
 
@@ -53,6 +56,12 @@ def test_verify_states_matches_golden_report_on_tau_frames(frame, seed, golden, 
     code, got = run_json(["verify", "--suite", "states", "--seed", str(seed), "--output", "json"],
                          frame, tmp_path)
     _assert_matches(code, got, golden)
+
+
+def test_verify_tri_matches_golden_report_d2_seed2(tmp_path):
+    code, got = run_json(["verify", "--suite", "tri", "--seed", "2", "--output", "json"],
+                         D2, tmp_path)
+    _assert_matches(code, got, "verify_tri_d2_seed2.json")
 
 
 def test_each_states_row_runs_alone_in_any_order():
