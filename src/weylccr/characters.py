@@ -63,7 +63,7 @@ class ContinuousCharacter:
             raise DimensionMismatch("character momentum and position lengths differ")
         return PhaseAngle(vdot(self.p, beta))
 
-    def momentum(self, d: int) -> Vector:
+    def momentum(self) -> Vector:
         return self.p
 
 
@@ -99,7 +99,7 @@ class PadicCharacter:
             total += padic_fraction(comp.as_fraction(), p)
         return PhaseAngle.from_turns(total)
 
-    def momentum(self, d: int) -> None:
+    def momentum(self) -> None:
         return None
 
 
@@ -119,9 +119,9 @@ class ProductCharacter:
     def angle(self, beta: Vector) -> PhaseAngle:
         return sum((character_eval(f, beta) for f in self.factors), PhaseAngle.zero())
 
-    def momentum(self, d: int) -> Vector | None:
-        momenta = [factor.momentum(d) for factor in self.factors]
-        return None if None in momenta else reduce(vadd, momenta, zero_vector(d))
+    def momentum(self) -> Vector | None:
+        momenta = [factor.momentum() for factor in self.factors]
+        return None if None in momenta else reduce(vadd, momenta, zero_vector(self.dim))
 
 
 BohrCharacter = Union[ContinuousCharacter, PadicCharacter, ProductCharacter]
@@ -140,7 +140,7 @@ def character_value(char: BohrCharacter, beta) -> complex:
     return character_eval(char, beta).to_complex()
 
 
-def character_is_trivial(char: BohrCharacter, d: int) -> bool:
+def character_is_trivial(char: BohrCharacter) -> bool:
     """Exact triviality test used by the time-reversal classifier.
 
     A finite product of the families above is the trivial character exactly
@@ -148,5 +148,5 @@ def character_is_trivial(char: BohrCharacter, d: int) -> bool:
     zero: any p-adic factor is nontrivial on denominators divisible by its
     prime, and no continuous factor can cancel it at every such point.
     """
-    p = char.momentum(d)
+    p = char.momentum()
     return p is not None and all(c.is_zero() for c in p)

@@ -17,6 +17,9 @@ from typing import Mapping, Sequence
 from .algebra import (
     Element,
     Monomial,
+    _a_is_integral,
+    _a_is_zero,
+    _is_integral,
     apply_automorphisms,
     monomial_adjoint,
     monomial_product,
@@ -80,13 +83,13 @@ class BohrState(StateModel):
     char: BohrCharacter
 
     def monomial_value(self, frame, m):
-        if not is_zero_vector(m.a):
+        if not _a_is_zero(m):
             return 0j
         beta = frame.to_ambient_position(m.b)
         return (-character_eval(self.char, beta)).to_complex()
 
     def time_reversal(self):
-        tri = character_is_trivial(self.char, self.char.dim)
+        tri = character_is_trivial(self.char)
         return TimeReversalVerdict(tri, "trivial character" if tri else "nontrivial character")
 
 
@@ -203,11 +206,11 @@ def bloch_monomial_value(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> c
 
 def _bloch_closed_form(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> complex:
     """``bloch_monomial_value`` on Fourier data whose indices are checked."""
-    if len(m.a) != len(kappa):
-        raise DimensionMismatch(f"a {len(kappa)}-d Bloch state on a {len(m.a)}-d monomial")
-    a_int = integer_vector(m.a)
-    if a_int is None:
+    if m.d != len(kappa):
+        raise DimensionMismatch(f"a {len(kappa)}-d Bloch state on a {m.d}-d monomial")
+    if not _a_is_integral(m):
         return 0j
+    a_int = integer_vector(m.a)
     kappa = vector(kappa)
     total = 0j
     for n, fn in fhat.items():
@@ -240,13 +243,12 @@ class Zak(StateModel):
         object.__setattr__(self, "_labels", vector(kappa + nu))
 
     def monomial_value(self, frame, m):
-        a, b = m.a, m.b
-        if len(a) != len(self.kappa):
-            raise DimensionMismatch(f"a {len(self.kappa)}-d Zak state on a {len(a)}-d monomial")
-        if integer_vector(a) is None or integer_vector(b) is None:
+        if m.d != len(self.kappa):
+            raise DimensionMismatch(f"a {len(self.kappa)}-d Zak state on a {m.d}-d monomial")
+        if not _is_integral(m):
             return 0j
         # -(kappa . b + a . nu) turns
-        return PhaseAngle.from_dot(self._labels, b + a, -1).to_complex()
+        return PhaseAngle.from_dot(self._labels, m.b + m.a, -1).to_complex()
 
     def time_reversal(self):
         tri = all(k in (Fraction(0), Fraction(1, 2)) for k in self.kappa)

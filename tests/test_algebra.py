@@ -35,7 +35,7 @@ from weylccr import (
     weyl_generator,
 )
 from weylccr import algebra
-from weylccr.errors import DimensionMismatch, FrameMismatch
+from weylccr.errors import DimensionMismatch, FrameMismatch, WeylError
 from weylccr.lattice import (
     in_dual_lattice,
     integer_vector,
@@ -48,6 +48,7 @@ from weylccr.lattice import (
     vsub,
 )
 from weylccr.verify import (
+    rand_complex,
     rand_coords,
     rand_element,
 )
@@ -356,7 +357,7 @@ def kernel_elements(d, tau=False):
     term has a tau coordinate."""
     monomial = st.tuples(st.tuples(*[kernel_coords] * d), st.tuples(*[kernel_coords] * d))
     term = st.tuples(monomial, kernel_coeffs)
-    # one-term operands take their own branch of the keyed product
+    # one-term operands take the pairwise loop, not the common denominator
     terms = st.one_of(st.lists(term, min_size=1, max_size=1), st.lists(term, max_size=6))
     if tau:
         terms = st.tuples(terms, tau_coords, st.sampled_from((1.0, -0.5j))).map(
@@ -396,7 +397,8 @@ class TestElementKernels:
         for a, b in ((x, y), (y, x), (x, x)):
             with patch.object(algebra, "monomial_product", wraps=monomial_product) as pairwise:
                 got = a * b
-            assert pairwise.call_count == len(a) * len(b)
+            assert pairwise.call_count == sum(
+                m1._key is None or m2._key is None for m1 in a.terms for m2 in b.terms)
             assert_same_terms(got, pairwise_product(a, b))
             assert bits(tracial_inner_product(a, b)) == bits(pairwise_tracial(a, b))
         assert_same_terms(x.adjoint(), pairwise_adjoint(x))
@@ -594,6 +596,39 @@ class TestElementArithmetic:
         y = Element(F1, {Monomial.identity(1): 1e-15}, threshold=0.0)
         assert not y.is_zero()
 
+    @pytest.mark.parametrize("build", [
+        (lambda x: Element(F1, {Monomial([1], [0]): float("nan")}),
+         lambda x: Element(F1, {Monomial.identity(1): complex(1.0, float("inf"))},
+                           threshold=0.0)),
+        (lambda x: x * float("nan"), lambda x: float("nan") * x),
+        (lambda x: x + float("nan"), lambda x: float("nan") + x,
+         lambda x: x - float("nan"), lambda x: float("nan") - x),
+        (lambda x: x * float("inf"), lambda x: complex(0.0, float("-inf")) * x),
+    ], ids=["coefficient", "times_nan", "plus_nan", "times_inf"])
+    def test_non_finite_numbers_are_refused(self, build):
+        x = Element.u(F1, [Fraction(1, 2)]) + Element.v(F1, [1])
+        for make in build:
+            with pytest.raises(WeylError, match="not finite"):
+                make(x)
+
+    def test_scalar_operands_are_multiples_of_the_unit(self):
+        rng = random.Random("elem-scalars")
+        one = Element.one(F1)
+        for _ in range(20):
+            x = rand_element(rng, F1, 6) + Element.one(F1) * rand_complex(rng)
+            pairs = [
+                (x + 2, x + 2 * one),
+                (2 + x, 2 * one + x),
+                (x - 1j, x - 1j * one),
+                (1 - x, 1 * one - x),
+                (Fraction(1, 3) * x, (Fraction(1, 3) * one) * x),
+            ]
+            for got, want in pairs:
+                assert got.frame == want.frame and dict(got.terms) == dict(want.terms)
+            y = x + Element.u(F1, [1]) * 1e-9
+            for tol in (0.0, 1e-10, 1e-9, 1e-8):
+                assert x.isclose(y, tol) == (x.max_coeff_diff(y) <= tol)
+
 
 class TestAdjoint:
     def test_unit_self_adjoint(self):
@@ -768,11 +803,12 @@ class TestBoxAverage:
         assert mags[0] > mags[1] > mags[2]
 
     def test_preconditions(self):
-        x = Element.one(FTAU)
-        with pytest.raises(ValueError):
-            numeric_box_average(x, -1.0, 10)
-        with pytest.raises(ValueError):
-            numeric_box_average(x, 1.0, 1)
+        for x in (Element.one(FTAU), Element.u(FTAU, [1])):
+            for L in (-1.0, 0.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="box size must be positive"):
+                    numeric_box_average(x, L, 10)
+            with pytest.raises(ValueError):
+                numeric_box_average(x, 1.0, 1)
 
 
 class TestTrace:

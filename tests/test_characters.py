@@ -126,17 +126,17 @@ class TestCharacterEval:
 
 class TestTriviality:
     def test_zero_continuous_trivial(self):
-        assert character_is_trivial(ContinuousCharacter(vector([0, 0])), 2)
+        assert character_is_trivial(ContinuousCharacter(vector([0, 0])))
 
     def test_padic_never_trivial(self):
-        assert not character_is_trivial(PadicCharacter((3,)), 1)
+        assert not character_is_trivial(PadicCharacter((3,)))
 
     def test_cancelling_continuous_product(self):
         prod = ProductCharacter((ContinuousCharacter(vector([Fraction(1, 2)])),
                                  ContinuousCharacter(vector([Fraction(-1, 2)]))))
-        assert character_is_trivial(prod, 1)
+        assert character_is_trivial(prod)
 
     def test_mixed_product_not_trivial(self):
         prod = ProductCharacter((PadicCharacter((3,)),
                                  ContinuousCharacter((-TAU,))))
-        assert not character_is_trivial(prod, 1)
+        assert not character_is_trivial(prod)

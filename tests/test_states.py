@@ -93,6 +93,29 @@ class TestEvaluation:
             m = rand_monomial(rng, 1)
             assert pw.monomial_value(F1, m) == bs.monomial_value(F1, m)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family, a, b", [
+        ("bohr", Fraction(1), Fraction(1, 3)),
+        ("plane_wave", Fraction(-2), Fraction(0)),
+        ("bloch", Fraction(1, 2), Fraction(1)),
+        ("zak", Fraction(1), Fraction(1, 3)),
+    ], ids=["bohr", "plane_wave", "bloch", "zak"])
+    def test_vanishing_is_read_off_the_key(self, d, family, a, b):
+        """A fresh product term off the family's invariant range evaluates to
+        0, and its coordinates are never built."""
+        frame = Frame.standard(d)
+        state = {
+            "bohr": lambda: BohrState(PadicCharacter((3,) * d)),
+            "plane_wave": lambda: PlaneWave(vector([Fraction(1, 2)] * d)),
+            "bloch": lambda: Bloch([Fraction(1, 3)] * d, {(0,) * d: 0.6, (1,) * d: 0.8}),
+            "zak": lambda: Zak([Fraction(1, 2)] * d, [Fraction(1, 3)] * d),
+        }[family]()
+        x = Element.u(frame, [a] * d) * Element.v(frame, [b] * d)
+        (m,) = x.terms
+        assert m._a is None
+        assert state.monomial_value(frame, m) == 0j and state.evaluate(x) == 0j
+        assert m._a is None and m._b is None
+
     def test_bloch_delta_is_plane_wave_at_kappa(self):
         kappa = Fraction(1, 3)
         bl = Bloch([kappa], {(0,): 1.0})
