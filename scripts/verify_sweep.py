@@ -5,9 +5,13 @@
 Runs seeds 0-31 at d = 1 (default frame), seeds 0-15 at d = 2 (identity
 frame) and seeds 0-7 on each of two frames whose basis contains tau: E = tau
 (d = 1) and [[1 + tau, 1/3], [0, tau]] (d = 2).  Prints one row per run with
-its exit code and failing checks, then a summary per frame.  Exits 1 if any
-run exits 2 (an error rather than a failed check), else 0.  A full sweep
-takes a few minutes; it is not part of the test suite.
+its exit code and failing checks, then a summary per frame.  Each d = 1
+report is also compared with the stored reference of the benchmark
+(``bench/verify_ref.compare`` against ``bench/reference/verify.json``, read
+only), and every field that differs is printed.  Exits 1 if any run exits 2
+(an error rather than a failed check) or a d = 1 report differs from the
+reference, else 0.  A full sweep takes under a minute; it is not part of the
+test suite.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
+import verify_ref  # noqa: E402
 from weylccr.cli import main  # noqa: E402
 
 #: (name, frame JSON or None for the default d = 1 frame, seeds)
@@ -34,8 +39,9 @@ SWEEP = (
 )
 
 
-def run(seed: int, frame_path: str | None) -> tuple[int, list]:
-    """Exit code and failing check names of one verify-all run."""
+def run(seed: int, frame_path: str | None) -> tuple[int, dict | None, list]:
+    """Exit code, report (None on an error) and failing check names of one
+    verify-all run."""
     argv = ["verify", "--suite", "all", "--seed", str(seed), "--output", "json"]
     if frame_path:
         argv += ["--frame", frame_path]
@@ -43,12 +49,15 @@ def run(seed: int, frame_path: str | None) -> tuple[int, list]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if code == 2:
-        return code, [err.getvalue().strip()]
-    return code, [c["check"] for c in json.loads(out.getvalue())["checks"] if not c["pass"]]
+        return code, None, [err.getvalue().strip()]
+    report = json.loads(out.getvalue())
+    return code, report, [c["check"] for c in report["checks"] if not c["pass"]]
 
 
 def main_sweep() -> int:
-    errors = 0
+    errors = mismatches = 0
+    reference = verify_ref.load_reference()
+    check_names = verify_ref.reference_check_names(reference)
     summary = []
     print(f"{'frame':8s} {'seed':>4s} {'exit':>4s}  failing checks")
     with tempfile.TemporaryDirectory() as tmp:
@@ -60,14 +69,20 @@ def main_sweep() -> int:
                     json.dump(frame, fh)
             codes = []
             for seed in seeds:
-                code, failing = run(seed, path)
+                code, report, failing = run(seed, path)
                 codes.append(code)
                 errors += code == 2
                 print(f"{name:8s} {seed:4d} {code:4d}  {', '.join(failing)}", flush=True)
+                if frame is None and report is not None:
+                    problems = verify_ref.compare(report, seed, reference, check_names)
+                    mismatches += bool(problems)
+                    for problem in problems:
+                        print(f"{'':19s}reference mismatch: {problem}", flush=True)
             summary.append(f"{name}: {codes.count(0)} exit 0, {codes.count(1)} exit 1, "
                            f"{codes.count(2)} exit 2 of {len(codes)}")
+    summary.append(f"d1 reports differing from bench/reference/verify.json: {mismatches}")
     print("\n".join(summary))
-    return 1 if errors else 0
+    return 1 if errors or mismatches else 0
 
 
 if __name__ == "__main__":

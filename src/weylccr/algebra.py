@@ -88,7 +88,12 @@ ZERO_THRESHOLD = 1e-14
 _NUMBERS = (int, float, complex, Fraction)
 
 
-def _finite(z: complex) -> complex:
+def _finite(x) -> complex:
+    """The number x as a coefficient: a finite complex, or WeylError."""
+    try:
+        z = complex(x)
+    except OverflowError:
+        raise WeylError("a number is too large for a coefficient") from None
     if not isfinite(z):
         raise WeylError(f"the number {z!r} is not finite")
     return z
@@ -197,6 +202,17 @@ def _reduced(D: int, n: tuple) -> Monomial:
         if g != 1:
             D, n = D // g, tuple([x // g for x in n])
     return _keyed(D, n)
+
+
+def _ratio_monomial(pairs: list) -> Monomial:
+    """The monomial whose 2d coordinates, a then b, are the rationals p / q
+    of the int pairs (p, q), q != 0: the numerators over the lcm D of the
+    denominators, reduced to the key by one gcd, with no coordinate scalar."""
+    D = 1
+    for _, q in pairs:
+        if D % q:
+            D = lcm(D, q)
+    return _reduced(D, tuple([p * (D // q) for p, q in pairs]))
 
 
 def monomial_product(m1: Monomial, m2: Monomial) -> tuple[PhaseAngle, Monomial]:
@@ -327,7 +343,7 @@ class Element:
             for m, c in terms.items():
                 if m.d != frame.d:
                     raise DimensionMismatch("monomial dimension differs from frame")
-                c = _finite(complex(c))
+                c = _finite(c)
                 if abs(c) > threshold:
                     merged[m] = c
         object.__setattr__(self, "frame", frame)
@@ -437,7 +453,7 @@ class Element:
                     out[m] = out.get(m, 0j) + c1 * c2 * z
             return _element_of(self.frame, out.items())
         if isinstance(other, _NUMBERS):
-            z = _finite(complex(other))
+            z = _finite(other)
             return _element_of(self.frame, ((m, c * z) for m, c in self._terms.items()))
         return NotImplemented
 
@@ -699,10 +715,10 @@ def numeric_box_average(x: Element, L: float, samples_per_dim: int) -> Element:
     """
     if not 0 < L < inf:  # NaN fails too
         raise ValueError("box size must be positive and finite")
-    if samples_per_dim < 2:
-        raise ValueError("need at least two samples per dimension")
-    out: dict[Monomial, complex] = {}
     n = samples_per_dim
+    if not isinstance(n, int) or n < 2:  # 2.5, inf and NaN fail too
+        raise ValueError("need an int count of at least two samples per dimension")
+    out: dict[Monomial, complex] = {}
     for m, c in x.terms.items():
         mult = 1.0
         for comp in x.frame.to_ambient_momentum(m.a):

@@ -15,12 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .algebra import Monomial
 from .errors import DimensionMismatch, NotAState, OutOfSubalgebra, WindowTooSmall
 from .lattice import integer_point, integer_vector, vector
-from .scalars import PhaseAngle
+from .scalars import PhaseAngle, rational_key, unit_from_turns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,13 +64,26 @@ def op_S(b, window: FourierWindow) -> np.ndarray:
     """Position shift, diagonal on the Fourier basis: entries e^{-i tau (n . b)}."""
     import numpy as np
 
+    return np.diag(_shift_diagonal(b, window))
+
+
+def _shift_diagonal(b, window: FourierWindow) -> np.ndarray:
+    """The diagonal of ``op_S(b, window)``.  For a rational b = n_b / D the
+    entry at n is -(n . n_b) turns over D, on ints; a b with tau takes
+    ``PhaseAngle.from_dot``.  Both give the same double: ``int / int`` is
+    correctly rounded."""
+    import numpy as np
+
     b = vector(b)
     if len(b) != window.d:
         raise DimensionMismatch("coordinate dimension differs from window")
-    diag = np.empty(len(window), dtype=complex)
-    for i, n in enumerate(window.points):
-        diag[i] = PhaseAngle.from_dot(vector(n), b, -1).to_complex()
-    return np.diag(diag)
+    key = rational_key(b)
+    if key is None:
+        diag = [PhaseAngle.from_dot(vector(n), b, -1).to_complex() for n in window.points]
+    else:
+        D, nb = key
+        diag = [unit_from_turns(-sum(map(mul, n, nb)) % D, D) for n in window.points]
+    return np.array(diag, dtype=complex)
 
 
 def op_F(gp, window: FourierWindow) -> np.ndarray:
@@ -98,7 +112,7 @@ def rep_rho_kappa(kappa, m: Monomial, window: FourierWindow) -> np.ndarray:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
     kappa = vector([Fraction(k) for k in kappa])
     phase = PhaseAngle.from_dot(kappa, m.b, -1).to_complex()
-    return phase * (op_F(a_int, window) * op_S(m.b, window).diagonal())
+    return phase * (op_F(a_int, window) * _shift_diagonal(m.b, window))
 
 
 def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> complex:
@@ -162,7 +176,7 @@ def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
     gp = integer_point(gp, OutOfSubalgebra)
     b = vector(b)
     f_mat = op_F(gp, window)
-    s_diag = op_S(b, window).diagonal()
+    s_diag = _shift_diagonal(b, window)
     phase = PhaseAngle.from_dot(vector(gp), b).to_complex()
     lhs = f_mat * s_diag
     rhs = phase * (s_diag[:, None] * f_mat)

@@ -367,6 +367,13 @@ class ExactScalar:
 
     @staticmethod
     def rational(p, q=1) -> "ExactScalar":
+        """The rational p / q; on two ints, reduced by one gcd."""
+        if p.__class__ is int and q.__class__ is int:
+            if q < 0:
+                p, q = -p, -q
+            elif not q:
+                raise ZeroDivisionError("zero denominator in ExactScalar")
+            return _rat(p, q)
         return _coerce_or_none(Fraction(p, q))
 
     @staticmethod

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -42,7 +43,7 @@ from .lattice import (
     vdot,
     vector,
 )
-from .scalars import ExactScalar, PhaseAngle
+from .scalars import ExactScalar, PhaseAngle, rational_key, unit_from_turns
 
 NORMALIZATION_TOL = 1e-12
 #: tolerance of the Bloch time-reversal criterion's parallelism test
@@ -210,8 +211,11 @@ def _bloch_closed_form(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> com
         raise DimensionMismatch(f"a {len(kappa)}-d Bloch state on a {m.d}-d monomial")
     if not _a_is_integral(m):
         return 0j
-    a_int = integer_vector(m.a)
     kappa = vector(kappa)
+    key, kappa_key = m._key, rational_key(kappa)
+    if key is not None and kappa_key is not None:
+        return _keyed_bloch(kappa_key, fhat, key)
+    a_int = integer_vector(m.a)
     total = 0j
     for n, fn in fhat.items():
         shifted = tuple(ni + ai for ni, ai in zip(n, a_int))
@@ -220,6 +224,26 @@ def _bloch_closed_form(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> com
             continue
         angle = PhaseAngle.from_dot(tuple(k + ni for k, ni in zip(kappa, n)), m.b, -1)
         total += gn.conjugate() * fn * angle.to_complex()
+    return total
+
+
+def _keyed_bloch(kappa_key: tuple, fhat: Mapping[tuple, complex], key: tuple) -> complex:
+    """The closed form for kappa = n_kappa / D_kappa and the keyed monomial
+    (D, n) with a integral: each phase -(kappa + n') . b is
+    -((n_kappa + D_kappa n') . n_b) turns over D * D_kappa, on ints, in the
+    order of the Q(tau) loop above, and no coordinate scalar is built."""
+    (Dk, nk), (D, n) = kappa_key, key
+    d = len(nk)
+    a_int = [x // D for x in n[:d]]
+    nb = n[d:]
+    turns = D * Dk
+    total = 0j
+    for idx, fn in fhat.items():
+        gn = fhat.get(tuple(map(add, idx, a_int)))
+        if gn is None:
+            continue
+        k = -sum((x + Dk * i) * y for x, i, y in zip(nk, idx, nb)) % turns
+        total += gn.conjugate() * fn * unit_from_turns(k, turns)
     return total
 
 

@@ -36,6 +36,7 @@ from .algebra import (
     MomentumTranslation,
     SpaceTranslation,
     TimeReversal,
+    _ratio_monomial,
     apply_automorphism,
     automorphism_action,
     ergodic_mean,
@@ -68,7 +69,7 @@ from .lattice import (
     symplectic,
     vector,
 )
-from .scalars import PhaseAngle, TAU
+from .scalars import ExactScalar, PhaseAngle, TAU
 from .states import (
     Bloch,
     BohrState,
@@ -103,24 +104,45 @@ class RunConfig:
         return random.Random(f"{self.seed}:{check}")
 
 
-def rand_fraction(rng, max_num=12, max_den=12, nonzero=False) -> Fraction:
+def _rand_ratio(rng, max_num=12, max_den=12, nonzero=False) -> tuple[int, int]:
+    """(p, q) with p in [-max_num, max_num] and q in [1, max_den], drawn in
+    that order with ``randrange``, the call ``randint`` makes; redrawn while
+    p = 0 if ``nonzero``."""
+    draw = rng.randrange
     while True:
-        f = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-        if f or not nonzero:
-            return f
+        p = draw(-max_num, max_num + 1)
+        q = draw(1, max_den + 1)
+        if p or not nonzero:
+            return p, q
+
+
+def _rand_ratios(rng, d, **kw) -> list:
+    return [_rand_ratio(rng, **kw) for _ in range(d)]
+
+
+def _lattice_ratios(rng, d, span) -> list:
+    """d pairs (n, 1) with n drawn from [-span, span]."""
+    draw = rng.randrange
+    return [(draw(-span, span + 1), 1) for _ in range(d)]
+
+
+def rand_fraction(rng, max_num=12, max_den=12, nonzero=False) -> Fraction:
+    return Fraction(*_rand_ratio(rng, max_num, max_den, nonzero))
 
 
 def rand_coords(rng, d, **kw):
-    return vector([rand_fraction(rng, **kw) for _ in range(d)])
+    rational = ExactScalar.rational
+    return tuple([rational(p, q) for p, q in _rand_ratios(rng, d, **kw)])
 
 
 def rand_monomial(rng, d) -> Monomial:
-    return Monomial(rand_coords(rng, d), rand_coords(rng, d))
+    """u(a)v(b) with the 2d coordinates a then b drawn as ``rand_fraction``
+    draws them, built on its integer key like every drawn monomial."""
+    return _ratio_monomial(_rand_ratios(rng, 2 * d))
 
 
 def rand_lattice_monomial(rng, d, span=3) -> Monomial:
-    return Monomial(vector([rng.randint(-span, span) for _ in range(d)]),
-                    vector([rng.randint(-span, span) for _ in range(d)]))
+    return _ratio_monomial(_lattice_ratios(rng, 2 * d, span))
 
 
 def rand_complex(rng) -> complex:
@@ -170,9 +192,8 @@ def path_probes(rng, frame: Frame, fixed=()) -> list:
     well inside a half-turn, so halving the grid step halves the distances.
     """
     d = frame.d
-    drawn = draw_distinct(10 - len(fixed), lambda: Monomial(
-        vector([rng.randint(-1, 1) for _ in range(d)]),
-        rand_coords(rng, d, max_num=2, max_den=3)))
+    drawn = draw_distinct(10 - len(fixed), lambda: _ratio_monomial(
+        _lattice_ratios(rng, d, 1) + _rand_ratios(rng, d, max_num=2, max_den=3)))
     return list(fixed) + [Element.from_monomial(frame, m) for m in drawn]
 
 
@@ -724,8 +745,8 @@ def _tri_bloch(config, rng, frame, d):
     probes = []
     for _ in range(50):
         probes.append(Element.from_monomial(
-            frame, Monomial(vector([rng.randint(-2, 2) for _ in range(d)]),
-                            rand_coords(rng, d)), rand_complex(rng)))
+            frame, _ratio_monomial(_lattice_ratios(rng, d, 2) + _rand_ratios(rng, d)),
+            rand_complex(rng)))
     # omega(u_a v_b) vanishes unless a is a difference of two support points,
     # which may lie outside [-2, 2]^d: each state also gets one probe per
     # difference, drawn from a generator of its own so the probes above keep
@@ -790,7 +811,8 @@ def _zak_multiplicativity(config, rng, frame, d):
     yield replace(rep, check="zak.multiplicative_on_lattice_probes")
 
     pw = PlaneWave(rand_coords(rng, d))
-    vprobes = draw_distinct(10, lambda: Monomial(vector([0] * d), rand_coords(rng, d)))
+    vprobes = draw_distinct(
+        10, lambda: _ratio_monomial([(0, 1)] * d + _rand_ratios(rng, d)))
     rep = multiplicativity_check(pw, frame, vprobes, tol=1e-12)
     yield replace(rep, check="zak.plane_wave_multiplicative")
 
@@ -822,8 +844,7 @@ def _gns_oracle(config, rng, frame, d):
             kappa = rand_kappa(rng, dim)
             fhat = rand_normalized_fhat(rng, dim, radius=2)
             for _ in range(2):
-                m = Monomial(vector([rng.randint(-3, 3) for _ in range(dim)]),
-                             rand_coords(rng, dim))
+                m = _ratio_monomial(_lattice_ratios(rng, dim, 3) + _rand_ratios(rng, dim))
                 lhs = bloch_vector_state(kappa, fhat, m, window)
                 rhs = bloch_monomial_value(kappa, fhat, m)
                 yield abs(lhs - rhs), f"d={dim} {m}"

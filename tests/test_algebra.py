@@ -199,6 +199,8 @@ class TestKeyedMonomials:
             monomial_adjoint(monomial_adjoint(m)[1])[1],
             pickle.loads(pickle.dumps(m)),
             pickle.loads(pickle.dumps(split)),
+            algebra._ratio_monomial([(x.numerator * k, x.denominator * k) for x in a + b]),
+            algebra._ratio_monomial([(-x.numerator, -x.denominator) for x in a + b]),
         ]
         for r in routes:
             assert r == m and m == r
@@ -611,6 +613,17 @@ class TestElementArithmetic:
             with pytest.raises(WeylError, match="not finite"):
                 make(x)
 
+    @pytest.mark.parametrize("build", [
+        lambda x, m: x * 10**400,
+        lambda x, m: 10**400 * x,
+        lambda x, m: x + 10**400,
+        lambda x, m: Element(F1, {m: Fraction(10**400, 3)}),
+    ], ids=["times", "times_left", "plus", "coefficient"])
+    def test_numbers_past_the_float_range_are_refused(self, build):
+        x = Element.u(F1, [Fraction(1, 2)])
+        with pytest.raises(WeylError, match="too large"):
+            build(x, Monomial([1], [0]))
+
     def test_scalar_operands_are_multiples_of_the_unit(self):
         rng = random.Random("elem-scalars")
         one = Element.one(F1)
@@ -807,8 +820,9 @@ class TestBoxAverage:
             for L in (-1.0, 0.0, math.inf, math.nan):
                 with pytest.raises(ValueError, match="box size must be positive"):
                     numeric_box_average(x, L, 10)
-            with pytest.raises(ValueError):
-                numeric_box_average(x, 1.0, 1)
+            for n in (1, 2.5, 64.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="at least two samples"):
+                    numeric_box_average(x, 1.0, n)
 
 
 class TestTrace:

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -93,6 +94,34 @@ class TestOperators:
             for i, n in enumerate(w.points):
                 dot = n[0] * b[0] + n[1] * b[1]
                 assert got[i] == PhaseAngle(-(TAU * dot)).to_complex()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_keyed_shift_is_bit_identical_to_from_dot(self, d):
+        # a rational b takes its turns on ints and never builds an angle; a
+        # b with tau takes from_dot, one call per window point
+        rng = random.Random(f"op-s-keyed:{d}")
+        w = FourierWindow((-3,) * d, (3,) * d)
+        with_tau = vector([TAU / 3 + Fraction(1, 5)] + [Fraction(2, 7)] * (d - 1))
+        for i in range(12):
+            den = 10**6 if i % 2 else 12
+            rational = vector([Fraction(rng.randint(-den, den), rng.randint(1, den))
+                               for _ in range(d)])
+            for b, keyed in ((rational, True), (with_tau, False)):
+                want = np.array([PhaseAngle.from_dot(vector(n), b, -1).to_complex()
+                                 for n in w.points])
+                with patch.object(PhaseAngle, "from_dot", wraps=PhaseAngle.from_dot) as from_dot:
+                    got = op_S(b, w)
+                assert from_dot.call_count == (0 if keyed else len(w))
+                assert np.diag(got).tobytes() == want.tobytes()
+                assert np.array_equal(got, np.diag(want))
+                gp = tuple(rng.randint(-2, 2) for _ in range(d))
+                m = Monomial(vector(gp), b)
+                kappa = (Fraction(rng.randint(0, 11), 12),) * d
+                phase = PhaseAngle.from_dot(vector(kappa), b, -1).to_complex()
+                # kept out of the assert, which would hold on to the temporary
+                # and so change numpy's rounding (see TestDiagonalScaling)
+                rho = phase * (op_F(gp, w) * want)
+                assert rep_rho_kappa(kappa, m, w).tobytes() == rho.tobytes()
 
     def test_s_unitary(self):
         w = FourierWindow((-3,), (3,))

@@ -53,6 +53,29 @@ def test_rational_detection_and_conversion():
     assert (TAU / TAU).as_fraction() == 1
 
 
+@given(st.integers(-10**30, 10**30),
+       st.one_of(st.integers(-12, 12), st.integers(-10**6, 10**6)).filter(bool))
+def test_rational_on_ints_is_the_fraction_scalar(p, q):
+    # one gcd on the two ints gives the canonical scalar of Fraction(p, q):
+    # the same value, fields and hash, with a negative q normalised
+    got, want = ExactScalar.rational(p, q), scalar(Fraction(p, q))
+    assert got == want and hash(got) == hash(want)
+    assert got.num == want.num and got.den == want.den
+    assert got.as_fraction() == Fraction(p, q)
+    assert ExactScalar.rational(p) == scalar(p)
+
+
+def test_rational_on_ints_by_hand():
+    assert ExactScalar.rational(6, -4) == scalar(Fraction(-3, 2))
+    assert ExactScalar.rational(5, -1) == scalar(-5)
+    assert ExactScalar.rational(-6, -4) == scalar(Fraction(3, 2))
+    assert ExactScalar.rational(0, -7) == scalar(0)
+    assert ExactScalar.rational(Fraction(1, 2), 3) == scalar(Fraction(1, 6))
+    for p in (0, 1, -5):
+        with pytest.raises(ZeroDivisionError):
+            ExactScalar.rational(p, 0)
+
+
 def test_evaluate_substitutes_two_pi():
     assert TAU.evaluate() == 2.0 * math.pi
     x = TAU * Fraction(1, 2) + 3

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -33,6 +34,7 @@ from weylccr import (
     time_reversal_classify,
     weak_star_distance,
 )
+from weylccr import algebra
 from weylccr.errors import (
     DimensionMismatch,
     FamilyMismatch,
@@ -41,7 +43,7 @@ from weylccr.errors import (
     OutOfSubalgebra,
     Unsupported,
 )
-from weylccr.lattice import vector
+from weylccr.lattice import integer_vector, vector
 from weylccr.states import PATH_KINDS, PATHS, _bounded, _nan_max, bloch_monomial_value
 from weylccr.verify import (
     rand_complex,
@@ -393,6 +395,57 @@ class TestCovariance:
             assert abs(lhs - want) < 1e-15
             rhs = bloch_monomial_value((kappa,), {(1,): 1.0}, m)
             assert abs(lhs - rhs) < 1e-15
+
+
+def reference_bloch(kappa, fhat, m):
+    """The Bloch closed form with every phase through ``from_dot``."""
+    a_int = integer_vector(m.a)
+    if a_int is None:
+        return 0j
+    kappa = vector(kappa)
+    total = 0j
+    for n, fn in fhat.items():
+        gn = fhat.get(tuple(ni + ai for ni, ai in zip(n, a_int)))
+        if gn is not None:
+            angle = PhaseAngle.from_dot(tuple(k + ni for k, ni in zip(kappa, n)), m.b, -1)
+            total += gn.conjugate() * fn * angle.to_complex()
+    return total
+
+
+def bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestKeyedBloch:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_keyed_phases_are_bit_identical_to_from_dot(self, d):
+        # kappa is not range-reduced: negative, past 1, denominators up to 10^6
+        rng = random.Random(f"keyed-bloch:{d}")
+        for i in range(40):
+            den = 10**6 if i % 2 else 12
+            kappa = tuple(Fraction(rng.randint(-3 * den, 3 * den), rng.randint(1, den))
+                          for _ in range(d))
+            fhat = rand_normalized_fhat(rng, d, radius=1, npts=min(3 ** d, 4))
+            a = [rng.randint(-1, 1) for _ in range(d)]
+            b = [Fraction(rng.randint(-den, den), rng.randint(1, den)) for _ in range(d)]
+            m = Monomial(vector(a), vector(b))
+            keyed = algebra._ratio_monomial(
+                [(x, 1) for x in a] + [(x.numerator, x.denominator) for x in b])
+            want = reference_bloch(kappa, fhat, m)
+            with patch.object(PhaseAngle, "from_dot", wraps=PhaseAngle.from_dot) as from_dot:
+                assert bits(bloch_monomial_value(kappa, fhat, m)) == bits(want)
+                assert bits(bloch_monomial_value(kappa, fhat, keyed)) == bits(want)
+                assert keyed._a is None  # its coordinates were never built
+            assert not from_dot.called
+
+    def test_a_monomial_with_tau_takes_from_dot(self):
+        kappa, fhat = (Fraction(-7, 3), Fraction(5, 4)), {(0, 0): 0.6, (1, 0): 0.8j}
+        for a in ([0, 0], [1, 0], [-1, 0]):
+            m = Monomial(vector(a), vector([TAU / 3 + Fraction(1, 5), Fraction(2, 7)]))
+            with patch.object(PhaseAngle, "from_dot", wraps=PhaseAngle.from_dot) as from_dot:
+                got = bloch_monomial_value(kappa, fhat, m)
+            assert from_dot.called
+            assert bits(got) == bits(reference_bloch(kappa, fhat, m))
 
 
 class TestWeakStar:
