@@ -12,8 +12,7 @@ from weylccr import (
     Frame,
     PhasePoint,
     TAU,
-    decompose_momentum,
-    decompose_position,
+    decompose,
     enumerate_trs_fixed_points,
     pairing,
     symplectic,
@@ -53,9 +52,9 @@ print(f"symplectic((1,0),(0,1)) = {symplectic(z, zp)}")
 print()
 print("== unit-cell decompositions ==")
 for value in (Fraction(7, 3), Fraction(-1, 4), Fraction(0)):
-    dec = decompose_position(vector([value]))
+    dec = decompose(vector([value]))
     print(f"position {str(value):5s} = {dec.integral[0]} + {dec.fractional[0]}")
-dec = decompose_momentum(vector([Fraction(-1, 2)]))
+dec = decompose(vector([Fraction(-1, 2)]))
 print(f"momentum -1/2 has quasi-momentum representative {dec.fractional[0]}")
 
 print()

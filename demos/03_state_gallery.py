@@ -24,7 +24,6 @@ from weylccr import (
     TAU,
     Tracial,
     Zak,
-    evaluate,
     gram_psd_check,
     invariance_check,
     multiplicativity_check,
@@ -95,7 +94,7 @@ state = BohrState(PadicCharacter((3,)))
 print("b_n = 1/(3(3n+2)) -> 0, but the state sticks at e^(4 pi i/3):")
 for n in (0, 1, 10, 50):
     b = Fraction(1, 3 * (3 * n + 2))
-    val = evaluate(state, Element.v(F1, [-b]))
+    val = state.evaluate(Element.v(F1, [-b]))
     print(f"  n = {n:2d}: b_n = {str(b):9s} value = {val:.6f}")
 gap = weak_star_distance(state, PlaneWave(vector([0])),
                          [Element.v(F1, [-Fraction(1, 15)])])

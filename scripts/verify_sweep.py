@@ -5,18 +5,25 @@
 Runs seeds 0-31 at d = 1 (default frame), seeds 0-15 at d = 2 (identity
 frame) and seeds 0-7 on each of two frames whose basis contains tau: E = tau
 (d = 1) and [[1 + tau, 1/3], [0, tau]] (d = 2).  Prints one row per run with
-its exit code and failing checks, then a summary per frame.  Each d = 1
+its exit code, a short sha256 digest of its JSON report and its failing
+checks, then a summary per frame and one digest over all runs.  Each d = 1
 report is also compared with the stored reference of the benchmark
 (``bench/verify_ref.compare`` against ``bench/reference/verify.json``, read
 only), and every field that differs is printed.  Exits 1 if any run exits 2
 (an error rather than a failed check) or a d = 1 report differs from the
 reference, else 0.  A full sweep takes under a minute; it is not part of the
 test suite.
+
+The digests make the sweep a behaviour gate for a change that must keep every
+report byte for byte: run this script in a checkout of the parent commit (a
+copy of it reads that checkout's ``src``) and in the change, and ``diff`` the
+two outputs; they must be identical.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -39,19 +46,24 @@ SWEEP = (
 )
 
 
-def run(seed: int, frame_path: str | None) -> tuple[int, dict | None, list]:
-    """Exit code, report (None on an error) and failing check names of one
-    verify-all run."""
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def run(seed: int, frame_path: str | None) -> tuple[int, str, dict | None, list]:
+    """Exit code, report text, report (None on an error) and failing check
+    names of one verify-all run."""
     argv = ["verify", "--suite", "all", "--seed", str(seed), "--output", "json"]
     if frame_path:
         argv += ["--frame", frame_path]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    text = out.getvalue()
     if code == 2:
-        return code, None, [err.getvalue().strip()]
-    report = json.loads(out.getvalue())
-    return code, report, [c["check"] for c in report["checks"] if not c["pass"]]
+        return code, text, None, [err.getvalue().strip()]
+    report = json.loads(text)
+    return code, text, report, [c["check"] for c in report["checks"] if not c["pass"]]
 
 
 def main_sweep() -> int:
@@ -59,7 +71,8 @@ def main_sweep() -> int:
     reference = verify_ref.load_reference()
     check_names = verify_ref.reference_check_names(reference)
     summary = []
-    print(f"{'frame':8s} {'seed':>4s} {'exit':>4s}  failing checks")
+    rows = hashlib.sha256()
+    print(f"{'frame':8s} {'seed':>4s} {'exit':>4s} {'report':12s}  failing checks")
     with tempfile.TemporaryDirectory() as tmp:
         for name, frame, seeds in SWEEP:
             path = None
@@ -69,10 +82,12 @@ def main_sweep() -> int:
                     json.dump(frame, fh)
             codes = []
             for seed in seeds:
-                code, report, failing = run(seed, path)
+                code, text, report, failing = run(seed, path)
                 codes.append(code)
                 errors += code == 2
-                print(f"{name:8s} {seed:4d} {code:4d}  {', '.join(failing)}", flush=True)
+                row = f"{name:8s} {seed:4d} {code:4d} {digest(text)}"
+                rows.update(f"{row}\n".encode())
+                print(f"{row}  {', '.join(failing)}", flush=True)
                 if frame is None and report is not None:
                     problems = verify_ref.compare(report, seed, reference, check_names)
                     mismatches += bool(problems)
@@ -81,6 +96,7 @@ def main_sweep() -> int:
             summary.append(f"{name}: {codes.count(0)} exit 0, {codes.count(1)} exit 1, "
                            f"{codes.count(2)} exit 2 of {len(codes)}")
     summary.append(f"d1 reports differing from bench/reference/verify.json: {mismatches}")
+    summary.append(f"digest of all runs: {rows.hexdigest()[:12]}")
     print("\n".join(summary))
     return 1 if errors or mismatches else 0
 

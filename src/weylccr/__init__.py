@@ -18,7 +18,6 @@ from .algebra import (
     TimeReversal,
     ZERO_THRESHOLD,
     apply_automorphism,
-    apply_automorphisms,
     automorphism_action,
     ergodic_mean,
     ergodic_mean_lattice,
@@ -26,7 +25,6 @@ from .algebra import (
     monomial_adjoint,
     monomial_product,
     numeric_box_average,
-    trace_coefficient,
     tracial_inner_product,
     weyl_generator,
     weyl_generator_parts,
@@ -37,7 +35,6 @@ from .characters import (
     PadicCharacter,
     ProductCharacter,
     character_eval,
-    character_value,
     padic_fraction,
 )
 from .errors import (
@@ -69,11 +66,9 @@ from .lattice import (
     CellDecomposition,
     Frame,
     PhasePoint,
-    decompose_momentum,
-    decompose_position,
+    decompose,
     dual_frame,
     enumerate_trs_fixed_points,
-    in_dual_lattice,
     pairing,
     symplectic,
     vector,
@@ -90,7 +85,6 @@ from .states import (
     Zak,
     bloch_monomial_value,
     covariance_check,
-    evaluate,
     gram_psd_check,
     invariance_check,
     multiplicativity_check,

@@ -383,6 +383,7 @@ class Element:
         return MappingProxyType(self._terms)
 
     def coefficient(self, m: Monomial) -> complex:
+        """The coefficient of m, which is the tracial pairing t(m* x)."""
         return self._terms.get(m, 0j)
 
     def is_zero(self) -> bool:
@@ -401,9 +402,6 @@ class Element:
         keys = set(self._terms) | set(other._terms)
         return max((abs(self.coefficient(m) - other.coefficient(m)) for m in keys),
                    default=0.0)
-
-    def isclose(self, other: "Element", tol: float = 1e-12) -> bool:
-        return self.max_coeff_diff(other) <= tol
 
     # -- arithmetic -------------------------------------------------------
 
@@ -652,12 +650,6 @@ def apply_automorphism(spec: AutomorphismSpec, x: Element) -> Element:
     return _element_of(x.frame, out.items())
 
 
-def apply_automorphisms(specs: Iterable[AutomorphismSpec], x: Element) -> Element:
-    for spec in specs:
-        x = apply_automorphism(spec, x)
-    return x
-
-
 # -- ergodic means -------------------------------------------------------------
 # Their memberships, read off the key, also say where the invariant states vanish.
 
@@ -735,15 +727,6 @@ def _midpoint_mean(x: float, n: int) -> float:
     r = x - j * pi
     sign = -1.0 if j * (n - 1) % 2 else 1.0
     return sign if r == 0.0 else sign * sin(n * r) / (n * sin(r))
-
-
-def trace_coefficient(x: Element, m: Monomial) -> complex:
-    """The coefficient of ``m`` in ``x``.
-
-    Equals the tracial pairing t((u_a v_b)* x), since the tracial state kills
-    every nontrivial monomial of the product.
-    """
-    return x.coefficient(m)
 
 
 def tracial_inner_product(x: Element, y: Element) -> complex:

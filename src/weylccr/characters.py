@@ -25,13 +25,20 @@ from .scalars import PhaseAngle
 MAX_PRIME = 2**16
 
 
+def _check_prime(p) -> None:
+    if not (isinstance(p, int) and 2 <= p <= MAX_PRIME
+            and all(p % k for k in range(2, math.isqrt(p) + 1))):
+        raise WeylError(f"a p-adic character takes primes up to {MAX_PRIME}, not {p!r}")
+
+
 def padic_fraction(x, p: int) -> Fraction:
     """The p-adic fractional part of a rational: {a/(p^k m)}_p = c/p^k.
 
     Here gcd(m, p) = 1 and c is the unique residue with c = a * m^-1 mod p^k,
     so the map is a group homomorphism Q -> Q/Z supported on p-power
-    denominators.
+    denominators.  Raises WeylError unless ``p`` is a prime up to MAX_PRIME.
     """
+    _check_prime(p)
     x = Fraction(x)
     den = x.denominator
     k = 0
@@ -80,9 +87,7 @@ class PadicCharacter:
     def __post_init__(self):
         primes = tuple(self.primes)
         for p in primes:
-            if not (isinstance(p, int) and 2 <= p <= MAX_PRIME
-                    and all(p % k for k in range(2, math.isqrt(p) + 1))):
-                raise WeylError(f"a p-adic character takes primes up to {MAX_PRIME}, not {p!r}")
+            _check_prime(p)
         object.__setattr__(self, "primes", primes)
 
     @property
@@ -134,10 +139,6 @@ def character_eval(char: BohrCharacter, beta) -> PhaseAngle:
     NotDecomposable on tau-dependent input.
     """
     return char.angle(vector(beta))
-
-
-def character_value(char: BohrCharacter, beta) -> complex:
-    return character_eval(char, beta).to_complex()
 
 
 def character_is_trivial(char: BohrCharacter) -> bool:

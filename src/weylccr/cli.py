@@ -25,7 +25,7 @@ from .serialization import (
     load_json,
     state_from_json,
 )
-from .states import PATH_KINDS, _nan_max, path_sample, weak_star_distance
+from .states import PATH_KINDS, _nan_max, _ordered_sum, path_sample, weak_star_distance
 
 #: the names of ``verify.SUITES``, in table order
 SUITE_NAMES = ("weyl", "ergodic", "states", "covariance", "tri", "zak", "gns", "paths")
@@ -122,7 +122,7 @@ def cmd_path_demo(args) -> int:
     distances = [weak_star_distance(s1, s2, probes)
                  for s1, s2 in zip(states, states[1:])]
     max_d = _nan_max(distances)
-    mean_d = sum(distances) / len(distances)
+    mean_d = _ordered_sum(distances) / len(distances)
     endpoints_exact = states[0] is start and states[-1] is end
     if args.output == "json":
         print(dumps({

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING
 
 from .algebra import Monomial
 from .errors import DimensionMismatch, NotAState, OutOfSubalgebra, WindowTooSmall
-from .lattice import integer_point, integer_vector, vector
+from .lattice import integer_point, integer_vector, rational_label, vector
 from .scalars import PhaseAngle, rational_key, unit_from_turns
 
 if TYPE_CHECKING:
@@ -110,7 +109,7 @@ def rep_rho_kappa(kappa, m: Monomial, window: FourierWindow) -> np.ndarray:
     a_int = integer_vector(m.a)
     if a_int is None:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
-    kappa = vector([Fraction(k) for k in kappa])
+    kappa = vector(rational_label(kappa, NotAState))
     phase = PhaseAngle.from_dot(kappa, m.b, -1).to_complex()
     return phase * (op_F(a_int, window) * _shift_diagonal(m.b, window))
 

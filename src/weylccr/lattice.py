@@ -84,6 +84,16 @@ def integer_point(coords, error: type) -> tuple:
     raise error(f"lattice index {coords!r} has an entry that is not an integer")
 
 
+def rational_label(coords, error: type) -> tuple:
+    """``coords``, a label given as numbers, as a tuple of Fractions; ``error``
+    when an entry is not a finite rational (NaN, inf or a string that is not
+    a number), where ``Fraction`` alone would raise a bare exception."""
+    try:
+        return tuple(Fraction(c) for c in coords)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"label {coords!r} has an entry that is not a finite number") from None
+
+
 def _check_dims(x, y):
     if len(x) != len(y):
         raise DimensionMismatch(f"vector lengths {len(x)} and {len(y)} differ")
@@ -259,7 +269,9 @@ class CellDecomposition:
     integral: tuple  # tuple[int, ...]
 
 
-def _decompose(coords: Vector) -> CellDecomposition:
+def decompose(coords: Vector) -> CellDecomposition:
+    """Split position (momentum) coordinates into a (dual-)lattice point and a
+    unit-cell point (quasi-momentum)."""
     frac, ints = [], []
     for c in coords:
         c = scalar(c)
@@ -270,21 +282,6 @@ def _decompose(coords: Vector) -> CellDecomposition:
         ints.append(n)
         frac.append(f - n)
     return CellDecomposition(tuple(frac), tuple(ints))
-
-
-def decompose_position(b: Vector) -> CellDecomposition:
-    """Split position coordinates into a lattice point and a unit-cell point."""
-    return _decompose(b)
-
-
-def decompose_momentum(a: Vector) -> CellDecomposition:
-    """Split momentum coordinates into a dual-lattice point and a quasi-momentum."""
-    return _decompose(a)
-
-
-def in_dual_lattice(a: Vector) -> bool:
-    """Characteristic function of the dual lattice on F-coordinates."""
-    return integer_vector(vector(a)) is not None
 
 
 def enumerate_trs_fixed_points(frame: Frame):

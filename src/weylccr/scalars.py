@@ -14,8 +14,8 @@ denominator polynomial, stored as a primitive integer tuple with positive
 leading coefficient and no factor in common with the numerator; dividing it
 by its leading coefficient gives the monic denominator of the canonical form.
 The canonical form is unique, so equality and hashing compare fields.  No
-other module reads them: ``rational_key`` and ``integer_vector`` are their
-integer views.
+other module reads them: ``rational_key`` is their integer view, and
+``integer_vector`` and ``PhaseAngle.from_dot`` read it.
 
 Almost every scalar met in practice has denominator 1, and most of those are
 integers or plain rationals.  Arithmetic on them runs on Python ints alone,
@@ -50,6 +50,7 @@ import math
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
+from operator import mul
 
 from .errors import DimensionMismatch, NotDecomposable, PhasePrecisionError, WeylError
 
@@ -376,13 +377,6 @@ class ExactScalar:
             return _rat(p, q)
         return _coerce_or_none(Fraction(p, q))
 
-    @staticmethod
-    def coerce(x) -> "ExactScalar":
-        out = _coerce_or_none(x)
-        if out is None:
-            raise TypeError(f"cannot interpret {x!r} as an ExactScalar")
-        return out
-
     # -- predicates and conversions ------------------------------------
 
     def is_zero(self) -> bool:
@@ -547,7 +541,10 @@ TAU = _make((0, 1))
 
 def scalar(x) -> ExactScalar:
     """Coerce an int, Fraction or ExactScalar to an ExactScalar."""
-    return ExactScalar.coerce(x)
+    out = _coerce_or_none(x)
+    if out is None:
+        raise TypeError(f"cannot interpret {x!r} as an ExactScalar")
+    return out
 
 
 # -- integer views ---------------------------------------------------------
@@ -564,18 +561,13 @@ def rational_key(xs: tuple):
         c = x._c
         if D % c:
             D = math.lcm(D, c)
-    return D, tuple(x._p[0] * (D // x._c) if x._p else 0 for x in xs)
+    return D, tuple([x._p[0] * (D // x._c) if x._p else 0 for x in xs])
 
 
 def integer_vector(x: tuple):
     """The tuple of ints behind ``x``, or None if any entry is non-integral."""
-    out = []
-    for c in x:
-        if not (c.is_rational() and c._c == 1):
-            return None
-        p = c._p
-        out.append(p[0] if p else 0)
-    return tuple(out)
+    key = rational_key(x)
+    return key[1] if key is not None and key[0] == 1 else None
 
 
 # -- phases ----------------------------------------------------------------
@@ -727,7 +719,7 @@ class PhaseAngle:
 
     def __init__(self, value):
         if value.__class__ is not ExactScalar:
-            value = ExactScalar.coerce(value)
+            value = scalar(value)
         p = value._p
         if not p:
             self._n, self._d, self._value = 0, 1, S_ZERO
@@ -753,7 +745,7 @@ class PhaseAngle:
     def from_turns(r) -> "PhaseAngle":
         """Angle of ``r`` full turns, r rational (or any scalar of Q(tau))."""
         if r.__class__ is not ExactScalar:
-            r = ExactScalar.coerce(r)
+            r = scalar(r)
         p = r._p
         if not p:
             return _ZERO_ANGLE
@@ -767,33 +759,22 @@ class PhaseAngle:
         """The angle tau * sign * (a . b), for tuples of ExactScalar and
         sign +1 or -1: ``sign * (a . b)`` turns.
 
-        When every coordinate pair with a nonzero product is plain rational,
-        the turns are read off the integer fields in one pass; products of
-        integers are whole turns and are skipped.  Any coordinate with tau
-        falls back to ``from_turns`` of the dot product summed in Q(tau).
+        When both vectors are plain rational, a = n_a / D_a and b = n_b / D_b
+        by their ``rational_key``s, and the turns are n_a . n_b over
+        D_a * D_b, on ints.  A vector with tau falls back to ``from_turns``
+        of the dot product summed in Q(tau).
         """
         if len(a) != len(b):
             raise DimensionMismatch(f"vector lengths {len(a)} and {len(b)} differ")
-        n, d = 0, 1
-        for x, y in zip(a, b):
-            px, py = x._p, y._p
-            if not px or not py:
-                continue
-            if len(px) > 1 or len(py) > 1 or x._q is not _Q1 or y._q is not _Q1:
-                total = S_ZERO
-                for u, w in zip(a, b):
-                    total = total + u * w
-                return PhaseAngle.from_turns(total if sign > 0 else -total)
-            c = x._c * y._c
-            if c == 1:
-                continue
-            if c == d:
-                n += px[0] * py[0]
-            else:
-                n = n * c + px[0] * py[0] * d
-                d *= c
-        if d == 1:
-            return _ZERO_ANGLE
+        kb = rational_key(b)  # b carries tau at most call sites, so it goes first
+        ka = rational_key(a) if kb is not None else None
+        if ka is None:
+            total = S_ZERO
+            for u, w in zip(a, b):
+                total = total + u * w
+            return PhaseAngle.from_turns(total if sign > 0 else -total)
+        n = sum(map(mul, ka[1], kb[1]))
+        d = ka[0] * kb[0]
         return _angle_of_turns(n % d if sign > 0 else -n % d, d)
 
     def __eq__(self, other):
@@ -844,9 +825,6 @@ class PhaseAngle:
         diff = self.value - other.value
         p = diff._p
         return not p or (diff._q is _Q1 and diff._c == 1 and len(p) == 2 and not p[0])
-
-    def radians(self) -> float:
-        return self.value.evaluate()
 
     def to_complex(self) -> complex:
         """The unit complex number e^{i angle}.

@@ -21,7 +21,7 @@ from .algebra import (
     _a_is_integral,
     _a_is_zero,
     _is_integral,
-    apply_automorphisms,
+    apply_automorphism,
     monomial_adjoint,
     monomial_product,
 )
@@ -40,6 +40,7 @@ from .lattice import (
     integer_point,
     integer_vector,
     is_zero_vector,
+    rational_label,
     vdot,
     vector,
 )
@@ -71,10 +72,6 @@ class StateModel:
         for m, c in x.terms.items():
             total += c * self.monomial_value(x.frame, m)
         return total
-
-
-def evaluate(state: StateModel, x: Element) -> complex:
-    return state.evaluate(x)
 
 
 @dataclass(frozen=True)
@@ -128,14 +125,14 @@ class Bloch(StateModel):
     fhat: tuple
 
     def __post_init__(self):
-        kappa = tuple(Fraction(k) for k in self.kappa)
+        kappa = rational_label(self.kappa, NotAState)
         if any(not (0 <= k < 1) for k in kappa):
             raise NotAState("quasi-momentum coordinates must lie in [0, 1)")
         items = []
         norm_sq = 0.0
         for idx, val in self.fhat.items():
             idx = _fourier_index(idx, len(kappa))
-            val = complex(val)
+            val = _number(complex, val, "Fourier value")
             if val != 0:
                 items.append((idx, val))
                 norm_sq += abs(val) ** 2
@@ -146,14 +143,6 @@ class Bloch(StateModel):
         object.__setattr__(self, "fhat", fhat)
         object.__setattr__(self, "_kappa_exact", vector(kappa))
         object.__setattr__(self, "_fhat_dict", dict(fhat))
-
-    @property
-    def d(self):
-        return len(self.kappa)
-
-    @property
-    def fhat_map(self) -> dict:
-        return dict(self.fhat)
 
     def monomial_value(self, frame, m):
         return _bloch_closed_form(self._kappa_exact, self._fhat_dict, m)
@@ -183,6 +172,14 @@ class Bloch(StateModel):
 
     def __repr__(self):
         return f"Bloch(kappa={self.kappa}, support={[i for i, _ in self.fhat]})"
+
+
+def _number(convert, value, what: str):
+    """``convert(value)``, or NotAState where it would raise a bare exception."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise NotAState(f"{what} {value!r} is not a number") from None
 
 
 def _fourier_index(idx, d: int) -> tuple:
@@ -256,8 +253,8 @@ class Zak(StateModel):
     nu: tuple
 
     def __post_init__(self):
-        kappa = tuple(Fraction(k) for k in self.kappa)
-        nu = tuple(Fraction(n) for n in self.nu)
+        kappa = rational_label(self.kappa, NotAState)
+        nu = rational_label(self.nu, NotAState)
         if len(kappa) != len(nu):
             raise NotAState("kappa and nu dimensions differ")
         if any(not (0 <= k < 1) for k in kappa + nu):
@@ -311,7 +308,7 @@ class Mixture(StateModel):
         comps = []
         total = 0.0
         for w, s in self.components:
-            w = float(w)
+            w = _number(float, w, "mixture weight")
             if not w > 0:  # NaN fails too
                 raise NotAState("mixture weights must be positive")
             if not isinstance(s, StateModel):
@@ -386,15 +383,25 @@ def _nan_max(values) -> float:
     return _worst((value, None) for value in values)[0]
 
 
+def _ordered_sum(values) -> float:
+    """The sum of ``values`` from left to right.  The builtin ``sum``
+    compensates float sums from Python 3.12 on, so a report summed with it
+    would depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _bounded(check: str, pairs, bound: float, fmt=str) -> CheckResult:
     """Passes when the worst of the (value, probe) pairs is at most ``bound``."""
     worst, probe = _worst(pairs, fmt)
     return CheckResult(check, worst <= bound, worst, probe)
 
 
-def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial],
-                   tol: float = 1e-10) -> GramReport:
-    """Positivity witness: the Gram matrix H_ij = omega(m_i* m_j) must be PSD."""
+def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) -> GramReport:
+    """Positivity witness: the Gram matrix H_ij = omega(m_i* m_j) must be PSD,
+    its least eigenvalue at least -1e-10."""
     import numpy as np
 
     if not probes:
@@ -411,7 +418,7 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial],
             H[i, j] = scale * state.monomial_value(frame, mij)
     residual = float(np.max(np.abs(H - H.conj().T)))
     min_eig = float(np.min(np.linalg.eigvalsh((H + H.conj().T) / 2.0)))
-    return GramReport(min_eig, residual, min_eig >= -tol)
+    return GramReport(min_eig, residual, min_eig >= -1e-10)
 
 
 def invariance_check(state: StateModel, specs, samples: Sequence[Element],
@@ -421,8 +428,12 @@ def invariance_check(state: StateModel, specs, samples: Sequence[Element],
     ``specs`` may be a single automorphism or a sequence applied in order.
     """
     chain = tuple(specs) if isinstance(specs, (list, tuple)) else (specs,)
-    deviations = [(abs(state.evaluate(apply_automorphisms(chain, x)) - state.evaluate(x)), x)
-                  for x in samples]
+    deviations = []
+    for x in samples:
+        y = x
+        for spec in chain:
+            y = apply_automorphism(spec, y)
+        deviations.append((abs(state.evaluate(y) - state.evaluate(x)), x))
     return _bounded("invariance", deviations, tol)
 
 
@@ -452,14 +463,14 @@ def time_reversal_classify(state: StateModel) -> TimeReversalVerdict:
 
 
 def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
-                     probes: Sequence[Monomial],
-                     tol: float = 1e-12) -> CheckResult:
-    """Shifting kappa by a dual-lattice vector equals shifting the Fourier data.
+                     probes: Sequence[Monomial]) -> CheckResult:
+    """Shifting kappa by a dual-lattice vector equals shifting the Fourier data,
+    to within 1e-12.
 
     Left side: the extended closed form at the unreduced label kappa + gamma'.
     Right side: kappa unchanged, fhat translated by gamma'.
     """
-    kappa = tuple(Fraction(k) for k in kappa)
+    kappa = rational_label(kappa, NotAState)
     gamma_prime = integer_point(gamma_prime, OutOfSubalgebra)
     fhat = {_fourier_index(idx, len(kappa)): val for idx, val in fhat.items()}
     shifted_kappa = tuple(k + g for k, g in zip(kappa, gamma_prime))
@@ -470,7 +481,7 @@ def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
         lhs = _bloch_closed_form(shifted_kappa, fhat, m)
         rhs = _bloch_closed_form(kappa, shifted_fhat, m)
         deviations.append((abs(lhs - rhs), m))
-    return _bounded("covariance", deviations, tol)
+    return _bounded("covariance", deviations, 1e-12)
 
 
 def weak_star_distance(s1: StateModel, s2: StateModel,
@@ -514,7 +525,7 @@ def _lerp(x0, x1, t: Fraction) -> tuple:
 def _bloch_slerp(s0: Bloch, s1: Bloch):
     import numpy as np
 
-    f0, f1 = s0.fhat_map, s1.fhat_map
+    f0, f1 = s0._fhat_dict, s1._fhat_dict
     support = sorted(set(f0) | set(f1))
     u = np.array([f0.get(n, 0j) for n in support])
     w = np.array([f1.get(n, 0j) for n in support])

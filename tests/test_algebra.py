@@ -30,14 +30,12 @@ from weylccr import (
     monomial_product,
     numeric_box_average,
     scalar,
-    trace_coefficient,
     tracial_inner_product,
     weyl_generator,
 )
 from weylccr import algebra
 from weylccr.errors import DimensionMismatch, FrameMismatch, WeylError
 from weylccr.lattice import (
-    in_dual_lattice,
     integer_vector,
     is_zero_vector,
     mat_vec,
@@ -280,7 +278,7 @@ class TestKeyedMonomials:
             assert m.is_identity() == (is_zero_vector(m.a) and is_zero_vector(m.b))
         assert set(ergodic_mean(x).terms) == {m for m in terms if is_zero_vector(m.a)}
         assert set(ergodic_mean_lattice(x).terms) == {
-            m for m in terms if in_dual_lattice(m.a)}
+            m for m in terms if integer_vector(m.a) is not None}
         assert set(ergodic_mean_zak(x).terms) == {
             m for m in terms
             if integer_vector(m.a) is not None and integer_vector(m.b) is not None}
@@ -638,9 +636,6 @@ class TestElementArithmetic:
             ]
             for got, want in pairs:
                 assert got.frame == want.frame and dict(got.terms) == dict(want.terms)
-            y = x + Element.u(F1, [1]) * 1e-9
-            for tol in (0.0, 1e-10, 1e-9, 1e-8):
-                assert x.isclose(y, tol) == (x.max_coeff_diff(y) <= tol)
 
 
 class TestAdjoint:
@@ -829,9 +824,9 @@ class TestTrace:
     def test_coefficient_extraction(self):
         m = Monomial(vector([1]), vector([1]))
         x = Element(F1, {m: 3.0})
-        assert trace_coefficient(x, m) == 3.0
-        assert trace_coefficient(Element.one(F1), Monomial.identity(1)) == 1.0
-        assert trace_coefficient(x, Monomial.identity(1)) == 0j
+        assert x.coefficient(m) == 3.0
+        assert Element.one(F1).coefficient(Monomial.identity(1)) == 1.0
+        assert x.coefficient(Monomial.identity(1)) == 0j
 
     def test_l2_identity(self):
         # exact on 10-term elements; t(x* x) to 1e-12 is the verify row weyl.trace_l2

@@ -11,7 +11,6 @@ from weylccr import (
     ProductCharacter,
     TAU,
     character_eval,
-    character_value,
     padic_fraction,
 )
 from weylccr.characters import MAX_PRIME, character_is_trivial
@@ -64,6 +63,14 @@ class TestPadicPrimes:
             PadicCharacter((3, p))
 
 
+    @pytest.mark.parametrize("x, p", [(Fraction(1, 3), 1), (Fraction(1, 3), -1),
+                                      (Fraction(1, 3), 0), (Fraction(1, 8), 4),
+                                      (Fraction(1, 3), -3), (Fraction(1, 3), 2.5)])
+    def test_padic_fraction_refuses_what_the_character_refuses(self, x, p):
+        with pytest.raises(WeylError, match="primes"):
+            padic_fraction(x, p)
+
+
 class TestCharacterEval:
     def test_identity_at_zero(self):
         chars = [ContinuousCharacter(vector([Fraction(1, 2)])),
@@ -71,21 +78,21 @@ class TestCharacterEval:
                  ProductCharacter((PadicCharacter((3,)),
                                    ContinuousCharacter(vector([1]))))]
         for char in chars:
-            assert character_value(char, vector([0])) == 1.0 + 0j
+            assert character_eval(char, vector([0])).to_complex() == 1.0 + 0j
 
     def test_continuous_matches_exponential(self):
         char = ContinuousCharacter(vector([Fraction(1, 3)]))
-        got = character_value(char, vector([Fraction(1, 2)]))
+        got = character_eval(char, vector([Fraction(1, 2)])).to_complex()
         assert abs(got - cmath.exp(1j / 6)) < 1e-15
 
     def test_continuous_tau_momentum(self):
         # p = tau gives e^{i tau b}: full turn at b = 1
         char = ContinuousCharacter((TAU,))
-        assert character_value(char, vector([1])) == 1.0 + 0j
+        assert character_eval(char, vector([1])).to_complex() == 1.0 + 0j
 
     def test_padic_spec_value(self):
         char = PadicCharacter((3,))
-        got = character_value(char, vector([Fraction(1, 15)]))
+        got = character_eval(char, vector([Fraction(1, 15)])).to_complex()
         assert abs(got - cmath.exp(2j * math.pi * 2 / 3)) < 1e-15
 
     def test_padic_discontinuity_witness(self):
@@ -94,7 +101,7 @@ class TestCharacterEval:
         target = cmath.exp(4j * math.pi / 3)
         for n in range(51):
             b = Fraction(1, 3 * (3 * n + 2))
-            assert abs(character_value(char, vector([b])) - target) < 1e-12
+            assert abs(character_eval(char, vector([b])).to_complex() - target) < 1e-12
         assert abs(abs(target - 1.0) - math.sqrt(3)) < 1e-15
 
     def test_padic_rejects_tau(self):
@@ -114,14 +121,14 @@ class TestCharacterEval:
         c2 = ContinuousCharacter(vector([Fraction(1, 4)]))
         prod = ProductCharacter((c1, c2))
         b = vector([Fraction(2, 9)])
-        want = character_value(c1, b) * character_value(c2, b)
-        assert abs(character_value(prod, b) - want) < 1e-15
+        want = character_eval(c1, b).to_complex() * character_eval(c2, b).to_complex()
+        assert abs(character_eval(prod, b).to_complex() - want) < 1e-15
 
     def test_modulus_one(self):
         char = ProductCharacter((PadicCharacter((3,)),
                                  ContinuousCharacter(vector([Fraction(5, 3)]))))
         for x in (Fraction(1, 6), Fraction(-7, 9), Fraction(22, 15)):
-            assert abs(abs(character_value(char, vector([x]))) - 1.0) < 1e-15
+            assert abs(abs(character_eval(char, vector([x])).to_complex()) - 1.0) < 1e-15
 
 
 class TestTriviality:

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ from weylccr.cli import main
 from weylccr.serialization import dumps, frame_to_json
 from weylccr.states import PATH_KINDS
 from weylccr import Frame, TAU
-from conftest import malformed_endpoints, malformed_frames, malformed_states
+from conftest import malformed_endpoints, malformed_frames, malformed_states, run_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -219,10 +220,8 @@ PATH_DEMO_ENDPOINTS = {
 }
 
 
-@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
-@pytest.mark.parametrize("kind", sorted(PATH_DEMO_ENDPOINTS))
-def test_path_demo(kind, d, tmp_path, capsys):
-    """The JSON report equals the stored one (seed 3), which pins the probe set."""
+def path_demo_args(kind, d, tmp_path) -> list:
+    """``path-demo`` arguments of the stored report of ``kind`` at d (seed 3)."""
     start, end = PATH_DEMO_ENDPOINTS[kind](d)
     endpoints = tmp_path / "endpoints.json"
     endpoints.write_text(json.dumps({"start": start, "end": end}))
@@ -232,6 +231,14 @@ def test_path_demo(kind, d, tmp_path, capsys):
         frame = tmp_path / "frame.json"
         frame.write_text(dumps(frame_to_json(Frame.standard(d))))
         args += ["--frame", str(frame)]
+    return args
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+@pytest.mark.parametrize("kind", sorted(PATH_DEMO_ENDPOINTS))
+def test_path_demo(kind, d, tmp_path, capsys):
+    """The JSON report equals the stored one (seed 3), which pins the probe set."""
+    args = path_demo_args(kind, d, tmp_path)
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert "endpoints exact" in out
@@ -348,6 +355,34 @@ def test_path_demo_keeps_a_nan_step_in_second_place(monkeypatch, tmp_path, capsy
                        str(endpoints), "--grid", "8", "--output", "json")
     assert code == 0
     assert math.isnan(json.loads(out)["max"])
+
+
+BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(values, start=0):
+    """``sum`` as Python 3.12 and later compute it: a sum of floats is
+    compensated, emulated here by ``math.fsum``."""
+    values = list(values)
+    if values and start == 0 and all(type(v) is float for v in values):
+        return math.fsum(values)
+    return BUILTIN_SUM(values, start)
+
+
+def test_reports_do_not_depend_on_compensated_float_sums(verify_all, monkeypatch,
+                                                         tmp_path, capsys):
+    """Reports sum their floats left to right, so a builtin ``sum`` that
+    compensates them changes no verify report and no path-demo output."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    for (d, seed), want in verify_all.items():
+        identity = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+        got = run_json(["verify", "--suite", "all", "--seed", str(seed), "--output", "json"],
+                       None if d == 1 else {"d": d, "E": identity}, tmp_path)
+        assert got == want, (d, seed)
+    for d in (1, 2):
+        _, out, _ = run(capsys, *path_demo_args("bloch_slerp", d, tmp_path),
+                        "--output", "json")
+        assert out == (DATA / "path_demo" / f"bloch_slerp_d{d}_seed3.json").read_text()
 
 
 @pytest.mark.parametrize("tol", ["0", "1e-10", "1e300"])

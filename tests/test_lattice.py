@@ -10,11 +10,9 @@ from weylccr import (
     Frame,
     PhasePoint,
     TAU,
-    decompose_momentum,
-    decompose_position,
+    decompose,
     dual_frame,
     enumerate_trs_fixed_points,
-    in_dual_lattice,
     pairing,
     scalar,
     symplectic,
@@ -116,7 +114,7 @@ class TestPairing:
             dot = sum((x.as_fraction() * y.as_fraction() for x, y in zip(a, b)),
                       Fraction(0))
             angle = pairing(a, b)
-            turns = angle.radians() / (2.0 * math.pi) - float(dot)
+            turns = angle.value.evaluate() / (2.0 * math.pi) - float(dot)
             assert turns == pytest.approx(round(turns), abs=1e-12)
             want = cmath.exp(2j * math.pi * float(dot))
             assert abs(angle.to_complex() - want) < 1e-12
@@ -158,32 +156,32 @@ class TestSymplectic:
 
 class TestCellDecomposition:
     def test_spec_values(self):
-        dec = decompose_position(vector([Fraction(7, 3)]))
+        dec = decompose(vector([Fraction(7, 3)]))
         assert dec.fractional == (Fraction(1, 3),)
         assert dec.integral == (2,)
-        dec = decompose_position(vector([0]))
+        dec = decompose(vector([0]))
         assert dec.fractional == (Fraction(0),) and dec.integral == (0,)
-        dec = decompose_position(vector([Fraction(-1, 4)]))
+        dec = decompose(vector([Fraction(-1, 4)]))
         assert dec.fractional == (Fraction(3, 4),) and dec.integral == (-1,)
 
     def test_momentum_decomposition(self):
-        dec = decompose_momentum(vector([Fraction(3, 2)]))
+        dec = decompose(vector([Fraction(3, 2)]))
         assert dec.fractional == (Fraction(1, 2),) and dec.integral == (1,)
-        dec = decompose_momentum(vector([Fraction(-1, 2)]))
+        dec = decompose(vector([Fraction(-1, 2)]))
         assert dec.fractional == (Fraction(1, 2),) and dec.integral == (-1,)
 
     def test_reassembly_for_random_rationals(self):
         rng = random.Random("cells")
         for _ in range(1000):
             x = rand_fraction(rng, max_num=50, max_den=12)
-            dec = decompose_position(vector([x]))
+            dec = decompose(vector([x]))
             frac = dec.fractional[0]
             assert 0 <= frac < 1
             assert frac + dec.integral[0] == x
 
     def test_tau_dependent_coordinate_rejected(self):
         with pytest.raises(NotDecomposable):
-            decompose_position((TAU,))
+            decompose((TAU,))
 
 
 class TestIntegerVector:
@@ -202,6 +200,24 @@ class TestIntegerVector:
         assert integer_vector(vector([1, TAU * 2 + 1])) is None
         assert integer_vector(vector([(TAU + 1) / (TAU + 2), 0])) is None
         assert integer_vector(vector([2 / (TAU + 1)])) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.just(0), st.integers(-10, 10), st.integers(-2**200, 2**200),
+        st.fractions(-10, 10, max_denominator=12),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3).filter(bool)).map(
+            lambda t: t[0] + TAU * t[1])), max_size=5))
+    def test_matches_a_fraction_reference(self, entries):
+        """ints exactly when every entry is an integral int or Fraction; an
+        entry c + t tau (an ExactScalar here) is never integral."""
+        xs = tuple(scalar(e) for e in entries)
+        want = None
+        if all(isinstance(e, (int, Fraction)) and Fraction(e).denominator == 1
+               for e in entries):
+            want = tuple(int(e) for e in entries)
+        got = integer_vector(xs)
+        assert got == want
+        assert got is None or all(type(v) is int for v in got)
 
 
 small = st.integers(-4, 4)
@@ -259,9 +275,9 @@ class TestFrameNorms:
 
 class TestDualLattice:
     def test_membership(self):
-        assert in_dual_lattice(vector([2, -3]))
-        assert not in_dual_lattice(vector([Fraction(1, 2), 0]))
-        assert in_dual_lattice((TAU / TAU, scalar(1)))
+        assert integer_vector(vector([2, -3])) is not None
+        assert integer_vector(vector([Fraction(1, 2), 0])) is None
+        assert integer_vector((TAU / TAU, scalar(1))) is not None
 
 
 class TestReflectionFixedPoints:

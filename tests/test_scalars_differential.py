@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import QQ, symbols
 
-from weylccr import Element, ExactScalar, Frame, Monomial, PhaseAngle, TAU
+from weylccr import Element, ExactScalar, Frame, Monomial, PhaseAngle, TAU, scalar
 from weylccr.errors import DimensionMismatch, PhasePrecisionError, WeylError
 from weylccr.lattice import vdot
 from weylccr import scalars
@@ -355,8 +355,8 @@ tau_coords = st.one_of(
            lambda d: st.tuples(*[st.tuples(plain_coords, plain_coords)] * d)),
        st.sampled_from([1, -1]))
 def test_pairing_kernel_on_rational_coordinates(pairs, sign):
-    a = tuple(ExactScalar.coerce(x) for x, _ in pairs)
-    b = tuple(ExactScalar.coerce(y) for _, y in pairs)
+    a = tuple(scalar(x) for x, _ in pairs)
+    b = tuple(scalar(y) for _, y in pairs)
     got = PhaseAngle.from_dot(a, b, sign)
     assert got == PhaseAngle.from_turns(sign * vdot(a, b))
     turns = (sign * sum(Fraction(x) * Fraction(y) for x, y in pairs)) % 1
@@ -370,8 +370,8 @@ def test_pairing_kernel_on_rational_coordinates(pairs, sign):
                                            st.one_of(coeffs, tau_coords))] * d)),
        st.sampled_from([1, -1]))
 def test_pairing_kernel_falls_back_on_tau_coordinates(pairs, sign):
-    a = tuple(ExactScalar.coerce(x) for x, _ in pairs)
-    b = tuple(ExactScalar.coerce(y) for _, y in pairs)
+    a = tuple(scalar(x) for x, _ in pairs)
+    b = tuple(scalar(y) for _, y in pairs)
     got = PhaseAngle.from_dot(a, b, sign)
     want = PhaseAngle.from_turns(sign * vdot(a, b))
     assert got == want
@@ -380,7 +380,7 @@ def test_pairing_kernel_falls_back_on_tau_coordinates(pairs, sign):
 
 def test_pairing_kernel_rejects_mismatched_dimensions():
     with pytest.raises(DimensionMismatch):
-        PhaseAngle.from_dot((ExactScalar.coerce(1),), ())
+        PhaseAngle.from_dot((scalar(1),), ())
 
 
 turn_values = st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=60),
