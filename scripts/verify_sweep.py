@@ -3,8 +3,9 @@
     python3 scripts/verify_sweep.py
 
 Runs seeds 0-31 at d = 1 (default frame), seeds 0-15 at d = 2 (identity
-frame) and seeds 0-7 on each of two frames whose basis contains tau: E = tau
-(d = 1) and [[1 + tau, 1/3], [0, tau]] (d = 2).  Prints one row per run with
+frame), seeds 0-7 on each of two frames whose basis contains tau: E = tau
+(d = 1) and [[1 + tau, 1/3], [0, tau]] (d = 2), and seeds 0-7 on each of two
+d = 3 frames: the identity and E = tau * I.  Prints one row per run with
 its exit code, a short sha256 digest of its JSON report and its failing
 checks, then a summary per frame and one digest over all runs.  Each d = 1
 report is also compared with the stored reference of the benchmark
@@ -43,6 +44,10 @@ SWEEP = (
     ("tau_d1", {"d": 1, "E": [[{"num": {"1": "1"}}]]}, range(8)),
     ("skew_d2", {"d": 2, "E": [[{"num": {"0": "1", "1": "1"}}, "1/3"],
                                ["0", {"num": {"1": "1"}}]]}, range(8)),
+    ("d3", {"d": 3, "E": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, range(8)),
+    ("tau_d3", {"d": 3, "E": [[{"num": {"1": "1"}}, "0", "0"],
+                              ["0", {"num": {"1": "1"}}, "0"],
+                              ["0", "0", {"num": {"1": "1"}}]]}, range(8)),
 )
 
 

@@ -24,14 +24,14 @@ as canonical scalars.  Shifts with tau, monomials with tau and the free
 dynamics on other frames keep the Q(tau) path; both paths give the same
 angle, the same image and the same complex value.
 
-An ``Element`` product of two all-keyed operands of two or more terms runs
-on the keys with no monomial or angle per term pair: both go over the common
-denominator L, and for each term pair in order c1 * c2 * e^{2 pi i k / L^2}
-with k = -(n2_a . n1_b) mod L^2 is added into a dict keyed by the summed
-integer tuple; each distinct key is then reduced by one gcd and becomes one
-monomial, in first-occurrence order.  Any other product is one pairwise loop:
-a pair of keyed monomials is combined on ints over its own two denominators
-(``_keyed_pair``), any other pair through ``monomial_product``.  The adjoint
+An ``Element`` product takes its path from keyedness alone.  When every
+term of both operands is keyed, whatever their sizes, it runs on the keys
+with no monomial or angle per term pair: both go over the common denominator
+L, and for each term pair in order c1 * c2 * e^{2 pi i k / L^2} with
+k = -(n2_a . n1_b) mod L^2 is added into a dict keyed by the summed integer
+tuple; each distinct key is then reduced by one gcd and becomes one monomial,
+in first-occurrence order.  A product with a tau coordinate in either
+operand sends every term pair through ``monomial_product``.  The adjoint
 takes each keyed term's phase and key on ints alone, and
 ``tracial_inner_product`` looks each monomial of x up in y.  Results agree
 bit for bit with the pairwise composition of ``monomial_product`` and
@@ -228,11 +228,19 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[PhaseAngle, Monomial]:
     if k1 is None or k2 is None:
         phase = PhaseAngle.from_dot(m2.a, m1.b, -1)
         return phase, Monomial(vadd(m1.a, m2.a), vadd(m1.b, m2.b))
-    n1 = k1[1]
-    if len(n1) != len(k2[1]):
+    (D1, n1), (D2, n2) = k1, k2
+    if len(n1) != len(n2):
         raise DimensionMismatch("monomial dimensions differ")
-    k, turns, m = _keyed_pair(len(n1) >> 1, k1, k2)
-    return _angle_of_turns(k, turns), m
+    d = len(n1) >> 1
+    turns = D1 * D2
+    k = _phase_turns(n2[:d], n1[d:], turns)
+    if D1 == D2:
+        D, n = D1, tuple(map(add, n1, n2))
+    else:
+        D = lcm(D1, D2)
+        f1, f2 = D // D1, D // D2
+        n = tuple(x * f1 + y * f2 for x, y in zip(n1, n2))
+    return _angle_of_turns(k, turns), _reduced(D, n)
 
 
 def monomial_adjoint(m: Monomial) -> tuple[PhaseAngle, Monomial]:
@@ -254,22 +262,6 @@ def _phase_turns(a, b, turns: int) -> int:
     a numerator over ``turns``, for alpha and beta with the integer numerators
     a and b over two denominators whose product is ``turns``."""
     return -sum(map(mul, a, b)) % turns
-
-
-def _keyed_pair(d: int, k1: tuple, k2: tuple) -> tuple[int, int, Monomial]:
-    """(k, D1 * D2, m) for the keys (D1, n1) and (D2, n2) in dimension d:
-    the product of their monomials is e^{2 pi i k / (D1 D2)} m, with the
-    coordinates summed over lcm(D1, D2) and reduced by one gcd."""
-    (D1, n1), (D2, n2) = k1, k2
-    turns = D1 * D2
-    k = _phase_turns(n2[:d], n1[d:], turns)
-    if D1 == D2:
-        D, n = D1, tuple(map(add, n1, n2))
-    else:
-        D = lcm(D1, D2)
-        f1, f2 = D // D1, D // D2
-        n = tuple(x * f1 + y * f2 for x, y in zip(n1, n2))
-    return k, turns, _reduced(D, n)
 
 
 def _keyed_adjoint(key: tuple) -> tuple[int, int, tuple]:
@@ -432,23 +424,15 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             check_same_frame(self.frame, other.frame)
-            d, t1, t2 = self.frame.d, self._terms, other._terms
-            if len(t1) > 1 and len(t2) > 1:
-                L = _common_denominator(t1, t2)
-                if L is not None:
-                    return _element_of(self.frame, _keyed_product(d, L, t1, t2))
+            t1, t2 = self._terms, other._terms
+            L = _common_denominator(t1, t2)
+            if L is not None:
+                return _element_of(self.frame, _keyed_product(self.frame.d, L, t1, t2))
             out: dict[Monomial, complex] = {}
             for m1, c1 in t1.items():
-                k1 = m1._key
                 for m2, c2 in t2.items():
-                    k2 = m2._key
-                    if k1 is None or k2 is None:
-                        phase, m = monomial_product(m1, m2)
-                        z = phase.to_complex()
-                    else:
-                        k, turns, m = _keyed_pair(d, k1, k2)
-                        z = unit_from_turns(k, turns)
-                    out[m] = out.get(m, 0j) + c1 * c2 * z
+                    phase, m = monomial_product(m1, m2)
+                    out[m] = out.get(m, 0j) + c1 * c2 * phase.to_complex()
             return _element_of(self.frame, out.items())
         if isinstance(other, _NUMBERS):
             z = _finite(other)

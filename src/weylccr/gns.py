@@ -21,6 +21,7 @@ from .algebra import Monomial
 from .errors import DimensionMismatch, NotAState, OutOfSubalgebra, WindowTooSmall
 from .lattice import integer_point, integer_vector, rational_label, vector
 from .scalars import PhaseAngle, rational_key, unit_from_turns
+from .states import NORMALIZATION_TOL, _fourier_data
 
 if TYPE_CHECKING:
     import numpy as np
@@ -125,13 +126,11 @@ def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> compl
     a_int = integer_vector(m.a)
     if a_int is None:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
+    fhat = _fourier_data(fhat, window.d)
     norm_sq = sum(abs(v) ** 2 for v in fhat.values())
-    if abs(norm_sq - 1.0) > 1e-12:
+    if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
         raise NotAState(f"fhat is not l2-normalized: |f|^2 = {norm_sq!r}")
     for n in fhat:
-        integer_point(n, NotAState)
-        if len(n) != window.d:
-            raise DimensionMismatch("fhat index dimension differs from window")
         for c, a, lo, hi in zip(n, a_int, window.lo, window.hi):
             if not (lo + abs(a) <= c <= hi - abs(a)):
                 raise WindowTooSmall(

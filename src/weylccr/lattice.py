@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -84,12 +86,33 @@ def integer_point(coords, error: type) -> tuple:
     raise error(f"lattice index {coords!r} has an entry that is not an integer")
 
 
+#: the largest decimal exponent of a rational written as a string, well past
+#: the float range: "1e100000000" alone would build a hundred-million-digit
+#: integer
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
+
+
+def decimal_fraction(s: str, error: type) -> Fraction:
+    """The rational written in ``s`` as "p/q" or as a decimal; ``error`` when
+    its exponent is past MAX_DECIMAL_EXPONENT in size, before any digit of
+    the number is built."""
+    exponent = _EXPONENT.search(s)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise error(f"the exponent of {s[:40]!r} is past {MAX_DECIMAL_EXPONENT}")
+    return Fraction(s)
+
+
 def rational_label(coords, error: type) -> tuple:
     """``coords``, a label given as numbers, as a tuple of Fractions; ``error``
     when an entry is not a finite rational (NaN, inf or a string that is not
-    a number), where ``Fraction`` alone would raise a bare exception."""
+    a number) or is a string or Decimal whose exponent ``decimal_fraction``
+    refuses, where ``Fraction`` alone would raise a bare exception or build a
+    million-digit number."""
     try:
-        return tuple(Fraction(c) for c in coords)
+        return tuple(decimal_fraction(str(c), error) if isinstance(c, (str, Decimal))
+                     else Fraction(c) for c in coords)
     except (TypeError, ValueError, OverflowError):
         raise error(f"label {coords!r} has an entry that is not a finite number") from None
 

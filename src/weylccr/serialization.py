@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-import re
 from fractions import Fraction
 
 from .algebra import Element, Monomial
@@ -25,7 +24,7 @@ from .characters import (
     ProductCharacter,
 )
 from .errors import WeylError
-from .lattice import Frame, vector
+from .lattice import MAX_DECIMAL_EXPONENT, Frame, decimal_fraction, vector
 from .scalars import ExactScalar, scalar
 from .states import (
     Bloch,
@@ -42,9 +41,8 @@ from .states import (
 #: so products of a few such scalars still evaluate within the float range
 MAX_JSON_DEGREE = 64
 
-#: the largest decimal exponent of a decoded rational, well past the float range
-MAX_JSON_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
+#: the largest decimal exponent of a decoded rational
+MAX_JSON_EXPONENT = MAX_DECIMAL_EXPONENT
 
 
 def _decoder(decode):
@@ -77,14 +75,8 @@ def fraction_to_str(f) -> str:
 
 def fraction_from_str(s) -> Fraction:
     """The rational written as "p/q" or as a decimal, whose exponent, if any,
-    is at most MAX_JSON_EXPONENT in size: "1e100000000" alone would build a
-    hundred-million-digit integer."""
-    s = str(s)
-    exponent = _EXPONENT.search(s)
-    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-    if len(digits) > len(str(MAX_JSON_EXPONENT)) or int(digits or 0) > MAX_JSON_EXPONENT:
-        raise WeylError(f"the exponent of {s[:40]!r} is past {MAX_JSON_EXPONENT}")
-    return Fraction(s)
+    is at most MAX_JSON_EXPONENT in size (``lattice.decimal_fraction``)."""
+    return decimal_fraction(str(s), WeylError)
 
 
 def scalar_to_json(x: ExactScalar):

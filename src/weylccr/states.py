@@ -130,9 +130,7 @@ class Bloch(StateModel):
             raise NotAState("quasi-momentum coordinates must lie in [0, 1)")
         items = []
         norm_sq = 0.0
-        for idx, val in self.fhat.items():
-            idx = _fourier_index(idx, len(kappa))
-            val = _number(complex, val, "Fourier value")
+        for idx, val in _fourier_data(self.fhat, len(kappa)).items():
             if val != 0:
                 items.append((idx, val))
                 norm_sq += abs(val) ** 2
@@ -182,28 +180,32 @@ def _number(convert, value, what: str):
         raise NotAState(f"{what} {value!r} is not a number") from None
 
 
-def _fourier_index(idx, d: int) -> tuple:
-    """A Fourier index of raw data as a tuple of d ints, or NotAState."""
-    idx = integer_point(idx, NotAState)
-    if len(idx) != d:
-        raise NotAState(f"fhat index {idx} is not {d}-dimensional")
-    return idx
+def _fourier_data(fhat: Mapping, d: int) -> dict:
+    """Raw Fourier data as a dict from tuples of d ints to complex numbers, in
+    the order of ``fhat``, or NotAState."""
+    out = {}
+    for idx, val in fhat.items():
+        idx = integer_point(idx, NotAState)
+        if len(idx) != d:
+            raise NotAState(f"fhat index {idx} is not {d}-dimensional")
+        out[idx] = _number(complex, val, "Fourier value")
+    return out
 
 
 def bloch_monomial_value(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> complex:
     """Fourier closed form, valid for any rational kappa (not range-reduced).
 
     chi(a integral) * e^{-i kappa.beta} * sum_n conj(fhat(n+a)) fhat(n) e^{-i n.beta}
-    with every oscillatory phase exact.  Raises NotAState on an index of
-    ``fhat`` that is not a tuple of len(kappa) integers.
+    with every oscillatory phase exact.  Raises NotAState on a kappa that is
+    not rational, an index of ``fhat`` that is not a tuple of len(kappa)
+    integers or a value that is not a number.
     """
-    for idx in fhat:
-        _fourier_index(idx, len(kappa))
-    return _bloch_closed_form(kappa, fhat, m)
+    kappa = rational_label(kappa, NotAState)
+    return _bloch_closed_form(kappa, _fourier_data(fhat, len(kappa)), m)
 
 
 def _bloch_closed_form(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> complex:
-    """``bloch_monomial_value`` on Fourier data whose indices are checked."""
+    """``bloch_monomial_value`` on a checked label and checked Fourier data."""
     if m.d != len(kappa):
         raise DimensionMismatch(f"a {len(kappa)}-d Bloch state on a {m.d}-d monomial")
     if not _a_is_integral(m):
@@ -438,9 +440,9 @@ def invariance_check(state: StateModel, specs, samples: Sequence[Element],
 
 
 def multiplicativity_check(state: StateModel, frame: Frame,
-                           probes: Sequence[Monomial],
-                           tol: float = 1e-10) -> CheckResult:
-    """Purity witness on a commuting probe set: omega(mn) = omega(m) omega(n)."""
+                           probes: Sequence[Monomial]) -> CheckResult:
+    """Purity witness on a commuting probe set: omega(mn) = omega(m) omega(n),
+    to within 1e-12."""
     for i, mi in enumerate(probes):
         for mj in probes[i + 1:]:
             ph_ij, m_ij = monomial_product(mi, mj)
@@ -454,7 +456,7 @@ def multiplicativity_check(state: StateModel, frame: Frame,
             phase, mij = monomial_product(mi, mj)
             prod_val = phase.to_complex() * state.monomial_value(frame, mij)
             gaps.append((abs(prod_val - values[i] * values[j]), (mi, mj)))
-    return _bounded("multiplicativity", gaps, tol, fmt=lambda p: f"{p[0]} | {p[1]}")
+    return _bounded("multiplicativity", gaps, 1e-12, fmt=lambda p: f"{p[0]} | {p[1]}")
 
 
 def time_reversal_classify(state: StateModel) -> TimeReversalVerdict:
@@ -472,7 +474,7 @@ def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
     """
     kappa = rational_label(kappa, NotAState)
     gamma_prime = integer_point(gamma_prime, OutOfSubalgebra)
-    fhat = {_fourier_index(idx, len(kappa)): val for idx, val in fhat.items()}
+    fhat = _fourier_data(fhat, len(kappa))
     shifted_kappa = tuple(k + g for k, g in zip(kappa, gamma_prime))
     shifted_fhat = {tuple(n + g for n, g in zip(idx, gamma_prime)): val
                     for idx, val in fhat.items()}

@@ -807,19 +807,19 @@ def _zak_double_average(config, rng, frame, d):
 def _zak_multiplicativity(config, rng, frame, d):
     zak = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
     probes = draw_distinct(12, lambda: rand_lattice_monomial(rng, d, span=2))
-    rep = multiplicativity_check(zak, frame, probes, tol=1e-12)
+    rep = multiplicativity_check(zak, frame, probes)
     yield replace(rep, check="zak.multiplicative_on_lattice_probes")
 
     pw = PlaneWave(rand_coords(rng, d))
     vprobes = draw_distinct(
         10, lambda: _ratio_monomial([(0, 1)] * d + _rand_ratios(rng, d)))
-    rep = multiplicativity_check(pw, frame, vprobes, tol=1e-12)
+    rep = multiplicativity_check(pw, frame, vprobes)
     yield replace(rep, check="zak.plane_wave_multiplicative")
 
     e1 = [1] + [0] * (d - 1)
     tprobes = [Monomial(vector([0] * d), vector(e1)),
                Monomial(vector([0] * d), vector([-c for c in e1]))]
-    rep = multiplicativity_check(Tracial(), frame, tprobes, tol=1e-12)
+    rep = multiplicativity_check(Tracial(), frame, tprobes)
     yield replace(rep, check="zak.tracial_multiplicativity_gap_is_one",
                   passed=(not rep.passed) and rep.worst_value == 1.0)
 

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -26,6 +27,7 @@ from weylccr import (
     TAU,
     Tracial,
     Zak,
+    bloch_vector_state,
     covariance_check,
     gram_psd_check,
     invariance_check,
@@ -35,7 +37,7 @@ from weylccr import (
     time_reversal_classify,
     weak_star_distance,
 )
-from weylccr import algebra
+from weylccr import algebra, lattice
 from weylccr.errors import (
     DimensionMismatch,
     FamilyMismatch,
@@ -229,6 +231,25 @@ class TestValidation:
     def test_malformed_labels_weights_and_values_are_not_states(self, build):
         with pytest.raises(NotAState):
             build()
+
+    @pytest.mark.parametrize("call", [
+        lambda m: bloch_monomial_value([0], {(0,): "x"}, m),
+        lambda m: covariance_check([0], {(0,): "x"}, [1], [m]),
+        lambda m: bloch_vector_state([0], {(0,): "x"}, m, FourierWindow((-3,), (3,))),
+        lambda m: bloch_monomial_value([float("nan")], {(0,): 1.0}, m),
+    ], ids=["closed_form_string_value", "covariance_string_value",
+            "vector_state_string_value", "closed_form_nan_kappa"])
+    def test_raw_bloch_data_is_checked_where_it_enters(self, call):
+        with pytest.raises(NotAState):
+            call(Monomial([0], [Fraction(1, 3)]))
+
+    @pytest.mark.parametrize("label", ["1e1000000", "1e-1000000", Decimal("1e-1000000")],
+                             ids=["huge_string", "tiny_string", "tiny_decimal"])
+    def test_a_label_exponent_is_bounded_before_the_number_is_built(self, label):
+        with patch.object(lattice, "Fraction", wraps=Fraction) as fraction:
+            with pytest.raises(NotAState, match="exponent"):
+                Bloch([label], {(0,): 1.0})
+        assert not fraction.called
 
     @pytest.mark.parametrize("index", [0.5, float("nan"), float("inf"), "0"])
     def test_fourier_indices_are_integers(self, index):
