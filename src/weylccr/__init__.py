@@ -43,6 +43,7 @@ from .errors import (
     FamilyMismatch,
     FrameMismatch,
     InvalidProbeSet,
+    NotAScalar,
     NotAState,
     NotDecomposable,
     OutOfSubalgebra,

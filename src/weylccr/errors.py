@@ -21,6 +21,12 @@ class NotDecomposable(WeylError):
     """A tau-dependent coordinate reached an operation that needs a plain rational."""
 
 
+class NotAScalar(WeylError, TypeError):
+    """A coordinate or scalar operand is not an int, a Fraction or an exact
+    scalar; also a TypeError, so a caller that catches TypeError from a
+    coercion still does."""
+
+
 class NotAState(WeylError):
     """The supplied data does not describe a normalized state."""
 

@@ -52,7 +52,8 @@ from math import gcd
 from numbers import Rational
 from operator import mul
 
-from .errors import DimensionMismatch, NotDecomposable, PhasePrecisionError, WeylError
+from .errors import (DimensionMismatch, NotAScalar, NotDecomposable, PhasePrecisionError,
+                     WeylError)
 
 TWO_PI = 2.0 * math.pi
 
@@ -543,7 +544,7 @@ def scalar(x) -> ExactScalar:
     """Coerce an int, Fraction or ExactScalar to an ExactScalar."""
     out = _coerce_or_none(x)
     if out is None:
-        raise TypeError(f"cannot interpret {x!r} as an ExactScalar")
+        raise NotAScalar(f"cannot interpret {x!r} as an ExactScalar")
     return out
 
 
@@ -743,16 +744,24 @@ class PhaseAngle:
 
     @staticmethod
     def from_turns(r) -> "PhaseAngle":
-        """Angle of ``r`` full turns, r rational (or any scalar of Q(tau))."""
+        """Angle of ``r`` full turns, r rational (or any scalar of Q(tau)).
+
+        For r with tau, the angle tau * r is read off r's canonical fields,
+        with no product: tau cancels a factor of a denominator that it
+        divides, and otherwise shifts the numerator up one degree.  Either
+        way the fields stay canonical, so the angle is that of ``TAU * r``.
+        """
         if r.__class__ is not ExactScalar:
             r = scalar(r)
-        p = r._p
+        p, q = r._p, r._q
         if not p:
             return _ZERO_ANGLE
-        if len(p) == 1 and r._q is _Q1:
+        if len(p) == 1 and q is _Q1:
             c = r._c
             return _turn_angle(p[0] % c, c) if c != 1 else _ZERO_ANGLE
-        return PhaseAngle(TAU * r)
+        if q[0]:
+            return PhaseAngle(_make((0,) + p, r._c, q))
+        return PhaseAngle(_make(p, r._c, _Q1 if len(q) == 2 else q[1:]))
 
     @staticmethod
     def from_dot(a: tuple, b: tuple, sign: int = 1) -> "PhaseAngle":

@@ -10,9 +10,10 @@ floating point.
 from __future__ import annotations
 
 import math
+from math import gcd
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -20,7 +21,6 @@ from .algebra import (
     Monomial,
     _a_is_integral,
     _a_is_zero,
-    _is_integral,
     apply_automorphism,
     monomial_adjoint,
     monomial_product,
@@ -57,9 +57,27 @@ class TimeReversalVerdict:
     certificate: str
 
 
+def _at_origin(n: tuple) -> bool:
+    return not any(n)
+
+
+def _everywhere(n: tuple) -> bool:
+    return True
+
+
 class StateModel:
     """Base class: a state evaluates elements linearly over their terms; a
-    family with a closed-form time-reversal criterion overrides ``time_reversal``."""
+    family with a closed-form time-reversal criterion overrides ``time_reversal``.
+
+    ``support`` is None for a state that need not vanish anywhere by
+    symmetry.  Otherwise it is a predicate on integer momenta, tuples of d
+    ints: omega(u_a v_b) is exactly 0j unless a is an integer vector n with
+    ``support(n)`` true.  ``gram_psd_check`` trusts it and never evaluates
+    off it, so a subclass that overrides ``monomial_value`` declares its own
+    ``support``, or sets it to None.
+    """
+
+    support = None
 
     def monomial_value(self, frame: Frame, m: Monomial) -> complex:
         raise NotImplementedError
@@ -79,6 +97,8 @@ class BohrState(StateModel):
     """Pure translation-invariant state attached to a character of R^d."""
 
     char: BohrCharacter
+
+    support = staticmethod(_at_origin)
 
     def monomial_value(self, frame, m):
         if not _a_is_zero(m):
@@ -102,6 +122,7 @@ class PlaneWave(StateModel):
         object.__setattr__(self, "p", vector(self.p))
         object.__setattr__(self, "char", ContinuousCharacter(self.p))
 
+    support = staticmethod(_at_origin)
     monomial_value = BohrState.monomial_value
 
     def time_reversal(self):
@@ -141,6 +162,18 @@ class Bloch(StateModel):
         object.__setattr__(self, "fhat", fhat)
         object.__setattr__(self, "_kappa_exact", vector(kappa))
         object.__setattr__(self, "_fhat_dict", dict(fhat))
+
+    def support(self, n: tuple) -> bool:
+        """p + n lies in supp fhat for some p in supp fhat: the closed form's
+        sum over supp fhat has a term.  True for an n of another dimension,
+        where the closed form raises DimensionMismatch."""
+        if len(n) != len(self.kappa):
+            return True
+        f = self._fhat_dict
+        for p in f:
+            if tuple(map(add, p, n)) in f:
+                return True
+        return False
 
     def monomial_value(self, frame, m):
         return _bloch_closed_form(self._kappa_exact, self._fhat_dict, m)
@@ -254,6 +287,8 @@ class Zak(StateModel):
     kappa: tuple
     nu: tuple
 
+    support = staticmethod(_everywhere)
+
     def __post_init__(self):
         kappa = rational_label(self.kappa, NotAState)
         nu = rational_label(self.nu, NotAState)
@@ -263,15 +298,20 @@ class Zak(StateModel):
             raise NotAState("Zak labels must lie in [0, 1)")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "_labels", vector(kappa + nu))
+        object.__setattr__(self, "_labels_key", rational_key(vector(kappa + nu)))
 
     def monomial_value(self, frame, m):
-        if m.d != len(self.kappa):
-            raise DimensionMismatch(f"a {len(self.kappa)}-d Zak state on a {m.d}-d monomial")
-        if not _is_integral(m):
+        d = len(self.kappa)
+        if m.d != d:
+            raise DimensionMismatch(f"a {d}-d Zak state on a {m.d}-d monomial")
+        key = m._key
+        if key is None or key[0] != 1:  # a coordinate has tau or is not an integer
             return 0j
-        # -(kappa . b + a . nu) turns
-        return PhaseAngle.from_dot(self._labels, m.b + m.a, -1).to_complex()
+        # -(kappa . b + a . nu) turns: -(n_kappa . n_b + n_nu . n_a) over D_labels
+        n = key[1]
+        turns, nl = self._labels_key
+        k = -(sum(map(mul, nl[:d], n[d:])) + sum(map(mul, nl[d:], n[:d]))) % turns
+        return unit_from_turns(k, turns)
 
     def time_reversal(self):
         tri = all(k in (Fraction(0), Fraction(1, 2)) for k in self.kappa)
@@ -295,6 +335,8 @@ class Fock(StateModel):
 @dataclass(frozen=True)
 class Tracial(StateModel):
     """t(u_a v_b) = 1 iff (a, b) = (0, 0): the canonical tracial state."""
+
+    support = staticmethod(_at_origin)
 
     def monomial_value(self, frame, m):
         return 1.0 + 0j if m.is_identity() else 0j
@@ -320,6 +362,14 @@ class Mixture(StateModel):
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotAState(f"mixture weights sum to {total!r}")
         object.__setattr__(self, "components", tuple(comps))
+
+    @property
+    def support(self):
+        """The union of the components' supports; None when one has none."""
+        supports = [s.support for _, s in self.components]
+        if None in supports:
+            return None
+        return lambda n: any(inside(n) for inside in supports)
 
     def monomial_value(self, frame, m):
         return sum(w * s.monomial_value(frame, m) for w, s in self.components)
@@ -403,7 +453,17 @@ def _bounded(check: str, pairs, bound: float, fmt=str) -> CheckResult:
 
 def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) -> GramReport:
     """Positivity witness: the Gram matrix H_ij = omega(m_i* m_j) must be PSD,
-    its least eigenvalue at least -1e-10."""
+    its least eigenvalue at least -1e-10.
+
+    m_i* m_j has momentum a_j - a_i.  For a state with a ``support``, each
+    probe's momentum cell (fractional parts and integer parts, read from
+    its key) is taken once, and an entry whose cells differ in fractional
+    parts or whose integer difference is off the support stays 0j, with no
+    product, phase or value formed.  A probe whose momentum has tau has no
+    cell, and its entries are always formed.  A formed entry whose value is
+    zero (off a support the state does not declare, or a Fock value that
+    underflowed) stays 0j with no phase.
+    """
     import numpy as np
 
     if not probes:
@@ -411,16 +471,49 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
     if len(set(probes)) != len(probes):
         raise InvalidProbeSet("probes must be distinct")
     n = len(probes)
+    support = state.support
+    cells = _momentum_cells(probes) if support is not None else (None,) * n
     H = np.zeros((n, n), dtype=complex)
     for i, mi in enumerate(probes):
         phase_i, mi_star = monomial_adjoint(mi)
+        cell_i = cells[i]
         for j, mj in enumerate(probes):
+            cell_j = cells[j]
+            if cell_i is not None and cell_j is not None and (
+                    cell_i[0] != cell_j[0] or not support(tuple(map(sub, cell_j[1], cell_i[1])))):
+                continue
             phase_ij, mij = monomial_product(mi_star, mj)
-            scale = (phase_i + phase_ij).to_complex()
-            H[i, j] = scale * state.monomial_value(frame, mij)
+            value = state.monomial_value(frame, mij)
+            if value:  # a 0j entry, also one that underflowed, needs no phase
+                H[i, j] = (phase_i + phase_ij).to_complex() * value
     residual = float(np.max(np.abs(H - H.conj().T)))
     min_eig = float(np.min(np.linalg.eigvalsh((H + H.conj().T) / 2.0)))
     return GramReport(min_eig, residual, min_eig >= -1e-10)
+
+
+def _momentum_cells(probes: Sequence[Monomial]) -> list:
+    """Per probe, its momentum a as (fractional parts, integer parts): the
+    fractional parts as the canonical key (D, r) of a - floor(a), the integer
+    parts as ints; None for a probe whose a has tau, and for every probe when
+    their dimensions differ (the products then raise, as they should)."""
+    if len({m.d for m in probes}) != 1:
+        return [None] * len(probes)
+    cells = []
+    for m in probes:
+        key = m._key
+        if key is None:
+            key = rational_key(m.a)
+            if key is None:
+                cells.append(None)
+                continue
+            D, a = key
+        else:
+            D, n = key
+            a = n[:len(n) >> 1]
+        frac = [x % D for x in a]
+        g = gcd(D, *frac)
+        cells.append(((D // g, tuple([r // g for r in frac])), tuple([x // D for x in a])))
+    return cells
 
 
 def invariance_check(state: StateModel, specs, samples: Sequence[Element],

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from weylccr import ExactScalar, PhaseAngle, TAU, scalar
-from weylccr.errors import NotDecomposable, WeylError
+from weylccr import Element, ExactScalar, Frame, Monomial, PhaseAngle, PlaneWave, TAU, scalar
+from weylccr.errors import NotAScalar, NotDecomposable, WeylError
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -160,3 +160,15 @@ class TestPhaseAngle:
         assert (a + b).is_same_rotation(PhaseAngle(TAU * 0))
         assert (-a).is_same_rotation(b)
         assert (a - a).value.is_zero()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PlaneWave(["1/3"]),
+    lambda: PlaneWave([float("nan")]),
+    lambda: Monomial(["1/3"], [0]),
+    lambda: Element.u(Frame.standard(1), [float("nan")]),
+], ids=["plane_wave_string", "plane_wave_nan", "monomial_string", "generator_nan"])
+def test_a_coordinate_that_is_not_a_number_raises_a_typed_error(build):
+    with pytest.raises(NotAScalar, match="cannot interpret"):
+        build()
+    assert issubclass(NotAScalar, WeylError) and issubclass(NotAScalar, TypeError)

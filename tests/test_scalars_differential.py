@@ -410,6 +410,25 @@ def test_integer_turn_angles_match_fraction_reference(r, s):
         assert back.to_complex() == angle.to_complex()
 
 
+# turn counts with tau: a numerator over a denominator with and without a
+# factor tau^k, and the monomials c * tau^k for k from -3 to 3
+tau_turn_values = st.one_of(
+    st.builds(lambda num, den, k: ExactScalar(tuple(num), (0,) * k + tuple(den)),
+              nonzero_polys, nonzero_polys, st.integers(0, 2)),
+    st.builds(lambda c, k: c * TAU ** k if k >= 0 else c / TAU ** -k,
+              nonzero_coeffs, st.integers(-3, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau_turn_values)
+def test_turns_with_tau_give_the_angle_of_tau_times_turns(r):
+    got, want = PhaseAngle.from_turns(r), PhaseAngle(TAU * r)
+    assert got == want and hash(got) == hash(want)
+    assert got.value == want.value
+    z, w = got.to_complex(), want.to_complex()
+    assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
 # -- phases of large angles -------------------------------------------------
 
 
