@@ -6,8 +6,12 @@ Runs seeds 0-31 at d = 1 (default frame), seeds 0-15 at d = 2 (identity
 frame), seeds 0-7 on each of two frames whose basis contains tau: E = tau
 (d = 1) and [[1 + tau, 1/3], [0, tau]] (d = 2), and seeds 0-7 on each of two
 d = 3 frames: the identity and E = tau * I.  Prints one row per run with
-its exit code, a short sha256 digest of its JSON report and its failing
-checks, then a summary per frame and one digest over all runs.  Each d = 1
+its exit code, a short sha256 digest of its JSON report, an exact digest
+and its failing checks, then a summary per frame and one digest of each kind
+over all runs.  The exact digest reads the report with the ``worst_value``
+and ``worst_probe`` of every check that is not exact (no ``exact`` in its
+name) dropped, so it keeps every pass flag, check name and exact value and
+ignores float noise.  Each d = 1
 report is also compared with the stored reference of the benchmark
 (``bench/verify_ref.compare`` against ``bench/reference/verify.json``, read
 only), and every field that differs is printed.  Exits 1 if any run exits 2
@@ -18,7 +22,8 @@ test suite.
 The digests make the sweep a behaviour gate for a change that must keep every
 report byte for byte: run this script in a checkout of the parent commit (a
 copy of it reads that checkout's ``src``) and in the change, and ``diff`` the
-two outputs; they must be identical.
+two outputs; they must be identical.  A change that may move float noise
+only must keep the exact digests, which one ``diff`` shows the same way.
 """
 
 from __future__ import annotations
@@ -55,6 +60,17 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def exact_digest(report: dict | None, text: str) -> str:
+    """The digest of ``report`` without the worst value and probe of its
+    checks that are not exact; of ``text`` for a run that exited 2."""
+    if report is None:
+        return digest(text)
+    checks = [c if "exact" in c["check"] else
+              {k: v for k, v in c.items() if k not in ("worst_value", "worst_probe")}
+              for c in report["checks"]]
+    return digest(json.dumps(dict(report, checks=checks), sort_keys=True))
+
+
 def run(seed: int, frame_path: str | None) -> tuple[int, str, dict | None, list]:
     """Exit code, report text, report (None on an error) and failing check
     names of one verify-all run."""
@@ -76,8 +92,9 @@ def main_sweep() -> int:
     reference = verify_ref.load_reference()
     check_names = verify_ref.reference_check_names(reference)
     summary = []
-    rows = hashlib.sha256()
-    print(f"{'frame':8s} {'seed':>4s} {'exit':>4s} {'report':12s}  failing checks")
+    rows, exact_rows = hashlib.sha256(), hashlib.sha256()
+    print(f"{'frame':8s} {'seed':>4s} {'exit':>4s} {'report':12s} {'exact':12s}  "
+          "failing checks")
     with tempfile.TemporaryDirectory() as tmp:
         for name, frame, seeds in SWEEP:
             path = None
@@ -91,8 +108,10 @@ def main_sweep() -> int:
                 codes.append(code)
                 errors += code == 2
                 row = f"{name:8s} {seed:4d} {code:4d} {digest(text)}"
+                exact = f"{name:8s} {seed:4d} {code:4d} {exact_digest(report, text)}"
                 rows.update(f"{row}\n".encode())
-                print(f"{row}  {', '.join(failing)}", flush=True)
+                exact_rows.update(f"{exact}\n".encode())
+                print(f"{row} {exact[-12:]}  {', '.join(failing)}", flush=True)
                 if frame is None and report is not None:
                     problems = verify_ref.compare(report, seed, reference, check_names)
                     mismatches += bool(problems)
@@ -102,6 +121,7 @@ def main_sweep() -> int:
                            f"{codes.count(2)} exit 2 of {len(codes)}")
     summary.append(f"d1 reports differing from bench/reference/verify.json: {mismatches}")
     summary.append(f"digest of all runs: {rows.hexdigest()[:12]}")
+    summary.append(f"exact digest of all runs: {exact_rows.hexdigest()[:12]}")
     print("\n".join(summary))
     return 1 if errors or mismatches else 0
 

@@ -42,16 +42,20 @@ from .errors import (
     ExpressionError,
     FamilyMismatch,
     FrameMismatch,
+    ImmutableObject,
+    InvalidParameter,
     InvalidProbeSet,
     NotAScalar,
     NotAState,
     NotDecomposable,
+    NotRational,
     OutOfSubalgebra,
     PhasePrecisionError,
     SingularFrame,
     Unsupported,
     WeylError,
     WindowTooSmall,
+    ZeroDenominator,
 )
 from .expressions import parse_element
 from .gns import (

@@ -52,7 +52,7 @@ from operator import add, mul, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .errors import DimensionMismatch, WeylError
+from .errors import DimensionMismatch, ImmutableObject, InvalidParameter, NotRational, WeylError
 from .lattice import (
     Frame,
     PhasePoint,
@@ -342,7 +342,7 @@ class Element:
         object.__setattr__(self, "_terms", merged)
 
     def __setattr__(self, *_):
-        raise AttributeError("Element is immutable")
+        raise ImmutableObject("Element is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -564,7 +564,7 @@ class FreeDynamics:
 
     def __post_init__(self):
         if not isinstance(self.t, Rational):
-            raise TypeError("free-dynamics time must be rational")
+            raise NotRational("free-dynamics time must be rational")
         object.__setattr__(self, "t", Fraction(self.t))
 
     def act(self, frame: Frame, m: Monomial):
@@ -690,10 +690,10 @@ def numeric_box_average(x: Element, L: float, samples_per_dim: int) -> Element:
     midpoint mean of e^{-i alpha lambda}; terms with a = 0 are reproduced exactly.
     """
     if not 0 < L < inf:  # NaN fails too
-        raise ValueError("box size must be positive and finite")
+        raise InvalidParameter("box size must be positive and finite")
     n = samples_per_dim
     if not isinstance(n, int) or n < 2:  # 2.5, inf and NaN fail too
-        raise ValueError("need an int count of at least two samples per dimension")
+        raise InvalidParameter("need an int count of at least two samples per dimension")
     out: dict[Monomial, complex] = {}
     for m, c in x.terms.items():
         mult = 1.0

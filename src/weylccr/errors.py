@@ -27,6 +27,25 @@ class NotAScalar(WeylError, TypeError):
     coercion still does."""
 
 
+class NotRational(WeylError, TypeError):
+    """A parameter that must be a plain rational (a free-dynamics time) is
+    a float or depends on tau; also a TypeError."""
+
+
+class ZeroDenominator(WeylError, ZeroDivisionError):
+    """An exact scalar was divided by zero or built over a zero denominator;
+    also a ZeroDivisionError."""
+
+
+class InvalidParameter(WeylError, ValueError):
+    """A numeric or named parameter lies outside its range: a box size, a
+    sample count, a path kind, a path grid or a power; also a ValueError."""
+
+
+class ImmutableObject(WeylError, AttributeError):
+    """An attribute of an immutable object was set; also an AttributeError."""
+
+
 class NotAState(WeylError):
     """The supplied data does not describe a normalized state."""
 
@@ -35,8 +54,9 @@ class InvalidProbeSet(WeylError):
     """A probe set violated a precondition (e.g. non-commuting probes)."""
 
 
-class Unsupported(WeylError):
-    """The requested classification is not defined for this family."""
+class Unsupported(WeylError, NotImplementedError):
+    """The requested classification or evaluation is not defined for this
+    family; also a NotImplementedError."""
 
 
 class OutOfSubalgebra(WeylError):

@@ -1,20 +1,24 @@
-"""Finite matrix truncations of the representation behind lattice-invariant
-states, used as a brute-force oracle for the closed-form state evaluations.
+"""Finite truncations of the representation behind lattice-invariant states,
+used as a brute-force oracle for the closed-form state evaluations.
 
 The Fourier basis of the torus diagonalizes the position shifts exactly, so a
 finite index box loses information only at the boundary of the momentum
 shifts; with enough margin the vector-state reconstruction agrees with the
-closed form up to floating arithmetic.
+closed form up to floating arithmetic.  The oracle ``bloch_vector_state``
+applies the operators to the vector: S_b is diagonal and f vanishes off its
+Fourier support, so it takes S_b's entries at that support alone and shifts
+each point by a, with no matrix.  ``op_S``, ``op_F`` and ``rep_rho_kappa``
+build the matrices themselves.
 
 numpy is imported by the functions that build arrays, so importing this
-module (and the package) does not load it.
+module (and the package), or calling the oracle, does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .algebra import Monomial
@@ -64,26 +68,22 @@ def op_S(b, window: FourierWindow) -> np.ndarray:
     """Position shift, diagonal on the Fourier basis: entries e^{-i tau (n . b)}."""
     import numpy as np
 
-    return np.diag(_shift_diagonal(b, window))
+    return np.diag(np.array(_shift_diagonal(b, window.d, window.points), dtype=complex))
 
 
-def _shift_diagonal(b, window: FourierWindow) -> np.ndarray:
-    """The diagonal of ``op_S(b, window)``.  For a rational b = n_b / D the
-    entry at n is -(n . n_b) turns over D, on ints; a b with tau takes
-    ``PhaseAngle.from_dot``.  Both give the same double: ``int / int`` is
-    correctly rounded."""
-    import numpy as np
-
+def _shift_diagonal(b, d: int, points) -> list:
+    """The entries of ``op_S(b, .)`` at the d-dimensional ``points``.  For a
+    rational b = n_b / D the entry at n is -(n . n_b) turns over D, on ints;
+    a b with tau takes ``PhaseAngle.from_dot``.  Both give the same double:
+    ``int / int`` is correctly rounded."""
     b = vector(b)
-    if len(b) != window.d:
+    if len(b) != d:
         raise DimensionMismatch("coordinate dimension differs from window")
     key = rational_key(b)
     if key is None:
-        diag = [PhaseAngle.from_dot(vector(n), b, -1).to_complex() for n in window.points]
-    else:
-        D, nb = key
-        diag = [unit_from_turns(-sum(map(mul, n, nb)) % D, D) for n in window.points]
-    return np.array(diag, dtype=complex)
+        return [PhaseAngle.from_dot(vector(n), b, -1).to_complex() for n in points]
+    D, nb = key
+    return [unit_from_turns(-sum(map(mul, n, nb)) % D, D) for n in points]
 
 
 def op_F(gp, window: FourierWindow) -> np.ndarray:
@@ -107,22 +107,27 @@ def op_F(gp, window: FourierWindow) -> np.ndarray:
 def rep_rho_kappa(kappa, m: Monomial, window: FourierWindow) -> np.ndarray:
     """Matrix image of u_a v_b under the quasi-momentum-kappa representation:
     e^{-i kappa . beta} F_a S_b, the scalar phase exact."""
+    import numpy as np
+
     a_int = integer_vector(m.a)
     if a_int is None:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
     kappa = vector(rational_label(kappa, NotAState))
     phase = PhaseAngle.from_dot(kappa, m.b, -1).to_complex()
-    return phase * (op_F(a_int, window) * _shift_diagonal(m.b, window))
+    diag = np.array(_shift_diagonal(m.b, window.d, window.points), dtype=complex)
+    return phase * (op_F(a_int, window) * diag)
 
 
 def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> complex:
-    """<f, rho_kappa(u_a v_b) f> computed with matrices.
+    """<f, rho_kappa(u_a v_b) f>, with rho_kappa(u_a v_b) f = e^{-i kappa . beta}
+    F_a (S_b f) applied to the vector.
 
-    Requires the Fourier support of f to sit inside the window with margin at
-    least |a_i| in every coordinate, so the index shift loses nothing.
+    S_b is diagonal, so S_b f takes S_b's entries at supp f only, and F_a
+    moves the point n to n + a.  The pairing with f sums over supp f in
+    window order, which is lexicographic.  Requires the Fourier support of f
+    to sit inside the window with margin at least |a_i| in every coordinate,
+    so the index shift loses nothing.
     """
-    import numpy as np
-
     a_int = integer_vector(m.a)
     if a_int is None:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
@@ -135,10 +140,15 @@ def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> compl
             if not (lo + abs(a) <= c <= hi - abs(a)):
                 raise WindowTooSmall(
                     f"support point {n} lacks margin {tuple(abs(x) for x in a_int)}")
-    vec = np.zeros(len(window), dtype=complex)
-    for n, val in fhat.items():
-        vec[window.index[n]] = val
-    return complex(np.vdot(vec, rep_rho_kappa(kappa, m, window) @ vec))
+    kappa = vector(rational_label(kappa, NotAState))
+    phase = PhaseAngle.from_dot(kappa, m.b, -1).to_complex()
+    support = sorted(fhat)
+    total = 0j
+    for n, s in zip(support, _shift_diagonal(m.b, window.d, support)):
+        g = fhat.get(tuple(map(add, n, a_int)))
+        if g is not None:
+            total += g.conjugate() * (phase * s * fhat[n])
+    return total
 
 
 def plane_wave_vector_state(p, m: Monomial, momentum_set) -> complex:
@@ -174,7 +184,7 @@ def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
     gp = integer_point(gp, OutOfSubalgebra)
     b = vector(b)
     f_mat = op_F(gp, window)
-    s_diag = _shift_diagonal(b, window)
+    s_diag = np.array(_shift_diagonal(b, window.d, window.points), dtype=complex)
     phase = PhaseAngle.from_dot(vector(gp), b).to_complex()
     lhs = f_mat * s_diag
     rhs = phase * (s_diag[:, None] * f_mat)

@@ -17,9 +17,10 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .errors import DimensionMismatch, FrameMismatch, NotDecomposable, SingularFrame
+from .errors import DimensionMismatch, FrameMismatch, NotDecomposable, SingularFrame, WeylError
 from .scalars import (ExactScalar, PhaseAngle, S_ONE, S_ZERO, TAU, integer_vector,
                       rational_key, scalar)
 
@@ -76,10 +77,11 @@ def is_zero_vector(x: Vector) -> bool:
 def integer_point(coords, error: type) -> tuple:
     """``coords``, a lattice index given as numbers, as a tuple of ints;
     ``error`` when an entry does not equal its int (a fraction, NaN, inf or a
-    string), where ``int`` alone would truncate it or raise a bare exception."""
+    string) or a bool, where ``int`` alone would truncate it, raise a bare
+    exception or read the bool as 0 or 1."""
     try:
         ints = tuple(int(c) for c in coords)
-        if ints == tuple(coords):
+        if ints == tuple(coords) and bool not in map(type, coords):
             return ints
     except (TypeError, ValueError, OverflowError):
         pass
@@ -106,15 +108,19 @@ def decimal_fraction(s: str, error: type) -> Fraction:
 
 def rational_label(coords, error: type) -> tuple:
     """``coords``, a label given as numbers, as a tuple of Fractions; ``error``
-    when an entry is not a finite rational (NaN, inf or a string that is not
-    a number) or is a string or Decimal whose exponent ``decimal_fraction``
-    refuses, where ``Fraction`` alone would raise a bare exception or build a
-    million-digit number."""
+    when an entry is not a finite rational (NaN, inf, a bool or a string that
+    is not a number) or is a string or Decimal whose exponent
+    ``decimal_fraction`` refuses, where ``Fraction`` alone would raise a bare
+    exception, read a bool as 0 or 1 or build a million-digit number."""
     try:
-        return tuple(decimal_fraction(str(c), error) if isinstance(c, (str, Decimal))
-                     else Fraction(c) for c in coords)
+        coords = tuple(coords)
+        label = tuple(decimal_fraction(str(c), error) if isinstance(c, (str, Decimal))
+                      else Fraction(c) for c in coords)
     except (TypeError, ValueError, OverflowError):
-        raise error(f"label {coords!r} has an entry that is not a finite number") from None
+        label = None
+    if label is None or bool in map(type, coords):
+        raise error(f"label {coords!r} has an entry that is not a finite number")
+    return label
 
 
 def _check_dims(x, y):
@@ -235,6 +241,16 @@ class Frame:
         """|alpha|^2 = |F a|^2, a sum of squares."""
         alpha = mat_vec(self.F, vector(a))
         return vdot(alpha, alpha)
+
+    @cached_property
+    def doubles(self) -> tuple | None:
+        """(F, E) with every entry ``ExactScalar.evaluate``d, taken once per
+        frame; None when an entry leaves the float range."""
+        try:
+            return tuple(tuple(tuple(x.evaluate() for x in row) for row in M)
+                         for M in (self.F, self.E))
+        except WeylError:
+            return None
 
     def __str__(self):
         rows = "; ".join(", ".join(str(e) for e in row) for row in self.E)

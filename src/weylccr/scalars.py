@@ -52,8 +52,8 @@ from math import gcd
 from numbers import Rational
 from operator import mul
 
-from .errors import (DimensionMismatch, NotAScalar, NotDecomposable, PhasePrecisionError,
-                     WeylError)
+from .errors import (DimensionMismatch, InvalidParameter, NotAScalar, NotDecomposable,
+                     PhasePrecisionError, WeylError, ZeroDenominator)
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,9 +243,7 @@ def _reduced(N: tuple, scale: int, q: tuple) -> "ExactScalar":
 
 
 def _canonical(N: tuple, D: tuple) -> "ExactScalar":
-    """The scalar N / D for trimmed integer polynomials N and D."""
-    if not D:
-        raise ZeroDivisionError("zero denominator in ExactScalar")
+    """The scalar N / D for trimmed integer polynomials N and D, D nonzero."""
     if not N:
         return S_ZERO
     if len(D) > 1:
@@ -337,7 +335,7 @@ class ExactScalar:
         n, a = _integral(num)
         d, b = _integral(den)
         if not d:
-            raise ZeroDivisionError("zero denominator in ExactScalar")
+            raise ZeroDenominator("zero denominator in ExactScalar")
         x = _canonical(tuple(b * v for v in n), tuple(a * v for v in d))
         self._p, self._c, self._q = x._p, x._c, x._q
 
@@ -374,7 +372,7 @@ class ExactScalar:
             if q < 0:
                 p, q = -p, -q
             elif not q:
-                raise ZeroDivisionError("zero denominator in ExactScalar")
+                raise ZeroDenominator("zero denominator in ExactScalar")
             return _rat(p, q)
         return _coerce_or_none(Fraction(p, q))
 
@@ -485,7 +483,7 @@ class ExactScalar:
                 return NotImplemented
         p2 = other._p
         if not p2:
-            raise ZeroDivisionError("division by zero ExactScalar")
+            raise ZeroDenominator("division by zero ExactScalar")
         if len(p2) == 1 and other._q is _Q1:
             n = p2[0]
             return self * (_make((other._c,), n) if n > 0 else _make((-other._c,), -n))
@@ -504,7 +502,7 @@ class ExactScalar:
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are supported")
+            raise InvalidParameter("only non-negative integer powers are supported")
         out = S_ONE
         for _ in range(n):
             out = out * self
@@ -541,9 +539,10 @@ TAU = _make((0, 1))
 
 
 def scalar(x) -> ExactScalar:
-    """Coerce an int, Fraction or ExactScalar to an ExactScalar."""
+    """Coerce an int, Fraction or ExactScalar to an ExactScalar; a bool is
+    not a number here."""
     out = _coerce_or_none(x)
-    if out is None:
+    if out is None or x.__class__ is bool:
         raise NotAScalar(f"cannot interpret {x!r} as an ExactScalar")
     return out
 

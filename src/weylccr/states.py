@@ -29,10 +29,12 @@ from .characters import BohrCharacter, ContinuousCharacter, character_eval, char
 from .errors import (
     DimensionMismatch,
     FamilyMismatch,
+    InvalidParameter,
     InvalidProbeSet,
     NotAState,
     OutOfSubalgebra,
     Unsupported,
+    WeylError,
 )
 from .lattice import (
     Frame,
@@ -75,12 +77,19 @@ class StateModel:
     ``support(n)`` true.  ``gram_psd_check`` trusts it and never evaluates
     off it, so a subclass that overrides ``monomial_value`` declares its own
     ``support``, or sets it to None.
+
+    ``vanishing_width`` is None, or a Gaussian width past which every value
+    is exactly 0.0: omega(u_a v_b) vanishes once |F a|^2 + |E b|^2 exceeds
+    it.  ``gram_psd_check`` estimates that width in doubles and forms no
+    entry past it, so the declaration carries a safety factor for the
+    rounding of the estimate.
     """
 
     support = None
+    vanishing_width = None
 
     def monomial_value(self, frame: Frame, m: Monomial) -> complex:
-        raise NotImplementedError
+        raise Unsupported(f"{type(self).__name__} has no closed form")
 
     def time_reversal(self) -> TimeReversalVerdict:
         raise Unsupported(f"no time-reversal criterion for {type(self).__name__}")
@@ -326,6 +335,13 @@ _HALF = ExactScalar.rational(1, 2)
 class Fock(StateModel):
     """The regular Gaussian ground state."""
 
+    #: exp(-x) is 0.0 from x = 745.1332191019412 on, so exp(-w / 4) is 0.0
+    #: from w = 2980.53 on.  Past 1.5 times that, a width estimated in doubles
+    #: may be 22% off in sqrt(w) and still underflow; the estimate's own
+    #: rounding accounts for less than 1e-5 of it (``_AMBIENT_BOUND``), and the
+    #: rest is room for the error of ``ExactScalar.evaluate`` in its inputs.
+    vanishing_width = 1.5 * 2981
+
     def monomial_value(self, frame, m):
         phase = PhaseAngle.from_turns(_HALF * vdot(m.a, m.b))
         width = frame.momentum_norm_sq(m.a) + frame.position_norm_sq(m.b)
@@ -460,9 +476,12 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
     its key) is taken once, and an entry whose cells differ in fractional
     parts or whose integer difference is off the support stays 0j, with no
     product, phase or value formed.  A probe whose momentum has tau has no
-    cell, and its entries are always formed.  A formed entry whose value is
-    zero (off a support the state does not declare, or a Fock value that
-    underflowed) stays 0j with no phase.
+    cell, and its entries are always formed.  For a state with a
+    ``vanishing_width``, the width |F(a_j - a_i)|^2 + |E(b_j - b_i)|^2 of
+    m_i* m_j is estimated from each probe's ambient point in doubles, and an
+    entry whose estimate exceeds that width stays 0j in the same way.  A
+    formed entry whose value is zero (off a support the state does not
+    declare, or a Fock value that underflowed) stays 0j with no phase.
     """
     import numpy as np
 
@@ -473,14 +492,19 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
     n = len(probes)
     support = state.support
     cells = _momentum_cells(probes) if support is not None else (None,) * n
+    width = state.vanishing_width
+    points = _ambient_points(frame, probes) if width is not None else (None,) * n
     H = np.zeros((n, n), dtype=complex)
     for i, mi in enumerate(probes):
         phase_i, mi_star = monomial_adjoint(mi)
-        cell_i = cells[i]
+        cell_i, point_i = cells[i], points[i]
         for j, mj in enumerate(probes):
-            cell_j = cells[j]
+            cell_j, point_j = cells[j], points[j]
             if cell_i is not None and cell_j is not None and (
                     cell_i[0] != cell_j[0] or not support(tuple(map(sub, cell_j[1], cell_i[1])))):
+                continue
+            if point_i is not None and point_j is not None and sum(
+                    (x - y) ** 2 for x, y in zip(point_i, point_j)) > width:
                 continue
             phase_ij, mij = monomial_product(mi_star, mj)
             value = state.monomial_value(frame, mij)
@@ -514,6 +538,45 @@ def _momentum_cells(probes: Sequence[Monomial]) -> list:
         g = gcd(D, *frac)
         cells.append(((D // g, tuple([r // g for r in frac])), tuple([x // D for x in a])))
     return cells
+
+
+#: the largest sum of the terms |F_rk a_k| and |E_rk b_k| of a probe's ambient
+#: point in ``_ambient_points``: it keeps the rounding error of an estimated
+#: sqrt(width) below 1e-5, far inside the factor in a declared
+#: ``vanishing_width``
+_AMBIENT_BOUND = 2.0 ** 32
+
+
+def _ambient_points(frame: Frame, probes: Sequence[Monomial]) -> list:
+    """Per probe m = u_a v_b, its ambient point (F a, E b) in doubles, from
+    the frame's ``doubles`` and the coordinates: n / D for a keyed probe,
+    ``ExactScalar.evaluate`` otherwise.  None for a probe whose doubles
+    raise or leave ``_AMBIENT_BOUND``, and for every probe when a dimension
+    differs from the frame's (the products then raise, as they should)."""
+    d, doubles = frame.d, frame.doubles
+    if doubles is None or any(m.d != d for m in probes):
+        return [None] * len(probes)
+    F, E = doubles
+    points = []
+    for m in probes:
+        key = m._key
+        try:
+            if key is None:
+                coords = [x.evaluate() for x in m.a + m.b]
+            else:
+                D, n = key
+                coords = [x / D for x in n]
+        except (OverflowError, WeylError):
+            points.append(None)
+            continue
+        point, scale = [], 0.0
+        for rows, x in ((F, coords[:d]), (E, coords[d:])):
+            for row in rows:
+                terms = [r * c for r, c in zip(row, x)]
+                scale += sum(map(abs, terms))
+                point.append(sum(terms))
+        points.append(point if scale <= _AMBIENT_BOUND else None)  # inf and NaN fail too
+    return points
 
 
 def invariance_check(state: StateModel, specs, samples: Sequence[Element],
@@ -601,12 +664,12 @@ def path_sample(kind: str, endpoints, grid) -> list:
     objects themselves.
     """
     if kind not in PATHS:
-        raise ValueError(f"unknown path kind {kind!r}")
+        raise InvalidParameter(f"unknown path kind {kind!r}")
     family, path = PATHS[kind]
     s0, s1 = endpoints
     ts = [Fraction(t) for t in grid]
     if any(not (0 <= t <= 1) for t in ts):
-        raise ValueError("grid values must lie in [0, 1]")
+        raise InvalidParameter("grid values must lie in [0, 1]")
     if not (isinstance(s0, family) and isinstance(s1, family)):
         raise FamilyMismatch(f"{kind} needs {family.__name__} endpoints")
     point = path(s0, s1)

@@ -1,6 +1,9 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -22,6 +25,7 @@ from weylccr import (
     weyl_relation_residual,
 )
 from weylccr.errors import (
+    DimensionMismatch,
     NotAState,
     OutOfSubalgebra,
     WindowTooSmall,
@@ -36,6 +40,7 @@ from weylccr.verify import (
 )
 
 F1 = Frame.standard(1)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def mono(a, b):
@@ -329,3 +334,88 @@ class TestPlaneWaveVectorState:
             got = plane_wave_vector_state(p, m, pts)
             state = PlaneWave(frame.to_ambient_momentum(p))
             assert got == state.monomial_value(frame, m)
+
+
+class TestOracleOnTheSupport:
+    """The oracle applies S_b and F_a to f's support; the dense matrix route
+    it replaced stays here as its reference."""
+
+    @staticmethod
+    def dense(kappa, fhat, m, window):
+        vec = np.zeros(len(window), dtype=complex)
+        for n, val in fhat.items():
+            vec[window.index[n]] = val
+        return complex(np.vdot(vec, rep_rho_kappa(kappa, m, window) @ vec))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_the_dense_matrix_route(self, d):
+        rng = random.Random(f"gns-sparse:{d}")
+        cases = set()
+        for radius in range(3, 10):
+            window = FourierWindow((-radius,) * d, (radius,) * d)
+            for _ in range(6):
+                kappa = tuple(Fraction(rng.randint(0, 58), 59) for _ in range(d))
+                fhat = rand_normalized_fhat(rng, d, radius=1)
+                for with_tau in (False, True):
+                    b = list(rand_coords(rng, d))
+                    if with_tau:
+                        b[0] = TAU * b[0] / 3 + 1
+                    a = [rng.randint(-2, 2) for _ in range(d)] if rng.random() < 0.6 else [0] * d
+                    m = mono(a, b)
+                    got = bloch_vector_state(kappa, fhat, m, window)
+                    assert abs(got - self.dense(kappa, fhat, m, window)) <= 4.5e-16
+                    cases.add((with_tau, any(a)))
+        assert len(cases) == 4
+
+    @pytest.mark.parametrize("with_tau", [False, True])
+    def test_forms_one_diagonal_entry_per_support_point(self, with_tau):
+        from weylccr import gns
+
+        rng = random.Random("gns-sparse-count")
+        window = FourierWindow((-6, -6), (6, 6))
+        for _ in range(10):
+            fhat = rand_normalized_fhat(rng, 2, radius=2)
+            b = list(rand_coords(rng, 2))
+            if with_tau:
+                b[1] = TAU * b[1] + Fraction(1, 3)
+            m = mono([rng.randint(-2, 2), 0], b)
+            formed = []
+
+            def diagonal(*args, inner=gns._shift_diagonal):
+                entries = inner(*args)
+                formed.append(len(entries))
+                return entries
+
+            with patch.object(gns, "_shift_diagonal", diagonal):
+                bloch_vector_state((Fraction(1, 5), Fraction(2, 7)), fhat, m, window)
+            assert formed == [len(fhat)]
+
+    def test_bad_input_still_raises(self):
+        window = FourierWindow((-3,), (3,))
+        with pytest.raises(WindowTooSmall):
+            bloch_vector_state((Fraction(0),), {(1,): 1.0}, mono([3], [0]), window)
+        with pytest.raises(NotAState):
+            bloch_vector_state((Fraction(0),), {(0,): 0.6}, mono([0], [0]), window)
+        with pytest.raises(NotAState):
+            bloch_vector_state((Fraction(0),), {(0,): float("nan")}, mono([0], [0]), window)
+        with pytest.raises(OutOfSubalgebra):
+            bloch_vector_state((Fraction(0),), {(0,): 1.0}, mono([Fraction(1, 2)], [0]), window)
+        with pytest.raises(DimensionMismatch):
+            bloch_vector_state((Fraction(0),), {(0,): 1.0}, mono([0, 0], [0, 0]), window)
+
+    def test_loads_no_numpy(self):
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from weylccr import FourierWindow, Monomial, TAU, bloch_vector_state\n"
+            "from weylccr.lattice import vector\n"
+            "m = Monomial(vector([1, 0]), vector([Fraction(1, 3), TAU]))\n"
+            "f = {(0, 0): 0.6, (1, 0): 0.8j}\n"
+            "w = FourierWindow((-4, -4), (4, 4))\n"
+            "print(bloch_vector_state((Fraction(1, 2), 0), f, m, w) != 0)\n"
+            "print('numpy' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.stdout == "True\nFalse\n", proc.stderr

@@ -2,10 +2,12 @@
 soundness of every family's ``support`` and the keyed Zak phases.
 
 ``gram_psd_check`` leaves an entry 0j, with no product formed, where the
-state's ``support`` says the value vanishes; ``reference_gram`` forms every
-entry.  Both must give the same report bit for bit.
+state's ``support`` says the value vanishes, or where a Fock entry's width
+estimated in doubles is past ``Fock.vanishing_width``; ``reference_gram``
+forms every entry.  Both must give the same report bit for bit.
 """
 
+import math
 import random
 from fractions import Fraction
 from unittest.mock import patch
@@ -24,8 +26,10 @@ from weylccr import (
     Monomial,
     PhaseAngle,
     PlaneWave,
+    StateModel,
     TAU,
     Tracial,
+    WeylError,
     Zak,
     algebra,
     gram_psd_check,
@@ -123,7 +127,13 @@ def test_gram_equals_the_all_pairs_loop_bit_for_bit(frame_name, seed):
             got = gram_psd_check(state, frame, probes)
         assert report_bits(got) == report_bits(reference_gram(state, frame, probes)), name
         n = len(probes)
-        if state.support is None:
+        if type(state) is Fock:  # entries past its vanishing width are not formed
+            avoided = n * n - product.call_count
+            zeros = [state.monomial_value(frame, monomial_product(monomial_adjoint(mi)[1], mj)[1])
+                     for mi in probes for mj in probes].count(0j)
+            assert avoided <= zeros, name
+            assert avoided > 0 or frame_name not in ("tau_d1", "skew_d2"), name
+        elif state.support is None:
             assert product.call_count == n * n, name
         else:
             assert product.call_count < n * n, name
@@ -227,3 +237,80 @@ def test_keyed_zak_phases_equal_from_dot(d):
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
         off = algebra._ratio_monomial([(x, 1) for x in a] + [(2 * x + 1, 2) for x in b])
         assert zak.monomial_value(Frame.standard(d), off) == 0j
+
+
+# -- the Fock Gram check past the vanishing width -------------------------------------
+
+
+def test_the_declared_width_over_its_safety_factor_still_underflows():
+    underflow = 4 * 745.1332191019412  # exp(-w / 4) is 0.0 from here on
+    assert math.exp(-underflow / 4.0) == 0.0 < math.exp(-math.nextafter(underflow, 0) / 4.0)
+    assert math.exp(-(Fock.vanishing_width / 1.5) / 4.0) == 0.0
+    assert StateModel.vanishing_width is None and Mixture([(1.0, Fock())]).vanishing_width is None
+
+
+def _wide_probes(rng, frame, count) -> list:
+    """Distinct probes whose own widths |F a|^2 + |E b|^2 lie in [2000, 8000],
+    so the widths of the pairs m_i* m_j fall on both sides of the vanishing
+    width: drawn coordinates scaled by a rational, on frames with tau some
+    with tau in b and some free-dynamics images."""
+    d = frame.d
+    rational = frame is FRAMES["standard_d1"] or frame is FRAMES["standard_d2"]
+    out = {}
+    while len(out) < count:
+        a = [Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) for _ in range(d)]
+        b = [Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) for _ in range(d)]
+        kind = rng.randrange(3)
+        if kind == 1 and not rational:
+            b[-1] += TAU * Fraction(rng.randint(1, 4), 3)
+        m = Monomial(vector(a), vector(b))
+        if kind == 2 and not rational:
+            (m,) = apply_automorphism(FreeDynamics(Fraction(rng.randint(1, 5), 7)),
+                                      algebra.Element.from_monomial(frame, m)).terms
+        if not _width(frame, m):
+            continue
+        s = Fraction(math.sqrt(rng.uniform(2000, 8000) / _width(frame, m))).limit_denominator(97)
+        m = Monomial(tuple(s * x for x in m.a), tuple(s * x for x in m.b))
+        if 2000 <= _width(frame, m) <= 8000:
+            out[m] = None
+    return list(out)
+
+
+def _width(frame, m) -> float:
+    return (frame.momentum_norm_sq(m.a) + frame.position_norm_sq(m.b)).evaluate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["standard_d1", "standard_d2", "tau_d1", "skew_d2"]),
+       st.integers(0, 10**6), st.integers(2, 7))
+def test_fock_gram_around_the_vanishing_width_equals_the_all_pairs_loop(frame_name, seed, count):
+    frame = FRAMES[frame_name]
+    probes = _wide_probes(random.Random(seed), frame, count)
+    got = gram_psd_check(Fock(), frame, probes)
+    assert report_bits(got) == report_bits(reference_gram(Fock(), frame, probes))
+
+
+def test_a_probe_without_doubles_is_always_formed():
+    """A coordinate past the float range gives its probe no ambient point,
+    so its entries are formed and the value raises, as without the skip;
+    probes of different dimensions get no points either."""
+    frame = FRAMES["standard_d1"]
+    far = Monomial(vector([0]), vector([10**400]))
+    probes = [Monomial(vector([0]), vector([b])) for b in (0, 300)] + [far]
+    assert [p is None for p in states._ambient_points(frame, probes)] == [False, False, True]
+    with pytest.raises(WeylError):
+        gram_psd_check(Fock(), frame, probes)
+    mixed = [Monomial(vector([0]), vector([0])), Monomial(vector([0, 0]), vector([0, 900]))]
+    assert states._ambient_points(frame, mixed) == [None, None]
+    with pytest.raises(DimensionMismatch):
+        gram_psd_check(Fock(), frame, mixed)
+
+
+def test_gram_report_as_dict():
+    probes = [Monomial(vector([a]), vector([b])) for a in (0, 1) for b in (0, 1)]
+    report = gram_psd_check(Fock(), FRAMES["standard_d1"], probes)
+    assert report.as_dict() == {"min_eigenvalue": report.min_eigenvalue,
+                                "hermitian_residual": report.hermitian_residual,
+                                "pass": True}
+    assert report.min_eigenvalue == pytest.approx(0.22110721168447284, rel=1e-12)
+    assert 0.0 <= report.hermitian_residual < 1e-18

@@ -6,6 +6,7 @@ has numpy loaded already.  And the integer layout of ``ExactScalar`` is read
 by ``scalars`` alone."""
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -82,3 +83,37 @@ def test_only_scalars_reads_the_fields_of_an_exact_scalar():
             elif isinstance(node, ast.ImportFrom) and any(a.name == "_Q1" for a in node.names):
                 found.append(f"{path.name}:{node.lineno} imports _Q1")
     assert found == []
+
+
+#: (module, function, builtin class) raises that ``src/`` keeps, with the reason
+BUILTIN_RAISES = {
+    ("verify.py", "check", "ValueError"):
+        "a duplicate row name is a fault of the check table itself, met when "
+        "the module is imported, never a user's input",
+}
+
+
+def test_src_raises_no_builtin_exception_class():
+    """Bad input raises a ``WeylError``; where a builtin class was raised
+    before, the typed class inherits it too (``ZeroDenominator`` is a
+    ``ZeroDivisionError``), so ``except`` clauses keep working."""
+    found = set()
+
+    class Raises(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Raise(self, node):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            builtin = getattr(builtins, getattr(exc, "id", ""), None)
+            if isinstance(builtin, type) and issubclass(builtin, BaseException):
+                found.add((self.module, self.scope[-1], exc.id))
+
+    for path in sorted((SRC / "weylccr").glob("*.py")):
+        Raises(path.name).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == set(BUILTIN_RAISES)
