@@ -60,7 +60,7 @@ raw = {(-1,): 0.4 + 0.2j, (0,): 0.7, (2,): -0.3j}
 norm = math.sqrt(sum(abs(v) ** 2 for v in raw.values()))
 fhat = {k: v / norm for k, v in raw.items()}
 kappa = (Fraction(2, 5),)
-print(f"{'monomial':>16s} {'matrix route':>24s} {'closed form':>24s} {'gap':>9s}")
+print(f"{'monomial':>16s} {'vector-state oracle':>24s} {'closed form':>24s} {'gap':>9s}")
 for _ in range(5):
     m = mono([rng.randint(-3, 3)], [Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
     lhs = bloch_vector_state(kappa, fhat, m, window)

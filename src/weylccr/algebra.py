@@ -1,4 +1,5 @@
-"""The finitely supported Weyl *-algebra: monomials, elements, automorphisms.
+"""The finitely supported Weyl *-algebra: monomials, elements, automorphisms
+and the symmetry declarations of the invariant states.
 
 A monomial indexes the product u_alpha v_beta by its coordinate pair (a, b);
 an element is a finite complex combination of monomials over a fixed frame.
@@ -6,38 +7,16 @@ Every phase produced by commutation or by an automorphism is computed exactly
 as a :class:`~weylccr.scalars.PhaseAngle` and turned into a complex number
 only when it is merged into a coefficient.
 
-A monomial whose 2d coordinates are all plain rationals also carries the
-canonical integer key (D, n), with D the lcm of the reduced denominators and
-a + b = n / D, so gcd(D, *n) == 1; the key is None exactly when a coordinate
-contains tau.  Products, adjoints, equality, hashing and the ergodic means
-work on keyed monomials with ints alone, and their results build coordinate
-scalars only when asked for them.  Monomials with tau coordinates go through
-the exact Q(tau) vector operations and ``PhaseAngle.from_dot``.
-
-The automorphisms act on keyed monomials on ints as well.  A translation
-keeps the key of its shift, and a keyed monomial (D, n) picks up -(n_a .
-n_lam) turns over D * D_lam (space) or +(n_mu . n_b) turns over D * D_mu
-(momentum).  Time reversal negates n_a in the key.  The free dynamics, on a
-frame whose shear is tau times a rational matrix G (every rational basis),
-builds its phase (t/2) tau^2 a . G a and its image b - t tau G a from ints
-as canonical scalars.  Shifts with tau, monomials with tau and the free
-dynamics on other frames keep the Q(tau) path; both paths give the same
-angle, the same image and the same complex value.
-
-An ``Element`` product takes its path from keyedness alone.  When every
-term of both operands is keyed, whatever their sizes, it runs on the keys
-with no monomial or angle per term pair: both go over the common denominator
-L, and for each term pair in order c1 * c2 * e^{2 pi i k / L^2} with
-k = -(n2_a . n1_b) mod L^2 is added into a dict keyed by the summed integer
-tuple; each distinct key is then reduced by one gcd and becomes one monomial,
-in first-occurrence order.  A product with a tau coordinate in either
-operand sends every term pair through ``monomial_product``.  The adjoint
-takes each keyed term's phase and key on ints alone, and
-``tracial_inner_product`` looks each monomial of x up in y.  Results agree
-bit for bit with the pairwise composition of ``monomial_product`` and
-``monomial_adjoint``: ``int / int`` is correctly rounded, so reduced and
-unreduced turns give the same double, and every sum is taken in the same
-order.
+A monomial whose coordinates are all plain rationals carries the canonical
+integer key (D, n) of ``Monomial``.  Products, adjoints, the automorphisms,
+equality, hashing and the ``Symmetry`` tests work on keyed monomials with
+ints alone and build coordinate scalars only when asked for them; an
+``Element`` product whose terms are all keyed runs on the keys over their
+common denominator (``_keyed_product``).  Monomials with tau coordinates go
+through the exact Q(tau) vector operations and ``PhaseAngle.from_dot``.  Both
+paths give the same angle, the same monomial and the same complex value, bit
+for bit: ``int / int`` is correctly rounded, so reduced and unreduced turns
+give the same double, and every sum is taken in the same order.
 """
 
 from __future__ import annotations
@@ -50,7 +29,7 @@ from math import gcd, inf, lcm, pi, sin
 from numbers import Rational
 from operator import add, mul, neg
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import DimensionMismatch, ImmutableObject, InvalidParameter, NotRational, WeylError
 from .lattice import (
@@ -102,18 +81,13 @@ def _finite(x) -> complex:
 class Monomial:
     """Coordinate labels (a, b) of the monomial u_alpha v_beta.
 
-    An immutable value with its hash computed once: at construction when
-    every coordinate is a plain rational, on first use otherwise (most
-    monomials with tau coordinates are never hashed).  When every coordinate
-    is a plain rational, the monomial also carries the canonical integer key
-    (D, n): D is the lcm of the reduced denominators of the 2d coordinates
-    and n holds the 2d integers with a + b = n / D, so gcd(D, *n) == 1.  The
-    key is None exactly when some coordinate contains tau.  Equality and
-    hashing read the key, so a monomial has one key and one hash whatever
-    built it, and a keyed monomial never equals one with a tau coordinate.
-    ``monomial_product`` and ``monomial_adjoint`` build keyed results from
-    the key alone; their coordinate tuples ``a`` and ``b`` are made on first
-    access.
+    An immutable value.  When every coordinate is a plain rational it
+    carries the canonical integer key (D, n): D is the lcm of the reduced
+    denominators of the 2d coordinates and a + b = n / D, so gcd(D, *n) ==
+    1; the key is None exactly when a coordinate contains tau.  Equality and
+    hashing read the key, and the hash is computed at construction for a
+    keyed monomial, on first use otherwise.  Keyed results of the algebra
+    are built from their keys, and their ``a`` and ``b`` on first access.
     """
 
     __slots__ = ("_a", "_b", "_key", "_hash")
@@ -156,10 +130,7 @@ class Monomial:
         return len(self._a) if key is None else len(key[1]) >> 1
 
     def is_identity(self) -> bool:
-        key = self._key
-        if key is None:
-            return is_zero_vector(self._a) and is_zero_vector(self._b)
-        return not any(key[1])
+        return TRACIAL_SYMMETRY.keeps(self)
 
     def __eq__(self, other):
         if other.__class__ is not Monomial:
@@ -290,7 +261,8 @@ def _common_denominator(t1, t2):
 def _keyed_product(d: int, L: int, t1, t2) -> list:
     """The (monomial, coefficient) terms of the product of the keyed term maps
     t1 and t2 in dimension d: every pair's phase and summed key is taken on
-    ints over their common denominator L, and each distinct sum reduced once."""
+    ints over their common denominator L, and each distinct sum reduced once,
+    in first-occurrence order."""
     turns = L * L
     right = [(n[:d], n, c) for n, c in _scaled(L, t2)]
     out: dict[tuple, complex] = {}
@@ -478,12 +450,12 @@ class Element:
     __repr__ = __str__
 
 
-def _element_of(frame: Frame, items: Iterable[tuple[Monomial, complex]]) -> Element:
+def _element_of(frame: Frame, items: Iterable, threshold: float = ZERO_THRESHOLD) -> Element:
     """The element of the (monomial, complex) pairs ``items``, which come
-    from valid elements of ``frame``: only ``ZERO_THRESHOLD`` is applied."""
+    from valid elements of ``frame``: only the threshold is applied."""
     x = _new(Element)
     _set(x, "frame", frame)
-    _set(x, "_terms", {m: c for m, c in items if abs(c) > ZERO_THRESHOLD})
+    _set(x, "_terms", {m: c for m, c in items if abs(c) > threshold})
     return x
 
 
@@ -504,12 +476,9 @@ def weyl_generator(z: PhasePoint) -> Element:
 
 @dataclass(frozen=True)
 class SpaceTranslation:
-    """tau_lambda = v_lambda (.) v_lambda*; lam in position coordinates.
-
-    The canonical key of ``lam`` is kept, or None when a coordinate has tau;
-    a keyed monomial (D, n) then picks up -(n_a . n_lam) turns over D * D_lam
-    on ints alone.
-    """
+    """tau_lambda = v_lambda (.) v_lambda*; lam in position coordinates.  With
+    ``lam``'s key, a keyed monomial (D, n) picks up -(n_a . n_lam) turns over
+    D * D_lam on ints alone."""
 
     lam: Vector
 
@@ -529,11 +498,8 @@ class SpaceTranslation:
 
 @dataclass(frozen=True)
 class MomentumTranslation:
-    """theta_mu = u_mu (.) u_mu*; mu in momentum coordinates.
-
-    As for ``SpaceTranslation``, a keyed monomial (D, n) picks up
-    +(n_mu . n_b) turns over D * D_mu on ints alone when mu is rational.
-    """
+    """theta_mu = u_mu (.) u_mu*; mu in momentum coordinates.  With ``mu``'s
+    key, a keyed monomial (D, n) picks up +(n_mu . n_b) turns over D * D_mu."""
 
     mu: Vector
 
@@ -563,7 +529,7 @@ class FreeDynamics:
     t: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.t, Rational):
+        if not isinstance(self.t, Rational) or self.t.__class__ is bool:
             raise NotRational("free-dynamics time must be rational")
         object.__setattr__(self, "t", Fraction(self.t))
 
@@ -596,11 +562,8 @@ class FreeDynamics:
 
 @dataclass(frozen=True)
 class TimeReversal:
-    """The antilinear multiplicative involution u_alpha -> u_{-alpha}, v_beta -> v_beta.
-
-    A keyed monomial (D, n) maps to the key (D, -n_a || n_b), canonical as
-    it stands.
-    """
+    """The antilinear multiplicative involution u_alpha -> u_{-alpha}, v_beta ->
+    v_beta; a keyed monomial (D, n) maps to the canonical key (D, -n_a || n_b)."""
 
     def act(self, frame: Frame, m: Monomial):
         key = m._key
@@ -634,53 +597,91 @@ def apply_automorphism(spec: AutomorphismSpec, x: Element) -> Element:
     return _element_of(x.frame, out.items())
 
 
-# -- ergodic means -------------------------------------------------------------
-# Their memberships, read off the key, also say where the invariant states vanish.
+# -- symmetries and ergodic means ------------------------------------------------
+
+#: the subgroups a half of a monomial, a or b, may be declared to lie in
+ZERO, LATTICE, ANYWHERE = "zero", "lattice", "anywhere"
 
 
-def _a_is_zero(m: Monomial) -> bool:
-    key = m._key
-    if key is None:
-        return is_zero_vector(m.a)
-    n = key[1]
-    return not any(n[:len(n) >> 1])
+class Symmetry:
+    """Where a state invariant under a group of translations can be nonzero:
+    omega(u_a v_b) is exactly 0 unless a lies in ``momentum``, b in ``position``
+    and an integer a passes the ``filter``, if any (Bloch's supp fhat - supp
+    fhat).  That kept set is what every translation of the group fixes: all
+    space translations fix a = 0 only, the lattice ones a integral, and
+    momentum translations act on b in the same way."""
+
+    __slots__ = ("momentum", "position", "filter")
+
+    def __init__(self, momentum: str, position: str, filter: Callable | None = None):
+        self.momentum, self.position, self.filter = momentum, position, filter
+
+    def keeps(self, m: Monomial) -> bool:
+        """Whether ``m`` lies in the kept set: a keyed ``m`` through ``kept``."""
+        if m._key is not None:
+            return bool(self.kept(((m, None),)))
+        # a coordinate has tau, and a half with tau lies only ANYWHERE
+        momentum, position = self.momentum, self.position
+        return ((momentum is ANYWHERE or position is ANYWHERE)
+                and _lies_in(momentum, m.a) and _lies_in(position, m.b)
+                and (self.filter is None or self.filter(integer_vector(m.a))))
+
+    def kept(self, terms) -> list:
+        """The (monomial, value) pairs of ``terms`` in the kept set, keyed ones in one loop."""
+        momentum, position, filter = self.momentum, self.position, self.filter
+        both = momentum is not ANYWHERE and position is not ANYWHERE
+        out = []
+        for m, c in terms:
+            key = m._key
+            if key is None:
+                if self.keeps(m):
+                    out.append((m, c))
+                continue
+            D, n = key
+            d = len(n) >> 1
+            if D != 1 and (both  # the canonical key of an integer point has D = 1
+                           or momentum is LATTICE and gcd(*n[:d]) % D
+                           or position is LATTICE and gcd(*n[d:]) % D) or (
+                    momentum is ZERO and any(n[:d]) or position is ZERO and any(n[d:])):
+                continue
+            if filter is None or filter(tuple([x // D for x in n[:d]])):
+                out.append((m, c))
+        return out
+
+    def support(self, n: tuple) -> bool:
+        """Whether the kept set has a monomial with the integer momentum n."""
+        return (self.momentum is not ZERO or not any(n)) and (
+            self.filter is None or self.filter(n))
 
 
-def _a_is_integral(m: Monomial) -> bool:
-    key = m._key
-    if key is None:
-        return integer_vector(m.a) is not None
-    D, n = key
-    if D != 1:  # a plain loop is about 3x faster per call than any() over a generator
-        for x in n[:len(n) >> 1]:
-            if x % D:
-                return False
-    return True
+def _lies_in(group: str, x: Vector) -> bool:
+    """Whether the exact coordinates x lie in ``group``."""
+    return group is ANYWHERE or (
+        is_zero_vector(x) if group is ZERO else integer_vector(x) is not None)
 
 
-def _is_integral(m: Monomial) -> bool:
-    key = m._key
-    if key is None:
-        return integer_vector(m.a) is not None and integer_vector(m.b) is not None
-    return key[0] == 1
+#: BohrState and PlaneWave: all space translations; Bloch: the lattice ones
+#: (each state adds its filter); Zak: both lattices; Tracial: all translations
+BOHR_SYMMETRY = Symmetry(ZERO, ANYWHERE)
+BLOCH_SYMMETRY = Symmetry(LATTICE, ANYWHERE)
+ZAK_SYMMETRY = Symmetry(LATTICE, LATTICE)
+TRACIAL_SYMMETRY = Symmetry(ZERO, ZERO)
 
 
 def ergodic_mean(x: Element) -> Element:
-    """Projection onto the translation-invariant part: keep the a = 0 terms."""
-    kept = {m: c for m, c in x.terms.items() if _a_is_zero(m)}
-    return Element(x.frame, kept, threshold=0.0)
+    """Projection onto the translation-invariant part: the a = 0 terms."""
+    return _element_of(x.frame, BOHR_SYMMETRY.kept(x._terms.items()), threshold=0.0)
 
 
 def ergodic_mean_lattice(x: Element) -> Element:
-    """Projection onto the lattice-invariant part: keep terms with a integral."""
-    kept = {m: c for m, c in x.terms.items() if _a_is_integral(m)}
-    return Element(x.frame, kept, threshold=0.0)
+    """Projection onto the lattice-invariant part: the terms with a integral."""
+    return _element_of(x.frame, BLOCH_SYMMETRY.kept(x._terms.items()), threshold=0.0)
 
 
 def ergodic_mean_zak(x: Element) -> Element:
-    """Keep the terms with both a and b integral (invariant under both lattices)."""
-    kept = {m: c for m, c in x.terms.items() if _is_integral(m)}
-    return Element(x.frame, kept, threshold=0.0)
+    """Projection onto the part invariant under both lattices: the terms with
+    a and b integral."""
+    return _element_of(x.frame, ZAK_SYMMETRY.kept(x._terms.items()), threshold=0.0)
 
 
 def numeric_box_average(x: Element, L: float, samples_per_dim: int) -> Element:

@@ -170,7 +170,7 @@ def _zgcd_prs(p: tuple, q: tuple) -> tuple:
 def _integral(coeffs) -> tuple[tuple, int]:
     """Integer coefficients and one positive denominator for a sequence of
     rationals: ``coeffs == ints / den``.  Trailing zeros are dropped."""
-    fracs = [Fraction(c) for c in coeffs]
+    fracs = [_not_a_scalar(c) if c.__class__ is bool else Fraction(c) for c in coeffs]
     while fracs and not fracs[-1]:
         fracs.pop()
     den = math.lcm(*(f.denominator for f in fracs))
@@ -374,7 +374,9 @@ class ExactScalar:
             elif not q:
                 raise ZeroDenominator("zero denominator in ExactScalar")
             return _rat(p, q)
-        return _coerce_or_none(Fraction(p, q))
+        if p.__class__ is bool or q.__class__ is bool:
+            _not_a_scalar(p if p.__class__ is bool else q)
+        return scalar(Fraction(p, q))
 
     # -- predicates and conversions ------------------------------------
 
@@ -457,7 +459,7 @@ class ExactScalar:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if other.__class__ is not ExactScalar:
@@ -521,13 +523,13 @@ class ExactScalar:
 
 
 def _coerce_or_none(x):
-    if x.__class__ is ExactScalar:
-        return x
     if x.__class__ is int:
         return _make((x,)) if x else S_ZERO
+    if x.__class__ is ExactScalar:
+        return x
     if x.__class__ is Fraction:
         return _make((x.numerator,), x.denominator) if x else S_ZERO
-    if isinstance(x, Rational):
+    if isinstance(x, Rational) and x.__class__ is not bool:
         f = Fraction(x)
         return _rat(f.numerator, f.denominator)
     return None
@@ -542,9 +544,11 @@ def scalar(x) -> ExactScalar:
     """Coerce an int, Fraction or ExactScalar to an ExactScalar; a bool is
     not a number here."""
     out = _coerce_or_none(x)
-    if out is None or x.__class__ is bool:
-        raise NotAScalar(f"cannot interpret {x!r} as an ExactScalar")
-    return out
+    return _not_a_scalar(x) if out is None else out
+
+
+def _not_a_scalar(x):
+    raise NotAScalar(f"cannot interpret {x!r} as an ExactScalar")
 
 
 # -- integer views ---------------------------------------------------------

@@ -17,10 +17,15 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .algebra import (
+    ANYWHERE,
+    BLOCH_SYMMETRY,
+    BOHR_SYMMETRY,
+    TRACIAL_SYMMETRY,
+    ZAK_SYMMETRY,
+    ZERO,
     Element,
     Monomial,
-    _a_is_integral,
-    _a_is_zero,
+    Symmetry,
     apply_automorphism,
     monomial_adjoint,
     monomial_product,
@@ -59,34 +64,37 @@ class TimeReversalVerdict:
     certificate: str
 
 
-def _at_origin(n: tuple) -> bool:
-    return not any(n)
+class _DeclaredSupport:
+    """``state.symmetry.support``, None on the class or with a free momentum."""
 
-
-def _everywhere(n: tuple) -> bool:
-    return True
+    def __get__(self, state, owner):
+        symmetry = None if state is None else state.symmetry
+        return None if symmetry is None or symmetry.momentum is ANYWHERE else symmetry.support
 
 
 class StateModel:
     """Base class: a state evaluates elements linearly over their terms; a
     family with a closed-form time-reversal criterion overrides ``time_reversal``.
 
-    ``support`` is None for a state that need not vanish anywhere by
-    symmetry.  Otherwise it is a predicate on integer momenta, tuples of d
-    ints: omega(u_a v_b) is exactly 0j unless a is an integer vector n with
-    ``support(n)`` true.  ``gram_psd_check`` trusts it and never evaluates
-    off it, so a subclass that overrides ``monomial_value`` declares its own
-    ``support``, or sets it to None.
-
-    ``vanishing_width`` is None, or a Gaussian width past which every value
-    is exactly 0.0: omega(u_a v_b) vanishes once |F a|^2 + |E b|^2 exceeds
-    it.  ``gram_psd_check`` estimates that width in doubles and forms no
-    entry past it, so the declaration carries a safety factor for the
-    rounding of the estimate.
+    Two declarations say where the values are exactly 0, and the closed
+    forms and ``gram_psd_check`` rely on them.  ``symmetry`` is None or an
+    ``algebra.Symmetry`` with omega(u_a v_b) = 0j off its kept set; the
+    ``support`` derived from it is None or a predicate on integer momenta n
+    (tuples of d ints) with omega(u_a v_b) = 0j unless a is such an n.
+    ``vanishing_width`` is None or a width past which |F a|^2 + |E b|^2
+    makes every value 0.0, with a safety factor for its estimate in doubles.
+    A subclass that defines its own ``monomial_value`` and no ``symmetry``
+    gets None for it.
     """
 
-    support = None
+    symmetry = None
+    support = _DeclaredSupport()
     vanishing_width = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "monomial_value" in vars(cls) and "symmetry" not in vars(cls):
+            cls.symmetry = None
 
     def monomial_value(self, frame: Frame, m: Monomial) -> complex:
         raise Unsupported(f"{type(self).__name__} has no closed form")
@@ -107,10 +115,10 @@ class BohrState(StateModel):
 
     char: BohrCharacter
 
-    support = staticmethod(_at_origin)
+    symmetry = BOHR_SYMMETRY
 
     def monomial_value(self, frame, m):
-        if not _a_is_zero(m):
+        if not BOHR_SYMMETRY.keeps(m):
             return 0j
         beta = frame.to_ambient_position(m.b)
         return (-character_eval(self.char, beta)).to_complex()
@@ -131,7 +139,7 @@ class PlaneWave(StateModel):
         object.__setattr__(self, "p", vector(self.p))
         object.__setattr__(self, "char", ContinuousCharacter(self.p))
 
-    support = staticmethod(_at_origin)
+    symmetry = BOHR_SYMMETRY
     monomial_value = BohrState.monomial_value
 
     def time_reversal(self):
@@ -141,15 +149,11 @@ class PlaneWave(StateModel):
 
 @dataclass(frozen=True)
 class Bloch(StateModel):
-    """Pure lattice-invariant position-regular state.
-
-    Determined by a quasi-momentum ``kappa`` (rational coordinates in [0,1))
-    and the finitely supported Fourier data ``fhat`` of a unit vector on the
-    torus, stored as the sorted (index, value) pairs of its support; the
-    rank-one projection of the abstract description is recovered as the span
-    of that vector.  The closed form's inputs, kappa as exact scalars and
-    fhat as a dict, are built once, at construction.
-    """
+    """Pure lattice-invariant position-regular state: a quasi-momentum
+    ``kappa`` (rational coordinates in [0,1)) and the Fourier data ``fhat``
+    of a unit vector on the torus, whose span is the rank-one projection of
+    the abstract description, stored as the sorted (index, value) pairs of
+    its support.  kappa as exact scalars and fhat as a dict are built once."""
 
     kappa: tuple
     fhat: tuple
@@ -172,10 +176,14 @@ class Bloch(StateModel):
         object.__setattr__(self, "_kappa_exact", vector(kappa))
         object.__setattr__(self, "_fhat_dict", dict(fhat))
 
-    def support(self, n: tuple) -> bool:
-        """p + n lies in supp fhat for some p in supp fhat: the closed form's
-        sum over supp fhat has a term.  True for an n of another dimension,
-        where the closed form raises DimensionMismatch."""
+    @property
+    def symmetry(self) -> Symmetry:
+        """``BLOCH_SYMMETRY`` filtered by the difference set of supp fhat."""
+        return Symmetry(BLOCH_SYMMETRY.momentum, BLOCH_SYMMETRY.position, self._in_differences)
+
+    def _in_differences(self, n: tuple) -> bool:
+        """p + n lies in supp fhat for some p in supp fhat, so the closed form's
+        sum has a term; True in another dimension, where it raises."""
         if len(n) != len(self.kappa):
             return True
         f = self._fhat_dict
@@ -250,7 +258,7 @@ def _bloch_closed_form(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> com
     """``bloch_monomial_value`` on a checked label and checked Fourier data."""
     if m.d != len(kappa):
         raise DimensionMismatch(f"a {len(kappa)}-d Bloch state on a {m.d}-d monomial")
-    if not _a_is_integral(m):
+    if not BLOCH_SYMMETRY.keeps(m):
         return 0j
     kappa = vector(kappa)
     key, kappa_key = m._key, rational_key(kappa)
@@ -296,7 +304,7 @@ class Zak(StateModel):
     kappa: tuple
     nu: tuple
 
-    support = staticmethod(_everywhere)
+    symmetry = ZAK_SYMMETRY
 
     def __post_init__(self):
         kappa = rational_label(self.kappa, NotAState)
@@ -313,11 +321,11 @@ class Zak(StateModel):
         d = len(self.kappa)
         if m.d != d:
             raise DimensionMismatch(f"a {d}-d Zak state on a {m.d}-d monomial")
-        key = m._key
-        if key is None or key[0] != 1:  # a coordinate has tau or is not an integer
+        if not ZAK_SYMMETRY.keeps(m):
             return 0j
-        # -(kappa . b + a . nu) turns: -(n_kappa . n_b + n_nu . n_a) over D_labels
-        n = key[1]
+        # a and b are integral, so the key is (1, n): -(kappa . b + a . nu)
+        # turns are -(n_kappa . n_b + n_nu . n_a) over D_labels
+        n = m._key[1]
         turns, nl = self._labels_key
         k = -(sum(map(mul, nl[:d], n[d:])) + sum(map(mul, nl[d:], n[:d]))) % turns
         return unit_from_turns(k, turns)
@@ -352,10 +360,10 @@ class Fock(StateModel):
 class Tracial(StateModel):
     """t(u_a v_b) = 1 iff (a, b) = (0, 0): the canonical tracial state."""
 
-    support = staticmethod(_at_origin)
+    symmetry = TRACIAL_SYMMETRY
 
     def monomial_value(self, frame, m):
-        return 1.0 + 0j if m.is_identity() else 0j
+        return 1.0 + 0j if TRACIAL_SYMMETRY.keeps(m) else 0j
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,18 +405,18 @@ class Mixture(StateModel):
 # -- verification reports -----------------------------------------------------
 
 
+def _as_dict(report) -> dict:
+    """A report's fields by name in their order, ``passed`` as "pass"."""
+    return {"pass" if k == "passed" else k: v for k, v in vars(report).items()}
+
+
 @dataclass(frozen=True)
 class GramReport:
     min_eigenvalue: float
     hermitian_residual: float
     passed: bool
 
-    def as_dict(self):
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "hermitian_residual": self.hermitian_residual,
-            "pass": self.passed,
-        }
+    as_dict = _as_dict
 
 
 @dataclass(frozen=True)
@@ -420,13 +428,7 @@ class CheckResult:
     worst_value: float
     worst_probe: str
 
-    def as_dict(self):
-        return {
-            "check": self.check,
-            "pass": self.passed,
-            "worst_value": self.worst_value,
-            "worst_probe": self.worst_probe,
-        }
+    as_dict = _as_dict
 
 
 # -- checks --------------------------------------------------------------------
@@ -471,17 +473,15 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
     """Positivity witness: the Gram matrix H_ij = omega(m_i* m_j) must be PSD,
     its least eigenvalue at least -1e-10.
 
-    m_i* m_j has momentum a_j - a_i.  For a state with a ``support``, each
-    probe's momentum cell (fractional parts and integer parts, read from
-    its key) is taken once, and an entry whose cells differ in fractional
-    parts or whose integer difference is off the support stays 0j, with no
-    product, phase or value formed.  A probe whose momentum has tau has no
-    cell, and its entries are always formed.  For a state with a
-    ``vanishing_width``, the width |F(a_j - a_i)|^2 + |E(b_j - b_i)|^2 of
-    m_i* m_j is estimated from each probe's ambient point in doubles, and an
-    entry whose estimate exceeds that width stays 0j in the same way.  A
-    formed entry whose value is zero (off a support the state does not
-    declare, or a Fock value that underflowed) stays 0j with no phase.
+    An entry that the state's declarations say vanishes stays 0j, with no
+    product, phase or value formed.  m_i* m_j has momentum a_j - a_i and
+    position b_j - b_i: per constrained half (the momentum through
+    ``support``, which a ``Mixture`` has too), an entry vanishes whose probes'
+    cells (``_cell``) differ in fractional parts or in integer parts off
+    ``support`` or the position group.  With a ``vanishing_width``, an entry
+    vanishes whose width |F(a_j - a_i)|^2 + |E(b_j - b_i)|^2, estimated from
+    the probes' ambient points in doubles, is past it.  A formed entry whose
+    value is zero (a Fock value that underflowed, say) gets no phase.
     """
     import numpy as np
 
@@ -490,18 +490,24 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
     if len(set(probes)) != len(probes):
         raise InvalidProbeSet("probes must be distinct")
     n = len(probes)
-    support = state.support
-    cells = _momentum_cells(probes) if support is not None else (None,) * n
+    support, symmetry = state.support, state.symmetry
+    position = ANYWHERE if symmetry is None else symmetry.position
+    same_d = len({m.d for m in probes}) == 1  # else no cells: the products raise
+    cells = [_cell(m, 0) if same_d and support is not None else None for m in probes]
+    places = [_cell(m, 1) if same_d and position is not ANYWHERE else None for m in probes]
     width = state.vanishing_width
     points = _ambient_points(frame, probes) if width is not None else (None,) * n
     H = np.zeros((n, n), dtype=complex)
     for i, mi in enumerate(probes):
         phase_i, mi_star = monomial_adjoint(mi)
-        cell_i, point_i = cells[i], points[i]
+        cell_i, place_i, point_i = cells[i], places[i], points[i]
         for j, mj in enumerate(probes):
-            cell_j, point_j = cells[j], points[j]
+            cell_j, place_j, point_j = cells[j], places[j], points[j]
             if cell_i is not None and cell_j is not None and (
                     cell_i[0] != cell_j[0] or not support(tuple(map(sub, cell_j[1], cell_i[1])))):
+                continue
+            if place_i is not None and place_j is not None and (
+                    place_i[0] != place_j[0] or position is ZERO and place_i[1] != place_j[1]):
                 continue
             if point_i is not None and point_j is not None and sum(
                     (x - y) ** 2 for x, y in zip(point_i, point_j)) > width:
@@ -515,44 +521,34 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
     return GramReport(min_eig, residual, min_eig >= -1e-10)
 
 
-def _momentum_cells(probes: Sequence[Monomial]) -> list:
-    """Per probe, its momentum a as (fractional parts, integer parts): the
-    fractional parts as the canonical key (D, r) of a - floor(a), the integer
-    parts as ints; None for a probe whose a has tau, and for every probe when
-    their dimensions differ (the products then raise, as they should)."""
-    if len({m.d for m in probes}) != 1:
-        return [None] * len(probes)
-    cells = []
-    for m in probes:
-        key = m._key
+def _cell(m: Monomial, half: int):
+    """m's a (``half`` 0) or b (``half`` 1) as the canonical key (D, r) of
+    x - floor(x) and the ints floor(x); None for a half with tau."""
+    key = m._key
+    if key is None:
+        key = rational_key(m.b if half else m.a)
         if key is None:
-            key = rational_key(m.a)
-            if key is None:
-                cells.append(None)
-                continue
-            D, a = key
-        else:
-            D, n = key
-            a = n[:len(n) >> 1]
-        frac = [x % D for x in a]
-        g = gcd(D, *frac)
-        cells.append(((D // g, tuple([r // g for r in frac])), tuple([x // D for x in a])))
-    return cells
+            return None
+        D, x = key
+    else:
+        D, n = key
+        x = n[len(n) >> 1:] if half else n[:len(n) >> 1]
+    frac = [v % D for v in x]
+    g = gcd(D, *frac)
+    return (D // g, tuple([r // g for r in frac])), tuple([v // D for v in x])
 
 
-#: the largest sum of the terms |F_rk a_k| and |E_rk b_k| of a probe's ambient
-#: point in ``_ambient_points``: it keeps the rounding error of an estimated
-#: sqrt(width) below 1e-5, far inside the factor in a declared
-#: ``vanishing_width``
+#: the largest sum of the terms |F_rk a_k| and |E_rk b_k| of an ambient point:
+#: it keeps the rounding error of an estimated sqrt(width) below 1e-5, far
+#: inside the factor in a declared ``vanishing_width``
 _AMBIENT_BOUND = 2.0 ** 32
 
 
 def _ambient_points(frame: Frame, probes: Sequence[Monomial]) -> list:
     """Per probe m = u_a v_b, its ambient point (F a, E b) in doubles, from
-    the frame's ``doubles`` and the coordinates: n / D for a keyed probe,
-    ``ExactScalar.evaluate`` otherwise.  None for a probe whose doubles
-    raise or leave ``_AMBIENT_BOUND``, and for every probe when a dimension
-    differs from the frame's (the products then raise, as they should)."""
+    ``frame.doubles`` and n / D for a keyed probe, ``ExactScalar.evaluate``
+    otherwise; None where the doubles raise or leave ``_AMBIENT_BOUND``, and
+    for every probe when a dimension differs from the frame's."""
     d, doubles = frame.d, frame.doubles
     if doubles is None or any(m.d != d for m in probes):
         return [None] * len(probes)
@@ -658,10 +654,9 @@ def path_sample(kind: str, endpoints, grid) -> list:
     """Sample a continuous path between two states of the same family.
 
     ``PATHS[kind]`` names the family and builds point(t) from the endpoints:
-    plane_wave_line interpolates the momentum linearly; zak_line interpolates
-    both torus labels; bloch_slerp moves kappa linearly and the Fourier vector
-    along a normalized great circle.  Grid values 0 and 1 return the endpoint
-    objects themselves.
+    plane_wave_line and zak_line interpolate the labels linearly; bloch_slerp
+    moves kappa linearly and the Fourier vector along a normalized great
+    circle.  Grid values 0 and 1 return the endpoint objects themselves.
     """
     if kind not in PATHS:
         raise InvalidParameter(f"unknown path kind {kind!r}")

@@ -89,3 +89,38 @@ def test_the_same_numbers_as_ints_are_accepted():
     assert PlaneWave([1]).p == vector([1])
     assert Zak([0], [0]).nu == (Fraction(0),)
     assert FourierWindow((0,), (1,)).lo == (0,)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ExactScalar.rational(1, True), NotAScalar),
+    (lambda: ExactScalar.rational(True), NotAScalar),
+    (lambda: ExactScalar((True,)), NotAScalar),
+    (lambda: ExactScalar((1,), (True,)), NotAScalar),
+    (lambda: FreeDynamics(True), NotRational),
+], ids=["rational_denominator", "rational_numerator", "numerator_coefficient",
+        "denominator_coefficient", "free_dynamics_time"])
+def test_a_bool_is_not_a_number_for_the_constructors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("other", [True, False, "1"])
+def test_the_operators_decline_a_bool_as_they_decline_a_str(other):
+    x = ExactScalar.rational(3)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__"):
+        assert getattr(x, op)(other) is NotImplemented, op
+    with pytest.raises(TypeError):
+        x + other
+    with pytest.raises(TypeError):
+        other - x
+    with pytest.raises(TypeError):
+        other * x
+
+
+def test_ints_and_fractions_are_still_numbers_for_the_constructors():
+    assert ExactScalar.rational(1, 2) == ExactScalar.rational(Fraction(1, 2)) == scalar(
+        Fraction(1, 2))
+    assert ExactScalar((1,), (2,)) == ExactScalar.rational(1, 2)
+    assert ExactScalar.rational(1) + 1 == ExactScalar.rational(2) == 2 * ExactScalar.rational(1)
+    assert FreeDynamics(2).t == 2
