@@ -45,6 +45,7 @@ from .errors import (
     ImmutableObject,
     InvalidParameter,
     InvalidProbeSet,
+    NotACharacter,
     NotAScalar,
     NotAState,
     NotDecomposable,

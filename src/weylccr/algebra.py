@@ -31,7 +31,7 @@ from operator import add, mul, neg
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import DimensionMismatch, ImmutableObject, InvalidParameter, NotRational, WeylError
+from .errors import DimensionMismatch, ImmutableObject, InvalidParameter, NotAScalar, NotRational
 from .lattice import (
     Frame,
     PhasePoint,
@@ -67,14 +67,25 @@ ZERO_THRESHOLD = 1e-14
 _NUMBERS = (int, float, complex, Fraction)
 
 
-def _finite(x) -> complex:
-    """The number x as a coefficient: a finite complex, or WeylError."""
+def _is_number(x) -> bool:
+    """x is a number operand of an element; a bool is an int but not a number."""
+    return isinstance(x, _NUMBERS) and x.__class__ is not bool
+
+
+def _finite(x, convert: Callable = complex, error: type = NotAScalar):
+    """``convert(x)``, with ``convert`` complex or float, as a finite number;
+    ``error`` when x is a bool or a string, which are not numbers here, when
+    ``convert`` refuses it, or when the value is NaN, infinite or too large."""
+    if x.__class__ is not complex and x.__class__ is not float and isinstance(x, (bool, str)):
+        raise error(f"{x!r:.40} is not a number")
     try:
-        z = complex(x)
+        z = convert(x)
     except OverflowError:
-        raise WeylError("a number is too large for a coefficient") from None
+        raise error("a number is too large for a double") from None
+    except (TypeError, ValueError):
+        raise error(f"{x!r:.40} is not a number") from None
     if not isfinite(z):
-        raise WeylError(f"the number {z!r} is not finite")
+        raise error(f"the number {z!r} is not finite")
     return z
 
 
@@ -294,8 +305,9 @@ class Element:
 
     Instances are immutable values: all arithmetic returns new elements, and
     the term map is exposed read-only.  The empty map is the zero element and
-    {identity -> 1} is the unit; a NaN or infinite coefficient or number
-    operand raises WeylError.
+    {identity -> 1} is the unit.  A coefficient or number operand that is
+    NaN, infinite, a bool or a string raises NotAScalar, a WeylError; an
+    operator given a bool or a string returns NotImplemented.
     """
 
     __slots__ = ("frame", "_terms")
@@ -391,7 +403,8 @@ class Element:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return NotImplemented if other is None else (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -406,13 +419,13 @@ class Element:
                     phase, m = monomial_product(m1, m2)
                     out[m] = out.get(m, 0j) + c1 * c2 * phase.to_complex()
             return _element_of(self.frame, out.items())
-        if isinstance(other, _NUMBERS):
+        if _is_number(other):
             z = _finite(other)
             return _element_of(self.frame, ((m, c * z) for m, c in self._terms.items()))
         return NotImplemented
 
     def __rmul__(self, other):
-        return self * other if isinstance(other, _NUMBERS) else NotImplemented
+        return self * other if _is_number(other) else NotImplemented
 
     def adjoint(self) -> "Element":
         """The *-involution, with every reordering phase exact.
@@ -436,7 +449,7 @@ class Element:
         if isinstance(other, Element):
             check_same_frame(self.frame, other.frame)
             return other
-        if isinstance(other, _NUMBERS):
+        if _is_number(other):
             return Element(self.frame, {Monomial.identity(self.frame.d): other})
         return None
 
@@ -690,11 +703,14 @@ def numeric_box_average(x: Element, L: float, samples_per_dim: int) -> Element:
     Each coefficient is multiplied by the product over coordinates of the
     midpoint mean of e^{-i alpha lambda}; terms with a = 0 are reproduced exactly.
     """
+    if L.__class__ is not float:  # a float goes to the range test, which refuses NaN
+        L = _finite(L, float)
     if not 0 < L < inf:  # NaN fails too
         raise InvalidParameter("box size must be positive and finite")
     n = samples_per_dim
-    if not isinstance(n, int) or n < 2:  # 2.5, inf and NaN fail too
-        raise InvalidParameter("need an int count of at least two samples per dimension")
+    if not isinstance(n, int) or not 2 <= n <= 2**53:  # 2.5, inf and NaN fail too
+        raise InvalidParameter("need an int count of at least two samples per dimension, "
+                               "and at most 2**53")
     out: dict[Monomial, complex] = {}
     for m, c in x.terms.items():
         mult = 1.0

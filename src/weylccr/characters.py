@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Union
 
-from .errors import DimensionMismatch, NotDecomposable, WeylError
-from .lattice import Vector, vadd, vdot, vector, zero_vector
+from .errors import DimensionMismatch, NotACharacter, NotAScalar, NotDecomposable, WeylError
+from .lattice import Vector, rational_label, vadd, vdot, vector, zero_vector
 from .scalars import PhaseAngle
 
 #: the largest prime of a p-adic character, so that its primality test is at
@@ -39,7 +39,7 @@ def padic_fraction(x, p: int) -> Fraction:
     denominators.  Raises WeylError unless ``p`` is a prime up to MAX_PRIME.
     """
     _check_prime(p)
-    x = Fraction(x)
+    (x,) = rational_label((x,), NotAScalar)
     den = x.denominator
     k = 0
     while den % p == 0:
@@ -85,6 +85,8 @@ class PadicCharacter:
     primes: tuple
 
     def __post_init__(self):
+        if not hasattr(self.primes, "__iter__"):
+            raise NotAScalar(f"{self.primes!r:.40} is not a sequence of primes")
         primes = tuple(self.primes)
         for p in primes:
             _check_prime(p)
@@ -110,12 +112,18 @@ class PadicCharacter:
 
 @dataclass(frozen=True)
 class ProductCharacter:
-    """Pointwise product of finitely many characters."""
+    """Pointwise product of finitely many characters, at least one, all of
+    one dimension."""
 
     factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        factors = tuple(self.factors) if hasattr(self.factors, "__iter__") else ()
+        if not factors or not all(isinstance(f, CHARACTERS) for f in factors):
+            raise NotACharacter(f"{self.factors!r:.40} is not a sequence of characters")
+        if len({f.dim for f in factors}) > 1:
+            raise DimensionMismatch("the factors of a product character differ in dimension")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dim(self) -> int:
@@ -130,6 +138,7 @@ class ProductCharacter:
 
 
 BohrCharacter = Union[ContinuousCharacter, PadicCharacter, ProductCharacter]
+CHARACTERS = (ContinuousCharacter, PadicCharacter, ProductCharacter)
 
 
 def character_eval(char: BohrCharacter, beta) -> PhaseAngle:

@@ -21,10 +21,12 @@ class NotDecomposable(WeylError):
     """A tau-dependent coordinate reached an operation that needs a plain rational."""
 
 
-class NotAScalar(WeylError, TypeError):
-    """A coordinate or scalar operand is not an int, a Fraction or an exact
-    scalar; also a TypeError, so a caller that catches TypeError from a
-    coercion still does."""
+class NotAScalar(WeylError, TypeError, ValueError):
+    """A value given where a number or a sequence of numbers is required is
+    not one the call takes: a bool or a string, which are never numbers here,
+    None, NaN, inf, a number past the float range, or a float where an exact
+    scalar is required.  Also a TypeError and a ValueError, the classes that
+    ``int``, ``float`` and ``complex`` raise on such values."""
 
 
 class NotRational(WeylError, TypeError):
@@ -39,11 +41,18 @@ class ZeroDenominator(WeylError, ZeroDivisionError):
 
 class InvalidParameter(WeylError, ValueError):
     """A numeric or named parameter lies outside its range: a box size, a
-    sample count, a path kind, a path grid or a power; also a ValueError."""
+    sample count, a window size, a path kind, a path grid or a power; also a
+    ValueError."""
 
 
 class ImmutableObject(WeylError, AttributeError):
     """An attribute of an immutable object was set; also an AttributeError."""
+
+
+class NotACharacter(WeylError, TypeError, IndexError):
+    """The factors of a product character are not a non-empty sequence of
+    characters; also a TypeError and an IndexError, which a number and an
+    empty tuple of factors raised on first use."""
 
 
 class NotAState(WeylError):

@@ -29,6 +29,8 @@ MAX_NESTING = 100
 
 
 def _tokenize(text: str):
+    if not isinstance(text, str):
+        raise ExpressionError(f"an expression is a string, not {text!r:.40}", 0)
     tokens = []
     pos = depth = 0
     while pos < len(text):

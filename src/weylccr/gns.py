@@ -17,18 +17,24 @@ module (and the package), or calling the oracle, does not load it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .algebra import Monomial
-from .errors import DimensionMismatch, NotAState, OutOfSubalgebra, WindowTooSmall
-from .lattice import integer_point, integer_vector, rational_label, vector
+from .errors import (DimensionMismatch, InvalidParameter, NotAState, OutOfSubalgebra,
+                     WindowTooSmall)
+from .lattice import integer_point, integer_vector, matrix, rational_label, vector
 from .scalars import PhaseAngle, rational_key, unit_from_turns
 from .states import NORMALIZATION_TOL, _fourier_data
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+#: the most points of a window, which lists them all
+MAX_WINDOW_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,8 @@ class FourierWindow:
             raise DimensionMismatch("window bounds differ in dimension")
         if any(l > h for l, h in zip(lo, hi)):
             raise WindowTooSmall("window is empty")
+        if math.prod(h - l + 1 for l, h in zip(lo, hi)) > MAX_WINDOW_POINTS:
+            raise InvalidParameter(f"a window has at most {MAX_WINDOW_POINTS} points")
         pts = tuple(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -157,7 +165,7 @@ def plane_wave_vector_state(p, m: Monomial, momentum_set) -> complex:
     The representation acts on the span of {delta_q : q in momentum_set} by
     u_a: delta_q -> delta_{q+a} and v_b: delta_q -> e^{-i tau (q . b)} delta_q.
     """
-    points = [vector(q) for q in momentum_set]
+    points = matrix(momentum_set)
     index = {q: i for i, q in enumerate(points)}
     p = vector(p)
     if p not in index:

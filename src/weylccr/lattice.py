@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* a frame stores the lattice basis as the columns of ``E`` and the dual basis
-  as the columns of ``F``, with ``F^T E = tau * I`` exactly;
+* a frame is built from its lattice basis, the columns of ``E``, and derives
+  the dual basis, the columns of ``F``, with ``F^T E = tau * I`` exactly;
 * momenta are kept in dual-basis coordinates ``a`` (ambient alpha = F a) and
   positions in primal-basis coordinates ``b`` (ambient beta = E b), so the
   Euclidean pairing is always ``alpha . beta = tau * (a . b)`` in Q(tau).
@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import DimensionMismatch, FrameMismatch, NotDecomposable, SingularFrame, WeylError
+from .errors import (DimensionMismatch, FrameMismatch, NotAScalar, NotDecomposable, SingularFrame,
+                     WeylError)
 from .scalars import (ExactScalar, PhaseAngle, S_ONE, S_ZERO, TAU, integer_vector,
                       rational_key, scalar)
 
@@ -29,14 +30,16 @@ Matrix = tuple  # tuple[tuple[ExactScalar, ...], ...]
 
 
 def vector(values: Sequence) -> Vector:
-    """``values`` as a tuple of ExactScalar; such a tuple is returned as is."""
+    """``values`` as a tuple of ExactScalar (such a tuple as is); NotAScalar if not a sequence."""
     if values.__class__ is tuple:
         for v in values:
             if v.__class__ is not ExactScalar:
                 break
         else:
             return values
-    return tuple(scalar(v) for v in values)
+    if not hasattr(values, "__iter__"):
+        raise NotAScalar(f"{values!r:.40} is not a sequence of numbers")
+    return tuple(map(scalar, values))
 
 
 def vadd(x: Vector, y: Vector) -> Vector:
@@ -88,9 +91,8 @@ def integer_point(coords, error: type) -> tuple:
     raise error(f"lattice index {coords!r} has an entry that is not an integer")
 
 
-#: the largest decimal exponent of a rational written as a string, well past
-#: the float range: "1e100000000" alone would build a hundred-million-digit
-#: integer
+#: the largest decimal exponent of a rational written as a string, well past the
+#: float range: "1e100000000" alone would build a hundred-million-digit integer
 MAX_DECIMAL_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
 
@@ -132,13 +134,14 @@ def _check_dims(x, y):
 
 
 def matrix(rows) -> Matrix:
+    """``rows`` as a tuple of vectors; NotAScalar when it is not a sequence."""
+    if not hasattr(rows, "__iter__"):
+        raise NotAScalar(f"{rows!r:.40} is not a sequence of vectors")
     return tuple(vector(row) for row in rows)
 
 
 def mat_identity(d: int) -> Matrix:
-    return tuple(
-        tuple(S_ONE if i == j else S_ZERO for j in range(d)) for i in range(d)
-    )
+    return tuple(tuple(S_ONE if i == j else S_ZERO for j in range(d)) for i in range(d))
 
 
 def mat_transpose(m: Matrix) -> Matrix:
@@ -179,7 +182,7 @@ def mat_inverse(m: Matrix) -> Matrix:
 
 def dual_frame(E: Matrix) -> Matrix:
     """Dual basis matrix F = tau * (E^-1)^T, so that F^T E = tau * I."""
-    return mat_scale(TAU, mat_transpose(mat_inverse(E)))
+    return Frame(E).F
 
 
 # -- frame ------------------------------------------------------------------
@@ -187,43 +190,43 @@ def dual_frame(E: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class Frame:
-    """A lattice basis (columns of E) together with its 2*pi-dual (columns of F).
+    """A lattice basis, the columns of ``E``.  One inverse E^-1 gives the other
+    fields: the dimension ``d``, the 2*pi-dual basis ``F = tau (E^-1)^T``
+    (columns; F^T E = tau I) and the free dynamics' change of coordinates
+    ``shear = E^-1 F``, which equals F^T F / tau.  When shear = tau G with G
+    rational, as for every rational basis (G = E^-1 E^-T), ``shear_over_tau``
+    = (g, rows) holds G = rows / g in ints; else it is None.  Frames compare
+    and hash by E alone; ``dataclasses.replace(frame, E=...)`` re-derives."""
 
-    The derived matrix cached on construction is the change of coordinates
-    ``shear = E^-1 F`` used by the free dynamics.  As F^T = tau E^-1, the
-    dual Gram matrix is F^T F = tau * shear.  When shear = tau * G with G
-    rational, which holds for every rational basis (G = E^-1 E^-T), G is also
-    kept as ints in ``shear_over_tau`` = (g, rows), G = rows / g; it is None
-    otherwise.  The Gaussian widths ``position_norm_sq`` and
-    ``momentum_norm_sq`` are the ambient sums of squares |E b|^2 and
-    |F a|^2, computed from E and F.
-    """
-
-    d: int
     E: Matrix
-    F: Matrix
-    shear: Matrix
+    d: int = field(init=False, compare=False)
+    F: Matrix = field(init=False, compare=False)
+    shear: Matrix = field(init=False, compare=False)
     shear_over_tau: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.d
-        key = rational_key(tuple(x / TAU for row in self.shear for x in row))
-        if key is not None:
-            key = key[0], tuple(key[1][i:i + d] for i in range(0, d * d, d))
-        object.__setattr__(self, "shear_over_tau", key)
-
-    @staticmethod
-    def from_basis(rows) -> "Frame":
-        E = matrix(rows)
+        E = matrix(self.E)
         d = len(E)
         if d == 0 or any(len(row) != d for row in E):
             raise DimensionMismatch("frame matrix must be square and non-empty")
-        F = dual_frame(E)
-        shear = mat_mul(mat_inverse(E), F)
-        return Frame(d=d, E=E, F=F, shear=shear)
+        inverse = mat_inverse(E)
+        F = mat_scale(TAU, mat_transpose(inverse))
+        shear = mat_mul(inverse, F)
+        key = rational_key(tuple(x / TAU for row in shear for x in row))
+        if key is not None:
+            key = key[0], tuple(key[1][i:i + d] for i in range(0, d * d, d))
+        self.__dict__.update(E=E, d=d, F=F, shear=shear, shear_over_tau=key)
+
+    @staticmethod
+    def from_basis(rows) -> "Frame":
+        return Frame(rows)
 
     @staticmethod
     def standard(d: int) -> "Frame":
+        if d.__class__ is not int:
+            raise NotAScalar(f"a frame dimension is an int, not {d!r:.20}")
+        if not 0 < d <= 64:  # the d x d identity is built entry by entry
+            raise DimensionMismatch(f"a standard frame has dimension 1 to 64, not {d!r:.20}")
         return Frame.from_basis(mat_identity(d))
 
     def to_ambient_position(self, b: Vector) -> Vector:
@@ -295,8 +298,7 @@ class PhasePoint:
 def symplectic(z: PhasePoint, zp: PhasePoint) -> PhaseAngle:
     """The symplectic product (alpha . beta' - alpha' . beta) / 2, exact."""
     check_same_frame(z.frame, zp.frame)
-    half = ExactScalar.rational(1, 2)
-    return PhaseAngle.from_turns(half * (vdot(z.a, zp.b) - vdot(zp.a, z.b)))
+    return PhaseAngle.from_turns(ExactScalar.rational(1, 2) * (vdot(z.a, zp.b) - vdot(zp.a, z.b)))
 
 
 # -- unit-cell decompositions ------------------------------------------------
@@ -312,8 +314,7 @@ def decompose(coords: Vector) -> CellDecomposition:
     """Split position (momentum) coordinates into a (dual-)lattice point and a
     unit-cell point (quasi-momentum)."""
     frac, ints = [], []
-    for c in coords:
-        c = scalar(c)
+    for c in vector(coords):
         if not c.is_rational():
             raise NotDecomposable(f"coordinate {c} is not a plain rational")
         f = c.as_fraction()
@@ -325,5 +326,4 @@ def decompose(coords: Vector) -> CellDecomposition:
 
 def enumerate_trs_fixed_points(frame: Frame):
     """The 2^d quasi-momenta fixed by reflection, coordinates in {0, 1/2}."""
-    choices = (Fraction(0), Fraction(1, 2))
-    return [kappa for kappa in itertools.product(choices, repeat=frame.d)]
+    return list(itertools.product((Fraction(0), Fraction(1, 2)), repeat=frame.d))

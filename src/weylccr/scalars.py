@@ -57,6 +57,9 @@ from .errors import (DimensionMismatch, InvalidParameter, NotAScalar, NotDecompo
 
 TWO_PI = 2.0 * math.pi
 
+#: the largest exponent of ``ExactScalar.__pow__``, which multiplies n times
+MAX_POWER = 1024
+
 _Q1 = (1,)  # the denominator polynomial of every polynomial value
 _DEN1 = (Fraction(1),)
 
@@ -169,8 +172,16 @@ def _zgcd_prs(p: tuple, q: tuple) -> tuple:
 
 def _integral(coeffs) -> tuple[tuple, int]:
     """Integer coefficients and one positive denominator for a sequence of
-    rationals: ``coeffs == ints / den``.  Trailing zeros are dropped."""
-    fracs = [_not_a_scalar(c) if c.__class__ is bool else Fraction(c) for c in coeffs]
+    rationals: ``coeffs == ints / den``.  Trailing zeros are dropped.
+    NotAScalar unless ``coeffs`` is a sequence of finite rationals; a bool or
+    a string is not one."""
+    try:
+        coeffs = tuple(coeffs)
+        fracs = [Fraction(c) for c in coeffs if c.__class__ is not bool and c.__class__ is not str]
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+        fracs = None
+    if fracs is None or len(fracs) != len(coeffs):  # or a bool or a string was left out
+        _not_a_scalar(coeffs)
     while fracs and not fracs[-1]:
         fracs.pop()
     den = math.lcm(*(f.denominator for f in fracs))
@@ -374,8 +385,11 @@ class ExactScalar:
             elif not q:
                 raise ZeroDenominator("zero denominator in ExactScalar")
             return _rat(p, q)
-        if p.__class__ is bool or q.__class__ is bool:
-            _not_a_scalar(p if p.__class__ is bool else q)
+        for x in (p, q):
+            if not isinstance(x, Rational) or x.__class__ is bool:
+                _not_a_scalar(x)
+        if not q:
+            raise ZeroDenominator("zero denominator in ExactScalar")
         return scalar(Fraction(p, q))
 
     # -- predicates and conversions ------------------------------------
@@ -503,8 +517,9 @@ class ExactScalar:
         return other / self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise InvalidParameter("only non-negative integer powers are supported")
+        """The n-th power for an int n from 0 to MAX_POWER, by n products."""
+        if not isinstance(n, int) or not 0 <= n <= MAX_POWER or n.__class__ is bool:
+            raise InvalidParameter(f"only integer powers from 0 to {MAX_POWER} are supported")
         out = S_ONE
         for _ in range(n):
             out = out * self

@@ -16,7 +16,7 @@ import functools
 import json
 from fractions import Fraction
 
-from .algebra import Element, Monomial
+from .algebra import Element, Monomial, _finite
 from .characters import (
     BohrCharacter,
     ContinuousCharacter,
@@ -124,6 +124,11 @@ def frame_from_json(obj) -> Frame:
     return frame
 
 
+def _complex(re, im) -> complex:
+    """re + i im from JSON numbers; a bool or a string is not a number here."""
+    return complex(_finite(re, float), _finite(im, float))
+
+
 def element_to_json(x: Element) -> dict:
     terms = []
     for m, c in sorted(x.terms.items(), key=lambda kv: str(kv[0])):
@@ -144,7 +149,7 @@ def element_from_json(obj, frame: Frame | None = None) -> Element:
     for t in obj["terms"]:
         m = Monomial(vector([scalar_from_json(v) for v in t["a"]]),
                      vector([scalar_from_json(v) for v in t["b"]]))
-        terms[m] = terms.get(m, 0j) + complex(t["re"], t["im"])
+        terms[m] = terms.get(m, 0j) + _complex(t["re"], t["im"])
     return Element(frame, terms)
 
 
@@ -188,7 +193,7 @@ _STATES = {
                                 "fhat": [{"idx": list(idx), "re": val.real, "im": val.imag}
                                          for idx, val in s.fhat]},
               lambda o: Bloch([fraction_from_str(k) for k in o["kappa"]],
-                              {tuple(t["idx"]): complex(t["re"], t.get("im", 0.0))
+                              {tuple(t["idx"]): _complex(t["re"], t.get("im", 0.0))
                                for t in o["fhat"]})),
     "zak": (Zak, lambda s: {"kappa": [fraction_to_str(k) for k in s.kappa],
                             "nu": [fraction_to_str(n) for n in s.nu]},

@@ -26,6 +26,7 @@ from .algebra import (
     Element,
     Monomial,
     Symmetry,
+    _finite,
     apply_automorphism,
     monomial_adjoint,
     monomial_product,
@@ -36,6 +37,7 @@ from .errors import (
     FamilyMismatch,
     InvalidParameter,
     InvalidProbeSet,
+    NotAScalar,
     NotAState,
     OutOfSubalgebra,
     Unsupported,
@@ -222,23 +224,17 @@ class Bloch(StateModel):
         return f"Bloch(kappa={self.kappa}, support={[i for i, _ in self.fhat]})"
 
 
-def _number(convert, value, what: str):
-    """``convert(value)``, or NotAState where it would raise a bare exception."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise NotAState(f"{what} {value!r} is not a number") from None
-
-
 def _fourier_data(fhat: Mapping, d: int) -> dict:
-    """Raw Fourier data as a dict from tuples of d ints to complex numbers, in
-    the order of ``fhat``, or NotAState."""
+    """Raw Fourier data as a dict from tuples of d ints to finite complex
+    numbers, in the order of ``fhat``, or NotAState."""
+    if not isinstance(fhat, Mapping):
+        raise NotAState(f"fhat {fhat!r:.40} is not a mapping from indices to values")
     out = {}
     for idx, val in fhat.items():
         idx = integer_point(idx, NotAState)
         if len(idx) != d:
             raise NotAState(f"fhat index {idx} is not {d}-dimensional")
-        out[idx] = _number(complex, val, "Fourier value")
+        out[idx] = _finite(val, complex, NotAState)
     return out
 
 
@@ -248,7 +244,7 @@ def bloch_monomial_value(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> c
     chi(a integral) * e^{-i kappa.beta} * sum_n conj(fhat(n+a)) fhat(n) e^{-i n.beta}
     with every oscillatory phase exact.  Raises NotAState on a kappa that is
     not rational, an index of ``fhat`` that is not a tuple of len(kappa)
-    integers or a value that is not a number.
+    integers or a value that is not a finite number.
     """
     kappa = rational_label(kappa, NotAState)
     return _bloch_closed_form(kappa, _fourier_data(fhat, len(kappa)), m)
@@ -376,7 +372,7 @@ class Mixture(StateModel):
         comps = []
         total = 0.0
         for w, s in self.components:
-            w = _number(float, w, "mixture weight")
+            w = _finite(w, float, NotAState)
             if not w > 0:  # NaN fails too
                 raise NotAState("mixture weights must be positive")
             if not isinstance(s, StateModel):
@@ -577,10 +573,12 @@ def _ambient_points(frame: Frame, probes: Sequence[Monomial]) -> list:
 
 def invariance_check(state: StateModel, specs, samples: Sequence[Element],
                      tol: float = 1e-10) -> CheckResult:
-    """Max over samples of |omega(phi(x)) - omega(x)| for the automorphism phi.
+    """Max over samples of |omega(phi(x)) - omega(x)| for the automorphism phi;
+    it passes at most ``tol``, a finite number.
 
     ``specs`` may be a single automorphism or a sequence applied in order.
     """
+    tol = _finite(tol, float)
     chain = tuple(specs) if isinstance(specs, (list, tuple)) else (specs,)
     deviations = []
     for x in samples:
@@ -658,11 +656,11 @@ def path_sample(kind: str, endpoints, grid) -> list:
     moves kappa linearly and the Fourier vector along a normalized great
     circle.  Grid values 0 and 1 return the endpoint objects themselves.
     """
-    if kind not in PATHS:
+    if kind not in PATH_KINDS:
         raise InvalidParameter(f"unknown path kind {kind!r}")
     family, path = PATHS[kind]
     s0, s1 = endpoints
-    ts = [Fraction(t) for t in grid]
+    ts = rational_label(grid, NotAScalar)
     if any(not (0 <= t <= 1) for t in ts):
         raise InvalidParameter("grid values must lie in [0, 1]")
     if not (isinstance(s0, family) and isinstance(s1, family)):
