@@ -43,6 +43,7 @@ from .errors import (
     FamilyMismatch,
     FrameMismatch,
     ImmutableObject,
+    InvalidObject,
     InvalidParameter,
     InvalidProbeSet,
     NotACharacter,

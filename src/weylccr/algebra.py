@@ -31,7 +31,8 @@ from operator import add, mul, neg
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import DimensionMismatch, ImmutableObject, InvalidParameter, NotAScalar, NotRational
+from .errors import (DimensionMismatch, ImmutableObject, InvalidObject, InvalidParameter,
+                     NotAScalar, NotRational)
 from .lattice import (
     Frame,
     PhasePoint,
@@ -307,16 +308,26 @@ class Element:
     the term map is exposed read-only.  The empty map is the zero element and
     {identity -> 1} is the unit.  A coefficient or number operand that is
     NaN, infinite, a bool or a string raises NotAScalar, a WeylError; an
-    operator given a bool or a string returns NotImplemented.
+    operator given a bool or a string returns NotImplemented.  A frame that is
+    not a ``Frame``, or terms that are not a mapping of monomials, raise
+    InvalidObject.
     """
 
     __slots__ = ("frame", "_terms")
 
     def __init__(self, frame: Frame, terms: Mapping[Monomial, complex] | None = None,
                  *, threshold: float = ZERO_THRESHOLD):
+        if not isinstance(frame, Frame):
+            raise InvalidObject(f"an element's frame must be a Frame, not {type(frame).__name__}")
         merged: dict[Monomial, complex] = {}
-        if terms:
-            for m, c in terms.items():
+        if terms is not None:
+            try:
+                items = terms.items()
+            except AttributeError:
+                raise InvalidObject("an element's terms must be a mapping") from None
+            for m, c in items:
+                if m.__class__ is not Monomial:
+                    raise InvalidObject(f"an element's term {m!r} is not a Monomial")
                 if m.d != frame.d:
                     raise DimensionMismatch("monomial dimension differs from frame")
                 c = _finite(c)
@@ -624,15 +635,21 @@ class Symmetry:
     space translations fix a = 0 only, the lattice ones a integral, and
     momentum translations act on b in the same way."""
 
-    __slots__ = ("momentum", "position", "filter")
+    __slots__ = ("momentum", "position", "filter", "_keyed")
 
     def __init__(self, momentum: str, position: str, filter: Callable | None = None):
         self.momentum, self.position, self.filter = momentum, position, filter
+        keyed = _KEYED[momentum, position]
+        if filter is not None:
+            def keyed(D, n, base=keyed):
+                return base(D, n) and filter(tuple([x // D for x in n[:len(n) >> 1]]))
+        self._keyed = keyed  # the test of a keyed monomial's (D, n), chosen once
 
     def keeps(self, m: Monomial) -> bool:
-        """Whether ``m`` lies in the kept set: a keyed ``m`` through ``kept``."""
-        if m._key is not None:
-            return bool(self.kept(((m, None),)))
+        """Whether ``m`` lies in the kept set."""
+        key = m._key
+        if key is not None:
+            return self._keyed(*key)
         # a coordinate has tau, and a half with tau lies only ANYWHERE
         momentum, position = self.momentum, self.position
         return ((momentum is ANYWHERE or position is ANYWHERE)
@@ -640,31 +657,31 @@ class Symmetry:
                 and (self.filter is None or self.filter(integer_vector(m.a))))
 
     def kept(self, terms) -> list:
-        """The (monomial, value) pairs of ``terms`` in the kept set, keyed ones in one loop."""
-        momentum, position, filter = self.momentum, self.position, self.filter
-        both = momentum is not ANYWHERE and position is not ANYWHERE
-        out = []
-        for m, c in terms:
-            key = m._key
-            if key is None:
-                if self.keeps(m):
-                    out.append((m, c))
-                continue
-            D, n = key
-            d = len(n) >> 1
-            if D != 1 and (both  # the canonical key of an integer point has D = 1
-                           or momentum is LATTICE and gcd(*n[:d]) % D
-                           or position is LATTICE and gcd(*n[d:]) % D) or (
-                    momentum is ZERO and any(n[:d]) or position is ZERO and any(n[d:])):
-                continue
-            if filter is None or filter(tuple([x // D for x in n[:d]])):
-                out.append((m, c))
-        return out
+        """The (monomial, value) pairs of ``terms`` in the kept set."""
+        keyed, keeps = self._keyed, self.keeps
+        return [(m, c) for m, c in terms
+                if (keeps(m) if m._key is None else keyed(*m._key))]
 
     def support(self, n: tuple) -> bool:
         """Whether the kept set has a monomial with the integer momentum n."""
         return (self.momentum is not ZERO or not any(n)) and (
             self.filter is None or self.filter(n))
+
+
+#: (momentum, position) -> the test of a canonical key (D, n), n = (a, b) * D:
+#: a half in ZERO has zero ints and a half in LATTICE ints that D divides;
+#: with both halves constrained D is 1, the only D of an integer point's key
+_KEYED = {
+    (ANYWHERE, ANYWHERE): lambda D, n: True,
+    (ZERO, ANYWHERE): lambda D, n: not any(n[:len(n) >> 1]),
+    (LATTICE, ANYWHERE): lambda D, n: D == 1 or not gcd(*n[:len(n) >> 1]) % D,
+    (ANYWHERE, ZERO): lambda D, n: not any(n[len(n) >> 1:]),
+    (ANYWHERE, LATTICE): lambda D, n: D == 1 or not gcd(*n[len(n) >> 1:]) % D,
+    (ZERO, ZERO): lambda D, n: D == 1 and not any(n),
+    (ZERO, LATTICE): lambda D, n: D == 1 and not any(n[:len(n) >> 1]),
+    (LATTICE, ZERO): lambda D, n: D == 1 and not any(n[len(n) >> 1:]),
+    (LATTICE, LATTICE): lambda D, n: D == 1,
+}
 
 
 def _lies_in(group: str, x: Vector) -> bool:

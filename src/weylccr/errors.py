@@ -55,6 +55,14 @@ class NotACharacter(WeylError, TypeError, IndexError):
     empty tuple of factors raised on first use."""
 
 
+class InvalidObject(WeylError, AttributeError, TypeError, ValueError):
+    """An argument that takes objects of this package (a frame, a state, a
+    mapping of monomials to coefficients, a sequence of monomials or
+    elements, a pair of path endpoints, or a tuple of exact scalars) got
+    something else; also an AttributeError, a TypeError and a ValueError,
+    the classes such arguments raised on first use."""
+
+
 class NotAState(WeylError):
     """The supplied data does not describe a normalized state."""
 
@@ -85,7 +93,11 @@ class ExpressionError(WeylError):
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):  # pickled by its own arguments, as a worker returns it
+        return type(self), (self.message, self.position)
 
 
 class PhasePrecisionError(WeylError):

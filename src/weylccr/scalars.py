@@ -52,8 +52,8 @@ from math import gcd
 from numbers import Rational
 from operator import mul
 
-from .errors import (DimensionMismatch, InvalidParameter, NotAScalar, NotDecomposable,
-                     PhasePrecisionError, WeylError, ZeroDenominator)
+from .errors import (DimensionMismatch, InvalidObject, InvalidParameter, NotAScalar,
+                     NotDecomposable, PhasePrecisionError, WeylError, ZeroDenominator)
 
 TWO_PI = 2.0 * math.pi
 
@@ -791,15 +791,18 @@ class PhaseAngle:
         D_a * D_b, on ints.  A vector with tau falls back to ``from_turns``
         of the dot product summed in Q(tau).
         """
-        if len(a) != len(b):
-            raise DimensionMismatch(f"vector lengths {len(a)} and {len(b)} differ")
-        kb = rational_key(b)  # b carries tau at most call sites, so it goes first
-        ka = rational_key(a) if kb is not None else None
-        if ka is None:
-            total = S_ZERO
-            for u, w in zip(a, b):
-                total = total + u * w
-            return PhaseAngle.from_turns(total if sign > 0 else -total)
+        try:
+            if len(a) != len(b):
+                raise DimensionMismatch(f"vector lengths {len(a)} and {len(b)} differ")
+            kb = rational_key(b)  # b carries tau at most call sites, so it goes first
+            ka = rational_key(a) if kb is not None else None
+            if ka is None:
+                total = S_ZERO
+                for u, w in zip(a, b):
+                    total = total + u * w
+                return PhaseAngle.from_turns(total if sign > 0 else -total)
+        except (AttributeError, TypeError):  # not tuples of ExactScalar
+            raise InvalidObject("from_dot takes two tuples of ExactScalar") from None
         n = sum(map(mul, ka[1], kb[1]))
         d = ka[0] * kb[0]
         return _angle_of_turns(n % d if sign > 0 else -n % d, d)

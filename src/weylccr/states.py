@@ -35,6 +35,7 @@ from .characters import BohrCharacter, ContinuousCharacter, character_eval, char
 from .errors import (
     DimensionMismatch,
     FamilyMismatch,
+    InvalidObject,
     InvalidParameter,
     InvalidProbeSet,
     NotAScalar,
@@ -483,6 +484,7 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
 
     if not probes:
         raise InvalidProbeSet("need at least one probe")
+    probes = _objects(probes, Monomial, (state, StateModel), (frame, Frame))
     if len(set(probes)) != len(probes):
         raise InvalidProbeSet("probes must be distinct")
     n = len(probes)
@@ -593,6 +595,7 @@ def multiplicativity_check(state: StateModel, frame: Frame,
                            probes: Sequence[Monomial]) -> CheckResult:
     """Purity witness on a commuting probe set: omega(mn) = omega(m) omega(n),
     to within 1e-12."""
+    probes = _objects(probes, Monomial, (state, StateModel), (frame, Frame))
     for i, mi in enumerate(probes):
         for mj in probes[i + 1:]:
             ph_ij, m_ij = monomial_product(mi, mj)
@@ -642,7 +645,23 @@ def weak_star_distance(s1: StateModel, s2: StateModel,
     NaN, wherever it falls in the probe order."""
     if not probes:
         raise InvalidProbeSet("need at least one probe")
+    probes = _objects(probes, Element, (s1, StateModel), (s2, StateModel))
     return _nan_max(abs(s1.evaluate(x) - s2.evaluate(x)) for x in probes)
+
+
+def _objects(probes, kind: type, *slots) -> tuple:
+    """The probes as a tuple, once each (value, class) of ``slots`` holds an
+    instance of the class and each probe is a ``kind``; InvalidObject else."""
+    for value, cls in slots:
+        if not isinstance(value, cls):
+            raise InvalidObject(f"a {cls.__name__} is required, not {type(value).__name__}")
+    try:
+        probes = tuple(probes)
+    except TypeError:
+        probes = None
+    if probes is None or not all(isinstance(m, kind) for m in probes):
+        raise InvalidObject(f"probes must be a sequence of {kind.__name__}s")
+    return probes
 
 
 # -- path sampling ---------------------------------------------------------------
@@ -659,7 +678,10 @@ def path_sample(kind: str, endpoints, grid) -> list:
     if kind not in PATH_KINDS:
         raise InvalidParameter(f"unknown path kind {kind!r}")
     family, path = PATHS[kind]
-    s0, s1 = endpoints
+    try:
+        s0, s1 = endpoints
+    except (TypeError, ValueError):
+        raise InvalidObject("path endpoints must be a pair of states") from None
     ts = rational_label(grid, NotAScalar)
     if any(not (0 <= t <= 1) for t in ts):
         raise InvalidParameter("grid values must lie in [0, 1]")

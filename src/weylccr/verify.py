@@ -8,6 +8,9 @@ alone: ``CHECKS["states.unit"](config)`` is that row's list of
 worst-case witness, so a failure is immediately actionable.  The suite of a
 row is the prefix of its name; ``SUITES`` and ``run_suite`` are views of the
 table, and ``suite_weyl`` ... ``suite_paths`` are the ``SUITES`` values.
+Since the rows do not depend on each other, ``run_suite("all")`` runs them
+on worker processes forked for the call, one per usable CPU, and puts the
+results back in table order.
 
 A row is a generator registered by ``check``.  It yields its results, or one
 witness per failed probe, reduced by ``_counted`` (passes when no probe
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -963,10 +967,12 @@ def _paths_probes(config, rng, frame, d):
 
 
 def _suite(key: str):
-    """The suite ``key``: every row named ``key.*``, in table order."""
-    def suite(config: RunConfig) -> list:
+    """The suite ``key``: every row named ``key.*``, in table order.  Given
+    ``pending`` (row name -> future), a row's results are its future's
+    result instead of a run in this process."""
+    def suite(config: RunConfig, pending=None) -> list:
         return [result for name, run in CHECKS.items() if name.startswith(key + ".")
-                for result in run(config)]
+                for result in (run(config) if pending is None else pending[name].result())]
     return suite
 
 
@@ -975,8 +981,52 @@ SUITES = {key: _suite(key) for key in dict.fromkeys(name.split(".")[0] for name 
  suite_paths) = SUITES.values()
 
 
+def _run_row(name: str, config: RunConfig) -> list:
+    """A worker's task: the row ``name`` on ``config``."""
+    return CHECKS[name](config)
+
+
+def _workers(rows: int) -> int:
+    """Worker processes for ``rows`` rows: one per usable CPU and never more
+    than the rows; 1, which runs them in this process, where the platform
+    has no ``fork``, this process is a daemonic worker itself, or another
+    thread runs here (a fork copies the locks it holds, but not the thread)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if min(cpus, rows) < 2:
+        return 1
+    import multiprocessing
+    import threading
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return 1
+    return min(cpus, rows)
+
+
 def run_suite(name: str, config: RunConfig) -> list:
-    """One suite by name, or every suite in ``SUITES`` order for "all"."""
-    if name == "all":
+    """One suite by name, or every suite in ``SUITES`` order for "all".
+
+    For "all", the suites are called here in table order while their rows
+    run on ``_workers`` processes forked for this call, all rows submitted
+    at once; the results come back in table order, so the report does not
+    depend on the number of workers.  The workers are joined before this
+    returns or raises, and a row's exception is raised here.  A single suite
+    runs in this process: its few rows gain less than a pool costs.
+    """
+    if name != "all":
+        return SUITES[name](config)
+    workers = _workers(len(CHECKS))
+    if workers == 1:
         return [result for suite in SUITES.values() for result in suite(config)]
-    return SUITES[name](config)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    try:
+        pending = {row: pool.submit(_run_row, row, config) for row in CHECKS}
+        return [result for suite in SUITES.values() for result in suite(config, pending)]
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -3,12 +3,14 @@ quickly, on bad values.
 
 ``ROWS`` gives one row to each name exported from ``weylccr`` whose
 arguments carry user data: numbers, coordinates, labels, Fourier data,
-matrices, grids, names and expression text.  Arguments that are objects of
-the package (frames, states, elements, monomials, probe lists) are fixed
-valid values.  Each slot of a row is filled either with its valid value or
-with a draw from ``BAD``, one shared strategy of bad values.  Operators are
-called as methods, since a Python operator raises a bare ``TypeError`` after
-both sides return ``NotImplemented``; for a method that return is an answer.
+matrices, grids, names and expression text.  The object slots (frames,
+states, term mappings, probe lists, path endpoints and the vectors of
+``PhaseAngle.from_dot``) have rows of their own; elsewhere such arguments
+are fixed valid values.  Each slot of a row is filled either with its valid
+value or with a draw from ``BAD``, one shared strategy of bad values.
+Operators are called as methods, since a Python operator raises a bare
+``TypeError`` after both sides return ``NotImplemented``; for a method that
+return is an answer.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from weylccr import (
     covariance_check,
     decompose,
     dual_frame,
+    gram_psd_check,
     invariance_check,
+    multiplicativity_check,
     numeric_box_average,
     op_F,
     op_S,
@@ -61,6 +65,7 @@ from weylccr import (
     rep_rho_kappa,
     scalar,
     vector,
+    weak_star_distance,
     weyl_relation_residual,
 )
 
@@ -150,6 +155,14 @@ ROWS = {
                                                       tol), 1e-10),
     "path_sample": (lambda kind, grid: path_sample(kind, ZAKS, grid), "zak_line",
                     [Fraction(1, 2)]),
+    # the object slots
+    "Element.__init__": (Element, F1, {M1: 1.0}),
+    "gram_psd_check": (gram_psd_check, Fock(), F1, [M0, M1]),
+    "multiplicativity_check": (multiplicativity_check, Tracial(), F1, [M0, Monomial([0], [1])]),
+    "weak_star_distance": (weak_star_distance, Fock(), Tracial(), [U]),
+    "path_sample.endpoints": (lambda ends: path_sample("zak_line", ends, [Fraction(1, 2)]),
+                              ZAKS),
+    "PhaseAngle.from_dot": (PhaseAngle.from_dot, M1.a, M1.b),
 }
 
 #: the longest a call may take on any input, in seconds

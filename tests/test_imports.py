@@ -1,9 +1,10 @@
 """The exact core runs without numpy: importing the package and the command
 line, simplifying and evaluating states load it nowhere; the first matrix
 (a Gram check) does.  Nor do those commands load the check table
-(``weylccr.verify``).  Each test starts a fresh interpreter, because this one
-has numpy loaded already.  And the integer layout of ``ExactScalar`` is read
-by ``scalars`` alone."""
+(``weylccr.verify``) or the process pool that verify runs its rows on.
+Each test starts a fresh interpreter, because this one has numpy loaded
+already.  And the integer layout of ``ExactScalar`` is read by ``scalars``
+alone."""
 
 import ast
 import builtins
@@ -44,6 +45,8 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
                 assert exc.code == 0, exc.code
         assert "numpy" not in sys.modules, "commands"
         assert "weylccr.verify" not in sys.modules, "check table"
+        assert "multiprocessing" not in sys.modules, "pool"
+        assert "concurrent.futures" not in sys.modules, "pool"
         lines = out.getvalue().splitlines()
         assert "u(1/2)v(1/2)" in lines[0] and lines[2] == "1+0i", lines
 

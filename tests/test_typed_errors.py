@@ -13,10 +13,12 @@ from weylccr import (
     DimensionMismatch,
     Element,
     ExactScalar,
+    Fock,
     FourierWindow,
     Frame,
     FreeDynamics,
     ImmutableObject,
+    InvalidObject,
     InvalidParameter,
     Mixture,
     Monomial,
@@ -25,6 +27,7 @@ from weylccr import (
     NotAState,
     NotRational,
     OutOfSubalgebra,
+    PhaseAngle,
     PlaneWave,
     ProductCharacter,
     StateModel,
@@ -35,10 +38,12 @@ from weylccr import (
     ZeroDenominator,
     Zak,
     bloch_monomial_value,
+    gram_psd_check,
     numeric_box_average,
     path_sample,
     scalar,
     vector,
+    weak_star_distance,
 )
 from weylccr.gns import MAX_WINDOW_POINTS
 from weylccr.scalars import MAX_POWER
@@ -81,7 +86,23 @@ CALLS = {
     "frame_basis_none": (lambda: Frame.from_basis(None), NotAScalar, TypeError),
     "product_character_empty": (lambda: ProductCharacter(()), NotACharacter, IndexError),
     "product_character_number": (lambda: ProductCharacter(5), NotACharacter, TypeError),
+    "element_terms_str": (lambda: Element(F1, "abc"), InvalidObject, AttributeError),
+    "element_terms_int": (lambda: Element(F1, 5), InvalidObject, AttributeError),
+    "gram_probes": (lambda: gram_psd_check(Fock(), F1, [1, 2]), InvalidObject, AttributeError),
+    "weak_star_probes": (lambda: weak_star_distance(Fock(), Tracial(), "ab"), InvalidObject,
+                         AttributeError),
+    "path_three_endpoints": (lambda: path_sample("zak_line", ZAKS + ZAKS[:1], [0]),
+                             InvalidObject, ValueError),
+    "path_endpoints_int": (lambda: path_sample("zak_line", 5, [0]), InvalidObject, TypeError),
+    "from_dot_lists": (lambda: PhaseAngle.from_dot([1], [1]), InvalidObject, AttributeError),
 }
+
+
+@pytest.mark.parametrize("terms", ["", 0, [], ()])
+def test_empty_terms_that_are_not_a_mapping_are_not_the_zero_element(terms):
+    with pytest.raises(InvalidObject):
+        Element(F1, terms)
+    assert Element(F1, {}) == Element(F1) == Element.zero(F1)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
