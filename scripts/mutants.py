@@ -19,8 +19,8 @@ Each mutant writes a canonical program: turns stay reduced and every value
 keeps its type, so the killer that fires is the one that checks the
 convention named in the reason.  Prints one line per row and exits 1 when a
 row's old text is not found exactly once or its killer does not kill it,
-else 0.  Standard library only; a full run takes about half a minute on
-two cores.
+else 0.  Standard library only; a full run takes under a minute on two
+cores.
 """
 
 from __future__ import annotations
@@ -119,6 +119,22 @@ MUTANTS = (
            "            if q < 0:\n                p, q = -p, -q",
            "            if q < -1:\n                p, q = -p, -q",
            "ExactScalar.rational that keeps a denominator of -1", "tests/test_scalars.py"),
+    Mutant("algebra.py",
+           "        momentum = max((p.momentum for p in parts), key=_GROUPS.index)\n"
+           "        position = max((p.position for p in parts), key=_GROUPS.index)",
+           "        momentum = min((p.momentum for p in parts), key=_GROUPS.index)\n"
+           "        position = min((p.position for p in parts), key=_GROUPS.index)",
+           "symmetry join that takes the narrowest group of each half",
+           "tests/test_gram_support.py"),
+    Mutant("algebra.py",
+           "            if not r < inf:  # NaN fails too\n"
+           "                raise NotAScalar(f\"the coefficient {c!r} of {m} is not finite\")\n",
+           "",
+           "element arithmetic that keeps inf and drops NaN results", "tests/test_algebra.py"),
+    Mutant("lattice.py",
+           "tuple([v // D for v in n])",
+           "tuple([(v + D - 1) // D for v in n])",
+           "unit cell that rounds up where it takes the floor", "tests/test_lattice.py"),
 )
 
 

@@ -76,11 +76,13 @@ def _is_number(x) -> bool:
 def _finite(x, convert: Callable = complex, error: type = NotAScalar):
     """``convert(x)``, with ``convert`` complex or float, as a finite number;
     ``error`` when x is a bool or a string, which are not numbers here, when
-    ``convert`` refuses it, or when the value is NaN, infinite or too large."""
+    ``convert`` refuses it, or when the value is NaN, infinite or too large,
+    also in modulus."""
     if x.__class__ is not complex and x.__class__ is not float and isinstance(x, (bool, str)):
         raise error(f"{x!r:.40} is not a number")
     try:
         z = convert(x)
+        abs(z)  # finite parts may have a modulus past the float range
     except OverflowError:
         raise error("a number is too large for a double") from None
     except (TypeError, ValueError):
@@ -476,11 +478,30 @@ class Element:
 
 def _element_of(frame: Frame, items: Iterable, threshold: float = ZERO_THRESHOLD) -> Element:
     """The element of the (monomial, complex) pairs ``items``, which come
-    from valid elements of ``frame``: only the threshold is applied."""
+    from valid elements of ``frame``: the threshold is applied, and a value
+    that left the float range, NaN, infinite or past it in modulus, raises
+    NotAScalar."""
+    terms = {}
+    try:
+        for m, c in items:
+            r = abs(c)
+            if not r < inf:  # NaN fails too
+                raise NotAScalar(f"the coefficient {c!r} of {m} is not finite")
+            if r > threshold:
+                terms[m] = c
+    except OverflowError:
+        raise NotAScalar("a coefficient's modulus is too large for a double") from None
     x = _new(Element)
     _set(x, "frame", frame)
-    _set(x, "_terms", {m: c for m, c in items if abs(c) > threshold})
+    _set(x, "_terms", terms)
     return x
+
+
+def _check_elements(*xs) -> None:
+    """InvalidObject unless each of ``xs`` is an ``Element``."""
+    for x in xs:
+        if not isinstance(x, Element):
+            raise InvalidObject(f"an Element is required, not {type(x).__name__}")
 
 
 def weyl_generator_parts(z: PhasePoint) -> tuple[PhaseAngle, Monomial]:
@@ -611,7 +632,15 @@ def automorphism_action(spec: AutomorphismSpec, frame: Frame,
     return spec.act(frame, m)
 
 
+def _check_automorphism(spec) -> None:
+    """InvalidObject unless ``spec`` is an ``AutomorphismSpec``."""
+    if not isinstance(spec, AutomorphismSpec.__args__):  # the classes: a Union is slow
+        raise InvalidObject(f"an automorphism is required, not {type(spec).__name__}")
+
+
 def apply_automorphism(spec: AutomorphismSpec, x: Element) -> Element:
+    _check_automorphism(spec)
+    _check_elements(x)
     out: dict[Monomial, complex] = {}
     for m, c in x.terms.items():
         phase, image, conj = automorphism_action(spec, x.frame, m)
@@ -623,8 +652,8 @@ def apply_automorphism(spec: AutomorphismSpec, x: Element) -> Element:
 
 # -- symmetries and ergodic means ------------------------------------------------
 
-#: the subgroups a half of a monomial, a or b, may be declared to lie in
-ZERO, LATTICE, ANYWHERE = "zero", "lattice", "anywhere"
+#: the subgroups a half of a monomial, a or b, may be declared to lie in, narrowest first
+ZERO, LATTICE, ANYWHERE = _GROUPS = "zero", "lattice", "anywhere"
 
 
 class Symmetry:
@@ -633,7 +662,10 @@ class Symmetry:
     and an integer a passes the ``filter``, if any (Bloch's supp fhat - supp
     fhat).  That kept set is what every translation of the group fixes: all
     space translations fix a = 0 only, the lattice ones a integral, and
-    momentum translations act on b in the same way."""
+    momentum translations act on b in the same way.  It is a state's one
+    declaration of where it vanishes (``StateModel.symmetry``), which the
+    closed forms, the ergodic means and the Gram check read; a mixture
+    declares the ``join`` of its components'."""
 
     __slots__ = ("momentum", "position", "filter", "_keyed")
 
@@ -662,10 +694,22 @@ class Symmetry:
         return [(m, c) for m, c in terms
                 if (keeps(m) if m._key is None else keyed(*m._key))]
 
-    def support(self, n: tuple) -> bool:
-        """Whether the kept set has a monomial with the integer momentum n."""
-        return (self.momentum is not ZERO or not any(n)) and (
-            self.filter is None or self.filter(n))
+    @staticmethod
+    def join(parts: Iterable) -> "Symmetry | None":
+        """The declaration of a mixture of the ``parts``' states, whose kept set
+        holds each part's: None if a part is None; else each half the widest of
+        the parts' groups, and the momentum half filtered to the integer momenta
+        some part keeps unless it is ANYWHERE or a part keeps every one."""
+        parts = tuple(parts)
+        if None in parts:
+            return None
+        momentum = max((p.momentum for p in parts), key=_GROUPS.index)
+        position = max((p.position for p in parts), key=_GROUPS.index)
+        if momentum is ANYWHERE or any(p.momentum is momentum and p.filter is None for p in parts):
+            return Symmetry(momentum, position)
+        return Symmetry(momentum, position, lambda n: any(
+            (p.momentum is not ZERO or not any(n)) and (p.filter is None or p.filter(n))
+            for p in parts))
 
 
 #: (momentum, position) -> the test of a canonical key (D, n), n = (a, b) * D:
@@ -700,17 +744,20 @@ TRACIAL_SYMMETRY = Symmetry(ZERO, ZERO)
 
 def ergodic_mean(x: Element) -> Element:
     """Projection onto the translation-invariant part: the a = 0 terms."""
+    _check_elements(x)
     return _element_of(x.frame, BOHR_SYMMETRY.kept(x._terms.items()), threshold=0.0)
 
 
 def ergodic_mean_lattice(x: Element) -> Element:
     """Projection onto the lattice-invariant part: the terms with a integral."""
+    _check_elements(x)
     return _element_of(x.frame, BLOCH_SYMMETRY.kept(x._terms.items()), threshold=0.0)
 
 
 def ergodic_mean_zak(x: Element) -> Element:
     """Projection onto the part invariant under both lattices: the terms with
     a and b integral."""
+    _check_elements(x)
     return _element_of(x.frame, ZAK_SYMMETRY.kept(x._terms.items()), threshold=0.0)
 
 
@@ -720,6 +767,7 @@ def numeric_box_average(x: Element, L: float, samples_per_dim: int) -> Element:
     Each coefficient is multiplied by the product over coordinates of the
     midpoint mean of e^{-i alpha lambda}; terms with a = 0 are reproduced exactly.
     """
+    _check_elements(x)
     if L.__class__ is not float:  # a float goes to the range test, which refuses NaN
         L = _finite(L, float)
     if not 0 < L < inf:  # NaN fails too
@@ -755,6 +803,7 @@ def tracial_inner_product(x: Element, y: Element) -> complex:
     x is looked up in y and contributes conj(c) c' times the unit phase; for
     x = y the result is exactly the coefficient l2-norm squared.
     """
+    _check_elements(x, y)
     check_same_frame(x.frame, y.frame)
     terms = y._terms
     total = 0j

@@ -313,15 +313,19 @@ class CellDecomposition:
 def decompose(coords: Vector) -> CellDecomposition:
     """Split position (momentum) coordinates into a (dual-)lattice point and a
     unit-cell point (quasi-momentum)."""
-    frac, ints = [], []
-    for c in vector(coords):
-        if not c.is_rational():
-            raise NotDecomposable(f"coordinate {c} is not a plain rational")
-        f = c.as_fraction()
-        n = math.floor(f)
-        ints.append(n)
-        frac.append(f - n)
-    return CellDecomposition(tuple(frac), tuple(ints))
+    key = rational_key(vector(coords))
+    if key is None:
+        raise NotDecomposable(f"a coordinate of {coords!r:.60} is not a plain rational")
+    (D, r), ints = _unit_cell(*key)
+    return CellDecomposition(tuple(Fraction(x, D) for x in r), ints)
+
+
+def _unit_cell(D: int, n: tuple) -> tuple:
+    """The cell of x = n / D, for ints n and D > 0: the canonical key (D', r)
+    of x - floor(x), gcd(D', *r) == 1, and the ints floor(x)."""
+    frac = [v % D for v in n]
+    g = math.gcd(D, *frac)
+    return (D // g, tuple([v // g for v in frac])), tuple([v // D for v in n])
 
 
 def enumerate_trs_fixed_points(frame: Frame):

@@ -10,7 +10,6 @@ floating point.
 from __future__ import annotations
 
 import math
-from math import gcd
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
@@ -26,6 +25,8 @@ from .algebra import (
     Element,
     Monomial,
     Symmetry,
+    _check_automorphism,
+    _check_elements,
     _finite,
     apply_automorphism,
     monomial_adjoint,
@@ -47,6 +48,7 @@ from .errors import (
 from .lattice import (
     Frame,
     Vector,
+    _unit_cell,
     integer_point,
     integer_vector,
     is_zero_vector,
@@ -67,23 +69,14 @@ class TimeReversalVerdict:
     certificate: str
 
 
-class _DeclaredSupport:
-    """``state.symmetry.support``, None on the class or with a free momentum."""
-
-    def __get__(self, state, owner):
-        symmetry = None if state is None else state.symmetry
-        return None if symmetry is None or symmetry.momentum is ANYWHERE else symmetry.support
-
-
 class StateModel:
     """Base class: a state evaluates elements linearly over their terms; a
     family with a closed-form time-reversal criterion overrides ``time_reversal``.
 
     Two declarations say where the values are exactly 0, and the closed
-    forms and ``gram_psd_check`` rely on them.  ``symmetry`` is None or an
-    ``algebra.Symmetry`` with omega(u_a v_b) = 0j off its kept set; the
-    ``support`` derived from it is None or a predicate on integer momenta n
-    (tuples of d ints) with omega(u_a v_b) = 0j unless a is such an n.
+    forms and ``gram_psd_check`` rely on them.  ``symmetry`` is None or the
+    one ``algebra.Symmetry`` with omega(u_a v_b) = 0j off its kept set; a
+    ``Mixture`` declares the ``Symmetry.join`` of its components'.
     ``vanishing_width`` is None or a width past which |F a|^2 + |E b|^2
     makes every value 0.0, with a safety factor for its estimate in doubles.
     A subclass that defines its own ``monomial_value`` and no ``symmetry``
@@ -91,7 +84,6 @@ class StateModel:
     """
 
     symmetry = None
-    support = _DeclaredSupport()
     vanishing_width = None
 
     def __init_subclass__(cls, **kwargs):
@@ -106,6 +98,7 @@ class StateModel:
         raise Unsupported(f"no time-reversal criterion for {type(self).__name__}")
 
     def evaluate(self, x: Element) -> complex:
+        _check_elements(x)
         total = 0j
         for m, c in x.terms.items():
             total += c * self.monomial_value(x.frame, m)
@@ -385,12 +378,9 @@ class Mixture(StateModel):
         object.__setattr__(self, "components", tuple(comps))
 
     @property
-    def support(self):
-        """The union of the components' supports; None when one has none."""
-        supports = [s.support for _, s in self.components]
-        if None in supports:
-            return None
-        return lambda n: any(inside(n) for inside in supports)
+    def symmetry(self) -> Symmetry | None:
+        """The join of the components' declarations."""
+        return Symmetry.join(s.symmetry for _, s in self.components)
 
     def monomial_value(self, frame, m):
         return sum(w * s.monomial_value(frame, m) for w, s in self.components)
@@ -470,15 +460,16 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
     """Positivity witness: the Gram matrix H_ij = omega(m_i* m_j) must be PSD,
     its least eigenvalue at least -1e-10.
 
-    An entry that the state's declarations say vanishes stays 0j, with no
-    product, phase or value formed.  m_i* m_j has momentum a_j - a_i and
-    position b_j - b_i: per constrained half (the momentum through
-    ``support``, which a ``Mixture`` has too), an entry vanishes whose probes'
-    cells (``_cell``) differ in fractional parts or in integer parts off
-    ``support`` or the position group.  With a ``vanishing_width``, an entry
-    vanishes whose width |F(a_j - a_i)|^2 + |E(b_j - b_i)|^2, estimated from
-    the probes' ambient points in doubles, is past it.  A formed entry whose
-    value is zero (a Fock value that underflowed, say) gets no phase.
+    An entry that ``symmetry`` or ``vanishing_width`` says vanishes stays 0j,
+    with no product, phase or value formed.  m_i* m_j has momentum a_j - a_i
+    and position b_j - b_i: each probe gets one cell pair, the unit cells
+    (``lattice._unit_cell``) of its a and b, and an entry vanishes where a
+    half has both cells and they differ in fractional parts, or in integer
+    parts in a ZERO half, or where floor(a_j) - floor(a_i) fails the filter
+    (``_apart``).  An entry also vanishes whose width |F(a_j - a_i)|^2 +
+    |E(b_j - b_i)|^2, estimated from the probes' ambient points in doubles,
+    is past the ``vanishing_width``.  A formed entry whose value is zero (a
+    Fock value that underflowed, say) gets no phase.
     """
     import numpy as np
 
@@ -488,25 +479,22 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
     if len(set(probes)) != len(probes):
         raise InvalidProbeSet("probes must be distinct")
     n = len(probes)
-    support, symmetry = state.support, state.symmetry
-    position = ANYWHERE if symmetry is None else symmetry.position
-    same_d = len({m.d for m in probes}) == 1  # else no cells: the products raise
-    cells = [_cell(m, 0) if same_d and support is not None else None for m in probes]
-    places = [_cell(m, 1) if same_d and position is not ANYWHERE else None for m in probes]
-    width = state.vanishing_width
+    symmetry, width = state.symmetry, state.vanishing_width
+    cells = None  # a cell is None in a half the symmetry leaves ANYWHERE or that has tau
+    if symmetry is not None and len({m.d for m in probes}) == 1:  # else the products raise
+        groups = symmetry.momentum, symmetry.position
+        cells = [tuple(None if group is ANYWHERE or key is None else _unit_cell(*key)
+                       for group, key in zip(groups, (rational_key(m.a), rational_key(m.b))))
+                 for m in probes]
     points = _ambient_points(frame, probes) if width is not None else (None,) * n
     H = np.zeros((n, n), dtype=complex)
     for i, mi in enumerate(probes):
         phase_i, mi_star = monomial_adjoint(mi)
-        cell_i, place_i, point_i = cells[i], places[i], points[i]
+        point_i = points[i]
         for j, mj in enumerate(probes):
-            cell_j, place_j, point_j = cells[j], places[j], points[j]
-            if cell_i is not None and cell_j is not None and (
-                    cell_i[0] != cell_j[0] or not support(tuple(map(sub, cell_j[1], cell_i[1])))):
+            if cells is not None and _apart(symmetry, cells[i], cells[j]):
                 continue
-            if place_i is not None and place_j is not None and (
-                    place_i[0] != place_j[0] or position is ZERO and place_i[1] != place_j[1]):
-                continue
+            point_j = points[j]
             if point_i is not None and point_j is not None and sum(
                     (x - y) ** 2 for x, y in zip(point_i, point_j)) > width:
                 continue
@@ -519,21 +507,16 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
     return GramReport(min_eig, residual, min_eig >= -1e-10)
 
 
-def _cell(m: Monomial, half: int):
-    """m's a (``half`` 0) or b (``half`` 1) as the canonical key (D, r) of
-    x - floor(x) and the ints floor(x); None for a half with tau."""
-    key = m._key
-    if key is None:
-        key = rational_key(m.b if half else m.a)
-        if key is None:
-            return None
-        D, x = key
-    else:
-        D, n = key
-        x = n[len(n) >> 1:] if half else n[:len(n) >> 1]
-    frac = [v % D for v in x]
-    g = gcd(D, *frac)
-    return (D // g, tuple([r // g for r in frac])), tuple([v // D for v in x])
+def _apart(symmetry: Symmetry, cells_i: tuple, cells_j: tuple) -> bool:
+    """Whether the cell pairs of m_i and m_j make omega(m_i* m_j) vanish by
+    ``symmetry``, as ``gram_psd_check`` says."""
+    (ai, bi), (aj, bj) = cells_i, cells_j
+    return (ai is not None and aj is not None and (
+                ai[0] != aj[0] or symmetry.momentum is ZERO and ai[1] != aj[1]
+                or symmetry.filter is not None
+                and not symmetry.filter(tuple(map(sub, aj[1], ai[1]))))
+            or bi is not None and bj is not None and (
+                bi[0] != bj[0] or symmetry.position is ZERO and bi[1] != bj[1]))
 
 
 #: the largest sum of the terms |F_rk a_k| and |E_rk b_k| of an ambient point:
@@ -582,6 +565,9 @@ def invariance_check(state: StateModel, specs, samples: Sequence[Element],
     """
     tol = _finite(tol, float)
     chain = tuple(specs) if isinstance(specs, (list, tuple)) else (specs,)
+    for spec in chain:
+        _check_automorphism(spec)
+    samples = _objects(samples, Element, (state, StateModel))
     deviations = []
     for x in samples:
         y = x

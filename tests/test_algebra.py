@@ -34,7 +34,7 @@ from weylccr import (
     weyl_generator,
 )
 from weylccr import algebra
-from weylccr.errors import DimensionMismatch, FrameMismatch, WeylError
+from weylccr.errors import DimensionMismatch, FrameMismatch, NotAScalar, WeylError
 from weylccr.lattice import (
     integer_vector,
     is_zero_vector,
@@ -609,11 +609,33 @@ class TestElementArithmetic:
         lambda x, m: 10**400 * x,
         lambda x, m: x + 10**400,
         lambda x, m: Element(F1, {m: Fraction(10**400, 3)}),
-    ], ids=["times", "times_left", "plus", "coefficient"])
+        lambda x, m: Element(F1, {m: complex(1.5e308, 1.5e308)}),
+    ], ids=["times", "times_left", "plus", "coefficient", "modulus"])
     def test_numbers_past_the_float_range_are_refused(self, build):
         x = Element.u(F1, [Fraction(1, 2)])
         with pytest.raises(WeylError, match="too large"):
             build(x, Monomial([1], [0]))
+
+    @pytest.mark.parametrize("build", [
+        lambda big, tau: big * big,  # (inf+nanj) at u(0)v(0)
+        lambda big, tau: tau * tau,  # the product path of monomials with tau
+        lambda big, tau: big * 1e200,
+        lambda big, tau: 1e200 * big,
+        lambda big, tau: big * 1e108 + big * 1e108,
+        lambda big, tau: big * 1e108 - big * -1e108,
+        lambda big, tau: Element(F1, {Monomial([0], [0]): complex(1.2e308, 1.2e308)}) * 1.2,
+        # |c| is a double, but c times the phase e^{2 pi i 3/5} rounds past the range
+        lambda big, tau: apply_automorphism(MomentumTranslation([Fraction(3, 5)]), Element(
+            F1, {Monomial([0], [1]): complex(-1.4543642967747879e308, 1.0566575128194929e308)})),
+    ], ids=["product", "product_tau", "times", "times_left", "sum", "difference", "modulus",
+            "automorphism"])
+    def test_results_past_the_float_range_raise(self, build):
+        """Arithmetic whose result leaves the float range raises NotAScalar,
+        where it used to keep an inf coefficient or drop a NaN one."""
+        big = Element(F1, {Monomial([0], [0]): 1e200, Monomial([1], [0]): 1.0})
+        tau = Element(F1, {Monomial([TAU], [0]): 1e200, Monomial([0], [1]): 1.0})
+        with pytest.raises(NotAScalar, match="not finite|too large"):
+            build(big, tau)
 
     def test_scalar_operands_are_multiples_of_the_unit(self):
         rng = random.Random("elem-scalars")

@@ -45,12 +45,14 @@ from weylccr import (
     Tracial,
     WeylError,
     Zak,
+    apply_automorphism,
     bloch_monomial_value,
     bloch_vector_state,
     character_eval,
     covariance_check,
     decompose,
     dual_frame,
+    ergodic_mean,
     gram_psd_check,
     invariance_check,
     multiplicativity_check,
@@ -64,6 +66,7 @@ from weylccr import (
     plane_wave_vector_state,
     rep_rho_kappa,
     scalar,
+    tracial_inner_product,
     vector,
     weak_star_distance,
     weyl_relation_residual,
@@ -163,6 +166,15 @@ ROWS = {
     "path_sample.endpoints": (lambda ends: path_sample("zak_line", ends, [Fraction(1, 2)]),
                               ZAKS),
     "PhaseAngle.from_dot": (PhaseAngle.from_dot, M1.a, M1.b),
+    "Fock.evaluate": (Fock().evaluate, U),
+    "invariance_check.samples": (lambda samples: invariance_check(
+        Tracial(), SpaceTranslation([1]), samples), [U]),
+    "invariance_check.specs": (lambda specs: invariance_check(Tracial(), specs, [U]),
+                               SpaceTranslation([1])),
+    "apply_automorphism": (apply_automorphism, SpaceTranslation([1]), U),
+    "ergodic_mean": (ergodic_mean, U),
+    "tracial_inner_product": (tracial_inner_product, U, U),
+    "numeric_box_average.x": (lambda x: numeric_box_average(x, 1.0, 4), U),
 }
 
 #: the longest a call may take on any input, in seconds

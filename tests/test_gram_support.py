@@ -1,8 +1,9 @@
-"""The support-first Gram check against the plain all-pairs loop, the
-soundness of every family's ``support`` and the keyed Zak phases.
+"""The symmetry-first Gram check against the plain all-pairs loop, the
+soundness of every family's ``symmetry`` and of a mixture's join, and the
+keyed Zak phases.
 
 ``gram_psd_check`` leaves an entry 0j, with no product formed, where the
-state's ``support`` says the value vanishes, or where a Fock entry's width
+state's ``symmetry`` says the value vanishes, or where a Fock entry's width
 estimated in doubles is past ``Fock.vanishing_width``; ``reference_gram``
 forms every entry.  Both must give the same report bit for bit.
 """
@@ -38,7 +39,7 @@ from weylccr import (
 )
 from weylccr.errors import DimensionMismatch
 from weylccr.algebra import FreeDynamics, apply_automorphism, monomial_adjoint, monomial_product
-from weylccr.lattice import vector
+from weylccr.lattice import vector, zero_vector
 from weylccr.states import GramReport
 from weylccr.verify import _family_zoo, rand_kappa, rand_normalized_fhat
 
@@ -108,10 +109,15 @@ def _states(rng, frame) -> list:
     bloch = Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d, radius=1))
     zak = Zak(rand_kappa(rng, d), rand_kappa(rng, d))
     plane = PlaneWave(vector([Fraction(1, 3)] * d))
+    bohr = BohrState(ContinuousCharacter([Fraction(1, 3)] * d))
     return zoo + [
         ("bloch_radius_1", bloch),
         ("mixture_with_fock", Mixture([(0.5, Fock()), (0.5, bloch)])),
         ("mixture_supported", Mixture([(0.4, bloch), (0.3, zak), (0.3, plane)])),
+        # the join constrains the position half to the lattice
+        ("mixture_zak_tracial", Mixture([(0.5, zak), (0.5, Tracial())])),
+        # the join filters the momentum half by {0} united with supp fhat - supp fhat
+        ("mixture_bohr_bloch", Mixture([(0.5, bohr), (0.5, bloch)])),
     ]
 
 
@@ -133,7 +139,7 @@ def test_gram_equals_the_all_pairs_loop_bit_for_bit(frame_name, seed):
                      for mi in probes for mj in probes].count(0j)
             assert avoided <= zeros, name
             assert avoided > 0 or frame_name not in ("tau_d1", "skew_d2"), name
-        elif state.support is None:
+        elif state.symmetry is None:
             assert product.call_count == n * n, name
         else:
             assert product.call_count < n * n, name
@@ -153,17 +159,40 @@ def test_gram_with_underflowed_fock_values_equals_the_all_pairs_loop(frame_name)
     assert report_bits(got) == report_bits(reference_gram(Fock(), frame, probes))
 
 
-def test_support_is_none_only_without_a_symmetry():
+def _kept_momenta(state) -> list:
+    """The integer momenta n in -4..4 of d = 1 that the state's symmetry
+    keeps with b = 0, which lies in every position group."""
+    return [n for n in range(-4, 5)
+            if state.symmetry.keeps(Monomial(vector([n]), vector([0])))]
+
+
+def test_a_mixture_declares_the_join_of_its_components():
     bloch = Bloch([Fraction(1, 3)], {(0,): 0.6, (2,): 0.8})
-    assert Fock().support is None and states.StateModel.support is None
-    assert Mixture([(0.5, Fock()), (0.5, bloch)]).support is None
-    assert PlaneWave([Fraction(1, 2)]).support((0,)) and not PlaneWave([1]).support((1,))
-    assert Tracial().support((0,)) and not Tracial().support((-1,))
-    assert Zak([0], [0]).support((5,))
-    assert [n for n in range(-4, 5) if bloch.support((n,))] == [-2, 0, 2]
-    mixture = Mixture([(0.5, bloch), (0.5, Tracial())])
-    assert [n for n in range(-4, 5) if mixture.support((n,))] == [-2, 0, 2]
-    assert bloch.support((0, 0))  # another dimension: the closed form raises
+    other = Bloch([Fraction(1, 2)], {(0,): 0.6, (3,): 0.8})
+    family = [Fock(), bloch, Tracial(), Zak([0], [0]), PlaneWave([0]),
+              Mixture([(0.5, bloch), (0.5, Tracial())])]
+    assert not any(hasattr(s, "support") for s in [StateModel, Mixture] + family)
+    assert Mixture([(0.5, Fock()), (0.5, bloch)]).symmetry is None
+    assert _kept_momenta(PlaneWave([Fraction(1, 2)])) == _kept_momenta(Tracial()) == [0]
+    assert _kept_momenta(Zak([0], [0])) == list(range(-4, 5))
+    assert _kept_momenta(bloch) == [-2, 0, 2]
+    assert _kept_momenta(Mixture([(0.5, bloch), (0.5, Tracial())])) == [-2, 0, 2]
+    assert _kept_momenta(Mixture([(0.5, bloch), (0.5, other)])) == [-3, -2, 0, 2, 3]
+    joins = {
+        "zak_tracial": (Mixture([(0.5, Zak([0], [0])), (0.5, Tracial())]), algebra.LATTICE,
+                        algebra.LATTICE, False),
+        "bohr_bloch": (Mixture([(0.5, BohrState(ContinuousCharacter([1]))), (0.5, bloch)]),
+                       algebra.LATTICE, algebra.ANYWHERE, True),
+        "plane_zak_tracial": (Mixture([(0.5, PlaneWave([1])), (0.25, Zak([0], [0])),
+                                       (0.25, Tracial())]), algebra.LATTICE, algebra.ANYWHERE,
+                              False),
+        "tracial": (Mixture([(1.0, Tracial())]), algebra.ZERO, algebra.ZERO, False),
+    }
+    for name, (mixture, momentum, position, filtered) in joins.items():
+        symmetry = mixture.symmetry
+        assert (symmetry.momentum, symmetry.position) == (momentum, position), name
+        assert (symmetry.filter is not None) == filtered, name
+    assert bloch.symmetry.filter((0, 0))  # another dimension: the closed form raises
 
 
 def test_a_state_of_another_dimension_still_raises():
@@ -173,7 +202,7 @@ def test_a_state_of_another_dimension_still_raises():
         gram_psd_check(bloch, FRAMES["standard_d1"], probes)
 
 
-# -- support soundness ----------------------------------------------------------------
+# -- symmetry soundness ----------------------------------------------------------------
 
 
 def _supported_family(kind, rng, d):
@@ -208,7 +237,7 @@ def test_values_off_the_support_are_exactly_zero(kind, frame_name, seed, fractio
             a[0] += Fraction(1, 2)
     else:
         a = next(n for n in ([rng.randint(-5, 5) for _ in range(d)] for _ in range(1000))
-                 if not state.support(tuple(n)))
+                 if not state.symmetry.keeps(Monomial(vector(n), zero_vector(d))))
     b = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)]
     if tau_b:
         b[-1] = TAU * b[-1] + 1

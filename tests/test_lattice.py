@@ -24,6 +24,7 @@ from weylccr.errors import (
     SingularFrame,
 )
 from weylccr.lattice import (
+    _unit_cell,
     integer_vector,
     mat_identity,
     mat_mul,
@@ -182,6 +183,22 @@ class TestCellDecomposition:
     def test_tau_dependent_coordinate_rejected(self):
         with pytest.raises(NotDecomposable):
             decompose((TAU,))
+        with pytest.raises(NotDecomposable):
+            decompose(vector([Fraction(1, 2), TAU + 1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.lists(st.integers(-200, 200), min_size=1, max_size=4))
+    def test_unit_cell_of_any_key(self, D, n):
+        """Reduced or not, the key (D, n) gives the canonical key of x - floor(x)
+        and the ints floor(x), x = n / D, which ``decompose`` reads too."""
+        (Dr, r), ints = _unit_cell(D, tuple(n))
+        x = [Fraction(v, D) for v in n]
+        assert ints == tuple(math.floor(v) for v in x)
+        assert all(type(v) is int for v in ints + r)
+        assert [Fraction(v, Dr) for v in r] == [v - math.floor(v) for v in x]
+        assert all(0 <= v < Dr for v in r) and math.gcd(Dr, *r) == 1
+        dec = decompose(vector(x))
+        assert dec.fractional == tuple(Fraction(v, Dr) for v in r) and dec.integral == ints
 
 
 class TestIntegerVector:

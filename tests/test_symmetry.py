@@ -42,6 +42,7 @@ from weylccr import (
     serialization,
     states,
 )
+from weylccr.algebra import Symmetry
 from weylccr.lattice import vector
 from weylccr.scalars import unit_from_turns
 
@@ -128,6 +129,33 @@ def test_each_kept_set_is_what_the_symmetry_group_fixes(data, frame_name):
     assert set(ergodic_mean_zak(x).terms) == fixed["zak"]
 
 
+def _declarations(d) -> list:
+    """The families' declarations in dimension d, two Bloch filters and a
+    join of joins."""
+    zero = (0,) * d
+    blochs = [Bloch([Fraction(1, 3)] * d, {zero: 0.6, (k,) + zero[1:]: 0.8}).symmetry
+              for k in (2, -3)]
+    return [algebra.BOHR_SYMMETRY, algebra.BLOCH_SYMMETRY, algebra.ZAK_SYMMETRY,
+            algebra.TRACIAL_SYMMETRY, *blochs,
+            Symmetry.join([Symmetry.join(blochs), algebra.TRACIAL_SYMMETRY])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(sorted(FRAMES)))
+def test_a_join_keeps_what_any_part_keeps(data, frame_name):
+    """On keyed monomials and ones with tau: a join keeps every monomial that
+    some part keeps, and the join of one part keeps exactly what it keeps."""
+    frame = FRAMES[frame_name]
+    declarations = _declarations(frame.d)
+    parts = data.draw(st.lists(st.sampled_from(declarations), min_size=1, max_size=4))
+    joined = Symmetry.join(parts)
+    for m in data.draw(st.lists(_monomials(frame), min_size=4, max_size=8)):
+        assert joined.keeps(m) or not any(p.keeps(m) for p in parts), (m, parts)
+        for p in declarations:
+            assert Symmetry.join([p]).keeps(m) == p.keeps(m), (m, p)
+    assert Symmetry.join(parts + [None]) is None
+
+
 def test_the_families_read_one_declaration_each():
     bloch = Bloch([Fraction(1, 3)], {(0,): 0.6, (2,): 0.8})
     assert BohrState(ContinuousCharacter([0])).symmetry is algebra.BOHR_SYMMETRY
@@ -135,10 +163,12 @@ def test_the_families_read_one_declaration_each():
     assert Zak([0], [0]).symmetry is algebra.ZAK_SYMMETRY
     assert Tracial().symmetry is algebra.TRACIAL_SYMMETRY
     assert (bloch.symmetry.momentum, bloch.symmetry.position) == (algebra.LATTICE, algebra.ANYWHERE)
-    assert Fock().symmetry is None and Mixture([(1.0, Tracial())]).symmetry is None
+    assert Fock().symmetry is None
+    joined = Mixture([(1.0, Tracial())]).symmetry
+    assert (joined.momentum, joined.position, joined.filter) == (algebra.ZERO, algebra.ZERO, None)
     kept = [n for n in range(-4, 5)
             if bloch.symmetry.keeps(Monomial(vector([n]), vector([Fraction(1, 3)])))]
-    assert kept == [n for n in range(-4, 5) if bloch.support((n,))] == [-2, 0, 2]
+    assert kept == [n for n in range(-4, 5) if bloch.symmetry.filter((n,))] == [-2, 0, 2]
     assert not bloch.symmetry.keeps(Monomial(vector([TAU]), vector([0])))
 
 
@@ -168,12 +198,10 @@ def test_a_subclass_with_its_own_closed_form_and_no_declaration_has_no_support()
         pass
 
     wider = Wider([Fraction(1, 3)], {(0,): 0.6, (2,): 0.8})
-    assert Shifted().support is None and Shifted().symmetry is None
-    assert wider.support is None and wider.symmetry is None
-    assert Slower().support is None
-    assert Declared().support((7,)) and Declared().symmetry is algebra.ZAK_SYMMETRY
+    assert Shifted().symmetry is None and wider.symmetry is None and Slower().symmetry is None
+    assert Declared().symmetry is algebra.ZAK_SYMMETRY
     assert Inherits([0], [0]).symmetry is algebra.ZAK_SYMMETRY
-    assert StateModel.support is None and Tracial.support is None
+    assert StateModel.symmetry is None and Tracial.symmetry is algebra.TRACIAL_SYMMETRY
     # the Gram check then forms every entry, so it sees the nonzero values
     probes = [Monomial(vector([k]), vector([0])) for k in range(3)]
     frame = FRAMES["standard_d1"]

@@ -36,12 +36,17 @@ from weylccr import (
     Unsupported,
     WeylError,
     ZeroDenominator,
+    SpaceTranslation,
     Zak,
+    apply_automorphism,
     bloch_monomial_value,
+    ergodic_mean,
     gram_psd_check,
+    invariance_check,
     numeric_box_average,
     path_sample,
     scalar,
+    tracial_inner_product,
     vector,
     weak_star_distance,
 )
@@ -95,6 +100,18 @@ CALLS = {
                              InvalidObject, ValueError),
     "path_endpoints_int": (lambda: path_sample("zak_line", 5, [0]), InvalidObject, TypeError),
     "from_dot_lists": (lambda: PhaseAngle.from_dot([1], [1]), InvalidObject, AttributeError),
+    "evaluate_str": (lambda: Fock().evaluate("a"), InvalidObject, AttributeError),
+    "invariance_samples": (lambda: invariance_check(Tracial(), SpaceTranslation([1]), ["a"]),
+                           InvalidObject, AttributeError),
+    "invariance_spec": (lambda: invariance_check(Tracial(), "x", [U]), InvalidObject,
+                        AttributeError),
+    "automorphism_element": (lambda: apply_automorphism(SpaceTranslation([1]), "x"),
+                             InvalidObject, AttributeError),
+    "ergodic_mean_str": (lambda: ergodic_mean("x"), InvalidObject, AttributeError),
+    "tracial_inner_product_str": (lambda: tracial_inner_product(U, "x"), InvalidObject,
+                                  AttributeError),
+    "box_average_element": (lambda: numeric_box_average("x", 1.0, 4), InvalidObject,
+                            AttributeError),
 }
 
 
