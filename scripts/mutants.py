@@ -135,6 +135,26 @@ MUTANTS = (
            "tuple([v // D for v in n])",
            "tuple([(v + D - 1) // D for v in n])",
            "unit cell that rounds up where it takes the floor", "tests/test_lattice.py"),
+    Mutant("states.py",
+           "    for m in probes:\n"
+           "        if m.d != frame.d:\n"
+           "            raise DimensionMismatch(f\"a {m.d}-d probe {m} on a {frame.d}-d frame\")\n",
+           "",
+           "Gram and multiplicativity checks that take probes of another dimension",
+           "tests/test_gram_support.py"),
+    Mutant("states.py",
+           "    if len(gamma_prime) != len(kappa):\n"
+           "        raise DimensionMismatch(f\"a {len(gamma_prime)}-d shift of a "
+           "{len(kappa)}-d kappa\")\n",
+           "",
+           "covariance check that pairs a shift of another dimension with kappa",
+           "tests/test_states.py"),
+    Mutant("states.py",
+           "    if len(x0) != len(x1):\n"
+           "        raise DimensionMismatch(f\"endpoint labels of dimensions "
+           "{len(x0)} and {len(x1)}\")\n",
+           "",
+           "path labels of two dimensions paired by zip", "tests/test_states.py"),
 )
 
 

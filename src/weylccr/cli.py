@@ -47,16 +47,6 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = float("nan")
-    if not 0 <= tol < float("inf"):
-        raise argparse.ArgumentTypeError(f"{text} is not a finite non-negative number")
-    return tol
-
-
 def _format_complex(z: complex) -> str:
     return f"{z.real:.15g}{z.imag:+.15g}i"
 
@@ -84,17 +74,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import RunConfig, run_suite
+    from .verify import TOL, RunConfig, run_suite
 
-    frame = _frame_from_args(args)
-    config = RunConfig(frame=frame, tol=args.tol, seed=args.seed, grid=args.grid)
-    results = run_suite(args.suite, config)
+    results = run_suite(args.suite, RunConfig(frame=_frame_from_args(args), seed=args.seed))
     ok = all(r.passed for r in results)
     if args.output == "json":
         print(dumps({
             "suite": args.suite,
             "seed": args.seed,
-            "tol": args.tol,
+            "tol": TOL,
             "checks": [r.as_dict() for r in results],
             "pass": ok,
         }))
@@ -165,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,
                    choices=SUITE_NAMES + ("all",))
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=_positive_int, default=16)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -475,13 +475,13 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
 
     if not probes:
         raise InvalidProbeSet("need at least one probe")
-    probes = _objects(probes, Monomial, (state, StateModel), (frame, Frame))
+    probes = _monomial_probes(probes, state, frame)
     if len(set(probes)) != len(probes):
         raise InvalidProbeSet("probes must be distinct")
     n = len(probes)
     symmetry, width = state.symmetry, state.vanishing_width
     cells = None  # a cell is None in a half the symmetry leaves ANYWHERE or that has tau
-    if symmetry is not None and len({m.d for m in probes}) == 1:  # else the products raise
+    if symmetry is not None:
         groups = symmetry.momentum, symmetry.position
         cells = [tuple(None if group is ANYWHERE or key is None else _unit_cell(*key)
                        for group, key in zip(groups, (rational_key(m.a), rational_key(m.b))))
@@ -528,10 +528,9 @@ _AMBIENT_BOUND = 2.0 ** 32
 def _ambient_points(frame: Frame, probes: Sequence[Monomial]) -> list:
     """Per probe m = u_a v_b, its ambient point (F a, E b) in doubles, from
     ``frame.doubles`` and n / D for a keyed probe, ``ExactScalar.evaluate``
-    otherwise; None where the doubles raise or leave ``_AMBIENT_BOUND``, and
-    for every probe when a dimension differs from the frame's."""
+    otherwise; None where the doubles raise or leave ``_AMBIENT_BOUND``."""
     d, doubles = frame.d, frame.doubles
-    if doubles is None or any(m.d != d for m in probes):
+    if doubles is None:
         return [None] * len(probes)
     F, E = doubles
     points = []
@@ -581,7 +580,7 @@ def multiplicativity_check(state: StateModel, frame: Frame,
                            probes: Sequence[Monomial]) -> CheckResult:
     """Purity witness on a commuting probe set: omega(mn) = omega(m) omega(n),
     to within 1e-12."""
-    probes = _objects(probes, Monomial, (state, StateModel), (frame, Frame))
+    probes = _monomial_probes(probes, state, frame)
     for i, mi in enumerate(probes):
         for mj in probes[i + 1:]:
             ph_ij, m_ij = monomial_product(mi, mj)
@@ -613,6 +612,8 @@ def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
     """
     kappa = rational_label(kappa, NotAState)
     gamma_prime = integer_point(gamma_prime, OutOfSubalgebra)
+    if len(gamma_prime) != len(kappa):
+        raise DimensionMismatch(f"a {len(gamma_prime)}-d shift of a {len(kappa)}-d kappa")
     fhat = _fourier_data(fhat, len(kappa))
     shifted_kappa = tuple(k + g for k, g in zip(kappa, gamma_prime))
     shifted_fhat = {tuple(n + g for n, g in zip(idx, gamma_prime)): val
@@ -633,6 +634,16 @@ def weak_star_distance(s1: StateModel, s2: StateModel,
         raise InvalidProbeSet("need at least one probe")
     probes = _objects(probes, Element, (s1, StateModel), (s2, StateModel))
     return _nan_max(abs(s1.evaluate(x) - s2.evaluate(x)) for x in probes)
+
+
+def _monomial_probes(probes, state: StateModel, frame: Frame) -> tuple:
+    """``_objects`` for monomial probes of a state on ``frame``, each of the
+    frame's dimension or DimensionMismatch."""
+    probes = _objects(probes, Monomial, (state, StateModel), (frame, Frame))
+    for m in probes:
+        if m.d != frame.d:
+            raise DimensionMismatch(f"a {m.d}-d probe {m} on a {frame.d}-d frame")
+    return probes
 
 
 def _objects(probes, kind: type, *slots) -> tuple:
@@ -660,6 +671,7 @@ def path_sample(kind: str, endpoints, grid) -> list:
     plane_wave_line and zak_line interpolate the labels linearly; bloch_slerp
     moves kappa linearly and the Fourier vector along a normalized great
     circle.  Grid values 0 and 1 return the endpoint objects themselves.
+    Endpoints of two dimensions raise DimensionMismatch, whatever the grid.
     """
     if kind not in PATH_KINDS:
         raise InvalidParameter(f"unknown path kind {kind!r}")
@@ -677,13 +689,27 @@ def path_sample(kind: str, endpoints, grid) -> list:
     return [s0 if t == 0 else s1 if t == 1 else point(t) for t in ts]
 
 
-def _lerp(x0, x1, t: Fraction) -> tuple:
-    return tuple((1 - t) * a + t * b for a, b in zip(x0, x1))
+def _line(x0: tuple, x1: tuple):
+    """t -> (1 - t) x0 + t x1, for labels of one dimension; DimensionMismatch else."""
+    if len(x0) != len(x1):
+        raise DimensionMismatch(f"endpoint labels of dimensions {len(x0)} and {len(x1)}")
+    return lambda t: tuple((1 - t) * a + t * b for a, b in zip(x0, x1))
+
+
+def _plane_wave_line(s0: PlaneWave, s1: PlaneWave):
+    p = _line(s0.p, s1.p)
+    return lambda t: PlaneWave(p(t))
+
+
+def _zak_line(s0: Zak, s1: Zak):
+    kappa, nu = _line(s0.kappa, s1.kappa), _line(s0.nu, s1.nu)
+    return lambda t: Zak(kappa(t), nu(t))
 
 
 def _bloch_slerp(s0: Bloch, s1: Bloch):
     import numpy as np
 
+    kappa = _line(s0.kappa, s1.kappa)
     f0, f1 = s0._fhat_dict, s1._fhat_dict
     support = sorted(set(f0) | set(f1))
     u = np.array([f0.get(n, 0j) for n in support])
@@ -699,16 +725,14 @@ def _bloch_slerp(s0: Bloch, s1: Bloch):
             vec = u
         else:
             vec = (math.sin((1 - tf) * theta) * u + math.sin(tf * theta) * w) / math.sin(theta)
-        return Bloch(_lerp(s0.kappa, s1.kappa, t),
-                     {n: v for n, v in zip(support, vec) if v != 0})
+        return Bloch(kappa(t), {n: v for n, v in zip(support, vec) if v != 0})
     return point
 
 
 #: path kind -> (family of both endpoints, endpoints -> point(t))
 PATHS = {
-    "plane_wave_line": (PlaneWave, lambda s0, s1: lambda t: PlaneWave(_lerp(s0.p, s1.p, t))),
+    "plane_wave_line": (PlaneWave, _plane_wave_line),
     "bloch_slerp": (Bloch, _bloch_slerp),
-    "zak_line": (Zak, lambda s0, s1: lambda t: Zak(_lerp(s0.kappa, s1.kappa, t),
-                                                   _lerp(s0.nu, s1.nu, t))),
+    "zak_line": (Zak, _zak_line),
 }
 PATH_KINDS = tuple(PATHS)

@@ -1,11 +1,12 @@
 """Seeded verification checks for every identity the library claims.
 
 Every check is a row of one ordered table, ``CHECKS``, keyed by the name of
-the generator it draws its random data from (``RunConfig.rng``, seeded per
-name), which makes reports reproducible byte for byte and lets any row run
-alone: ``CHECKS["states.unit"](config)`` is that row's list of
-``CheckResult`` (shared with the state checks in ``states``), each with a
-worst-case witness, so a failure is immediately actionable.  The suite of a
+the generator it draws its random data from.  A run is a frame and a seed,
+``RunConfig``, whose ``rng`` seeds one generator per name; that makes
+reports reproducible byte for byte and lets any row run alone:
+``CHECKS["states.unit"](config)`` is that row's list of ``CheckResult``
+(shared with the state checks in ``states``), each with a worst-case
+witness, so a failure is immediately actionable.  The suite of a
 row is the prefix of its name; ``SUITES`` and ``run_suite`` are views of the
 table, and ``suite_weyl`` ... ``suite_paths`` are the ``SUITES`` values.
 Since the rows do not depend on each other, ``run_suite("all")`` runs them
@@ -15,8 +16,9 @@ results back in table order.
 A row is a generator registered by ``check``.  It yields its results, or one
 witness per failed probe, reduced by ``_counted`` (passes when no probe
 failed), or (value, probe) pairs, reduced by ``_bounded`` (shared with the
-state checks; passes when the worst value is within a bound).  Adding a
-check is adding a row.
+state checks; passes when the worst value is within a bound).  Each row
+states its bounds; ``TOL`` = 1e-10 is the one four rows share, which every
+report records as its ``tol``.  Adding a check is adding a row.
 
 The ``rand_*`` functions and ``draw_distinct`` below are the project's only
 seeded generators; the tests import them from here.  ``path_probes`` is the
@@ -96,12 +98,15 @@ from .states import (
 )
 
 
+#: the bound shared by the Gram eigenvalue, the squares, the Bloch
+#: time-reversal criterion and the GNS oracle; the ``tol`` of every report
+TOL = 1e-10
+
+
 @dataclass
 class RunConfig:
     frame: Frame
-    tol: float = 1e-10
     seed: int = 0
-    grid: int = 16
 
     def rng(self, check: str) -> random.Random:
         return random.Random(f"{self.seed}:{check}")
@@ -210,7 +215,7 @@ def check(name: str, counted: str = "", bounded: tuple = ()):
     The row yields its ``CheckResult``s.  Given ``counted``, it yields instead
     one witness per failed probe, reported by ``_counted`` under that name;
     given ``bounded`` = (name, bound), (value, probe) pairs, reported by
-    ``_bounded``, where a bound of None is the run's ``tol``.
+    ``_bounded``.
     """
     if name in CHECKS:
         raise ValueError(f"there is a row named {name} already")
@@ -221,8 +226,7 @@ def check(name: str, counted: str = "", bounded: tuple = ()):
             if counted:
                 return [_counted(counted, list(results))]
             if bounded:
-                report, bound = bounded
-                return [_bounded(report, results, config.tol if bound is None else bound)]
+                return [_bounded(bounded[0], results, bounded[1])]
             return list(results)
         CHECKS[name] = run
         return row
@@ -588,11 +592,11 @@ def _states_positivity(config, rng, frame, d):
         herm.append((rep.hermitian_residual, name))
     worst, probe = _worst(devs)
     yield CheckResult("states.gram_psd_min_eigenvalue",
-                      worst <= config.tol, -worst, probe)
+                      worst <= TOL, -worst, probe)
     yield _bounded("states.gram_hermitian_residual", herm, 1e-12)
 
 
-@check("states.positive_squares", bounded=("states.squares_positive", None))
+@check("states.positive_squares", bounded=("states.squares_positive", TOL))
 def _states_positive_squares(config, rng, frame, d):
     for name, s in _family_zoo(rng, frame):
         for _ in range(100):
@@ -767,7 +771,7 @@ def _tri_bloch(config, rng, frame, d):
                                 if n != k})]
         dev = _nan_max(abs(s.evaluate(apply_automorphism(TimeReversal(), x))
                            - s.evaluate(x).conjugate()) for x in probes + own)
-        functional = dev <= config.tol
+        functional = dev <= TOL
         if functional != verdict.is_tri:
             mismatches.append(f"{s!r}: verdict={verdict.is_tri} dev={dev:.3g}")
         if verdict.is_tri:
@@ -840,7 +844,7 @@ def _zak_purity_line(config, rng, frame, d):
 # ------------------------------------------------------------------ gns suite
 
 
-@check("gns.oracle", bounded=("gns.bloch_reconstruction_oracle", None))
+@check("gns.oracle", bounded=("gns.bloch_reconstruction_oracle", TOL))
 def _gns_oracle(config, rng, frame, d):
     for dim in (1, 2):
         window = FourierWindow((-6,) * dim, (6,) * dim)
@@ -921,6 +925,10 @@ def _gns_plane_wave(config, rng, frame, d):
 # ---------------------------------------------------------------- paths suite
 
 
+#: the coarse grid of ``paths.probes``: steps of 1/16, refined to 1/32
+PATH_GRID = 16
+
+
 @check("paths.probes")
 def _paths_probes(config, rng, frame, d):
     # the fixed lattice monomials keep the Zak family visible on the probe set
@@ -943,12 +951,11 @@ def _paths_probes(config, rng, frame, d):
     kinds.append(("bloch_slerp", (Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)),
                                   Bloch(rand_kappa(rng, d), rand_normalized_fhat(rng, d)))))
 
-    n = config.grid
     ratio_devs = []
     endpoint_fail = []
     for kind, endpoints in kinds:
-        coarse = path_sample(kind, endpoints, grid(n))
-        fine = path_sample(kind, endpoints, grid(2 * n))
+        coarse = path_sample(kind, endpoints, grid(PATH_GRID))
+        fine = path_sample(kind, endpoints, grid(2 * PATH_GRID))
         if coarse[0] is not endpoints[0] or coarse[-1] is not endpoints[1]:
             endpoint_fail.append("")
         step = max_consecutive(coarse)

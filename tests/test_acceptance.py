@@ -6,7 +6,7 @@ Each criterion is decided by named results of ``weylccr verify --suite all``
 at d = 1 seed 1 and d = 2 seed 0, the reports that test_verify_golden.py pins
 value by value (``conftest.verify_all`` runs them once per session).  A
 criterion passes when every result it names is in both reports and passes.
-Its tolerance is the bound of the rows behind it: 1e-12, the run's tol of
+Its tolerance is the bound of the rows behind it: 1e-12, ``verify.TOL`` =
 1e-10 for the Gram eigenvalue (6), the GNS oracle (7) and the Bloch
 time-reversal criterion (9), and 0.1 on the refinement ratio (12).  A
 criterion that needs a tighter tolerance than its rows' bound must also

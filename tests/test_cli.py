@@ -307,37 +307,31 @@ def test_zero_dimensional_frame_exits_2(suite, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid", ["0", "-1"])
-@pytest.mark.parametrize("command", [
-    ["verify", "--suite", "paths"],
-    ["path-demo", "--kind", "plane_wave_line", "--endpoints", "unread.json"]])
-def test_grid_must_be_positive(command, grid, capsys):
+def test_grid_must_be_positive(grid, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(command + ["--grid", grid])
+        main(["path-demo", "--kind", "plane_wave_line", "--endpoints", "unread.json",
+              "--grid", grid])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "tiny"])
-def test_tol_must_be_finite_and_non_negative(tol, capsys):
+@pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--grid", "8"]], ids=["tol", "grid"])
+def test_verify_takes_no_tolerance_or_grid(flag, capsys):
+    """A verify run is a frame and a seed: its tolerance and grid are the
+    constants every stored report was made with."""
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "gns", f"--tol={tol}"])
+        main(["verify", "--suite", "gns"] + flag)
     assert exc.value.code == 2
-    assert "argument --tol" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flag, value, message", [
-    (["verify", "--suite", "gns"], "--grid", "abc", "abc is not a positive integer"),
-    (["path-demo", "--kind", "zak_line", "--endpoints", "unread.json"], "--grid", "1.5",
-     "1.5 is not a positive integer"),
-    (["verify", "--suite", "gns"], "--tol", "tiny", "tiny is not a finite non-negative number"),
-])
-def test_a_non_number_is_named_in_a_plain_message(command, flag, value, message, capsys):
+def test_a_non_number_is_named_in_a_plain_message(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(command + [flag, value])
+        main(["path-demo", "--kind", "zak_line", "--endpoints", "unread.json", "--grid", "1.5"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].endswith(f"error: argument {flag}: {message}")
-    assert "invalid" not in err and "_positive_int" not in err and "_tolerance" not in err
+    assert err.splitlines()[-1].endswith("error: argument --grid: 1.5 is not a positive integer")
+    assert "invalid" not in err and "_positive_int" not in err
 
 
 def test_suite_choices_are_the_check_table_suites():
@@ -361,18 +355,30 @@ BUILTIN_SUM = builtins.sum
 
 
 def compensated_sum(values, start=0):
-    """``sum`` as Python 3.12 and later compute it: a sum of floats is
-    compensated, emulated here by ``math.fsum``."""
+    """``sum`` as newer Pythons compute it: a sum of floats, or of floats and
+    complex numbers, is compensated.  ``math.fsum`` emulates that, over the
+    real and over the imaginary parts of a complex sum (``Mixture.monomial_value``
+    and the inner product of ``Bloch.time_reversal`` take such sums)."""
     values = list(values)
-    if values and start == 0 and all(type(v) is float for v in values):
+    kinds = {type(v) for v in values}
+    if values and start == 0 and kinds == {float}:
         return math.fsum(values)
+    if values and start == 0 and complex in kinds and kinds <= {float, complex}:
+        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
     return BUILTIN_SUM(values, start)
+
+
+def test_the_emulation_compensates_float_and_complex_sums():
+    parts = [1.0, 1e-16, 1e-16]
+    assert compensated_sum(parts) == math.fsum(parts) > 1.0
+    assert compensated_sum([0.5] + [p * 1j for p in parts]) == complex(0.5, math.fsum(parts))
 
 
 def test_reports_do_not_depend_on_compensated_float_sums(verify_all, monkeypatch,
                                                          tmp_path, capsys):
     """Reports sum their floats left to right, so a builtin ``sum`` that
-    compensates them changes no verify report and no path-demo output."""
+    compensates float and complex sums changes no verify report and no
+    path-demo output."""
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     for (d, seed), want in verify_all.items():
         identity = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
@@ -383,13 +389,6 @@ def test_reports_do_not_depend_on_compensated_float_sums(verify_all, monkeypatch
         _, out, _ = run(capsys, *path_demo_args("bloch_slerp", d, tmp_path),
                         "--output", "json")
         assert out == (DATA / "path_demo" / f"bloch_slerp_d{d}_seed3.json").read_text()
-
-
-@pytest.mark.parametrize("tol", ["0", "1e-10", "1e300"])
-def test_tol_accepts_finite_non_negative_values(tol, capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "gns", "--tol", tol, "--output", "json")
-    assert json.loads(out)["tol"] == float(tol)
-    assert code == (1 if tol == "0" else 0)
 
 
 @pytest.mark.parametrize("family, extra", [

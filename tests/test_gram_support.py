@@ -34,6 +34,7 @@ from weylccr import (
     Zak,
     algebra,
     gram_psd_check,
+    multiplicativity_check,
     serialization,
     states,
 )
@@ -195,6 +196,22 @@ def test_a_mixture_declares_the_join_of_its_components():
     assert bloch.symmetry.filter((0, 0))  # another dimension: the closed form raises
 
 
+@pytest.mark.parametrize("check", [gram_psd_check, multiplicativity_check])
+@pytest.mark.parametrize("state", [
+    Tracial(), Mixture([(0.5, Tracial()), (0.5, Tracial())]), Fock(), Zak([0], [0]),
+    PlaneWave([0]), Bloch([0, 0], {(0, 0): 1.0})],
+    ids=["tracial", "mixture", "fock", "zak", "plane_wave", "bloch_d2"])
+def test_probes_of_another_dimension_than_the_frame_raise(state, check):
+    """Every state, also one whose values never read the frame, refuses
+    probes whose dimension is not the frame's, mixed or all of one."""
+    frame = FRAMES["standard_d1"]
+    two = [Monomial(vector([0, 0]), vector([0, 0])), Monomial(vector([1, 0]), vector([0, 0]))]
+    mixed = [Monomial(vector([0]), vector([0])), Monomial(vector([0, 0]), vector([0, 900]))]
+    for probes in (two, mixed):
+        with pytest.raises(DimensionMismatch, match="2-d probe .* on a 1-d frame"):
+            check(state, frame, probes)
+
+
 def test_a_state_of_another_dimension_still_raises():
     bloch = Bloch([Fraction(1, 3)] * 2, {(0, 0): 0.6, (1, 0): 0.8})
     probes = [Monomial(vector([k]), vector([0])) for k in range(3)]
@@ -321,18 +338,13 @@ def test_fock_gram_around_the_vanishing_width_equals_the_all_pairs_loop(frame_na
 
 def test_a_probe_without_doubles_is_always_formed():
     """A coordinate past the float range gives its probe no ambient point,
-    so its entries are formed and the value raises, as without the skip;
-    probes of different dimensions get no points either."""
+    so its entries are formed and the value raises, as without the skip."""
     frame = FRAMES["standard_d1"]
     far = Monomial(vector([0]), vector([10**400]))
     probes = [Monomial(vector([0]), vector([b])) for b in (0, 300)] + [far]
     assert [p is None for p in states._ambient_points(frame, probes)] == [False, False, True]
     with pytest.raises(WeylError):
         gram_psd_check(Fock(), frame, probes)
-    mixed = [Monomial(vector([0]), vector([0])), Monomial(vector([0, 0]), vector([0, 900]))]
-    assert states._ambient_points(frame, mixed) == [None, None]
-    with pytest.raises(DimensionMismatch):
-        gram_psd_check(Fock(), frame, mixed)
 
 
 def test_gram_report_as_dict():

@@ -415,6 +415,13 @@ class TestCovariance:
         with pytest.raises(NotAState):
             bloch_monomial_value((0,), fhat, probes[0])
 
+    @pytest.mark.parametrize("gamma", [[1, 7], []], ids=["longer", "empty"])
+    def test_a_shift_of_another_dimension_is_refused(self, gamma):
+        fhat = {(0,): 0.6, (1,): 0.8}
+        for probes in ([mono([0], [Fraction(1, 2)])], []):
+            with pytest.raises(DimensionMismatch):
+                covariance_check([Fraction(1, 3)], fhat, gamma, probes)
+
     def test_delta_case_by_hand(self):
         # fhat = delta_0, gamma' = 1: both sides give e^{-i(kappa+1) beta} on v_b
         kappa = Fraction(1, 3)
@@ -588,6 +595,17 @@ class TestPaths:
         "bloch_slerp": (Bloch([0], {(0,): 1.0}), Bloch([Fraction(1, 2)], {(1,): 1j})),
         "zak_line": (Zak([0], [Fraction(1, 3)]), Zak([Fraction(3, 4)], [0])),
     }
+
+    @pytest.mark.parametrize("grid", [[0, Fraction(1, 2), 1], [0, 1], []],
+                             ids=["inner", "endpoints", "empty"])
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_endpoints_of_two_dimensions_are_refused_whatever_the_grid(self, kind, grid):
+        s0, _ = self.ENDPOINTS[kind]
+        wide = {"plane_wave_line": PlaneWave([0, 0]), "zak_line": Zak([0, 0], [0, 0]),
+                "bloch_slerp": Bloch([0, 0], {(0, 0): 1.0})}[kind]
+        for endpoints in ((s0, wide), (wide, s0)):
+            with pytest.raises(DimensionMismatch):
+                path_sample(kind, endpoints, grid)
 
     def test_path_table_names_every_kind_once(self):
         assert PATH_KINDS == tuple(PATHS) == ("plane_wave_line", "bloch_slerp", "zak_line")

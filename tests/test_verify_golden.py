@@ -107,7 +107,7 @@ def test_a_nan_step_in_second_place_fails_the_refinement_row(monkeypatch):
 
     steps = cycle([0.5, math.nan, 0.25])
     monkeypatch.setattr(verify, "weak_star_distance", lambda s1, s2, probes: next(steps))
-    config = verify.RunConfig(frame=Frame.standard(1), grid=2)
+    config = verify.RunConfig(frame=Frame.standard(1))
     rate = {r.check: r for r in verify.CHECKS["paths.probes"](config)}[
         "paths.linear_refinement_rate"]
     assert not rate.passed and math.isnan(rate.worst_value)
