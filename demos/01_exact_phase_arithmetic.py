@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from weylccr import (
     Frame,
-    PhasePoint,
+    Monomial,
     TAU,
     decompose,
     enumerate_trs_fixed_points,
@@ -44,9 +44,8 @@ full = pairing(vector([1]), vector([1]))
 print(f"pairing(1, 1)     = {full}  (a full turn is exactly 1: "
       f"{full.to_complex() == 1.0 + 0j})")
 
-f1 = Frame.standard(1)
-z = PhasePoint(f1, [1], [0])
-zp = PhasePoint(f1, [0], [1])
+z = Monomial([1], [0])
+zp = Monomial([0], [1])
 print(f"symplectic((1,0),(0,1)) = {symplectic(z, zp)}")
 
 print()

@@ -13,7 +13,6 @@ from weylccr import (
     FreeDynamics,
     Monomial,
     MomentumTranslation,
-    PhasePoint,
     SpaceTranslation,
     TAU,
     TimeReversal,
@@ -46,10 +45,10 @@ print(f"adjoint of u v = {(u * v).adjoint()}")
 
 print()
 print("== symplectic generators ==")
-z = PhasePoint(F1, [Fraction(1, 2)], [Fraction(1, 3)])
-zp = PhasePoint(F1, [Fraction(1, 4)], [Fraction(2, 3)])
-w = weyl_generator(z) * weyl_generator(zp)
-target = symplectic(z, zp).to_complex() * weyl_generator(z + zp)
+z = Monomial([Fraction(1, 2)], [Fraction(1, 3)])
+zp = Monomial([Fraction(1, 4)], [Fraction(2, 3)])
+w = weyl_generator(F1, z) * weyl_generator(F1, zp)
+target = symplectic(z, zp).to_complex() * weyl_generator(F1, monomial_product(z, zp)[1])
 print(f"w_z w_z' vs e^(i sigma) w_(z+z'): coefficient gap = "
       f"{w.max_coeff_diff(target):.2e}")
 angle, _ = weyl_generator_parts(z)

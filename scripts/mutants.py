@@ -10,8 +10,9 @@ either ``"report"`` or a tier-1 test file:
 * ``"report"`` runs ``weylccr verify --suite all --output json`` on the copy
   at d = 1 seed 1 (default frame) and at d = 2 seed 0 (identity frame).  The
   report kills the mutant when a run exits 2, or when a pass flag, a check
-  name or the value of an exact check (``exact`` in its name) differs from
-  the same run on an unmutated copy.
+  name, or the value or worst probe of an exact check (``exact`` in its
+  name) differs from the same run on an unmutated copy: the fields that the
+  sweep's exact digest and the stored goldens pin.
 * ``"tests/<name>.py"`` runs that test file with pytest on the copy; a
   failing test kills the mutant.
 
@@ -172,8 +173,8 @@ def environment(src: str) -> dict:
 
 
 def reports(src: str, tmp: str) -> list:
-    """Per report run: ("exit 2", stderr) or the (check, pass, exact value)
-    triples of its checks."""
+    """Per report run: ("exit 2", stderr) or the (check, pass) pair of each
+    check, with its worst value and worst probe when the check is exact."""
     out = []
     for d, seed in REPORT_RUNS:
         argv = [sys.executable, "-m", "weylccr", "verify", "--suite", "all",
@@ -190,7 +191,8 @@ def reports(src: str, tmp: str) -> list:
             out.append(("exit 2", proc.stderr.strip()[-200:]))
             continue
         checks = json.loads(proc.stdout)["checks"]
-        out.append([(c["check"], c["pass"], c["worst_value"] if "exact" in c["check"] else None)
+        out.append([(c["check"], c["pass"], c["worst_value"], c["worst_probe"])
+                    if "exact" in c["check"] else (c["check"], c["pass"])
                     for c in checks])
     return out
 

@@ -25,6 +25,7 @@ from .algebra import (
     monomial_adjoint,
     monomial_product,
     numeric_box_average,
+    symplectic,
     tracial_inner_product,
     weyl_generator,
     weyl_generator_parts,
@@ -72,12 +73,10 @@ from .gns import (
 from .lattice import (
     CellDecomposition,
     Frame,
-    PhasePoint,
     decompose,
     dual_frame,
     enumerate_trs_fixed_points,
     pairing,
-    symplectic,
     vector,
 )
 from .scalars import ExactScalar, PhaseAngle, TAU, scalar

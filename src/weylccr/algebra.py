@@ -1,8 +1,9 @@
 """The finitely supported Weyl *-algebra: monomials, elements, automorphisms
 and the symmetry declarations of the invariant states.
 
-A monomial indexes the product u_alpha v_beta by its coordinate pair (a, b);
-an element is a finite complex combination of monomials over a fixed frame.
+A monomial indexes the product u_alpha v_beta by its coordinate pair (a, b),
+the phase-space point z of the Weyl generator w_z; an element is a finite
+complex combination of monomials over a fixed frame.
 Every phase produced by commutation or by an automorphism is computed exactly
 as a :class:`~weylccr.scalars.PhaseAngle` and turned into a complex number
 only when it is merged into a coefficient.
@@ -35,7 +36,6 @@ from .errors import (DimensionMismatch, ImmutableObject, InvalidObject, InvalidP
                      NotAScalar, NotRational)
 from .lattice import (
     Frame,
-    PhasePoint,
     Vector,
     check_same_frame,
     integer_vector,
@@ -504,16 +504,32 @@ def _check_elements(*xs) -> None:
             raise InvalidObject(f"an Element is required, not {type(x).__name__}")
 
 
-def weyl_generator_parts(z: PhasePoint) -> tuple[PhaseAngle, Monomial]:
+def _require(*slots) -> None:
+    """InvalidObject unless each (value, class) of ``slots`` holds an instance
+    of the class."""
+    for value, cls in slots:
+        if not isinstance(value, cls):
+            raise InvalidObject(f"a {cls.__name__} is required, not {type(value).__name__}")
+
+
+def symplectic(z: Monomial, zp: Monomial) -> PhaseAngle:
+    """The symplectic product (alpha . beta' - alpha' . beta) / 2 of the phase-space
+    points z and z', each the monomial it labels, exact."""
+    _require((z, Monomial), (zp, Monomial))
+    return PhaseAngle.from_turns(ExactScalar.rational(1, 2) * (vdot(z.a, zp.b) - vdot(zp.a, z.b)))
+
+
+def weyl_generator_parts(z: Monomial) -> tuple[PhaseAngle, Monomial]:
     """Exact phase and monomial of w_z = e^{-(i/2) alpha.beta} u_alpha v_beta."""
+    _require((z, Monomial))
     half = ExactScalar.rational(1, 2)
     phase = PhaseAngle.from_turns(-(half * vdot(z.a, z.b)))
-    return phase, Monomial(z.a, z.b)
+    return phase, z
 
 
-def weyl_generator(z: PhasePoint) -> Element:
+def weyl_generator(frame: Frame, z: Monomial) -> Element:
     phase, m = weyl_generator_parts(z)
-    return Element(z.frame, {m: phase.to_complex()})
+    return Element(frame, {m: phase.to_complex()})
 
 
 # -- automorphisms ------------------------------------------------------------

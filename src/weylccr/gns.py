@@ -27,7 +27,7 @@ from .errors import (DimensionMismatch, InvalidParameter, NotAState, OutOfSubalg
                      WindowTooSmall)
 from .lattice import integer_point, integer_vector, matrix, rational_label, vector
 from .scalars import PhaseAngle, rational_key, unit_from_turns
-from .states import NORMALIZATION_TOL, _fourier_data
+from .states import NORMALIZATION_TOL, _fourier_data, _require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,6 +69,8 @@ class FourierWindow:
         return len(self.points)
 
     def contains(self, pt) -> bool:
+        if len(pt) != self.d:
+            raise DimensionMismatch(f"a {len(pt)}-d point and a {self.d}-d window")
         return all(l <= c <= h for c, l, h in zip(pt, self.lo, self.hi))
 
 
@@ -76,6 +78,7 @@ def op_S(b, window: FourierWindow) -> np.ndarray:
     """Position shift, diagonal on the Fourier basis: entries e^{-i tau (n . b)}."""
     import numpy as np
 
+    _require((window, FourierWindow))
     return np.diag(np.array(_shift_diagonal(b, window.d, window.points), dtype=complex))
 
 
@@ -99,6 +102,7 @@ def op_F(gp, window: FourierWindow) -> np.ndarray:
     boundary (columns leaving the window are zeroed)."""
     import numpy as np
 
+    _require((window, FourierWindow))
     gp = integer_point(gp, OutOfSubalgebra)
     if len(gp) != window.d:
         raise DimensionMismatch("shift dimension differs from window")
@@ -117,6 +121,7 @@ def rep_rho_kappa(kappa, m: Monomial, window: FourierWindow) -> np.ndarray:
     e^{-i kappa . beta} F_a S_b, the scalar phase exact."""
     import numpy as np
 
+    _require((m, Monomial), (window, FourierWindow))
     a_int = integer_vector(m.a)
     if a_int is None:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
@@ -136,6 +141,7 @@ def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> compl
     to sit inside the window with margin at least |a_i| in every coordinate,
     so the index shift loses nothing.
     """
+    _require((m, Monomial), (window, FourierWindow))
     a_int = integer_vector(m.a)
     if a_int is None:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
@@ -165,9 +171,12 @@ def plane_wave_vector_state(p, m: Monomial, momentum_set) -> complex:
     The representation acts on the span of {delta_q : q in momentum_set} by
     u_a: delta_q -> delta_{q+a} and v_b: delta_q -> e^{-i tau (q . b)} delta_q.
     """
+    _require((m, Monomial))
     points = matrix(momentum_set)
     index = {q: i for i, q in enumerate(points)}
     p = vector(p)
+    if m.d != len(p) or any(len(q) != len(p) for q in points):
+        raise DimensionMismatch("base point, monomial and momentum set differ in dimension")
     if p not in index:
         raise WindowTooSmall("momentum set does not contain the base point")
     target = tuple(q + a for q, a in zip(p, m.a))
@@ -189,6 +198,7 @@ def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
     """
     import numpy as np
 
+    _require((window, FourierWindow))
     gp = integer_point(gp, OutOfSubalgebra)
     b = vector(b)
     f_mat = op_F(gp, window)

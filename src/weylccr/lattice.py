@@ -273,34 +273,6 @@ def pairing(a: Vector, b: Vector) -> PhaseAngle:
     return PhaseAngle.from_dot(vector(a), vector(b))
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point z = (alpha, beta) of phase space, in frame coordinates."""
-
-    frame: Frame
-    a: Vector
-    b: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", vector(self.a))
-        object.__setattr__(self, "b", vector(self.b))
-        if len(self.a) != self.frame.d or len(self.b) != self.frame.d:
-            raise DimensionMismatch("phase-point coordinates must match the frame")
-
-    def __add__(self, other: "PhasePoint") -> "PhasePoint":
-        check_same_frame(self.frame, other.frame)
-        return PhasePoint(self.frame, vadd(self.a, other.a), vadd(self.b, other.b))
-
-    def __neg__(self) -> "PhasePoint":
-        return PhasePoint(self.frame, vneg(self.a), vneg(self.b))
-
-
-def symplectic(z: PhasePoint, zp: PhasePoint) -> PhaseAngle:
-    """The symplectic product (alpha . beta' - alpha' . beta) / 2, exact."""
-    check_same_frame(z.frame, zp.frame)
-    return PhaseAngle.from_turns(ExactScalar.rational(1, 2) * (vdot(z.a, zp.b) - vdot(zp.a, z.b)))
-
-
 # -- unit-cell decompositions ------------------------------------------------
 
 

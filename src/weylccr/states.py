@@ -28,6 +28,7 @@ from .algebra import (
     _check_automorphism,
     _check_elements,
     _finite,
+    _require,
     apply_automorphism,
     monomial_adjoint,
     monomial_product,
@@ -599,6 +600,7 @@ def multiplicativity_check(state: StateModel, frame: Frame,
 
 def time_reversal_classify(state: StateModel) -> TimeReversalVerdict:
     """Decide time-reversal invariance from the family's closed-form criterion."""
+    _require((state, StateModel))
     return state.time_reversal()
 
 
@@ -615,6 +617,7 @@ def covariance_check(kappa, fhat: Mapping[tuple, complex], gamma_prime,
     if len(gamma_prime) != len(kappa):
         raise DimensionMismatch(f"a {len(gamma_prime)}-d shift of a {len(kappa)}-d kappa")
     fhat = _fourier_data(fhat, len(kappa))
+    probes = _objects(probes, Monomial)
     shifted_kappa = tuple(k + g for k, g in zip(kappa, gamma_prime))
     shifted_fhat = {tuple(n + g for n, g in zip(idx, gamma_prime)): val
                     for idx, val in fhat.items()}
@@ -647,11 +650,9 @@ def _monomial_probes(probes, state: StateModel, frame: Frame) -> tuple:
 
 
 def _objects(probes, kind: type, *slots) -> tuple:
-    """The probes as a tuple, once each (value, class) of ``slots`` holds an
-    instance of the class and each probe is a ``kind``; InvalidObject else."""
-    for value, cls in slots:
-        if not isinstance(value, cls):
-            raise InvalidObject(f"a {cls.__name__} is required, not {type(value).__name__}")
+    """The probes as a tuple, once ``_require(*slots)`` passes and each probe
+    is a ``kind``; InvalidObject else."""
+    _require(*slots)
     try:
         probes = tuple(probes)
     except TypeError:

@@ -51,6 +51,7 @@ from .algebra import (
     monomial_adjoint,
     monomial_product,
     numeric_box_average,
+    symplectic,
     tracial_inner_product,
     weyl_generator_parts,
 )
@@ -66,12 +67,12 @@ from .gns import (
 )
 from .lattice import (
     Frame,
-    PhasePoint,
     enumerate_trs_fixed_points,
     integer_vector,
     is_zero_vector,
-    symplectic,
+    vadd,
     vector,
+    vneg,
 )
 from .scalars import ExactScalar, PhaseAngle, TAU
 from .states import (
@@ -277,17 +278,15 @@ def _weyl_star_elements(config, rng, frame, d):
 
 @check("weyl.symplectic", counted="weyl.symplectic_presentation_500_exact")
 def _weyl_symplectic(config, rng, frame, d):
-    standards = [Frame.standard(dim) for dim in (1, 2, 3)]
     for i in range(500):
         dim = 1 + i % 3
-        standard = standards[dim - 1]
-        z = PhasePoint(standard, rand_coords(rng, dim), rand_coords(rng, dim))
-        zp = PhasePoint(standard, rand_coords(rng, dim), rand_coords(rng, dim))
+        z = Monomial(rand_coords(rng, dim), rand_coords(rng, dim))
+        zp = Monomial(rand_coords(rng, dim), rand_coords(rng, dim))
         ph_z, m_z = weyl_generator_parts(z)
         ph_zp, m_zp = weyl_generator_parts(zp)
         ph_prod, m_prod = monomial_product(m_z, m_zp)
         lhs = ph_z + ph_zp + ph_prod
-        ph_sum, m_sum = weyl_generator_parts(z + zp)
+        ph_sum, m_sum = weyl_generator_parts(Monomial(vadd(z.a, zp.a), vadd(z.b, zp.b)))
         rhs = symplectic(z, zp) + ph_sum
         if m_prod != m_sum or not lhs.is_same_rotation(rhs):
             yield f"z={z.a},{z.b} z'={zp.a},{zp.b}"
@@ -296,10 +295,10 @@ def _weyl_symplectic(config, rng, frame, d):
 @check("weyl.generator_adjoint", counted="weyl.generator_adjoint_exact")
 def _weyl_generator_adjoint(config, rng, frame, d):
     for _ in range(100):
-        z = PhasePoint(frame, rand_coords(rng, d), rand_coords(rng, d))
+        z = Monomial(rand_coords(rng, d), rand_coords(rng, d))
         ph_z, m_z = weyl_generator_parts(z)
         adj_ph, adj_m = monomial_adjoint(m_z)
-        ph_neg, m_neg = weyl_generator_parts(-z)
+        ph_neg, m_neg = weyl_generator_parts(Monomial(vneg(z.a), vneg(z.b)))
         if adj_m != m_neg or not (adj_ph - ph_z).is_same_rotation(ph_neg):
             yield ""
 

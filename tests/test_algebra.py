@@ -17,7 +17,6 @@ from weylccr import (
     MomentumTranslation,
     PhaseAngle,
     ExactScalar,
-    PhasePoint,
     SpaceTranslation,
     TAU,
     TimeReversal,
@@ -30,8 +29,10 @@ from weylccr import (
     monomial_product,
     numeric_box_average,
     scalar,
+    symplectic,
     tracial_inner_product,
     weyl_generator,
+    weyl_generator_parts,
 )
 from weylccr import algebra
 from weylccr.errors import DimensionMismatch, FrameMismatch, NotAScalar, WeylError
@@ -667,17 +668,68 @@ class TestAdjoint:
         assert abs(got.coefficient(m) + 1j) < 1e-15
 
 
+def phase_points(d):
+    """Monomials of dimension d as phase-space points: each coordinate a small
+    rational or one with tau, so keyed and tau monomials both occur."""
+    part = st.tuples(*[st.one_of(small_fractions, tau_coords)] * d)
+    return st.tuples(part, part).map(lambda ab: Monomial(*ab))
+
+
+class TestSymplectic:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(phase_points(d), phase_points(d))))
+    def test_twice_the_form_is_the_commutation_phase(self, pair):
+        # w_z w_z' = e^{2 i sigma(z, z')} w_z' w_z, read off the normal-ordered products
+        z, zp = pair
+        sigma = symplectic(z, zp)
+        ph_zzp, m_zzp = monomial_product(z, zp)
+        ph_zpz, m_zpz = monomial_product(zp, z)
+        assert m_zzp == m_zpz
+        assert (sigma + sigma).is_same_rotation(ph_zzp - ph_zpz)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(phase_points(d), phase_points(d))))
+    def test_antisymmetry(self, pair):
+        z, zp = pair
+        assert symplectic(z, zp).is_same_rotation(-symplectic(zp, z))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(phase_points))
+    def test_diagonal_vanishes(self, z):
+        assert symplectic(z, z).value.is_zero()
+
+    def test_off_diagonal_value(self):
+        z, zp = Monomial([1], [0]), Monomial([0], [1])
+        assert symplectic(z, zp).is_same_rotation(
+            # tau/2 by direct substitution into the definition
+            PhaseAngle.from_dot(vector([Fraction(1, 2)]), vector([1])))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            symplectic(Monomial([1], [0]), Monomial([0, 0], [1, 0]))
+
+
 class TestWeylGenerators:
     def test_zero_point_gives_unit(self):
-        z = PhasePoint(F1, [0], [0])
-        assert weyl_generator(z) == Element.one(F1)
+        assert weyl_generator(F1, Monomial.identity(1)) == Element.one(F1)
 
     def test_adjoint_is_negated_point(self):
         rng = random.Random("weyl-adj")
         for _ in range(50):
-            z = PhasePoint(F1, rand_coords(rng, 1), rand_coords(rng, 1))
-            assert weyl_generator(z).adjoint().max_coeff_diff(
-                weyl_generator(-z)) < 1e-12
+            a, b = rand_coords(rng, 1), rand_coords(rng, 1)
+            assert weyl_generator(F1, Monomial(a, b)).adjoint().max_coeff_diff(
+                weyl_generator(F1, Monomial(vneg(a), vneg(b)))) < 1e-12
+
+    def test_parts_keep_the_point(self):
+        # w_z = e^{-(i/2) alpha.beta} u_alpha v_beta: -(1/2)(1/2)(1/3) of a turn
+        z = Monomial([Fraction(1, 2)], [Fraction(1, 3)])
+        phase, m = weyl_generator_parts(z)
+        assert m == z
+        assert phase.is_same_rotation(PhaseAngle.from_turns(Fraction(-1, 12)))
+
+    def test_frame_dimension_is_checked(self):
+        with pytest.raises(DimensionMismatch):
+            weyl_generator(Frame.standard(2), Monomial([1], [0]))
 
 
 class TestAutomorphisms:

@@ -4,13 +4,13 @@ quickly, on bad values.
 ``ROWS`` gives one row to each name exported from ``weylccr`` whose
 arguments carry user data: numbers, coordinates, labels, Fourier data,
 matrices, grids, names and expression text.  The object slots (frames,
-states, term mappings, probe lists, path endpoints and the vectors of
-``PhaseAngle.from_dot``) have rows of their own; elsewhere such arguments
-are fixed valid values.  Each slot of a row is filled either with its valid
-value or with a draw from ``BAD``, one shared strategy of bad values.
-Operators are called as methods, since a Python operator raises a bare
-``TypeError`` after both sides return ``NotImplemented``; for a method that
-return is an answer.
+states, monomials, windows, term mappings, probe lists, path endpoints and
+the vectors of ``PhaseAngle.from_dot``) have rows of their own; elsewhere
+such arguments are fixed valid values.  Each slot of a row is filled either
+with its valid value or with a draw from ``BAD``, one shared strategy of bad
+values.  Operators are called as methods, since a Python operator raises a
+bare ``TypeError`` after both sides return ``NotImplemented``; for a method
+that return is an answer.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from weylccr import (
     MomentumTranslation,
     PadicCharacter,
     PhaseAngle,
-    PhasePoint,
     PlaneWave,
     ProductCharacter,
     SpaceTranslation,
@@ -66,9 +65,13 @@ from weylccr import (
     plane_wave_vector_state,
     rep_rho_kappa,
     scalar,
+    symplectic,
+    time_reversal_classify,
     tracial_inner_product,
     vector,
     weak_star_distance,
+    weyl_generator,
+    weyl_generator_parts,
     weyl_relation_residual,
 )
 
@@ -112,7 +115,6 @@ ROWS = {
     "PhaseAngle": (PhaseAngle, TAU),
     "PhaseAngle.from_turns": (PhaseAngle.from_turns, Fraction(1, 3)),
     "pairing": (pairing, [1], [Fraction(1, 2)]),
-    "PhasePoint": (lambda a, b: PhasePoint(F1, a, b), [1], [0]),
     "decompose": (decompose, [Fraction(3, 2)]),
     "Monomial": (Monomial, [1], [0]),
     "Element": (lambda c: Element(F1, {M1: c}), 1.0),
@@ -175,6 +177,18 @@ ROWS = {
     "ergodic_mean": (ergodic_mean, U),
     "tracial_inner_product": (tracial_inner_product, U, U),
     "numeric_box_average.x": (lambda x: numeric_box_average(x, 1.0, 4), U),
+    "symplectic": (symplectic, M0, M1),
+    "weyl_generator_parts": (weyl_generator_parts, M1),
+    "weyl_generator": (weyl_generator, F1, M1),
+    "covariance_check.probes": (lambda probes: covariance_check([0], FHAT, [1], probes),
+                                [M0, M1]),
+    "time_reversal_classify": (time_reversal_classify, ZAKS[1]),
+    "op_S.window": (lambda w: op_S([Fraction(1, 2)], w), W),
+    "op_F.window": (lambda w: op_F([1], w), W),
+    "rep_rho_kappa.objects": (lambda m, w: rep_rho_kappa([0], m, w), M1, W),
+    "bloch_vector_state.objects": (lambda m, w: bloch_vector_state([0], FHAT, m, w), M1, W),
+    "plane_wave_vector_state.m": (lambda m: plane_wave_vector_state([0], m, [[0], [1]]), M1),
+    "weyl_relation_residual.window": (lambda w: weyl_relation_residual([1], [0], w), W),
 }
 
 #: the longest a call may take on any input, in seconds

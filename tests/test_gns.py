@@ -57,6 +57,11 @@ class TestWindow:
         with pytest.raises(WindowTooSmall):
             FourierWindow((1,), (0,))
 
+    @pytest.mark.parametrize("pt", [(0, 99), ()])
+    def test_contains_needs_the_window_dimension(self, pt):
+        with pytest.raises(DimensionMismatch):
+            FourierWindow((-1,), (1,)).contains(pt)
+
     @pytest.mark.parametrize("call", [
         lambda w: FourierWindow((-2.7,), (2.9,)),
         lambda w: op_F((0.5,), w),
@@ -321,6 +326,16 @@ class TestPlaneWaveVectorState:
             plane_wave_vector_state(p, mono([1], [0]), [p])
         with pytest.raises(WindowTooSmall):
             plane_wave_vector_state(p, mono([0], [0]), [vector([0])])
+
+    @pytest.mark.parametrize("p, m, pts", [
+        ([0, 0], mono([0], [0]), [[0, 0]]),
+        ([0], mono([0], [0]), [[0, 0]]),
+        ([0], mono([0, 0], [0, 0]), [[0]]),
+        ([0], mono([0], [0]), [[0], [0, 1]]),
+    ], ids=["base_point", "momentum_set", "monomial", "one_momentum"])
+    def test_dimensions_must_agree(self, p, m, pts):
+        with pytest.raises(DimensionMismatch):
+            plane_wave_vector_state(p, m, pts)
 
     def test_matches_state_family(self):
         rng = random.Random("pwvs")

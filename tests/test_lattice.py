@@ -8,18 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from weylccr import (
     Frame,
-    PhasePoint,
     TAU,
     decompose,
     dual_frame,
     enumerate_trs_fixed_points,
     pairing,
     scalar,
-    symplectic,
 )
 from weylccr.errors import (
     DimensionMismatch,
-    FrameMismatch,
     NotDecomposable,
     SingularFrame,
 )
@@ -123,36 +120,6 @@ class TestPairing:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             pairing(vector([1]), vector([1, 2]))
-
-
-class TestSymplectic:
-    def test_diagonal_vanishes(self):
-        f = Frame.standard(2)
-        rng = random.Random("symp-diag")
-        z = PhasePoint(f, rand_coords(rng, 2), rand_coords(rng, 2))
-        assert symplectic(z, z).value.is_zero()
-
-    def test_off_diagonal_value(self):
-        f = Frame.standard(1)
-        z = PhasePoint(f, [1], [0])
-        zp = PhasePoint(f, [0], [1])
-        assert symplectic(z, zp).is_same_rotation(
-            # tau/2 by direct substitution into the definition
-            pairing(vector([Fraction(1, 2)]), vector([1])))
-
-    def test_antisymmetry(self):
-        f = Frame.standard(2)
-        rng = random.Random("symp-anti")
-        for _ in range(50):
-            z = PhasePoint(f, rand_coords(rng, 2), rand_coords(rng, 2))
-            zp = PhasePoint(f, rand_coords(rng, 2), rand_coords(rng, 2))
-            assert symplectic(z, zp).is_same_rotation(-symplectic(zp, z))
-
-    def test_frame_mismatch(self):
-        z = PhasePoint(Frame.standard(1), [1], [1])
-        zp = PhasePoint(Frame.from_basis([[2]]), [1], [1])
-        with pytest.raises(FrameMismatch):
-            symplectic(z, zp)
 
 
 class TestCellDecomposition:
