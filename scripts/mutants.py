@@ -156,6 +156,17 @@ MUTANTS = (
            "{len(x0)} and {len(x1)}\")\n",
            "",
            "path labels of two dimensions paired by zip", "tests/test_states.py"),
+    Mutant("states.py",
+           "        if m.d != self.char.dim:\n"
+           "            raise DimensionMismatch(f\"a {self.char.dim}-d Bohr state on a {m.d}-d "
+           "monomial\")\n",
+           "",
+           "Bohr and plane-wave values that answer 0j off the symmetry in another dimension",
+           "tests/test_states.py"),
+    Mutant("algebra.py",
+           "    _require((spec, AutomorphismSpec), (x, Element))\n",
+           "",
+           "apply_automorphism without its slot guard", "tests/test_bad_inputs.py"),
 )
 
 

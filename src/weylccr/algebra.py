@@ -30,10 +30,10 @@ from math import gcd, inf, lcm, pi, sin
 from numbers import Rational
 from operator import add, mul, neg
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping
 
 from .errors import (DimensionMismatch, ImmutableObject, InvalidObject, InvalidParameter,
-                     NotAScalar, NotRational)
+                     NotAScalar, NotRational, _require)
 from .lattice import (
     Frame,
     Vector,
@@ -209,6 +209,8 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[PhaseAngle, Monomial]:
     -(n2_a . n1_b) turns over D1 * D2, and the coordinates are summed over
     lcm(D1, D2) and reduced by one gcd.
     """
+    if m1.__class__ is not Monomial or m2.__class__ is not Monomial:
+        raise InvalidObject("a product of monomials takes two Monomials")
     k1, k2 = m1._key, m2._key
     if k1 is None or k2 is None:
         phase = PhaseAngle.from_dot(m2.a, m1.b, -1)
@@ -234,6 +236,8 @@ def monomial_adjoint(m: Monomial) -> tuple[PhaseAngle, Monomial]:
     A keyed monomial (D, n) gives -(n_a . n_b) turns over D^2 and the key
     (D, -n), which is canonical as it stands.
     """
+    if m.__class__ is not Monomial:
+        raise InvalidObject(f"the adjoint of a Monomial, not of a {type(m).__name__}")
     key = m._key
     if key is None:
         phase = PhaseAngle.from_dot(m.a, m.b, -1)
@@ -319,8 +323,7 @@ class Element:
 
     def __init__(self, frame: Frame, terms: Mapping[Monomial, complex] | None = None,
                  *, threshold: float = ZERO_THRESHOLD):
-        if not isinstance(frame, Frame):
-            raise InvalidObject(f"an element's frame must be a Frame, not {type(frame).__name__}")
+        _require((frame, Frame))
         merged: dict[Monomial, complex] = {}
         if terms is not None:
             try:
@@ -373,6 +376,8 @@ class Element:
 
     def coefficient(self, m: Monomial) -> complex:
         """The coefficient of m, which is the tracial pairing t(m* x)."""
+        if m.__class__ is not Monomial:
+            raise InvalidObject(f"a coefficient of a Monomial, not of a {type(m).__name__}")
         return self._terms.get(m, 0j)
 
     def is_zero(self) -> bool:
@@ -387,6 +392,7 @@ class Element:
         return self.frame == other.frame and self._terms == other._terms
 
     def max_coeff_diff(self, other: "Element") -> float:
+        _require((other, Element))
         check_same_frame(self.frame, other.frame)
         keys = set(self._terms) | set(other._terms)
         return max((abs(self.coefficient(m) - other.coefficient(m)) for m in keys),
@@ -497,21 +503,6 @@ def _element_of(frame: Frame, items: Iterable, threshold: float = ZERO_THRESHOLD
     return x
 
 
-def _check_elements(*xs) -> None:
-    """InvalidObject unless each of ``xs`` is an ``Element``."""
-    for x in xs:
-        if not isinstance(x, Element):
-            raise InvalidObject(f"an Element is required, not {type(x).__name__}")
-
-
-def _require(*slots) -> None:
-    """InvalidObject unless each (value, class) of ``slots`` holds an instance
-    of the class."""
-    for value, cls in slots:
-        if not isinstance(value, cls):
-            raise InvalidObject(f"a {cls.__name__} is required, not {type(value).__name__}")
-
-
 def symplectic(z: Monomial, zp: Monomial) -> PhaseAngle:
     """The symplectic product (alpha . beta' - alpha' . beta) / 2 of the phase-space
     points z and z', each the monomial it labels, exact."""
@@ -535,8 +526,12 @@ def weyl_generator(frame: Frame, z: Monomial) -> Element:
 # -- automorphisms ------------------------------------------------------------
 
 
+class AutomorphismSpec:
+    """Base class of the automorphisms, each acting through ``act(frame, m)``."""
+
+
 @dataclass(frozen=True)
-class SpaceTranslation:
+class SpaceTranslation(AutomorphismSpec):
     """tau_lambda = v_lambda (.) v_lambda*; lam in position coordinates.  With
     ``lam``'s key, a keyed monomial (D, n) picks up -(n_a . n_lam) turns over
     D * D_lam on ints alone."""
@@ -558,7 +553,7 @@ class SpaceTranslation:
 
 
 @dataclass(frozen=True)
-class MomentumTranslation:
+class MomentumTranslation(AutomorphismSpec):
     """theta_mu = u_mu (.) u_mu*; mu in momentum coordinates.  With ``mu``'s
     key, a keyed monomial (D, n) picks up +(n_mu . n_b) turns over D * D_mu."""
 
@@ -579,7 +574,7 @@ class MomentumTranslation:
 
 
 @dataclass(frozen=True)
-class FreeDynamics:
+class FreeDynamics(AutomorphismSpec):
     """Phi_t: u_alpha v_beta -> e^{i (t/2) |alpha|^2} u_alpha v_{beta - t alpha}.
 
     The time parameter is restricted to a plain rational so that the shifted
@@ -622,7 +617,7 @@ class FreeDynamics:
 
 
 @dataclass(frozen=True)
-class TimeReversal:
+class TimeReversal(AutomorphismSpec):
     """The antilinear multiplicative involution u_alpha -> u_{-alpha}, v_beta ->
     v_beta; a keyed monomial (D, n) maps to the canonical key (D, -n_a || n_b)."""
 
@@ -635,9 +630,6 @@ class TimeReversal:
         return PhaseAngle.zero(), _keyed(D, tuple([-x for x in n[:d]]) + n[d:]), True
 
 
-AutomorphismSpec = Union[SpaceTranslation, MomentumTranslation, FreeDynamics, TimeReversal]
-
-
 def automorphism_action(spec: AutomorphismSpec, frame: Frame,
                         m: Monomial) -> tuple[PhaseAngle, Monomial, bool]:
     """Per-monomial action of an automorphism, ``spec.act(frame, m)``.
@@ -645,18 +637,14 @@ def automorphism_action(spec: AutomorphismSpec, frame: Frame,
     Returns the exact phase picked up, the image monomial, and whether the
     coefficient must additionally be conjugated (time reversal only).
     """
+    if (m.__class__ is not Monomial or frame.__class__ is not Frame
+            or not isinstance(spec, AutomorphismSpec)):
+        raise InvalidObject("an automorphism acts on a Monomial over a Frame")
     return spec.act(frame, m)
 
 
-def _check_automorphism(spec) -> None:
-    """InvalidObject unless ``spec`` is an ``AutomorphismSpec``."""
-    if not isinstance(spec, AutomorphismSpec.__args__):  # the classes: a Union is slow
-        raise InvalidObject(f"an automorphism is required, not {type(spec).__name__}")
-
-
 def apply_automorphism(spec: AutomorphismSpec, x: Element) -> Element:
-    _check_automorphism(spec)
-    _check_elements(x)
+    _require((spec, AutomorphismSpec), (x, Element))
     out: dict[Monomial, complex] = {}
     for m, c in x.terms.items():
         phase, image, conj = automorphism_action(spec, x.frame, m)
@@ -760,20 +748,20 @@ TRACIAL_SYMMETRY = Symmetry(ZERO, ZERO)
 
 def ergodic_mean(x: Element) -> Element:
     """Projection onto the translation-invariant part: the a = 0 terms."""
-    _check_elements(x)
+    _require((x, Element))
     return _element_of(x.frame, BOHR_SYMMETRY.kept(x._terms.items()), threshold=0.0)
 
 
 def ergodic_mean_lattice(x: Element) -> Element:
     """Projection onto the lattice-invariant part: the terms with a integral."""
-    _check_elements(x)
+    _require((x, Element))
     return _element_of(x.frame, BLOCH_SYMMETRY.kept(x._terms.items()), threshold=0.0)
 
 
 def ergodic_mean_zak(x: Element) -> Element:
     """Projection onto the part invariant under both lattices: the terms with
     a and b integral."""
-    _check_elements(x)
+    _require((x, Element))
     return _element_of(x.frame, ZAK_SYMMETRY.kept(x._terms.items()), threshold=0.0)
 
 
@@ -783,7 +771,7 @@ def numeric_box_average(x: Element, L: float, samples_per_dim: int) -> Element:
     Each coefficient is multiplied by the product over coordinates of the
     midpoint mean of e^{-i alpha lambda}; terms with a = 0 are reproduced exactly.
     """
-    _check_elements(x)
+    _require((x, Element))
     if L.__class__ is not float:  # a float goes to the range test, which refuses NaN
         L = _finite(L, float)
     if not 0 < L < inf:  # NaN fails too
@@ -819,7 +807,7 @@ def tracial_inner_product(x: Element, y: Element) -> complex:
     x is looked up in y and contributes conj(c) c' times the unit phase; for
     x = y the result is exactly the coefficient l2-norm squared.
     """
-    _check_elements(x, y)
+    _require((x, Element), (y, Element))
     check_same_frame(x.frame, y.frame)
     terms = y._terms
     total = 0j

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Union
 
-from .errors import DimensionMismatch, NotACharacter, NotAScalar, NotDecomposable, WeylError
+from .errors import (DimensionMismatch, NotACharacter, NotAScalar, NotDecomposable, WeylError,
+                     _require)
 from .lattice import Vector, rational_label, vadd, vdot, vector, zero_vector
 from .scalars import PhaseAngle
 
@@ -52,8 +52,12 @@ def padic_fraction(x, p: int) -> Fraction:
     return Fraction(c, pk)
 
 
+class BohrCharacter:
+    """Base class of the characters: ``dim``, ``angle(beta)`` and ``momentum()``."""
+
+
 @dataclass(frozen=True)
-class ContinuousCharacter:
+class ContinuousCharacter(BohrCharacter):
     """beta -> e^{i p . beta} for an ambient momentum vector p."""
 
     p: Vector
@@ -75,7 +79,7 @@ class ContinuousCharacter:
 
 
 @dataclass(frozen=True)
-class PadicCharacter:
+class PadicCharacter(BohrCharacter):
     """x -> e^{2 pi i sum_j {x_j}_{p_j}}, one small prime per coordinate.
 
     Discontinuous at 0 in the usual topology, but still an exact character of
@@ -111,7 +115,7 @@ class PadicCharacter:
 
 
 @dataclass(frozen=True)
-class ProductCharacter:
+class ProductCharacter(BohrCharacter):
     """Pointwise product of finitely many characters, at least one, all of
     one dimension."""
 
@@ -119,7 +123,7 @@ class ProductCharacter:
 
     def __post_init__(self):
         factors = tuple(self.factors) if hasattr(self.factors, "__iter__") else ()
-        if not factors or not all(isinstance(f, CHARACTERS) for f in factors):
+        if not factors or not all(isinstance(f, BohrCharacter) for f in factors):
             raise NotACharacter(f"{self.factors!r:.40} is not a sequence of characters")
         if len({f.dim for f in factors}) > 1:
             raise DimensionMismatch("the factors of a product character differ in dimension")
@@ -137,16 +141,13 @@ class ProductCharacter:
         return None if None in momenta else reduce(vadd, momenta, zero_vector(self.dim))
 
 
-BohrCharacter = Union[ContinuousCharacter, PadicCharacter, ProductCharacter]
-CHARACTERS = (ContinuousCharacter, PadicCharacter, ProductCharacter)
-
-
 def character_eval(char: BohrCharacter, beta) -> PhaseAngle:
     """Exact phase angle of the character at the ambient position ``beta``.
 
     The p-adic family needs plain rational coordinates and raises
     NotDecomposable on tau-dependent input.
     """
+    _require((char, BohrCharacter))
     return char.angle(vector(beta))
 
 

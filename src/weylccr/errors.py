@@ -57,10 +57,18 @@ class NotACharacter(WeylError, TypeError, IndexError):
 
 class InvalidObject(WeylError, AttributeError, TypeError, ValueError):
     """An argument that takes objects of this package (a frame, a state, a
-    mapping of monomials to coefficients, a sequence of monomials or
-    elements, a pair of path endpoints, or a tuple of exact scalars) got
+    monomial, an element, an automorphism, a character, a window, an angle,
+    a term mapping, a probe sequence, path endpoints or exact scalars) got
     something else; also an AttributeError, a TypeError and a ValueError,
     the classes such arguments raised on first use."""
+
+
+def _require(*slots) -> None:
+    """InvalidObject unless each (value, class) of ``slots`` holds an instance
+    of the class: the one guard of the object slots."""
+    for value, cls in slots:
+        if not isinstance(value, cls):
+            raise InvalidObject(f"{cls.__name__} required, got {type(value).__name__}")
 
 
 class NotAState(WeylError):

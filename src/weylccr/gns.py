@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING
 
 from .algebra import Monomial
 from .errors import (DimensionMismatch, InvalidParameter, NotAState, OutOfSubalgebra,
-                     WindowTooSmall)
+                     WindowTooSmall, _require)
 from .lattice import integer_point, integer_vector, matrix, rational_label, vector
 from .scalars import PhaseAngle, rational_key, unit_from_turns
-from .states import NORMALIZATION_TOL, _fourier_data, _require
+from .states import _unit_fourier_data
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,7 +39,8 @@ MAX_WINDOW_POINTS = 2**16
 
 @dataclass(frozen=True)
 class FourierWindow:
-    """The integer box prod [lo_i, hi_i], enumerated lexicographically."""
+    """The integer box prod [lo_i, hi_i], enumerated lexicographically; a
+    point lies in it when ``pt in window.index``."""
 
     lo: tuple
     hi: tuple
@@ -67,11 +68,6 @@ class FourierWindow:
 
     def __len__(self):
         return len(self.points)
-
-    def contains(self, pt) -> bool:
-        if len(pt) != self.d:
-            raise DimensionMismatch(f"a {len(pt)}-d point and a {self.d}-d window")
-        return all(l <= c <= h for c, l, h in zip(pt, self.lo, self.hi))
 
 
 def op_S(b, window: FourierWindow) -> np.ndarray:
@@ -145,10 +141,7 @@ def bloch_vector_state(kappa, fhat, m: Monomial, window: FourierWindow) -> compl
     a_int = integer_vector(m.a)
     if a_int is None:
         raise OutOfSubalgebra(f"momentum part of {m} is not a dual-lattice point")
-    fhat = _fourier_data(fhat, window.d)
-    norm_sq = sum(abs(v) ** 2 for v in fhat.values())
-    if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
-        raise NotAState(f"fhat is not l2-normalized: |f|^2 = {norm_sq!r}")
+    fhat = _unit_fourier_data(fhat, window.d)
     for n in fhat:
         for c, a, lo, hi in zip(n, a_int, window.lo, window.hi):
             if not (lo + abs(a) <= c <= hi - abs(a)):
@@ -207,7 +200,7 @@ def weyl_relation_residual(gp, b, window: FourierWindow) -> float:
     lhs = f_mat * s_diag
     rhs = phase * (s_diag[:, None] * f_mat)
     interior = [j for j, pt in enumerate(window.points)
-                if window.contains(tuple(c + g for c, g in zip(pt, gp)))]
+                if tuple(map(add, pt, gp)) in window.index]
     if not interior:
         return 0.0
     return float(np.max(np.abs(lhs[:, interior] - rhs[:, interior])))

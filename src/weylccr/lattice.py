@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import (DimensionMismatch, FrameMismatch, NotAScalar, NotDecomposable, SingularFrame,
-                     WeylError)
+                     WeylError, _require)
 from .scalars import (ExactScalar, PhaseAngle, S_ONE, S_ZERO, TAU, integer_vector,
                       rational_key, scalar)
 
@@ -302,4 +302,5 @@ def _unit_cell(D: int, n: tuple) -> tuple:
 
 def enumerate_trs_fixed_points(frame: Frame):
     """The 2^d quasi-momenta fixed by reflection, coordinates in {0, 1/2}."""
+    _require((frame, Frame))
     return list(itertools.product((Fraction(0), Fraction(1, 2)), repeat=frame.d))

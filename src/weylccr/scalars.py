@@ -53,7 +53,7 @@ from numbers import Rational
 from operator import mul
 
 from .errors import (DimensionMismatch, InvalidObject, InvalidParameter, NotAScalar,
-                     NotDecomposable, PhasePrecisionError, WeylError, ZeroDenominator)
+                     NotDecomposable, PhasePrecisionError, WeylError, ZeroDenominator, _require)
 
 TWO_PI = 2.0 * math.pi
 
@@ -823,6 +823,8 @@ class PhaseAngle:
         return PhaseAngle, (self.value,)
 
     def __add__(self, other: "PhaseAngle") -> "PhaseAngle":
+        if other.__class__ is not PhaseAngle:
+            return NotImplemented
         d1, d2 = self._d, other._d
         if d1 and d2:
             n1, n2 = self._n, other._n
@@ -838,7 +840,7 @@ class PhaseAngle:
         return PhaseAngle(self.value + other.value)
 
     def __sub__(self, other: "PhaseAngle") -> "PhaseAngle":
-        return self + (-other)
+        return self + (-other) if other.__class__ is PhaseAngle else NotImplemented
 
     def __neg__(self) -> "PhaseAngle":
         d = self._d
@@ -849,6 +851,7 @@ class PhaseAngle:
 
     def is_same_rotation(self, other: "PhaseAngle") -> bool:
         """Exact test that both angles give the same unit complex number."""
+        _require((other, PhaseAngle))
         d1, d2 = self._d, other._d
         if d1 and d2:
             return self._n == other._n and d1 == d2

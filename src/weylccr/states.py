@@ -22,13 +22,11 @@ from .algebra import (
     TRACIAL_SYMMETRY,
     ZAK_SYMMETRY,
     ZERO,
+    AutomorphismSpec,
     Element,
     Monomial,
     Symmetry,
-    _check_automorphism,
-    _check_elements,
     _finite,
-    _require,
     apply_automorphism,
     monomial_adjoint,
     monomial_product,
@@ -45,6 +43,7 @@ from .errors import (
     OutOfSubalgebra,
     Unsupported,
     WeylError,
+    _require,
 )
 from .lattice import (
     Frame,
@@ -60,8 +59,8 @@ from .lattice import (
 from .scalars import ExactScalar, PhaseAngle, rational_key, unit_from_turns
 
 NORMALIZATION_TOL = 1e-12
-#: tolerance of the Bloch time-reversal criterion's parallelism test
-TRI_TOL = 1e-10
+#: the bound of the Gram eigenvalue, of invariance and of Bloch time reversal
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class StateModel:
         raise Unsupported(f"no time-reversal criterion for {type(self).__name__}")
 
     def evaluate(self, x: Element) -> complex:
-        _check_elements(x)
+        _require((x, Element))
         total = 0j
         for m, c in x.terms.items():
             total += c * self.monomial_value(x.frame, m)
@@ -114,7 +113,12 @@ class BohrState(StateModel):
 
     symmetry = BOHR_SYMMETRY
 
+    def __post_init__(self):
+        _require((self.char, BohrCharacter))
+
     def monomial_value(self, frame, m):
+        if m.d != self.char.dim:
+            raise DimensionMismatch(f"a {self.char.dim}-d Bohr state on a {m.d}-d monomial")
         if not BOHR_SYMMETRY.keeps(m):
             return 0j
         beta = frame.to_ambient_position(m.b)
@@ -159,15 +163,9 @@ class Bloch(StateModel):
         kappa = rational_label(self.kappa, NotAState)
         if any(not (0 <= k < 1) for k in kappa):
             raise NotAState("quasi-momentum coordinates must lie in [0, 1)")
-        items = []
-        norm_sq = 0.0
-        for idx, val in _fourier_data(self.fhat, len(kappa)).items():
-            if val != 0:
-                items.append((idx, val))
-                norm_sq += abs(val) ** 2
-        if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
-            raise NotAState(f"fhat is not l2-normalized: |f|^2 = {norm_sq!r}")
-        fhat = tuple(sorted(items, key=lambda kv: kv[0]))
+        fhat = _unit_fourier_data(self.fhat, len(kappa))
+        fhat = tuple(sorted(((idx, val) for idx, val in fhat.items() if val != 0),
+                            key=lambda kv: kv[0]))
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "fhat", fhat)
         object.__setattr__(self, "_kappa_exact", vector(kappa))
@@ -205,12 +203,12 @@ class Bloch(StateModel):
         g1 = {n: f.get(tuple(-c for c in n), 0j).conjugate() for n in support}
         g2 = {n: f.get(tuple(c - s for c, s in zip(n, shift)), 0j) for n in support}
         inner = sum(g2[n].conjugate() * g1[n] for n in support)
-        if abs(abs(inner) - 1.0) > TRI_TOL:
+        if abs(abs(inner) - 1.0) > TOL:
             return TimeReversalVerdict(
                 False, "conjugated and shifted vectors are not parallel "
                 f"(|<.,.>| = {abs(inner):.3g})")
         residual = max(abs(g1[n] - inner * g2[n]) for n in support)
-        if residual > TRI_TOL:
+        if residual > TOL:
             return TimeReversalVerdict(False, f"parallelism residual {residual:.3g}")
         return TimeReversalVerdict(
             True, "conj(fhat(-n)) is a unit multiple of fhat(n - 2 kappa)")
@@ -233,6 +231,16 @@ def _fourier_data(fhat: Mapping, d: int) -> dict:
     return out
 
 
+def _unit_fourier_data(fhat: Mapping, d: int) -> dict:
+    """``_fourier_data`` of a unit vector: its l2 norm squared, summed from
+    left to right, within NORMALIZATION_TOL of 1, or NotAState."""
+    fhat = _fourier_data(fhat, d)
+    norm_sq = _ordered_sum(abs(val) ** 2 for val in fhat.values())
+    if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
+        raise NotAState(f"fhat is not l2-normalized: |f|^2 = {norm_sq!r}")
+    return fhat
+
+
 def bloch_monomial_value(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> complex:
     """Fourier closed form, valid for any rational kappa (not range-reduced).
 
@@ -241,6 +249,7 @@ def bloch_monomial_value(kappa, fhat: Mapping[tuple, complex], m: Monomial) -> c
     not rational, an index of ``fhat`` that is not a tuple of len(kappa)
     integers or a value that is not a finite number.
     """
+    _require((m, Monomial))
     kappa = rational_label(kappa, NotAState)
     return _bloch_closed_form(kappa, _fourier_data(fhat, len(kappa)), m)
 
@@ -459,7 +468,7 @@ def _bounded(check: str, pairs, bound: float, fmt=str) -> CheckResult:
 
 def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) -> GramReport:
     """Positivity witness: the Gram matrix H_ij = omega(m_i* m_j) must be PSD,
-    its least eigenvalue at least -1e-10.
+    its least eigenvalue at least -TOL.
 
     An entry that ``symmetry`` or ``vanishing_width`` says vanishes stays 0j,
     with no product, phase or value formed.  m_i* m_j has momentum a_j - a_i
@@ -505,7 +514,7 @@ def gram_psd_check(state: StateModel, frame: Frame, probes: Sequence[Monomial]) 
                 H[i, j] = (phase_i + phase_ij).to_complex() * value
     residual = float(np.max(np.abs(H - H.conj().T)))
     min_eig = float(np.min(np.linalg.eigvalsh((H + H.conj().T) / 2.0)))
-    return GramReport(min_eig, residual, min_eig >= -1e-10)
+    return GramReport(min_eig, residual, min_eig >= -TOL)
 
 
 def _apart(symmetry: Symmetry, cells_i: tuple, cells_j: tuple) -> bool:
@@ -557,7 +566,7 @@ def _ambient_points(frame: Frame, probes: Sequence[Monomial]) -> list:
 
 
 def invariance_check(state: StateModel, specs, samples: Sequence[Element],
-                     tol: float = 1e-10) -> CheckResult:
+                     tol: float = TOL) -> CheckResult:
     """Max over samples of |omega(phi(x)) - omega(x)| for the automorphism phi;
     it passes at most ``tol``, a finite number.
 
@@ -565,8 +574,7 @@ def invariance_check(state: StateModel, specs, samples: Sequence[Element],
     """
     tol = _finite(tol, float)
     chain = tuple(specs) if isinstance(specs, (list, tuple)) else (specs,)
-    for spec in chain:
-        _check_automorphism(spec)
+    _require(*((spec, AutomorphismSpec) for spec in chain))
     samples = _objects(samples, Element, (state, StateModel))
     deviations = []
     for x in samples:
@@ -656,9 +664,8 @@ def _objects(probes, kind: type, *slots) -> tuple:
     try:
         probes = tuple(probes)
     except TypeError:
-        probes = None
-    if probes is None or not all(isinstance(m, kind) for m in probes):
-        raise InvalidObject(f"probes must be a sequence of {kind.__name__}s")
+        raise InvalidObject(f"probes must be a sequence of {kind.__name__}s") from None
+    _require(*((m, kind) for m in probes))
     return probes
 
 

@@ -17,8 +17,8 @@ A row is a generator registered by ``check``.  It yields its results, or one
 witness per failed probe, reduced by ``_counted`` (passes when no probe
 failed), or (value, probe) pairs, reduced by ``_bounded`` (shared with the
 state checks; passes when the worst value is within a bound).  Each row
-states its bounds; ``TOL`` = 1e-10 is the one four rows share, which every
-report records as its ``tol``.  Adding a check is adding a row.
+states its bounds; ``TOL`` = 1e-10, from ``states``, is the one four rows
+share, which every report records as its ``tol``.  Adding a check is adding a row.
 
 The ``rand_*`` functions and ``draw_distinct`` below are the project's only
 seeded generators; the tests import them from here.  ``path_probes`` is the
@@ -76,6 +76,7 @@ from .lattice import (
 )
 from .scalars import ExactScalar, PhaseAngle, TAU
 from .states import (
+    TOL,
     Bloch,
     BohrState,
     CheckResult,
@@ -97,11 +98,6 @@ from .states import (
     time_reversal_classify,
     weak_star_distance,
 )
-
-
-#: the bound shared by the Gram eigenvalue, the squares, the Bloch
-#: time-reversal criterion and the GNS oracle; the ``tol`` of every report
-TOL = 1e-10
 
 
 @dataclass

@@ -45,15 +45,19 @@ from weylccr import (
     WeylError,
     Zak,
     apply_automorphism,
+    automorphism_action,
     bloch_monomial_value,
     bloch_vector_state,
     character_eval,
     covariance_check,
     decompose,
     dual_frame,
+    enumerate_trs_fixed_points,
     ergodic_mean,
     gram_psd_check,
     invariance_check,
+    monomial_adjoint,
+    monomial_product,
     multiplicativity_check,
     numeric_box_average,
     op_F,
@@ -79,6 +83,7 @@ F1 = Frame.standard(1)
 M0, M1 = Monomial([0], [0]), Monomial([1], [Fraction(1, 2)])
 U = Element.u(F1, [1])
 X = ExactScalar.rational(3)
+PHI = PhaseAngle.from_turns(Fraction(1, 3))
 W = FourierWindow((-2,), (2,))
 ZAKS = (Zak([0], [0]), Zak([Fraction(1, 2)], [0]))
 CHAR = ContinuousCharacter([1])
@@ -189,6 +194,17 @@ ROWS = {
     "bloch_vector_state.objects": (lambda m, w: bloch_vector_state([0], FHAT, m, w), M1, W),
     "plane_wave_vector_state.m": (lambda m: plane_wave_vector_state([0], m, [[0], [1]]), M1),
     "weyl_relation_residual.window": (lambda w: weyl_relation_residual([1], [0], w), W),
+    "monomial_product": (monomial_product, M0, M1),
+    "monomial_adjoint": (monomial_adjoint, M1),
+    "automorphism_action": (automorphism_action, FreeDynamics(1), F1, M1),
+    "character_eval.char": (lambda char: character_eval(char, [1]), CHAR),
+    "bloch_monomial_value.m": (lambda m: bloch_monomial_value([0], FHAT, m), M1),
+    "enumerate_trs_fixed_points": (enumerate_trs_fixed_points, F1),
+    "Element.max_coeff_diff": (U.max_coeff_diff, U),
+    "Element.coefficient": (U.coefficient, M1),
+    "PhaseAngle.is_same_rotation": (PHI.is_same_rotation, PHI),
+    "PhaseAngle.__add__": (PHI.__add__, PHI),
+    "PhaseAngle.__sub__": (PHI.__sub__, PHI),
 }
 
 #: the longest a call may take on any input, in seconds

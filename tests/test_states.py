@@ -41,6 +41,7 @@ from weylccr import algebra, lattice
 from weylccr.errors import (
     DimensionMismatch,
     FamilyMismatch,
+    InvalidObject,
     InvalidProbeSet,
     NotAState,
     OutOfSubalgebra,
@@ -264,6 +265,27 @@ class TestValidation:
     def test_state_of_another_dimension_is_rejected(self, state):
         with pytest.raises(DimensionMismatch):
             state.evaluate(Element.v(F1, [1]))
+
+    @pytest.mark.parametrize("call", [
+        lambda: PlaneWave([1, 2]).evaluate(Element.u(F1, [1])),
+        lambda: weak_star_distance(PlaneWave([1]), PlaneWave([1, 2]), [Element.u(F1, [1])]),
+        lambda: multiplicativity_check(PlaneWave([1, 2]), F1,
+                                       [Monomial([1], [0]), Monomial([2], [0])]),
+        lambda: invariance_check(PlaneWave([1, 2]), SpaceTranslation([1]),
+                                 [Element.u(F1, [1])]),
+        lambda: BohrState(ContinuousCharacter([1, 2])).evaluate(Element.u(F1, [1])),
+    ], ids=["evaluate", "weak_star_distance", "multiplicativity_check", "invariance_check",
+            "bohr_state"])
+    def test_a_bohr_state_off_its_symmetry_compares_dimensions_first(self, call):
+        """A monomial with a != 0 has the value 0j by the symmetry, but only in
+        the state's own dimension."""
+        with pytest.raises(DimensionMismatch):
+            call()
+
+    @pytest.mark.parametrize("char", [None, "x", ContinuousCharacter])
+    def test_a_bohr_state_takes_a_character(self, char):
+        with pytest.raises(InvalidObject):
+            BohrState(char)
 
 
 def _round_trips(value):

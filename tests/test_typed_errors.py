@@ -39,10 +39,15 @@ from weylccr import (
     SpaceTranslation,
     Zak,
     apply_automorphism,
+    automorphism_action,
     bloch_monomial_value,
+    character_eval,
+    enumerate_trs_fixed_points,
     ergodic_mean,
     gram_psd_check,
     invariance_check,
+    monomial_adjoint,
+    monomial_product,
     numeric_box_average,
     path_sample,
     scalar,
@@ -112,6 +117,22 @@ CALLS = {
                                   AttributeError),
     "box_average_element": (lambda: numeric_box_average("x", 1.0, 4), InvalidObject,
                             AttributeError),
+    "monomial_product_str": (lambda: monomial_product("x", M), InvalidObject, AttributeError),
+    "monomial_adjoint_str": (lambda: monomial_adjoint("x"), InvalidObject, AttributeError),
+    "automorphism_action_monomial": (lambda: automorphism_action(SpaceTranslation([1]), F1, "x"),
+                                     InvalidObject, AttributeError),
+    "automorphism_action_frame": (lambda: automorphism_action(FreeDynamics(1), "x", M),
+                                  InvalidObject, AttributeError),
+    "automorphism_action_spec": (lambda: automorphism_action("x", F1, M), InvalidObject,
+                                 AttributeError),
+    "character_eval_str": (lambda: character_eval("x", [1]), InvalidObject, AttributeError),
+    "bloch_monomial_str": (lambda: bloch_monomial_value([0], {(0,): 1.0}, "x"), InvalidObject,
+                           AttributeError),
+    "trs_fixed_points_str": (lambda: enumerate_trs_fixed_points("x"), InvalidObject,
+                             AttributeError),
+    "max_coeff_diff_str": (lambda: U.max_coeff_diff("x"), InvalidObject, AttributeError),
+    "same_rotation_int": (lambda: PhaseAngle(0).is_same_rotation(1), InvalidObject,
+                          AttributeError),
 }
 
 
@@ -207,6 +228,24 @@ def test_ints_and_fractions_are_still_numbers_for_the_constructors():
 def test_the_element_operators_decline_a_bool_and_a_str(other):
     for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
         assert getattr(U, op)(other) is NotImplemented, op
+
+
+@pytest.mark.parametrize("other", [1, "1", None], ids=["int", "str", "None"])
+def test_the_phase_angle_operators_decline_what_is_not_an_angle(other):
+    x = PhaseAngle(0)
+    for op in ("__add__", "__sub__"):
+        assert getattr(x, op)(other) is NotImplemented, op
+    with pytest.raises(TypeError):
+        x + other
+    with pytest.raises(TypeError):
+        x - other
+
+
+def test_a_coefficient_is_read_at_a_monomial_only():
+    """A key that is not a monomial raised nothing: it read 0j."""
+    with pytest.raises(InvalidObject):
+        U.coefficient("x")
+    assert U.coefficient(M) == 0j
 
 
 def test_a_declined_subtraction_names_minus():
